@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (hermite_row_basis, in_lattice_plus_span, integer_kernel,
-                     mat_inv, mat_vec, solve, transpose)
+                     mat_vec, solve, span_solve)
 from .orbits import NilpotentOrbit
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
@@ -129,9 +129,9 @@ def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
 
 
 def _coords_in_basis(basis, root):
-    from .chartab import _span_solve
-    coeffs = _span_solve(basis, root)
-    assert coeffs is not None
+    coeffs = span_solve(basis, root)
+    if coeffs is None:
+        raise ABCError(f"{root} is not in the span of {basis}")
     return coeffs
 
 
@@ -218,23 +218,7 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
 @lru_cache(maxsize=None)
 def _xstar_weyl_matrices(ct: CartanType):
     """Integer matrices of W acting on X_*-basis coordinates."""
-    rs = build_root_system(ct)
-    linv = mat_inv(transpose(rs.cochar_basis))
-    lmat = transpose(rs.cochar_basis)
-    out = []
-    for w in weyl_group(ct):
-        m = w.matrix_on_points()
-        mm = [[Fraction(m[i][j]) for j in range(rs.rank)] for i in range(rs.rank)]
-        prod = _mat_mul_f(linv, _mat_mul_f(mm, lmat))
-        mi = tuple(tuple(int(x) for x in row) for row in prod)
-        out.append((w, mi))
-    return tuple(out)
-
-
-def _mat_mul_f(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k))
-             for j in range(m)] for i in range(n)]
+    return tuple((w, w.xstar_matrix()) for w in weyl_group(ct))
 
 
 def _factor_orbit_table(ct: CartanType, pair: ABCPair):

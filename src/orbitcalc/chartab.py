@@ -12,7 +12,12 @@ The abstract values come from Murnaghan-Nakayama style recursions:
 * G2            -- the dihedral table of order 12.
 
 Concrete Weyl elements (root permutations from rootdata) are matched to
-abstract class labels through per-factor coordinate frames.
+abstract class labels through per-factor integer frames: the element's
+root permutation moves each frame vector to a signed frame vector, and
+the cycles of that signed permutation are the class label.  A split
+type-D class gets its sign from the signed permutation alone (the parity
+of the sign changes of a W(B_k)-conjugator onto the representative with
+positive consecutive cycles; see _split_sign), with no group search.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
-from .rootdata import CartanType, RootSystem, WeylElement, subgroup_closure
+from .linalg import span_solve
+from .rootdata import (CartanType, RootSystem, WeylElement,
+                       connected_components)
 
 
 class CharError(ValueError):
@@ -102,12 +109,14 @@ def d_char(pair, sign, alpha, beta, class_split) -> int:
         return hyp_char(lam, mu, alpha, beta)
     base = hyp_char(lam, lam, alpha, beta)
     if class_split == 0:
-        assert base % 2 == 0, (pair, alpha, beta)
+        if base % 2:
+            raise CharError(f"odd restriction {base} of {pair} at {alpha, beta}")
         return base // 2
     gamma = tuple(a // 2 for a in alpha)
     delta = (2 ** len(gamma)) * sym_char(lam, gamma)
     val = base + (delta if sign == class_split else -delta)
-    assert val % 2 == 0
+    if val % 2:
+        raise CharError(f"odd split value {val} of {pair} at {alpha}")
     return val // 2
 
 
@@ -212,44 +221,12 @@ class EmbeddedFactor:
         return CartanType(self.series, self.rank)
 
 
-def _span_solve(basis, target):
-    """Coefficients of target in the QQ-span of basis, or None."""
-    cols = len(basis)
-    rows = len(target)
-    # least squares free: solve via Gaussian elimination on [basis^T | target]
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for row_idx, c in enumerate(piv_cols):
-        coeffs[c] = aug[row_idx][cols]
-    return tuple(coeffs)
-
-
 def subsystem_roots(rs: RootSystem, basis):
     """All ambient roots in the integer span of the given simple basis
     (the closed subsystem it generates)."""
     out = []
     for beta in rs.roots:
-        coeffs = _span_solve(basis, beta)
+        coeffs = span_solve(basis, beta)
         if coeffs is not None and all(c.denominator == 1 for c in coeffs):
             out.append(beta)
     return tuple(out)
@@ -257,25 +234,8 @@ def subsystem_roots(rs: RootSystem, basis):
 
 def split_basis_into_factors(rs: RootSystem, basis):
     """Connected components of the basis diagram, as lists of roots."""
-    m = len(basis)
-    adj = {i: set() for i in range(m)}
-    for i in range(m):
-        for j in range(m):
-            if i != j and rs.pairing(basis[i], basis[j]) != 0:
-                adj[i].add(j)
-    seen, comps = set(), []
-    for i in range(m):
-        if i in seen:
-            continue
-        comp, stack = [], [i]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            comp.append(x)
-            stack.extend(adj[x] - seen)
-        comps.append(tuple(sorted(comp)))
+    comps = connected_components(
+        len(basis), lambda i, j: rs.pairing(basis[i], basis[j]) != 0)
     return tuple(tuple(basis[i] for i in comp) for comp in comps)
 
 
@@ -374,9 +334,9 @@ def _order_d(comp, pair, deg, fork):
 
 
 def _build_frame(rs: RootSystem, kind, series, rank, basis):
-    """Rational root-coordinate vectors used to classify group elements.
+    """Integer root-coordinate vectors used to classify group elements.
 
-    A: the k+1 points of the permutation model (mean-zero e_i);
+    A: the k+1 points of the permutation model, (k+1)(e_i - mean);
     B/C/D: the vectors 2*e_i (so everything stays a root combination).
     """
     n = rs.rank
@@ -384,34 +344,27 @@ def _build_frame(rs: RootSystem, kind, series, rank, basis):
     if kind == "G":
         return ()
     if kind == "A":
-        first = [Fraction(0)] * n
-        for j, b in enumerate(basis):
-            w = Fraction(k - j, k + 1)
-            for t in range(n):
-                first[t] += w * b[t]
-        pts = [tuple(first)]
+        pts = [tuple(sum((k - j) * b[t] for j, b in enumerate(basis))
+                     for t in range(n))]
         for b in basis:
-            pts.append(tuple(x - y for x, y in zip(pts[-1], b)))
+            pts.append(tuple(x - (k + 1) * y for x, y in zip(pts[-1], b)))
         return tuple(pts)
     if kind == "BC":
         # frame vectors are 2*e_i: for B the last simple root is e_k,
         # for C it is 2*e_k, and 2*e_i = 2*beta_i + 2*e_{i+1} going left
-        if series == "B":
-            es = [tuple(2 * Fraction(x) for x in basis[-1])]
-        else:
-            es = [tuple(map(Fraction, basis[-1]))]
-        for b in reversed(basis[:-1]):
-            es.append(tuple(2 * Fraction(x) + y for x, y in zip(b, es[-1])))
-        return tuple(reversed(es))
-    if kind == "D":
+        scale = 2 if series == "B" else 1
+        es = [tuple(scale * x for x in basis[-1])]
+        rest = basis[:-1]
+    elif kind == "D":
         bl, bm = basis[-2], basis[-1]
-        ekm1 = tuple(Fraction(x + y) for x, y in zip(bl, bm))      # 2*e_{k-1}
-        ek = tuple(Fraction(y - x) for x, y in zip(bl, bm))        # 2*e_k
-        es = [ek, ekm1]
-        for b in reversed(basis[:-2]):
-            es.append(tuple(2 * Fraction(x) + y for x, y in zip(b, es[-1])))
-        return tuple(reversed(es))
-    raise CharError(kind)
+        es = [tuple(y - x for x, y in zip(bl, bm)),   # 2*e_k
+              tuple(x + y for x, y in zip(bl, bm))]   # 2*e_{k-1}
+        rest = basis[:-2]
+    else:
+        raise CharError(kind)
+    for b in reversed(rest):
+        es.append(tuple(2 * x + y for x, y in zip(b, es[-1])))
+    return tuple(reversed(es))
 
 
 def build_factor(rs: RootSystem, comp, forced_basis=None,
@@ -423,7 +376,8 @@ def build_factor(rs: RootSystem, comp, forced_basis=None,
     for B2 = C2, by the dual naming)."""
     kind, series, rank, basis = _classify_factor(rs, comp)
     if forced_basis is not None:
-        assert set(forced_basis) == set(basis)
+        if set(forced_basis) != set(basis):
+            raise CharError(f"{forced_basis} is not a basis of the factor")
         basis = tuple(forced_basis)
     if forced_series is not None:
         series = forced_series
@@ -435,18 +389,16 @@ def build_factor(rs: RootSystem, comp, forced_basis=None,
 
 def _signed_perm(factor: EmbeddedFactor, w: WeylElement):
     """(pi, signs) with w(frame_i) = signs[i] * frame_{pi[i]}."""
-    imgs = [w.apply_root_coords(v) for v in factor.frame]
+    # a frame may hold v and -v (type A1): the unsigned match wins
+    where = {tuple(-x for x in v): (i, -1) for i, v in enumerate(factor.frame)}
+    where.update((v, (i, 1)) for i, v in enumerate(factor.frame))
     pi, signs = [], []
-    for img in imgs:
-        neg = tuple(-x for x in img)
-        if img in factor.frame:
-            pi.append(factor.frame.index(img))
-            signs.append(1)
-        elif neg in factor.frame:
-            pi.append(factor.frame.index(neg))
-            signs.append(-1)
-        else:
+    for v in factor.frame:
+        hit = where.get(w.apply_root_coords(v))
+        if hit is None:
             raise CharError("element does not preserve the factor frame")
+        pi.append(hit[0])
+        signs.append(hit[1])
     return tuple(pi), tuple(signs)
 
 
@@ -466,6 +418,30 @@ def _cycle_data(pi, signs):
     return tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True))
 
 
+def _split_sign(pi, signs):
+    """Which of the two W(D_k)-classes a split element lies in.
+
+    A split class (all cycles positive and even) is one W(B_k)-class that
+    falls into two W(D_k)-classes; '+' holds the element with positive
+    consecutive cycles.  Map the t-th frame vector of each cycle of w to
+    eps_t times the t-th of a block of that representative, where
+    eps_0 = 1 and eps_{t+1} = eps_t * signs[i_t]: this u in W(B_k)
+    conjugates w to the representative.  The W(B_k)-centralizer of the
+    representative lies in W(D_k), so w is W(D_k)-conjugate to it exactly
+    when u has an even number of sign changes.
+    """
+    seen = set()
+    flips = 0
+    for i in range(len(pi)):
+        eps, j = 1, i
+        while j not in seen:
+            seen.add(j)
+            flips += eps < 0
+            eps *= signs[j]
+            j = pi[j]
+    return -1 if flips % 2 else 1
+
+
 class FactorClassifier:
     """Conjugacy-class labels for elements of one embedded factor."""
 
@@ -473,13 +449,6 @@ class FactorClassifier:
         self.rs = rs
         self.factor = factor
         self._cache = {}
-        self._split_reps = {}
-        self._subgroup = None
-
-    def _group(self):
-        if self._subgroup is None:
-            self._subgroup = subgroup_closure(self.rs, self.factor.basis)
-        return self._subgroup
 
     def label(self, w: WeylElement):
         key = w.perm
@@ -494,26 +463,17 @@ class FactorClassifier:
         if f.kind == "G":
             return self._g2_label(w)
         pi, signs = _signed_perm(f, w)
-        if f.kind == "A":
-            assert all(s == 1 for s in signs)
-            seen, cyc = set(), []
-            for i in range(len(pi)):
-                if i in seen:
-                    continue
-                ln, j = 0, i
-                while j not in seen:
-                    seen.add(j)
-                    ln += 1
-                    j = pi[j]
-                cyc.append(ln)
-            return tuple(sorted(cyc, reverse=True))
         alpha, beta = _cycle_data(pi, signs)
+        if f.kind == "A":
+            if any(s != 1 for s in signs):
+                raise CharError("element changes the sign of a type-A frame point")
+            return alpha
         if f.kind == "BC":
             return (alpha, beta)
         # D
         if beta or any(a % 2 for a in alpha):
             return (alpha, beta, 0)
-        return (alpha, beta, self._split_sign(w, alpha))
+        return (alpha, beta, _split_sign(pi, signs))
 
     def _g2_label(self, w):
         rs = self.rs
@@ -531,34 +491,3 @@ class FactorClassifier:
         l2 = max(rs.root_length2(r) for r in negated)
         lmax = max(rs.root_length2(r) for r in rs.roots)
         return "sl" if l2 == lmax else "ss"
-
-    def _canonical_split_rep(self, alpha):
-        """The element acting as positive consecutive cycles of lengths alpha
-        on the frame: the '+' representative of the split class."""
-        if alpha in self._split_reps:
-            return self._split_reps[alpha]
-        k = self.factor.rank
-        target_pi = list(range(k))
-        pos = 0
-        for ln in alpha:
-            idxs = list(range(pos, pos + ln))
-            for t in range(ln):
-                target_pi[idxs[t]] = idxs[(t + 1) % ln]
-            pos += ln
-        target = (tuple(target_pi), (1,) * k)
-        found = None
-        for u in self._group():
-            if _signed_perm(self.factor, u) == target:
-                found = u
-                break
-        if found is None:
-            raise CharError(f"no split representative for {alpha}")
-        self._split_reps[alpha] = found
-        return found
-
-    def _split_sign(self, w, alpha):
-        rep = self._canonical_split_rep(alpha)
-        for u in self._group():
-            if (u * w * u.inverse()).perm == rep.perm:
-                return 1
-        return -1

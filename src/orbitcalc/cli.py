@@ -237,6 +237,11 @@ def cmd_selftest(args):
     from . import partitions as pt
     failures = 0
 
+    def require(cond, what):
+        # a raise, not an assert, so that the suites also run under -O
+        if not cond:
+            raise AssertionError(what)
+
     def check(name, fn):
         nonlocal failures
         try:
@@ -250,18 +255,19 @@ def cmd_selftest(args):
         for series, rank in [("B", 3), ("C", 3), ("D", 3)]:
             total = pt.family_size(series, rank)
             for p in pt.partitions_of(total):
-                assert pt.collapse(p, series, rank) == \
-                    pt.collapse_oracle(p, series, rank)
+                require(pt.collapse(p, series, rank) ==
+                        pt.collapse_oracle(p, series, rank),
+                        f"collapse of {p} in {series}{rank}")
 
     def g2_suite():
         ct = CartanType("G", 2)
-        assert len(bc.enumerate_pairs(ct)) == 8
-        assert len(bc.classes(ct)) == 7
+        require(len(bc.enumerate_pairs(ct)) == 8, "8 pairs")
+        require(len(bc.classes(ct)) == 7, "7 classes")
         rows = du.enumerate_nobc(ct)
-        assert len(rows) == 7
+        require(len(rows) == 7, "7 invariants")
         duals = {r[0].dual_orbit.g2_label for r in rows
                  if r[0].orbit.g2_label == "G2(a1)"}
-        assert duals == {"A1", "A1~", "G2(a1)"}
+        require(duals == {"A1", "A1~", "G2(a1)"}, f"G2(a1) duals {duals}")
 
     def orthogonality_suite():
         from .weylrep import ambient_context
@@ -270,23 +276,24 @@ def cmd_selftest(args):
             reps = ctx.irreps()
             for i, a in enumerate(reps):
                 for b in reps[i:]:
-                    assert ctx.inner_product(a, b) == (1 if a == b else 0)
+                    require(ctx.inner_product(a, b) == (1 if a == b else 0),
+                            f"<{a}, {b}> in {ct}")
 
     def arthur_suite():
         from .orbits import zero_orbit
         for ct in [CartanType("A", 2), CartanType("B", 2), CartanType("G", 2)]:
             for o in enumerate_orbits(ct.dual):
-                assert wf.cross_check_arthur(ct, o)
-            assert wf.local_wf(ct, wf.steinberg_pattern(ct)) == \
-                wf.arthur_wf(ct, zero_orbit(ct.dual))
+                require(wf.cross_check_arthur(ct, o), f"{ct} at {o}")
+            require(wf.local_wf(ct, wf.steinberg_pattern(ct)) ==
+                    wf.arthur_wf(ct, zero_orbit(ct.dual)), f"Steinberg of {ct}")
 
     def orbit_suite():
         from .orbits import orbit_from_wdd
         for ct in [CartanType("B", 3), CartanType("C", 3), CartanType("D", 4)]:
             for o in enumerate_orbits(ct):
-                assert orbit_from_wdd(weighted_dynkin(o)) == o
+                require(orbit_from_wdd(weighted_dynkin(o)) == o, f"diagram of {o}")
                 d = dual_ls(o)
-                assert is_special(d) and dual_ls(dual_ls(d)) == d
+                require(is_special(d) and dual_ls(dual_ls(d)) == d, f"d_LS at {o}")
 
     def lifting_suite():
         from .orbits import regular_orbit, zero_orbit
@@ -294,8 +301,10 @@ def cmd_selftest(args):
             delta = frozenset(range(1, ct.rank + 1))
             pair = bc.ABCPair(delta, frozenset())
             orbs = bc.distinguished_factor_orbits(ct, pair)
-            assert bc.saturation(ct, delta, orbs) == regular_orbit(ct)
-            assert bc.saturation(ct, frozenset(), ()) == zero_orbit(ct)
+            require(bc.saturation(ct, delta, orbs) == regular_orbit(ct),
+                    f"regular saturation in {ct}")
+            require(bc.saturation(ct, frozenset(), ()) == zero_orbit(ct),
+                    f"zero saturation in {ct}")
 
     print("selftest:")
     check("partition collapse vs oracle", partitions_suite)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import balacarter as bc
-from .orbits import (NilpotentOrbit, closure_leq, dual_bv, dual_ls,
-                     enumerate_orbits, regular_orbit, zero_orbit)
+from .orbits import NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls
 from .rootdata import CartanType
 from .weylrep import (JInductionTie, ambient_context, j_induce,
                       springer_orbit, springer_rep_label)
@@ -123,14 +122,4 @@ def g2_class_name(inv: UnramifiedClassInvariant) -> str:
 
 def hasse_edges_A(ct: CartanType):
     """Cover relations of the A-order on the enumerated invariants."""
-    invs = [row[0] for row in enumerate_nobc(ct)]
-    edges = []
-    for a in invs:
-        for b in invs:
-            if a == b or not leq_A(a, b):
-                continue
-            if any(c != a and c != b and leq_A(a, c) and leq_A(c, b)
-                   for c in invs):
-                continue
-            edges.append((a, b))
-    return tuple(edges)
+    return covers([row[0] for row in enumerate_nobc(ct)], leq_A)

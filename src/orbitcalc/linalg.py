@@ -10,14 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -53,6 +45,38 @@ def solve(a, b):
     """Solve a x = b exactly; a square invertible, b a vector."""
     inv = mat_inv(a)
     return mat_vec(inv, b)
+
+
+def span_solve(basis, target):
+    """Coefficients of target in the QQ-span of the basis rows, or None."""
+    cols = len(basis)
+    rows = len(target)
+    # Gaussian elimination on [basis^T | target]
+    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
+           for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    # consistency
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            return None
+    coeffs = [Fraction(0)] * cols
+    for row_idx, c in enumerate(piv_cols):
+        coeffs[c] = aug[row_idx][cols]
+    return tuple(coeffs)
 
 
 def _swap_rows(m, i, j):

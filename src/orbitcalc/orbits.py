@@ -290,14 +290,31 @@ def special_orbits(ct: CartanType) -> tuple:
 
 def hasse_edges(ct: CartanType):
     """Cover relations of the closure order, as (lower, upper) pairs."""
-    orbs = enumerate_orbits(ct)
+    return covers(enumerate_orbits(ct), closure_leq)
+
+
+# ---------------------------------------------------------------------
+# finite posets
+# ---------------------------------------------------------------------
+
+def covers(items, leq):
+    """Cover relations (a, b) of the partial order leq on items, in the
+    order of the items: a < b with nothing strictly between."""
     edges = []
-    for a in orbs:
-        for b in orbs:
-            if a == b or not closure_leq(a, b):
+    for a in items:
+        for b in items:
+            if a == b or not leq(a, b):
                 continue
-            if any(c != a and c != b and closure_leq(a, c) and closure_leq(c, b)
-                   for c in orbs):
+            if any(c != a and c != b and leq(a, c) and leq(c, b) for c in items):
                 continue
             edges.append((a, b))
     return tuple(edges)
+
+
+def maxima(items, leq):
+    """The leq-maximal items, without repeats, in the order of the items."""
+    out = []
+    for a in items:
+        if a not in out and not any(b != a and leq(a, b) for b in items):
+            out.append(a)
+    return out

@@ -103,7 +103,8 @@ def collapse(p, series: str, rank: int) -> tuple[int, ...]:
         else:
             parts[k] += 1
     out = normalize(parts)
-    assert _parity_ok(out, series), (p, series, out)
+    if not _parity_ok(out, series):
+        raise PartitionError(f"collapse of {p} gave invalid {out}")
     return out
 
 
@@ -133,7 +134,8 @@ def collapse_oracle(p, series: str, rank: int) -> tuple[int, ...]:
     p = normalize(p)
     cands = [q for q in valid_partitions(series, rank) if dominance_leq(q, p)]
     best = [q for q in cands if all(dominance_leq(r, q) for r in cands)]
-    assert len(best) == 1, (p, series, best)
+    if len(best) != 1:
+        raise PartitionError(f"no unique collapse of {p}: {best}")
     return best[0]
 
 

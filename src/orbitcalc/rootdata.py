@@ -137,6 +137,26 @@ def _highest_root_coords(series: str, rank: int, component):
     raise RootDataError(series)
 
 
+def connected_components(size, linked):
+    """Components of the graph on range(size) with an edge i-j wherever
+    linked(i, j); each sorted, ordered by their least members."""
+    seen, comps = set(), []
+    for i in range(size):
+        if i in seen:
+            continue
+        comp, stack = [], [i]
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            comp.append(x)
+            stack.extend(j for j in range(size)
+                         if j != x and j not in seen and linked(x, j))
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 class RootSystem:
     """Immutable after construction; built via build_root_system."""
 
@@ -187,7 +207,7 @@ class RootSystem:
 
     def _build_affine(self):
         n = self.rank
-        comps = self._components()
+        comps = connected_components(n, lambda i, j: self.cartan[i][j] != 0)
         self.components = comps
         theta = []
         for comp in comps:
@@ -205,28 +225,6 @@ class RootSystem:
             order.extend(comp)
         self._display_order = tuple(order)
 
-    def _components(self):
-        n = self.rank
-        adj = {i: set() for i in range(n)}
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.cartan[i][j] != 0:
-                    adj[i].add(j)
-        seen, comps = set(), []
-        for i in range(n):
-            if i in seen:
-                continue
-            comp, stack = [], [i]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                comp.append(x)
-                stack.extend(adj[x] - seen)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
     def _build_lattices(self):
         n = self.rank
         if self.cartan_type.isogeny == "adjoint":
@@ -235,7 +233,6 @@ class RootSystem:
             basis = tuple(tuple(self.cartan[i][j] for i in range(n))
                           for j in range(n))  # simple coroots
         self.cochar_basis = basis  # rows are basis vectors
-        self._cochar_inv = mat_inv(transpose(basis))
 
     # -- basic evaluations ---------------------------------------------
 
@@ -245,9 +242,6 @@ class RootSystem:
         n = self.rank
         return sum(root[k] * self.cartan[k][j] * cr[j]
                    for k in range(n) for j in range(n))
-
-    def eval_root(self, root, v):
-        return sum(c * x for c, x in zip(root, v))
 
     def coroot_coweight_coords(self, root):
         """Coweight coordinates of the coroot of `root`."""
@@ -291,9 +285,6 @@ class RootSystem:
     def internal_index(self, display_idx):
         return self._display_order[display_idx]
 
-    def node_name(self, display_idx):
-        return f"a{display_idx}"
-
 
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
@@ -332,15 +323,15 @@ class WeylElement:
         return self.rs.roots[self.perm[self.rs._root_index[root]]]
 
     def apply_root_coords(self, coords):
-        """Linear extension of the root action to rational coefficient vectors."""
+        """Linear extension of the root action to coefficient vectors."""
         rs = self.rs
         n = rs.rank
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i in range(n):
             if coords[i]:
-                img = rs.roots[self.perm[rs._root_index[rs.simple_roots[i]]]]
+                img = self.apply_root(rs.simple_roots[i])
                 for k in range(n):
-                    out[k] += Fraction(coords[i]) * img[k]
+                    out[k] += coords[i] * img[k]
         return tuple(out)
 
     def matrix_on_points(self):
@@ -351,9 +342,21 @@ class WeylElement:
         return tuple(inv.apply_root(rs.simple_roots[i]) for i in range(rs.rank))
 
     def apply_point(self, v):
-        m = self.matrix_on_points()
-        return tuple(sum(Fraction(m[i][j]) * v[j] for j in range(len(v)))
-                     for i in range(len(v)))
+        return tuple(sum(x * y for x, y in zip(row, v))
+                     for row in self.matrix_on_points())
+
+    def xstar_matrix(self):
+        """Integer matrix of the action on X_*-basis coordinates.
+
+        Adjoint: X_* is the coweight lattice, so this is matrix_on_points.
+        Simply connected: X_* has the simple coroots as basis, and column j
+        holds the coroot coordinates of w(alpha_j)^vee = w(alpha_j^vee).
+        """
+        rs = self.rs
+        if rs.cartan_type.isogeny == "adjoint":
+            return self.matrix_on_points()
+        cols = [rs._coroot_of[self.apply_root(b)] for b in rs.simple_roots]
+        return tuple(zip(*cols))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.perm))
@@ -422,22 +425,6 @@ def dominant_conjugate(rs: RootSystem, v):
                 moved = True
                 break
     return v
-
-
-def dominant_conjugate_with_element(rs: RootSystem, v):
-    """(dominant conjugate, w) with w(v) dominant."""
-    v = tuple(Fraction(x) for x in v)
-    w = WeylElement(rs, tuple(range(len(rs.roots))))
-    moved = True
-    while moved:
-        moved = False
-        for i in range(rs.rank):
-            if v[i] < 0:
-                v = rs.reflect_point(v, i)
-                w = simple_reflection(rs, i) * w
-                moved = True
-                break
-    return v, w
 
 
 # ---------------------------------------------------------------------
@@ -552,12 +539,14 @@ def alcove_symmetries(ct: CartanType) -> tuple:
         w, shift = _reduce_to_alcove(rs, p)
         # sigma = (translation by shift) o w o (translation by -x)
         trans_f = [Fraction(s) - Fraction(y) for s, y in zip(shift, w.apply_point(x))]
-        assert all(t.denominator == 1 for t in trans_f)
+        if any(t.denominator != 1 for t in trans_f):
+            raise RootDataError(f"non-integral alcove translation {trans_f}")
         trans = tuple(int(t) for t in trans_f)
         sigma = AlcoveSymmetry(w, trans)
-        assert _in_closed_alcove(rs, sigma.apply_point(b))
         affs = set(rs.affine_simples)
-        assert {sigma.apply_affine_root(a) for a in affs} == affs
+        if not _in_closed_alcove(rs, sigma.apply_point(b)) or \
+                {sigma.apply_affine_root(a) for a in affs} != affs:
+            raise RootDataError(f"{sigma} does not stabilize the alcove")
         out.append(sigma)
     return tuple(out)
 
@@ -591,5 +580,6 @@ def _coset_reps(sub_rows, n, index):
             rec(i + 1, acc + [a])
 
     rec(0, [])
-    assert len(reps) == index
+    if len(reps) != index:
+        raise RootDataError(f"{len(reps)} coset representatives, index {index}")
     return reps

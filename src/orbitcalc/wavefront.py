@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import balacarter as bc
 from . import duality as du
-from .orbits import NilpotentOrbit, closure_leq
+from .orbits import NilpotentOrbit, closure_leq, maxima
 from .rootdata import CartanType
 from .weylrep import orbit_s_factors
 
@@ -41,23 +41,13 @@ class WavefrontResult:
         return f"canonical {{{c}}}; geometric {{{g}}}"
 
 
-def _maxima(items, leq):
-    out = []
-    for a in items:
-        if any(b != a and leq(a, b) for b in items):
-            continue
-        if a not in out:
-            out.append(a)
-    return out
-
-
 def _result_from_invariants(invariants):
-    canon = _maxima(list(invariants), du.leq_A)
+    canon = maxima(list(invariants), du.leq_A)
     orbits = []
     for i in canon:
         if i.orbit not in orbits:
             orbits.append(i.orbit)
-    geom = _maxima(orbits, closure_leq)
+    geom = maxima(orbits, closure_leq)
     key = lambda x: str(x)
     return WavefrontResult(tuple(sorted(canon, key=key)),
                            tuple(sorted(geom, key=key)))

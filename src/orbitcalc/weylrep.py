@@ -11,19 +11,20 @@ ambient group itself is the context of the full simple basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
 from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
-                      G2_B_INVARIANT, G2_IRREPS, b_invariant, build_factor,
-                      factor_char_value, factor_irrep_labels,
-                      split_basis_into_factors)
-from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, dual_ls,
-                     enumerate_orbits, orbit_from_wdd, weighted_dynkin)
-from .rootdata import (CartanType, build_root_system, dominant_conjugate,
-                       subgroup_closure)
+                      b_invariant, build_factor, factor_char_value,
+                      factor_irrep_labels, split_basis_into_factors)
+from .linalg import solve
+from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
+                     orbit_from_wdd, weighted_dynkin)
+from .rootdata import (CartanType, WeylElement, build_root_system,
+                       dominant_conjugate, subgroup_closure)
 
 GROUP_ORDER_CAP = 10 ** 6
 
@@ -112,7 +113,8 @@ class WeylContext:
         if self._elements is None:
             basis = [b for f in self.factors for b in f.basis]
             self._elements = subgroup_closure(self.rs, basis)
-            assert len(self._elements) == self.order
+            if len(self._elements) != self.order:
+                raise CharError(f"{len(self._elements)} elements, order {self.order}")
         return self._elements
 
     def class_of(self, w):
@@ -147,7 +149,6 @@ class WeylContext:
         return v
 
     def dim(self, irrep: WeylIrrep) -> int:
-        from .rootdata import WeylElement
         ident = WeylElement(self.rs, tuple(range(len(self.rs.roots))))
         return self.char_value(irrep, self.class_of(ident))
 
@@ -156,7 +157,8 @@ class WeylContext:
         for cls, size in self.class_counts().items():
             tot += size * self.char_value(e1, cls) * self.char_value(e2, cls)
         q, r = divmod(tot, self.order)
-        assert r == 0
+        if r:
+            raise CharError(f"non-integral inner product {tot}/{self.order}")
         return q
 
     def tensor_sgn(self, irrep: WeylIrrep) -> WeylIrrep:
@@ -167,7 +169,6 @@ class WeylContext:
 
 
 def _factor_order(f: EmbeddedFactor) -> int:
-    import math
     k = f.rank
     if f.kind == "A":
         return math.factorial(k + 1)
@@ -238,7 +239,8 @@ def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
         tot += cnt * sub.char_value(e_sub, scls) * \
             ambient_context(sub.cartan_type).char_value(e_amb, acls)
     q, r = divmod(tot, sub.order)
-    assert r == 0, "non-integral induction multiplicity"
+    if r:
+        raise CharError("non-integral induction multiplicity")
     return q
 
 
@@ -344,7 +346,8 @@ def families(ctx: WeylContext):
     out = []
     for key, members in blocks.items():
         specials = [e for e in members if is_special_rep(ctx, e)]
-        assert len(specials) == 1, (key, members, specials)
+        if len(specials) != 1:
+            raise CharError(f"family {key} has specials {specials}")
         out.append((tuple(members), specials[0]))
     return tuple(out)
 
@@ -356,7 +359,8 @@ def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
     for e in ctx.irreps():
         if family_key(ctx, e) == key and is_special_rep(ctx, e):
             out.append(e)
-    assert len(out) == 1, (irrep, out)
+    if len(out) != 1:
+        raise CharError(f"family of {irrep} has specials {out}")
     return out[0]
 
 
@@ -373,7 +377,8 @@ G2_SPRINGER_EXTRA_ORBIT = {"phi(1,3)l": "G2(a1)"}
 def _unshift(row):
     row = sorted(row)
     parts = [v - i for i, v in enumerate(row)]
-    assert all(x >= 0 for x in parts)
+    if any(x < 0 for x in parts):
+        raise CharError(f"{row} is not a symbol row")
     return pt.normalize(parts)
 
 
@@ -395,16 +400,19 @@ def springer_rep_label(orbit: NilpotentOrbit):
     odds = [(v - 1) // 2 for v in star if v % 2 == 1]
     evens = [v // 2 for v in star if v % 2 == 0]
     if s == "B":
-        assert len(odds) == len(evens) + 1
+        if len(odds) != len(evens) + 1:
+            raise CharError(f"bad type-B symbol for {orbit}")
         lam, mu = _unshift(odds), _unshift(evens)
         return (lam, mu)
     if s == "C":
-        assert len(evens) == len(odds) + 1
+        if len(evens) != len(odds) + 1:
+            raise CharError(f"bad type-C symbol for {orbit}")
         lam, mu = _unshift(evens), _unshift(odds)
         return (lam, mu)
     # D; the sign/mark alignment is pinned by the Bala-Carter rows: the
     # '+' character (positive block-cycle split classes) pairs with mark II
-    assert len(odds) == len(evens)
+    if len(odds) != len(evens):
+        raise CharError(f"bad type-D symbol for {orbit}")
     pair = tuple(sorted((_unshift(odds), _unshift(evens))))
     sign = 0
     if pair[0] == pair[1]:
@@ -447,7 +455,8 @@ def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
     for r1, r2 in ((top, bot), (bot, top)):
         multi = [2 * a + 1 for a in r1] + [2 * b for b in r2]
         cands.add(pt.collapse(_pre_partition(multi), "D", n))
-    assert len(cands) == 1, (lab, cands)
+    if len(cands) != 1:
+        raise CharError(f"{lab} collapses to several orbits {cands}")
     q = cands.pop()
     mark = None
     if all(x % 2 == 0 for x in q):
@@ -457,7 +466,8 @@ def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
 
 def _pre_partition(multi):
     multi = sorted(multi)
-    assert len(set(multi)) == len(multi)
+    if len(set(multi)) != len(multi):
+        raise CharError(f"repeated symbol entries {multi}")
     return pt.normalize(v - i for i, v in enumerate(multi))
 
 
@@ -476,7 +486,6 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
         k = f.rank
         cmat = tuple(tuple(rs.pairing(f.basis[i], f.basis[j]) for j in range(k))
                      for i in range(k))
-        from .linalg import solve
         t = solve(cmat, tuple(Fraction(v) for v in wdd))
         for coef, beta in zip(t, f.basis):
             cw = rs.coroot_coweight_coords(beta)
@@ -486,7 +495,8 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
     vals = []
     for x in hdom:
         fx = Fraction(x)
-        assert fx.denominator == 1, f"non-integral weighting {hdom}"
+        if fx.denominator != 1:
+            raise CharError(f"non-integral weighting {hdom}")
         vals.append(int(fx))
     return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, tuple(vals)))
 

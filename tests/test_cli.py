@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +148,28 @@ def test_selftest(capsys):
     rc, out, _ = run(capsys, "selftest")
     assert rc == 0
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_broken_suite(capsys, monkeypatch):
+    from orbitcalc import partitions as pt
+    # a wrong oracle must fail the partition suite, also under python -O
+    monkeypatch.setattr(pt, "collapse_oracle", lambda p, series, rank: ())
+    rc, out, _ = run(capsys, "selftest")
+    assert rc == 1
+    assert "FAIL: partition collapse vs oracle" in out
+
+
+def test_local_wf_b5_d4xa1_degenerate_character(tmp_path):
+    """The face D4xA1 of B5 with a degenerate D4 character runs cleanly."""
+    f = tmp_path / "data.json"
+    f.write_text(json.dumps(
+        [{"J": [0, 1, 2, 3, 5], "irreps": [{"label": [[[[2], [2]], 1], [2]], "mult": 1}]}]))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcalc.cli", "local-wf", "--type", "B", "--rank", "5",
+         "--data", str(f), "--json"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["canonical"]

@@ -1,5 +1,6 @@
 import pytest
 
+from orbitcalc import balacarter as bc
 from orbitcalc import wavefront as wf
 from orbitcalc.orbits import (NilpotentOrbit, enumerate_orbits, regular_orbit,
                               zero_orbit)
@@ -100,3 +101,16 @@ def test_result_coherence_invariant():
         maxima = [o for o in lifted
                   if not any(p != o and closure_leq(o, p) for p in lifted)]
         assert set(res.geometric) == set(maxima)
+
+
+def test_b5_d4xa1_degenerate_characters():
+    """Every degenerate D4 character of the B5 face D4xA1 has a result."""
+    ct = ADJ("B", 5)
+    j = frozenset({0, 1, 2, 3, 5})
+    ctx = bc.pair_context(ct, j)
+    d4 = next(i for i, f in enumerate(ctx.factors) if f.kind == "D")
+    degenerate = [e for e in ctx.irreps() if e.label[d4][1] != 0]
+    assert len(degenerate) == 8
+    for e in degenerate:
+        res = wf.local_wf(ct, {j: [(e.label, 1)]})
+        assert len(res.canonical) == 1 and len(res.geometric) == 1

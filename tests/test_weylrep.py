@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcalc import balacarter as bc
+from orbitcalc import chartab as ch
 from orbitcalc import partitions as pt
 from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import CartanType, build_root_system
+from orbitcalc.rootdata import CartanType, build_root_system, subgroup_closure
 
 CTS = [CartanType(s, r) for s, r in
        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -37,14 +39,23 @@ def test_triv_sgn_b_invariants():
         assert bs[-1] == n_pos and bs.count(n_pos) == 1
 
 
-@pytest.mark.parametrize("ct", CTS, ids=str)
-def test_character_orthogonality(ct):
-    ctx = ctx_of(ct)
+# the face D4xA1 of B5: split D4-classes times a non-trivial A1 part
+B5_D4XA1 = (CartanType("B", 5), frozenset({0, 1, 2, 3, 5}))
+
+ORTHOGONALITY_CONTEXTS = [pytest.param(lambda ct=ct: ctx_of(ct), id=str(ct))
+                          for ct in CTS]
+ORTHOGONALITY_CONTEXTS.append(pytest.param(lambda: bc.pair_context(*B5_D4XA1),
+                                           id="B5-J01235"))
+
+
+@pytest.mark.parametrize("make_ctx", ORTHOGONALITY_CONTEXTS)
+def test_character_orthogonality(make_ctx):
+    ctx = make_ctx()
     reps = ctx.irreps()
     for i, e1 in enumerate(reps):
         for e2 in reps[i:]:
             want = 1 if e1 == e2 else 0
-            assert ctx.inner_product(e1, e2) == want, (ct, e1, e2)
+            assert ctx.inner_product(e1, e2) == want, (e1, e2)
 
 
 @pytest.mark.parametrize("ct", CTS, ids=str)
@@ -337,3 +348,43 @@ def test_j_preserves_b_from_d4():
             continue
         j = wr.j_induce(sub, e_sub)
         assert j.b == e_sub.b
+
+
+def _split_sign_by_search(ctx, f, w, alpha):
+    """Oracle for the split-class sign: +1 iff some u in W(f) conjugates w
+    onto the element with positive consecutive cycles of lengths alpha on
+    the frame of f (compared on f's frame, so other factors of w do not
+    matter)."""
+    pi, pos = [], 0
+    for ln in alpha:
+        pi += [pos + (t + 1) % ln for t in range(ln)]
+        pos += ln
+    target = (tuple(pi), (1,) * pos)
+    for u in subgroup_closure(ctx.rs, f.basis):
+        if ch._signed_perm(f, u * w * u.inverse()) == target:
+            return 1
+    return -1
+
+
+def _d_factor_contexts():
+    out = []
+    for iso in ("adjoint", "simply_connected"):
+        d4, b4 = CartanType("D", 4, iso), CartanType("B", 4, iso)
+        out.append(ctx_of(d4))
+        out += [bc.pair_context(b4, j) for j in bc.proper_subsets(b4)]
+    out.append(bc.pair_context(*B5_D4XA1))
+    return out
+
+
+def test_split_sign_matches_conjugacy_search():
+    checked = 0
+    for ctx in _d_factor_contexts():
+        for f, cl in zip(ctx.factors, ctx.classifiers):
+            if f.kind != "D":
+                continue
+            for w in ctx.elements():
+                alpha, beta, sign = cl.label(w)
+                if sign:
+                    assert sign == _split_sign_by_search(ctx, f, w, alpha), (f.basis, w.perm)
+                    checked += 1
+    assert checked > 0
