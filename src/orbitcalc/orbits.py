@@ -1,5 +1,6 @@
 """Nilpotent orbits: enumeration, closure order, weighted Dynkin diagrams,
-Lusztig-Spaltenstein and Barbasch-Vogan duality.
+Lusztig-Spaltenstein and Barbasch-Vogan duality; and the cover-relation
+and maxima helpers that every finite order of the package uses.
 
 Classical orbits are partitions with the usual parity rules; G2 orbits are
 the five labels 0 < A1 < A1~ < G2(a1) < G2, kept in one literal table whose

@@ -415,7 +415,7 @@ def subgroup_closure(rs: RootSystem, roots) -> tuple:
 
 def dominant_conjugate(rs: RootSystem, v):
     """The unique dominant W-conjugate of v (coweight coordinates)."""
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(v)
     moved = True
     while moved:
         moved = False
@@ -535,10 +535,10 @@ def alcove_symmetries(ct: CartanType) -> tuple:
     out = []
     for rep in reps:
         x = mat_vec(transpose(cochar), rep)  # coweight coords of the X_* element
-        p = tuple(Fraction(bi) - xi for bi, xi in zip(b, x))
+        p = tuple(bi - xi for bi, xi in zip(b, x))
         w, shift = _reduce_to_alcove(rs, p)
         # sigma = (translation by shift) o w o (translation by -x)
-        trans_f = [Fraction(s) - Fraction(y) for s, y in zip(shift, w.apply_point(x))]
+        trans_f = [s - y for s, y in zip(shift, w.apply_point(x))]
         if any(t.denominator != 1 for t in trans_f):
             raise RootDataError(f"non-integral alcove translation {trans_f}")
         trans = tuple(int(t) for t in trans_f)
