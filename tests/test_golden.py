@@ -1,10 +1,11 @@
 """Frozen CLI outputs, compared byte for byte.
 
 The files under tests/golden/cli are the `--json` stdout of
-`unramified` (A-D at ranks 2-4 and G2, both isogenies), of `orbits` and
-`dual-map` (A-D at ranks 2-6), and of `local-wf` on the Steinberg and
-trivial restriction patterns (the same systems plus A5 and D5, both
-isogenies).  A change to any of them needs a mathematical reason.
+`unramified` (A-D at ranks 2-5, the enumeration cap, and G2, both
+isogenies), of `orbits` and `dual-map` (A-D at ranks 2-6), and of
+`local-wf` on the Steinberg and trivial restriction patterns (A-D at
+ranks 2-4, G2, A5 and D5, both isogenies).  A change to any of them needs
+a mathematical reason.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -24,11 +25,13 @@ from orbitcalc.rootdata import CartanType
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli")
 ISOGENIES = ("adjoint", "simply_connected")
 TABLES = [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
+RANK5 = [(s, 5) for s in "ABCD"]
 PATTERNS = {"steinberg": wf.steinberg_pattern, "trivial": wf.trivial_pattern}
 
 
 def _cases():
-    cases = [("unramified", s, r, iso, None) for s, r in TABLES for iso in ISOGENIES]
+    cases = [("unramified", s, r, iso, None) for s, r in TABLES + RANK5
+             for iso in ISOGENIES]
     cases += [(cmd, s, r, "adjoint", None) for cmd in ("orbits", "dual-map")
               for s in "ABCD" for r in range(2, 7)]
     cases += [("local-wf", s, r, iso, pat) for s, r in TABLES + [("A", 5), ("D", 5)]
