@@ -8,6 +8,17 @@ of the corresponding alcove face: a finite Weyl element w identifies two
 pairs when it maps one hull onto the other modulo the cocharacter lattice
 and transports the per-factor distinguished orbits.
 
+The decision is integer.  Directions: w maps the direction of hull 1 onto
+that of hull 2 exactly when its root permutation sends every gradient of
+J1 to a root in the QQ-span of J2's gradients (the dimensions are equal,
+and w maps saturated lattices to saturated lattices).  Translates: with
+integer bases B_i = d_i * base_i and D = lcm(d1, d2), the image of hull 1
+is hull 2 moved by a cocharacter exactly when
+P2 ((D/d2) B2 - (D/d1) w B1) = 0 mod D, where the rows P2 of a Smith
+transform complement the direction lattice of hull 2.  Both use data
+computed once per J (_hull_lattice), so scanning W needs only lookups and
+integer dot products.
+
 Node indices are "display" indices: 0 is the affine node (per component),
 1..n the finite simple roots.
 """
@@ -17,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .linalg import (hermite_row_basis, in_lattice_plus_span, integer_kernel,
-                     mat_vec, solve, span_solve)
+from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
+                     smith_normal_form, solve, transpose)
 from .orbits import NilpotentOrbit
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
@@ -60,13 +72,6 @@ class AffineSubspace:
 
     def dim(self) -> int:
         return len(self.direction)
-
-    def contains_translate(self, w_base, w_direction) -> bool:
-        """Is w.A + x = self for some cocharacter x, given transformed data?"""
-        if hermite_row_basis(w_direction) != self.direction:
-            return False
-        diff = tuple(Fraction(b) - Fraction(c) for b, c in zip(self.base, w_base))
-        return in_lattice_plus_span(diff, self.direction)
 
 
 def _display_affines(rs: RootSystem):
@@ -118,21 +123,13 @@ def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
     n0 = n2 = 0
     for f in ctx.factors:
         labels = tuple(0 if b in zero_roots else 2 for b in f.basis)
-        for alpha in f.roots:
-            coeffs = _coords_in_basis(f.basis, alpha)
+        for coeffs in f.coords:
             val = sum(c * l for c, l in zip(coeffs, labels))
             if val == 0:
                 n0 += 1
             elif val == 2:
                 n2 += 1
     return rank + n0 == n2
-
-
-def _coords_in_basis(basis, root):
-    coeffs = span_solve(basis, root)
-    if coeffs is None:
-        raise ABCError(f"{root} is not in the span of {basis}")
-    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +208,33 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     return AffineSubspace(base, hermite_row_basis(direction) if direction else ())
 
 
+@lru_cache(maxsize=None)
+def _hull_lattice(ct: CartanType, j: frozenset):
+    """Integer data of face_hull(ct, j) for `equivalent`.
+
+    Returns (d, B, P, S, G): the common denominator d of the base and the
+    integer base B = d*base; the rows P of the Smith transform that
+    complement the direction lattice L (a vector lies in ZZ^n + QQ L iff
+    P times it is integral, since L is saturated); the set S of root
+    indices whose X_* functional vanishes on L, i.e. the roots in the
+    QQ-span of J's gradients; and the root indices G of J's gradients.
+    """
+    rs = build_root_system(ct)
+    hull = face_hull(ct, j)
+    n, k = rs.rank, hull.dim()
+    d = lcm(*(x.denominator for x in hull.base))
+    base = tuple(int(x * d) for x in hull.base)
+    if hull.direction:
+        proj = smith_normal_form(transpose(hull.direction))[1][k:]
+    else:
+        proj = identity(n)
+    span = frozenset(i for i, r in enumerate(rs.roots)
+                     if not any(mat_vec(hull.direction, _xstar_functional(rs, r))))
+    affs = _display_affines(rs)
+    grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
+    return d, base, proj, span, grads
+
+
 # ---------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------
@@ -243,26 +267,32 @@ def _pair_data(ct: CartanType, pair: ABCPair):
 
 
 def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
-    """The extended-Weyl-group equivalence of affine Bala-Carter pairs."""
+    """The extended-Weyl-group equivalence of affine Bala-Carter pairs.
+
+    w identifies the pairs when it maps the gradients of J1 into the
+    QQ-span of those of J2 (so, the dimensions being equal, it maps the
+    direction of hull 1 onto that of hull 2), maps base 1 into base 2
+    plus a cocharacter plus the direction (a congruence on the integer
+    bases), and transports the factor orbits.
+    """
     hull1, table1, inv1 = _pair_data(ct, p1)
     hull2, table2, inv2 = _pair_data(ct, p2)
     if inv1 != inv2 or hull1.dim() != hull2.dim():
         return False
-    rs = build_root_system(ct)
-    dir1 = hull1.direction
+    d1, base1, _, _, grads1 = _hull_lattice(ct, p1.J)
+    d2, base2, proj2, span2, _ = _hull_lattice(ct, p2.J)
+    mod = lcm(d1, d2)
+    scale1 = mod // d1
+    target = tuple(mod // d2 * x for x in base2)
     for w, mx in _xstar_weyl_matrices(ct):
-        wdir = tuple(tuple(sum(mx[i][t] * row[t] for t in range(rs.rank))
-                           for i in range(rs.rank)) for row in dir1)
-        wbase = mat_vec(mx, hull1.base)
-        if not hull2.contains_translate(wbase, wdir):
+        perm = w.perm
+        if not all(perm[g] in span2 for g in grads1):
             continue
-        ok = True
-        for idx, data in table1.items():
-            img = frozenset(w.perm[i] for i in idx)
-            if table2.get(img) != data:
-                ok = False
-                break
-        if ok:
+        diff = tuple(t - scale1 * x for t, x in zip(target, mat_vec(mx, base1)))
+        if any(x % mod for x in mat_vec(proj2, diff)):
+            continue
+        if all(table2.get(frozenset(perm[i] for i in idx)) == data
+               for idx, data in table1.items()):
             return True
     return False
 

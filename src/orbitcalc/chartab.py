@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
-from .linalg import span_solve
 from .rootdata import (CartanType, RootSystem, WeylElement,
                        connected_components)
 
@@ -214,7 +213,8 @@ class EmbeddedFactor:
     series: str          # the root-system series: A/B/C/D/G
     rank: int
     basis: tuple         # ordered simple roots (root-coordinate tuples)
-    roots: tuple         # the whole subsystem
+    roots: tuple         # the whole subsystem, in rs.roots order
+    coords: tuple        # integer coordinates of each root in the basis
     frame: tuple         # classification frame (see _build_frame)
 
     def cartan_type(self) -> CartanType:
@@ -222,14 +222,26 @@ class EmbeddedFactor:
 
 
 def subsystem_roots(rs: RootSystem, basis):
-    """All ambient roots in the integer span of the given simple basis
-    (the closed subsystem it generates)."""
-    out = []
-    for beta in rs.roots:
-        coeffs = span_solve(basis, beta)
-        if coeffs is not None and all(c.denominator == 1 for c in coeffs):
-            out.append(beta)
-    return tuple(out)
+    """The subsystem with the given simple basis, in rs.roots order, as
+    (roots, coords): the closure of the basis under the simple reflections
+    s_j(alpha) = alpha - <alpha, beta_j^vee> beta_j, each root with its
+    integer coordinates in the basis."""
+    k = len(basis)
+    cartan = [[rs.pairing(bi, bj) for bj in basis] for bi in basis]
+    seen = {}
+    queue = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    while queue:
+        c = queue.pop()
+        if c in seen:
+            continue
+        seen[c] = tuple(sum(x * b[t] for x, b in zip(c, basis))
+                        for t in range(rs.rank))
+        for j in range(k):
+            p = sum(x * cartan[i][j] for i, x in enumerate(c))
+            if p:
+                queue.append(tuple(x - p * (i == j) for i, x in enumerate(c)))
+    found = sorted(seen.items(), key=lambda item: rs._root_index[item[1]])
+    return tuple(r for _, r in found), tuple(c for c, _ in found)
 
 
 def split_basis_into_factors(rs: RootSystem, basis):
@@ -382,9 +394,9 @@ def build_factor(rs: RootSystem, comp, forced_basis=None,
     if forced_series is not None:
         series = forced_series
         kind = {"A": "A", "B": "BC", "C": "BC", "D": "D", "G": "G"}[series]
-    roots = subsystem_roots(rs, basis)
+    roots, coords = subsystem_roots(rs, basis)
     frame = _build_frame(rs, kind, series, rank, basis)
-    return EmbeddedFactor(kind, series, rank, basis, roots, frame)
+    return EmbeddedFactor(kind, series, rank, basis, roots, coords, frame)
 
 
 def _signed_perm(factor: EmbeddedFactor, w: WeylElement):

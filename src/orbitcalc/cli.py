@@ -89,14 +89,21 @@ def cache_store(args, kind, ct, payload):
     cdir = _cache_dir(args)
     if not cdir:
         return
+    path = _cache_path(cdir, kind, ct)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(cdir, exist_ok=True)
-        path = _cache_path(cdir, kind, ct)
-        with open(path, "w") as fh:
+        # written aside and renamed: a reader at `path` meets the previous
+        # file or the whole new one, never a part
+        with open(tmp, "w") as fh:
             fh.write(_dump_json(payload))
+        os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: cache not writable ({exc}); continuing in memory",
               file=sys.stderr)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------

@@ -47,38 +47,6 @@ def solve(a, b):
     return mat_vec(inv, b)
 
 
-def span_solve(basis, target):
-    """Coefficients of target in the QQ-span of the basis rows, or None."""
-    cols = len(basis)
-    rows = len(target)
-    # Gaussian elimination on [basis^T | target]
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for row_idx, c in enumerate(piv_cols):
-        coeffs[c] = aug[row_idx][cols]
-    return tuple(coeffs)
-
-
 def _swap_rows(m, i, j):
     m[i], m[j] = m[j], m[i]
 
@@ -214,28 +182,6 @@ def integer_kernel(a):
     # columns rank..cols-1 of v span the kernel
     ker = tuple(tuple(v[i][j] for i in range(cols)) for j in range(rank, cols))
     return hermite_row_basis(ker) if ker else ()
-
-
-def in_lattice_plus_span(vec, direction_rows):
-    """Decide whether vec lies in ZZ^n + QQ-span(direction rows).
-
-    vec has Fraction entries; direction_rows is a basis of a saturated
-    sublattice of ZZ^n.  Uses the Smith form of the direction matrix.
-    """
-    n = len(vec)
-    if not direction_rows:
-        return all(x.denominator == 1 for x in map(Fraction, vec))
-    a = transpose(direction_rows)  # n x k
-    d, u, _ = smith_normal_form(a)
-    k = len(direction_rows)
-    rank = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
-    w = mat_vec(u, [Fraction(x) for x in vec])
-    # saturated direction lattice: nonzero invariant factors are 1, so the
-    # condition is integrality of the complementary coordinates
-    for i in range(rank, n):
-        if Fraction(w[i]).denominator != 1:
-            return False
-    return True
 
 
 def lattice_index(sub_rows, n):

@@ -1,10 +1,19 @@
+from fractions import Fraction
+
 import pytest
 
 from orbitcalc import balacarter as bc
+from orbitcalc.chartab import subsystem_roots
+from orbitcalc.linalg import (hermite_row_basis, mat_vec, smith_normal_form,
+                              transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, zero_orbit)
 from orbitcalc.rootdata import (CartanType, alcove_symmetries,
                                 build_root_system)
+from orbitcalc.weylrep import ambient_context
+
+SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
+ISOGENIES = ("adjoint", "simply_connected")
 
 
 def J(*nodes):
@@ -206,3 +215,114 @@ def test_bc_pairs_in_distinct_w_classes_not_identified():
         for b in finite:
             if bc.pair_saturation(ct, a) != bc.pair_saturation(ct, b):
                 assert not bc.equivalent(ct, a, b), (a, b)
+
+
+# ---------------------------------------------------------------------
+# reference decision procedures over QQ, kept as oracles for the
+# integer closure and the integer equivalence tests
+# ---------------------------------------------------------------------
+
+def span_solve(basis, target):
+    """Coefficients of target in the QQ-span of the basis rows, or None."""
+    cols = len(basis)
+    rows = len(target)
+    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
+           for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(aug[i][cols] != 0 for i in range(r, rows)):
+        return None
+    coeffs = [Fraction(0)] * cols
+    for row_idx, c in enumerate(piv_cols):
+        coeffs[c] = aug[row_idx][cols]
+    return tuple(coeffs)
+
+
+def reference_subsystem_roots(rs, basis):
+    """Ambient roots with integer coordinates in the basis."""
+    out = []
+    for beta in rs.roots:
+        coeffs = span_solve(basis, beta)
+        if coeffs is not None and all(c.denominator == 1 for c in coeffs):
+            out.append(beta)
+    return tuple(out)
+
+
+def in_lattice_plus_span(vec, direction_rows):
+    """Is vec in ZZ^n + QQ-span(direction rows), the rows a basis of a
+    saturated lattice?  Integrality of the complementary Smith coordinates."""
+    n = len(vec)
+    if not direction_rows:
+        return all(Fraction(x).denominator == 1 for x in vec)
+    d, u, _ = smith_normal_form(transpose(direction_rows))
+    rank = sum(1 for i in range(min(n, len(direction_rows))) if d[i][i] != 0)
+    w = mat_vec(u, [Fraction(x) for x in vec])
+    return all(Fraction(w[i]).denominator == 1 for i in range(rank, n))
+
+
+def reference_equivalent(ct, p1, p2):
+    """The hull test by an HNF of each image direction and a Smith form."""
+    hull1, table1, inv1 = bc._pair_data(ct, p1)
+    hull2, table2, inv2 = bc._pair_data(ct, p2)
+    if inv1 != inv2 or hull1.dim() != hull2.dim():
+        return False
+    for w, mx in bc._xstar_weyl_matrices(ct):
+        wdir = tuple(mat_vec(mx, row) for row in hull1.direction)
+        if hermite_row_basis(wdir) != hull2.direction:
+            continue
+        wbase = mat_vec(mx, hull1.base)
+        diff = tuple(Fraction(b) - c for b, c in zip(hull2.base, wbase))
+        if not in_lattice_plus_span(diff, hull2.direction):
+            continue
+        if all(table2.get(frozenset(w.perm[i] for i in idx)) == data
+               for idx, data in table1.items()):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("iso", ISOGENIES)
+def test_equivalent_matches_reference_hull_test(iso):
+    compared = 0
+    for s, r in SMALL:
+        ct = CartanType(s, r, iso)
+        buckets = {}
+        for p in bc.enumerate_pairs(ct):
+            buckets.setdefault(bc._pair_data(ct, p)[2], []).append(p)
+        for ps in buckets.values():
+            for a in range(len(ps)):
+                for b in range(a + 1, len(ps)):
+                    want = reference_equivalent(ct, ps[a], ps[b])
+                    assert bc.equivalent(ct, ps[a], ps[b]) == want, (ct, ps[a], ps[b])
+                    compared += 1
+    assert compared == 292
+
+
+@pytest.mark.parametrize("iso", ISOGENIES)
+def test_subsystem_roots_match_reference_span_test(iso):
+    factors = 0
+    for s, r in SMALL + [(s, 5) for s in "ABCD"]:
+        ct = CartanType(s, r, iso)
+        rs = build_root_system(ct)
+        contexts = [ambient_context(ct)]
+        contexts += [bc.pair_context(ct, j) for j in bc.proper_subsets(ct)]
+        for ctx in contexts:
+            for f in ctx.factors:
+                assert f.roots == reference_subsystem_roots(rs, f.basis), (ct, f)
+                for root, coeffs in zip(f.roots, f.coords):
+                    assert root == tuple(sum(c * b[t] for c, b in zip(coeffs, f.basis))
+                                         for t in range(rs.rank))
+                factors += 1
+    assert factors == 740

@@ -1,12 +1,15 @@
+import errno
 import json
 import os
 import stat
 import subprocess
 import sys
+import types
 
 import pytest
 
 from orbitcalc import cli
+from orbitcalc.rootdata import CartanType
 
 
 def run(capsys, *argv):
@@ -113,6 +116,47 @@ def test_cache_readonly_dir_warns(tmp_path, capsys):
         assert "cache not writable" in err or os.access(ro, os.W_OK)
     finally:
         os.chmod(ro, stat.S_IRWXU)
+
+
+def test_cache_write_failing_partway_leaves_no_partial_file(tmp_path, capsys,
+                                                           monkeypatch):
+    """A store that dies mid-write leaves the previous file or none, and no
+    temporary file, at the cache path."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def store_failing(payload):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                      raising=False)
+            cli.cache_store(args, "unramified", ct, payload)
+        assert "cache not writable" in capsys.readouterr().err
+
+    args = types.SimpleNamespace(cache_dir=str(tmp_path))
+    ct = CartanType("A", 1)
+    first = {"schema": cli.SCHEMA_VERSION, "rows": ["first"]}
+    store_failing(first)
+    assert list(tmp_path.iterdir()) == []
+    assert cli.cache_load(args, "unramified", ct) is None
+    cli.cache_store(args, "unramified", ct, first)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    store_failing({"schema": cli.SCHEMA_VERSION, "rows": ["second"] * 100})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert cli.cache_load(args, "unramified", ct) == first
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
