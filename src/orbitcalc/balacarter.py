@@ -8,16 +8,15 @@ of the corresponding alcove face: a finite Weyl element w identifies two
 pairs when it maps one hull onto the other modulo the cocharacter lattice
 and transports the per-factor distinguished orbits.
 
-The decision is integer.  Directions: w maps the direction of hull 1 onto
-that of hull 2 exactly when its root permutation sends every gradient of
-J1 to a root in the QQ-span of J2's gradients (the dimensions are equal,
-and w maps saturated lattices to saturated lattices).  Translates: with
-integer bases B_i = d_i * base_i and D = lcm(d1, d2), the image of hull 1
-is hull 2 moved by a cocharacter exactly when
-P2 ((D/d2) B2 - (D/d1) w B1) = 0 mod D, where the rows P2 of a Smith
-transform complement the direction lattice of hull 2.  Both use data
-computed once per J (_hull_lattice), so scanning W needs only lookups and
-integer dot products.
+The decision is integer and reads every Weyl element off its root
+permutation.  Per face J (_face_data) it keeps d * alpha(b) for every
+root alpha, b the hull's base and d its common denominator, the roots in
+the QQ-span of J's gradients, and the Smith form of the gradients' X_*
+functionals G.  Since alpha(w b) = (w^-1 alpha)(b), scanning u = w^-1
+over W needs only lookups and integer dot products: u must send J2's
+gradients into the QQ-span of J1's (directions), the values of J2's
+affine roots at w b1 must lie in G2 X_* (translates), and u must match
+the per-factor orbits.
 
 Node indices are "display" indices: 0 is the affine node (per component),
 1..n the finite simple roots.
@@ -30,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
-                     smith_normal_form, solve, transpose)
+from .linalg import (identity, integer_kernel, mat_vec, smith_normal_form,
+                     solve)
 from .orbits import NilpotentOrbit
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
@@ -142,8 +141,8 @@ def enumerate_pairs(ct: CartanType) -> tuple:
     out = []
     for j in proper_subsets(ct):
         ctx = pair_context(ct, j)
-        for mask in range(1 << len(sorted(j))):
-            jl = sorted(j)
+        jl = sorted(j)
+        for mask in range(1 << len(jl)):
             jp = frozenset(jl[i] for i in range(len(jl)) if mask >> i & 1)
             zero_roots = {affs[i][0] for i in jp}
             if _distinguished_ok(ctx, zero_roots):
@@ -202,48 +201,52 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
         if not sol[n + k] > 0:
             raise ABCError(f"degenerate face for J={sorted(j)}")
     jrows = tuple(_xstar_functional(rs, affs[i][0]) for i in sorted(j))
-    direction = integer_kernel(jrows) if j else integer_kernel(())
-    if not j:
-        direction = tuple(tuple(int(i == t) for t in range(n)) for i in range(n))
-    return AffineSubspace(base, hermite_row_basis(direction) if direction else ())
+    direction = integer_kernel(jrows) if j else identity(n)
+    return AffineSubspace(base, direction)
 
 
 @lru_cache(maxsize=None)
-def _hull_lattice(ct: CartanType, j: frozenset):
+def _root_functionals(ct: CartanType) -> tuple:
+    """Every root's X_* functional, in rs.roots order."""
+    rs = build_root_system(ct)
+    return tuple(_xstar_functional(rs, r) for r in rs.roots)
+
+
+@lru_cache(maxsize=None)
+def _face_data(ct: CartanType, j: frozenset):
     """Integer data of face_hull(ct, j) for `equivalent`.
 
-    Returns (d, B, P, S, G): the common denominator d of the base and the
-    integer base B = d*base; the rows P of the Smith transform that
-    complement the direction lattice L (a vector lies in ZZ^n + QQ L iff
-    P times it is integral, since L is saturated); the set S of root
-    indices whose X_* functional vanishes on L, i.e. the roots in the
-    QQ-span of J's gradients; and the root indices G of J's gradients.
+    Returns (d, vals, span, grads, offs, smith): the common denominator d
+    of the base b and vals[a] = d * alpha_a(b) for every root index a; the
+    set span of root indices in the QQ-span of J's gradients (the roots
+    whose X_* functional vanishes on the direction); the root indices
+    grads of J's gradients and their affine offsets offs; and, with
+    U G V = D the Smith form of the gradients' functionals G, the pairs
+    (row i of U, D_ii) for i < |J|.
     """
     rs = build_root_system(ct)
     hull = face_hull(ct, j)
-    n, k = rs.rank, hull.dim()
+    fns = _root_functionals(ct)
     d = lcm(*(x.denominator for x in hull.base))
     base = tuple(int(x * d) for x in hull.base)
-    if hull.direction:
-        proj = smith_normal_form(transpose(hull.direction))[1][k:]
-    else:
-        proj = identity(n)
-    span = frozenset(i for i, r in enumerate(rs.roots)
-                     if not any(mat_vec(hull.direction, _xstar_functional(rs, r))))
+    vals = tuple(sum(a * b for a, b in zip(f, base)) for f in fns)
+    span = frozenset(i for i, f in enumerate(fns)
+                     if not any(mat_vec(hull.direction, f)))
     affs = _display_affines(rs)
     grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
-    return d, base, proj, span, grads
+    offs = tuple(affs[i][1] for i in sorted(j))
+    smith = ()
+    if j:
+        diag, u, _ = smith_normal_form(tuple(fns[g] for g in grads))
+        smith = tuple((u[i], diag[i][i]) for i in range(len(grads)))
+        if not all(m for _, m in smith):
+            raise ABCError(f"dependent gradients for J={sorted(j)}")
+    return d, vals, span, grads, offs, smith
 
 
 # ---------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _xstar_weyl_matrices(ct: CartanType):
-    """Integer matrices of W acting on X_*-basis coordinates."""
-    return tuple((w, w.xstar_matrix()) for w in weyl_group(ct))
-
 
 def _factor_orbit_table(ct: CartanType, pair: ABCPair):
     """Map frozenset(factor root indices) -> (series, rank, orbit key)."""
@@ -260,73 +263,61 @@ def _factor_orbit_table(ct: CartanType, pair: ABCPair):
 
 @lru_cache(maxsize=None)
 def _pair_data(ct: CartanType, pair: ABCPair):
-    hull = face_hull(ct, pair.J)
     table = _factor_orbit_table(ct, pair)
-    inv = tuple(sorted(table.values()))
-    return hull, table, inv
+    return table, tuple(sorted(table.values()))
 
 
 def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     """The extended-Weyl-group equivalence of affine Bala-Carter pairs.
 
-    w identifies the pairs when it maps the gradients of J1 into the
-    QQ-span of those of J2 (so, the dimensions being equal, it maps the
-    direction of hull 1 onto that of hull 2), maps base 1 into base 2
-    plus a cocharacter plus the direction (a congruence on the integer
-    bases), and transports the factor orbits.
+    Some w in W maps hull 1 onto hull 2 moved by a cocharacter and
+    transports the factor orbits.  The scan runs over u = w^-1 and reads
+    everything off u's root permutation and the root values on face 1:
+    the directions match when u sends every gradient g of J2 into the
+    QQ-span of J1's gradients (the dimensions being equal); the translate
+    matches when the values g(w b1) + off_g = (u g)(b1) + off_g, g in J2,
+    lie in G2 X_* (a congruence on the Smith rows of G2); and u maps each
+    factor of J2 onto a factor of J1 with the same orbit.
     """
-    hull1, table1, inv1 = _pair_data(ct, p1)
-    hull2, table2, inv2 = _pair_data(ct, p2)
-    if inv1 != inv2 or hull1.dim() != hull2.dim():
+    table1, inv1 = _pair_data(ct, p1)
+    table2, inv2 = _pair_data(ct, p2)
+    if inv1 != inv2 or len(p1.J) != len(p2.J):
         return False
-    d1, base1, _, _, grads1 = _hull_lattice(ct, p1.J)
-    d2, base2, proj2, span2, _ = _hull_lattice(ct, p2.J)
-    mod = lcm(d1, d2)
-    scale1 = mod // d1
-    target = tuple(mod // d2 * x for x in base2)
-    for w, mx in _xstar_weyl_matrices(ct):
-        perm = w.perm
-        if not all(perm[g] in span2 for g in grads1):
+    d1, vals1, span1, _, _, _ = _face_data(ct, p1.J)
+    _, _, _, grads2, offs2, smith2 = _face_data(ct, p2.J)
+    shifts = tuple(d1 * off for off in offs2)
+    congruences = tuple((row, d1 * m) for row, m in smith2)
+    for u in weyl_group(ct):
+        perm = u.perm
+        if not all(perm[g] in span1 for g in grads2):
             continue
-        diff = tuple(t - scale1 * x for t, x in zip(target, mat_vec(mx, base1)))
-        if any(x % mod for x in mat_vec(proj2, diff)):
+        y = tuple(vals1[perm[g]] + s for g, s in zip(grads2, shifts))
+        if any(sum(a * b for a, b in zip(row, y)) % m for row, m in congruences):
             continue
-        if all(table2.get(frozenset(perm[i] for i in idx)) == data
-               for idx, data in table1.items()):
+        if all(table1.get(frozenset(perm[i] for i in idx)) == data
+               for idx, data in table2.items()):
             return True
     return False
 
 
 @lru_cache(maxsize=None)
 def classes(ct: CartanType) -> tuple:
-    """Equivalence classes of pairs; each class sorted, lex-least first."""
-    pairs = enumerate_pairs(ct)
-    parent = list(range(len(pairs)))
+    """Equivalence classes of pairs; each class sorted, lex-least first.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    Pairs arrive lex-least first, and each joins the first class of its
+    invariant bucket whose first member it is equivalent to.
+    """
     buckets = {}
-    for i, p in enumerate(pairs):
-        buckets.setdefault(_pair_data(ct, p)[2], []).append(i)
-    for _, idxs in buckets.items():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                if find(i) != find(j) and equivalent(ct, pairs[i], pairs[j]):
-                    parent[find(j)] = find(i)
-    groups = {}
-    for i, p in enumerate(pairs):
-        groups.setdefault(find(i), []).append(p)
-    out = []
-    for members in groups.values():
-        members.sort(key=lambda p: p.sort_key())
-        out.append(tuple(members))
-    out.sort(key=lambda ms: ms[0].sort_key())
-    return tuple(out)
+    for p in enumerate_pairs(ct):
+        found = buckets.setdefault(_pair_data(ct, p)[1], [])
+        for members in found:
+            if equivalent(ct, members[0], p):
+                members.append(p)
+                break
+        else:
+            found.append([p])
+    return tuple(sorted((tuple(ms) for found in buckets.values() for ms in found),
+                        key=lambda ms: ms[0].sort_key()))
 
 
 def saturation(ct: CartanType, j: frozenset, factor_orbits) -> NilpotentOrbit:

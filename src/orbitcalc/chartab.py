@@ -23,7 +23,6 @@ positive consecutive cycles; see _split_sign), with no group search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
@@ -273,7 +272,7 @@ def _classify_factor(rs: RootSystem, comp):
             return ("D", "D", k, _order_d(comp, pair, deg, forks[0]))
         return ("A", "A", k, _order_path(comp, pair, deg))
     # doubly laced: B (unique short root, at the end) or C (unique long root)
-    len2 = _relative_lengths(comp, pair)
+    len2 = [rs.root_length2(c) for c in comp]
     path = _order_path(comp, pair, deg)
     idx = {c: i for i, c in enumerate(comp)}
     lmax = max(len2)
@@ -287,24 +286,6 @@ def _classify_factor(rs: RootSystem, comp):
     if len2[idx[path[0]]] > len2[idx[path[-1]]]:
         path = tuple(reversed(path))
     return ("BC", "C", k, path)
-
-
-def _relative_lengths(comp, pair):
-    k = len(comp)
-    len2 = [None] * k
-    len2[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(k):
-                if i == j or pair[(i, j)] == 0:
-                    continue
-                if len2[i] is not None and len2[j] is None:
-                    # (a_i,a_i)/(a_j,a_j) = pair[i,j]/pair[j,i]
-                    len2[j] = len2[i] * pair[(j, i)] / pair[(i, j)]
-                    changed = True
-    return len2
 
 
 def _order_path(comp, pair, deg):
@@ -488,18 +469,17 @@ class FactorClassifier:
         return (alpha, beta, _split_sign(pi, signs))
 
     def _g2_label(self, w):
-        rs = self.rs
-        m = w.matrix_on_points()
-        tr = m[0][0] + m[1][1]
-        if tr == 2:
-            return "1"
-        if tr == 1:
-            return "r1"
-        if tr == -1:
-            return "r2"
-        if tr == -2:
+        """Class of w in the dihedral W(G2), read off its root permutation:
+        -1 negates every root, a reflection exactly its own root pair, a
+        rotation none; among rotations r2 has order 3 and r1 order 6."""
+        rs, p = self.rs, w.perm
+        negated = [r for i, r in enumerate(rs.roots)
+                   if p[i] == rs._root_index[tuple(-x for x in r)]]
+        if len(negated) == len(p):
             return "r3"
-        negated = [r for r in rs.roots if w.apply_root(r) == tuple(-x for x in r)]
-        l2 = max(rs.root_length2(r) for r in negated)
-        lmax = max(rs.root_length2(r) for r in rs.roots)
-        return "sl" if l2 == lmax else "ss"
+        if negated:
+            lmax = max(rs.root_length2(r) for r in rs.roots)
+            return "sl" if rs.root_length2(negated[0]) == lmax else "ss"
+        if w.is_identity():
+            return "1"
+        return "r2" if all(p[p[p[i]]] == i for i in range(len(p))) else "r1"

@@ -332,10 +332,10 @@ def build_parser():
                     "unramified classes and wavefront sets")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, rank_required=True):
+    def common(p):
         p.add_argument("--type", required=True, choices=list("ABCDG"),
                        help="series of the root system")
-        p.add_argument("--rank", required=rank_required, type=int)
+        p.add_argument("--rank", required=True, type=int)
         p.add_argument("--isogeny", default="adjoint",
                        choices=["adjoint", "simply_connected"])
         p.add_argument("--json", action="store_true",

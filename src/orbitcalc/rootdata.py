@@ -334,29 +334,11 @@ class WeylElement:
                     out[k] += coords[i] * img[k]
         return tuple(out)
 
-    def matrix_on_points(self):
-        """Matrix of the action on coweight coordinates: row i of the result
-        is the root-coordinate vector of w^{-1}(alpha_i)."""
-        rs = self.rs
-        inv = self.inverse()
-        return tuple(inv.apply_root(rs.simple_roots[i]) for i in range(rs.rank))
-
     def apply_point(self, v):
-        return tuple(sum(x * y for x, y in zip(row, v))
-                     for row in self.matrix_on_points())
-
-    def xstar_matrix(self):
-        """Integer matrix of the action on X_*-basis coordinates.
-
-        Adjoint: X_* is the coweight lattice, so this is matrix_on_points.
-        Simply connected: X_* has the simple coroots as basis, and column j
-        holds the coroot coordinates of w(alpha_j)^vee = w(alpha_j^vee).
-        """
-        rs = self.rs
-        if rs.cartan_type.isogeny == "adjoint":
-            return self.matrix_on_points()
-        cols = [rs._coroot_of[self.apply_root(b)] for b in rs.simple_roots]
-        return tuple(zip(*cols))
+        """w on coweight coordinates: alpha_i(w v) = (w^-1 alpha_i)(v)."""
+        inv = self.inverse()
+        return tuple(sum(x * y for x, y in zip(inv.apply_root(b), v))
+                     for b in self.rs.simple_roots)
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.perm))

@@ -540,7 +540,7 @@ def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
     character on the dual side).
     """
     tgt = target or ctx.cartan_type
-    tctx = ambient_context(CartanType(tgt.series, tgt.rank, tgt.isogeny))
+    tctx = ambient_context(tgt)
     if [f.kind for f in tctx.factors] != [f.kind for f in ctx.factors] or \
             [f.rank for f in tctx.factors] != [f.rank for f in ctx.factors]:
         raise CharError("context/target Weyl groups do not match")

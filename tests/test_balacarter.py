@@ -9,7 +9,7 @@ from orbitcalc.linalg import (hermite_row_basis, mat_vec, smith_normal_form,
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, zero_orbit)
 from orbitcalc.rootdata import (CartanType, alcove_symmetries,
-                                build_root_system)
+                                build_root_system, weyl_group)
 from orbitcalc.weylrep import ambient_context
 
 SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
@@ -273,13 +273,29 @@ def in_lattice_plus_span(vec, direction_rows):
     return all(Fraction(w[i]).denominator == 1 for i in range(rank, n))
 
 
+def xstar_matrix(w):
+    """The oracle's own integer matrix of w on X_*-basis coordinates.
+
+    Adjoint: X_* is the coweight lattice, and row i is the root vector of
+    w^{-1}(alpha_i).  Simply connected: X_* has the simple coroots as
+    basis, and column j holds the coroot coordinates of w(alpha_j)^vee.
+    """
+    rs = w.rs
+    if rs.cartan_type.isogeny == "adjoint":
+        inv = w.inverse()
+        return tuple(inv.apply_root(b) for b in rs.simple_roots)
+    return tuple(zip(*(rs._coroot_of[w.apply_root(b)] for b in rs.simple_roots)))
+
+
 def reference_equivalent(ct, p1, p2):
     """The hull test by an HNF of each image direction and a Smith form."""
-    hull1, table1, inv1 = bc._pair_data(ct, p1)
-    hull2, table2, inv2 = bc._pair_data(ct, p2)
+    hull1, hull2 = bc.face_hull(ct, p1.J), bc.face_hull(ct, p2.J)
+    table1, inv1 = bc._pair_data(ct, p1)
+    table2, inv2 = bc._pair_data(ct, p2)
     if inv1 != inv2 or hull1.dim() != hull2.dim():
         return False
-    for w, mx in bc._xstar_weyl_matrices(ct):
+    for w in weyl_group(ct):
+        mx = xstar_matrix(w)
         wdir = tuple(mat_vec(mx, row) for row in hull1.direction)
         if hermite_row_basis(wdir) != hull2.direction:
             continue
@@ -295,19 +311,21 @@ def reference_equivalent(ct, p1, p2):
 
 @pytest.mark.parametrize("iso", ISOGENIES)
 def test_equivalent_matches_reference_hull_test(iso):
+    """Both orientations: equivalent scans w^-1, the reference scans w."""
     compared = 0
     for s, r in SMALL:
         ct = CartanType(s, r, iso)
         buckets = {}
         for p in bc.enumerate_pairs(ct):
-            buckets.setdefault(bc._pair_data(ct, p)[2], []).append(p)
+            buckets.setdefault(bc._pair_data(ct, p)[1], []).append(p)
         for ps in buckets.values():
             for a in range(len(ps)):
                 for b in range(a + 1, len(ps)):
-                    want = reference_equivalent(ct, ps[a], ps[b])
-                    assert bc.equivalent(ct, ps[a], ps[b]) == want, (ct, ps[a], ps[b])
-                    compared += 1
-    assert compared == 292
+                    for x, y in ((ps[a], ps[b]), (ps[b], ps[a])):
+                        want = reference_equivalent(ct, x, y)
+                        assert bc.equivalent(ct, x, y) == want, (ct, x, y)
+                        compared += 1
+    assert compared == 584
 
 
 @pytest.mark.parametrize("iso", ISOGENIES)
