@@ -11,12 +11,13 @@ and transports the per-factor distinguished orbits.
 The decision is integer and reads every Weyl element off its root
 permutation.  Per face J (_face_data) it keeps d * alpha(b) for every
 root alpha, b the hull's base and d its common denominator, the roots in
-the QQ-span of J's gradients, and the Smith form of the gradients' X_*
-functionals G.  Since alpha(w b) = (w^-1 alpha)(b), scanning u = w^-1
-over W needs only lookups and integer dot products: u must send J2's
-gradients into the QQ-span of J1's (directions), the values of J2's
-affine roots at w b1 must lie in G2 X_* (translates), and u must match
-the per-factor orbits.
+the QQ-span of J's gradients, and one congruence per column of H^-1,
+H the Hermite basis of G X_* for the gradients' X_* functionals G.
+Since alpha(w b) = (w^-1 alpha)(b), scanning u = w^-1 over W needs only
+lookups and integer dot products: u must send J2's gradients into the
+QQ-span of J1's (directions), the values of J2's affine roots at w b1
+must lie in G2 X_* (translates), and u must match the per-factor orbits.
+The base b itself is read off the affine marks (face_hull).
 
 Node indices are "display" indices: 0 is the affine node (per component),
 1..n the finite simple roots.
@@ -29,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import (identity, integer_kernel, mat_vec, smith_normal_form,
-                     solve)
+from .linalg import (hermite_row_basis, identity, integer_kernel, mat_inv,
+                     mat_vec, solve, transpose)
 from .orbits import NilpotentOrbit
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
@@ -177,29 +178,27 @@ def _xstar_functional(rs: RootSystem, root):
 @lru_cache(maxsize=None)
 def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     """Affine hull of the alcove face of type J: base point in the closed
-    fundamental alcove plus the saturated direction lattice."""
+    fundamental alcove plus the saturated direction lattice.
+
+    On each component the alcove is sum_i m_i a_i = 1, a_i >= 0, over the
+    affine simple roots a_i with marks m_i (1 at the affine node, theta's
+    coefficients elsewhere; Bourbaki, Lie Groups and Lie Algebras, ch. VI,
+    par. 2).  The base point is 0 on J and 1 / (sum of the marks off J) on
+    every other affine simple root.
+    """
     rs = build_root_system(ct)
-    affs = _display_affines(rs)
-    comps = _component_display_sets(rs)
     n = rs.rank
-    ncomp = len(comps)
-    rows, rhs = [], []
-    for i in sorted(j):
-        alpha, off = affs[i]
-        rows.append(list(_xstar_functional(rs, alpha)) + [0] * ncomp)
-        rhs.append(Fraction(-off))
-    for k, comp in enumerate(comps):
-        for i in sorted(comp - j):
-            alpha, off = affs[i]
-            trow = [0] * ncomp
-            trow[k] = -1
-            rows.append(list(_xstar_functional(rs, alpha)) + trow)
-            rhs.append(Fraction(-off))
-    sol = solve(tuple(tuple(r) for r in rows), tuple(rhs))
-    base = tuple(sol[:n])
-    for k in range(ncomp):
-        if not sol[n + k] > 0:
-            raise ABCError(f"degenerate face for J={sorted(j)}")
+    values = [0] * n  # alpha_i(base) on the finite simple roots
+    for k, (comp, theta) in enumerate(zip(rs.components, rs.highest_roots)):
+        free = [i for i in comp if rs.display_index(i) not in j]
+        marks = sum(theta[i] for i in free) + (rs.display_index(n + k) not in j)
+        if not marks:
+            raise ABCError(f"J={sorted(j)} contains a whole component")
+        for i in free:
+            values[i] = Fraction(1, marks)
+    simples = tuple(_xstar_functional(rs, alpha) for alpha in rs.simple_roots)
+    base = solve(simples, values)
+    affs = _display_affines(rs)
     jrows = tuple(_xstar_functional(rs, affs[i][0]) for i in sorted(j))
     direction = integer_kernel(jrows) if j else identity(n)
     return AffineSubspace(base, direction)
@@ -216,13 +215,14 @@ def _root_functionals(ct: CartanType) -> tuple:
 def _face_data(ct: CartanType, j: frozenset):
     """Integer data of face_hull(ct, j) for `equivalent`.
 
-    Returns (d, vals, span, grads, offs, smith): the common denominator d
-    of the base b and vals[a] = d * alpha_a(b) for every root index a; the
-    set span of root indices in the QQ-span of J's gradients (the roots
-    whose X_* functional vanishes on the direction); the root indices
-    grads of J's gradients and their affine offsets offs; and, with
-    U G V = D the Smith form of the gradients' functionals G, the pairs
-    (row i of U, D_ii) for i < |J|.
+    Returns (d, vals, span, grads, offs, congruences): the common
+    denominator d of the base b and vals[a] = d * alpha_a(b) for every
+    root index a; the set span of root indices in the QQ-span of J's
+    gradients (the roots whose X_* functional vanishes on the direction);
+    the root indices grads of J's gradients and their affine offsets
+    offs; and, with H the Hermite basis of G X_* (G the gradients'
+    functionals), one pair (m * c, m) per column c of H^-1, m the column's
+    common denominator: y is in G X_* iff y . (m * c) = 0 mod m for all.
     """
     rs = build_root_system(ct)
     hull = face_hull(ct, j)
@@ -235,13 +235,15 @@ def _face_data(ct: CartanType, j: frozenset):
     affs = _display_affines(rs)
     grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
     offs = tuple(affs[i][1] for i in sorted(j))
-    smith = ()
+    congruences = []
     if j:
-        diag, u, _ = smith_normal_form(tuple(fns[g] for g in grads))
-        smith = tuple((u[i], diag[i][i]) for i in range(len(grads)))
-        if not all(m for _, m in smith):
+        h = hermite_row_basis(transpose(tuple(fns[g] for g in grads)))
+        if len(h) != len(grads):
             raise ABCError(f"dependent gradients for J={sorted(j)}")
-    return d, vals, span, grads, offs, smith
+        for col in transpose(mat_inv(h)):
+            m = lcm(*(x.denominator for x in col))
+            congruences.append((tuple(int(x * m) for x in col), m))
+    return d, vals, span, grads, offs, tuple(congruences)
 
 
 # ---------------------------------------------------------------------
@@ -276,17 +278,18 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     the directions match when u sends every gradient g of J2 into the
     QQ-span of J1's gradients (the dimensions being equal); the translate
     matches when the values g(w b1) + off_g = (u g)(b1) + off_g, g in J2,
-    lie in G2 X_* (a congruence on the Smith rows of G2); and u maps each
-    factor of J2 onto a factor of J1 with the same orbit.
+    lie in G2 X_* (one congruence per column of H2^-1, H2 the Hermite
+    basis of G2 X_*); and u maps each factor of J2 onto a factor of J1
+    with the same orbit.
     """
     table1, inv1 = _pair_data(ct, p1)
     table2, inv2 = _pair_data(ct, p2)
     if inv1 != inv2 or len(p1.J) != len(p2.J):
         return False
     d1, vals1, span1, _, _, _ = _face_data(ct, p1.J)
-    _, _, _, grads2, offs2, smith2 = _face_data(ct, p2.J)
+    _, _, _, grads2, offs2, congruences2 = _face_data(ct, p2.J)
     shifts = tuple(d1 * off for off in offs2)
-    congruences = tuple((row, d1 * m) for row, m in smith2)
+    congruences = tuple((row, d1 * m) for row, m in congruences2)
     for u in weyl_group(ct):
         perm = u.perm
         if not all(perm[g] in span1 for g in grads2):

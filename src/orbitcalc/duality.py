@@ -95,14 +95,19 @@ def enumerate_nobc(ct: CartanType) -> tuple:
 def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClassInvariant:
     """d_A(O^vee, 1) as an invariant pair: (d(O^vee), O^vee).
 
-    Asserts the pair is attained by some affine Bala-Carter class; failure
-    would contradict the surjectivity of the Sommers dual.
+    Checks that the pair is attained by some affine Bala-Carter class;
+    failure would contradict the surjectivity of the Sommers dual.  The
+    invariant is constant on classes, so the check runs over pairs: the
+    Sommers dual is computed only for pairs saturating to d(O^vee), up to
+    the first hit.
     """
     if dual_orbit.system.series != ct.dual.series or \
             dual_orbit.system.rank != ct.rank:
         raise DualityError(f"{dual_orbit} is not an orbit of the dual of {ct}")
     inv = UnramifiedClassInvariant(dual_bv(dual_orbit), dual_orbit)
-    attained = any(row[0] == inv for row in enumerate_nobc(ct))
+    attained = any(
+        sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
+        for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == inv.orbit)
     if not attained:
         raise DualityError(f"invariant {inv} not realized by any class")
     return inv

@@ -18,13 +18,13 @@ finite node alpha_i is index i (components are concatenated).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import (identity, lattice_index, mat_inv, mat_vec,
-                     smith_normal_form, transpose)
+from .linalg import hermite_row_basis, identity, mat_inv, mat_vec, transpose
 
 SERIES = ("A", "B", "C", "D", "G")
 WEYL_ENUM_RANK_CAP = 6
@@ -500,8 +500,9 @@ def _reduce_to_alcove(rs: RootSystem, point):
 def alcove_symmetries(ct: CartanType) -> tuple:
     """The group Omega of affine maps stabilizing the fundamental alcove.
 
-    One element per coset of the coroot lattice in X_*; the order equals
-    the Smith-form index |X_*/Z Phi^vee|.
+    One element per coset of the coroot lattice in X_*, each coset taken
+    from the Hermite box of _coset_reps; the order is the index
+    |X_*/Z Phi^vee|, the product of the Hermite basis's diagonal.
     """
     rs = build_root_system(ct)
     n = rs.rank
@@ -511,8 +512,7 @@ def alcove_symmetries(ct: CartanType) -> tuple:
     inv_cochar = mat_inv(transpose(cochar))
     qv_in_cochar = tuple(mat_vec(inv_cochar, row) for row in coroot_rows)
     qv_in_cochar = tuple(tuple(int(x) for x in row) for row in qv_in_cochar)
-    index = lattice_index(qv_in_cochar, n)
-    reps = _coset_reps(qv_in_cochar, n, index)
+    reps = _coset_reps(qv_in_cochar)
     b = _alcove_barycenter(rs)
     out = []
     for rep in reps:
@@ -542,26 +542,13 @@ def _in_closed_alcove(rs, v):
     return True
 
 
-def _coset_reps(sub_rows, n, index):
-    """Representatives of ZZ^n / (row lattice of sub_rows).
+def _coset_reps(sub_rows):
+    """Representatives of ZZ^n / L, L the full-rank row lattice of sub_rows.
 
-    With U A V = D, the row lattice of A maps to diag(D) under x -> xV, so
-    residues of the diagonal entries pull back along V^{-1}.
+    The Hermite basis H is upper triangular with positive diagonal, so
+    the box 0 <= x_i < H_ii holds exactly one point of each coset.
     """
-    d, _, v = smith_normal_form(sub_rows)
-    diag = [d[i][i] for i in range(n)]
-    vinv = mat_inv(v)
-    reps = []
-
-    def rec(i, acc):
-        if i == n:
-            vec = mat_vec(transpose(vinv), acc)  # row vector acc times V^{-1}
-            reps.append(tuple(int(x) for x in vec))
-            return
-        for a in range(abs(diag[i])):
-            rec(i + 1, acc + [a])
-
-    rec(0, [])
-    if len(reps) != index:
-        raise RootDataError(f"{len(reps)} coset representatives, index {index}")
-    return reps
+    h = hermite_row_basis(sub_rows)
+    if len(h) != len(sub_rows[0]):
+        raise RootDataError("sublattice not of full rank")
+    return tuple(itertools.product(*(range(h[i][i]) for i in range(len(h)))))

@@ -218,10 +218,10 @@ def subgroup_context(ct: CartanType, basis: tuple) -> WeylContext:
 
 
 @lru_cache(maxsize=None)
-def _fusion(ct: CartanType, basis: tuple):
-    """Counter of (subgroup class, ambient class) pairs over W_J."""
-    sub = subgroup_context(ct, basis)
-    amb = ambient_context(ct)
+def _fusion(sub: WeylContext):
+    """Counter of (subgroup class, ambient class) pairs over W_J, in the
+    labels of the given context."""
+    amb = ambient_context(sub.cartan_type)
     counts = {}
     for w in sub.elements():
         key = (sub.class_of(w), amb.class_of(w))
@@ -232,10 +232,8 @@ def _fusion(ct: CartanType, basis: tuple):
 def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
                         e_amb: WeylIrrep) -> int:
     """<Ind_{W_J}^W e_sub, e_amb>, by summation over W_J."""
-    basis = tuple(b for f in sub.factors for b in f.basis)
-    fus = _fusion(sub.cartan_type, basis)
     tot = 0
-    for (scls, acls), cnt in fus.items():
+    for (scls, acls), cnt in _fusion(sub).items():
         tot += cnt * sub.char_value(e_sub, scls) * \
             ambient_context(sub.cartan_type).char_value(e_amb, acls)
     q, r = divmod(tot, sub.order)

@@ -1,14 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitcalc import balacarter as bc
 from orbitcalc.chartab import subsystem_roots
-from orbitcalc.linalg import (hermite_row_basis, mat_vec, smith_normal_form,
-                              transpose)
+from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
+                              mat_vec, solve, transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import (CartanType, alcove_symmetries,
+from orbitcalc.rootdata import (CartanType, _coset_reps, alcove_symmetries,
                                 build_root_system, weyl_group)
 from orbitcalc.weylrep import ambient_context
 
@@ -218,9 +221,123 @@ def test_bc_pairs_in_distinct_w_classes_not_identified():
 
 
 # ---------------------------------------------------------------------
-# reference decision procedures over QQ, kept as oracles for the
-# integer closure and the integer equivalence tests
+# reference procedures (QQ eliminations, the Smith form, the slack-variable
+# hull), kept as oracles for the integer closure, the Hermite lattice code,
+# the closed-form hull and the integer equivalence tests
 # ---------------------------------------------------------------------
+
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def smith_normal_form(a):
+    """Return (d, u, v) with u*a*v = d diagonal, u and v unimodular.
+
+    Standard elementary-operation algorithm; entries must be ints.
+    """
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = [list(r) for r in identity(rows)]
+    v = [list(r) for r in identity(cols)]
+
+    def pivot_at(t):
+        # move a nonzero entry of minimal absolute value to (t, t)
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        pos = pivot_at(t)
+        if pos is None:
+            break
+        i, j = pos
+        _swap_rows(m, t, i)
+        _swap_rows(u, t, i)
+        for r in m:
+            r[t], r[j] = r[j], r[t]
+        for r in v:
+            r[t], r[j] = r[j], r[t]
+        dirty = False
+        for i in range(t + 1, rows):
+            q = m[i][t] // m[t][t]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            if m[i][t]:
+                dirty = True
+        for j in range(t + 1, cols):
+            q = m[t][j] // m[t][t]
+            if q:
+                for r in m:
+                    r[j] -= q * r[t]
+                for r in v:
+                    r[j] -= q * r[t]
+            if m[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        # divisibility condition d_t | all later entries
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if m[i][j] % m[t][t] != 0:
+                    bad = (i, j)
+                    break
+            if bad:
+                break
+        if bad:
+            i, _ = bad
+            m[t] = [x + y for x, y in zip(m[t], m[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+            continue
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return (tuple(tuple(r) for r in m), tuple(tuple(r) for r in u),
+            tuple(tuple(r) for r in v))
+
+
+def smith_kernel(a):
+    """Hermite basis of {x : a x = 0} from the last columns of V."""
+    rows, cols = len(a), len(a[0])
+    d, _, v = smith_normal_form(a)
+    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
+    ker = tuple(tuple(v[i][j] for i in range(cols)) for j in range(rank, cols))
+    return hermite_row_basis(ker) if ker else ()
+
+
+def reference_face_hull(ct, j):
+    """The hull by one solve over QQ with a slack t_k per component:
+    a_i = 0 on J and a_i = t_k off J, a_i the affine simple roots."""
+    rs = build_root_system(ct)
+    affs = bc._display_affines(rs)
+    comps = bc._component_display_sets(rs)
+    n = rs.rank
+    ncomp = len(comps)
+    rows, rhs = [], []
+    for i in sorted(j):
+        alpha, off = affs[i]
+        rows.append(list(bc._xstar_functional(rs, alpha)) + [0] * ncomp)
+        rhs.append(Fraction(-off))
+    for k, comp in enumerate(comps):
+        for i in sorted(comp - j):
+            alpha, off = affs[i]
+            trow = [0] * ncomp
+            trow[k] = -1
+            rows.append(list(bc._xstar_functional(rs, alpha)) + trow)
+            rhs.append(Fraction(-off))
+    sol = solve(tuple(tuple(r) for r in rows), tuple(rhs))
+    assert all(t > 0 for t in sol[n:])
+    jrows = tuple(bc._xstar_functional(rs, affs[i][0]) for i in sorted(j))
+    direction = smith_kernel(jrows) if j else identity(n)
+    return tuple(sol[:n]), direction
+
 
 def span_solve(basis, target):
     """Coefficients of target in the QQ-span of the basis rows, or None."""
@@ -344,3 +461,72 @@ def test_subsystem_roots_match_reference_span_test(iso):
                                          for t in range(rs.rank))
                 factors += 1
     assert factors == 740
+
+
+@pytest.mark.parametrize("iso", ISOGENIES)
+def test_face_hull_matches_reference_slack_system(iso):
+    faces = 0
+    for s, r in [("A", 1)] + [(s, r) for s in "ABCD" for r in range(2, 7)] + [("G", 2)]:
+        ct = CartanType(s, r, iso)
+        for j in bc.proper_subsets(ct):
+            hull = bc.face_hull(ct, j)
+            assert (hull.base, hull.direction) == reference_face_hull(ct, j), (ct, j)
+            faces += 1
+    assert faces == 984
+
+
+@pytest.mark.parametrize("ct", [CartanType("G", 2), CartanType("A", 1),
+                                CartanType("D", 2), CartanType("B", 3)], ids=str)
+def test_face_hull_of_a_whole_component_raises(ct):
+    rs = build_root_system(ct)
+    for comp in bc._component_display_sets(rs):
+        with pytest.raises(bc.ABCError):
+            bc.face_hull(ct, comp)
+        with pytest.raises(bc.ABCError):
+            bc.face_hull(ct, frozenset(range(rs.node_count())))
+
+
+def _int_matrices(max_rows, max_cols, bound):
+    return st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+
+@given(_int_matrices(4, 5, 6))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_smith_kernel(a):
+    a = tuple(map(tuple, a))
+    ker = integer_kernel(a)
+    assert ker == smith_kernel(a)
+    for x in ker:
+        assert not any(mat_vec(a, x))
+
+
+def _det(a):
+    n = len(a)
+    tot = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[k] for i in range(n) for k in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= a[i][perm[i]]
+        tot += term
+    return tot
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_hermite_box_coset_reps(a):
+    """Pairwise inequivalent mod the row lattice, |det| of them.  With
+    U A V = D, x is in the row lattice iff (x V)_i = 0 mod D_ii."""
+    a = tuple(map(tuple, a))
+    det = _det(a)
+    assume(det != 0)
+    reps = _coset_reps(a)
+    assert len(reps) == abs(det)
+    d, _, v = smith_normal_form(a)
+    n = len(a)
+    residues = {tuple(sum(x[k] * v[k][i] for k in range(n)) % d[i][i] for i in range(n))
+                for x in reps}
+    assert len(residues) == len(reps)

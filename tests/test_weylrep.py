@@ -1,4 +1,4 @@
-import itertools
+import functools
 from fractions import Fraction
 
 import pytest
@@ -64,40 +64,30 @@ def test_sum_of_squares(ct):
     assert sum(ctx.dim(e) ** 2 for e in ctx.irreps()) == ctx.order
 
 
-def _molien_b(ctx, irrep, nmax=40):
-    """Fake-degree valuation oracle: lowest degree of (1/|W|) sum chi(w)/det(1-qw)."""
+@functools.lru_cache(maxsize=None)
+def _molien_class_series(ctx, nmax):
+    """Per class of W, the sum of 1/det(1-qw) over its elements, to q^nmax."""
     rs = ctx.rs
     n = rs.rank
-    total = [Fraction(0)] * nmax
+    out = {}
     for w in ctx.elements():
         imgs = [w.apply_root(rs.simple_roots[j]) for j in range(n)]
         mat = [[imgs[j][i] for j in range(n)] for i in range(n)]
-        # det(I - q*mat) by Leibniz
-        poly = [Fraction(0)] * (n + 1)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            for i in range(n):
-                if seen[i]:
-                    continue
-                j, ln = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    ln += 1
-                if ln % 2 == 0:
-                    sign = -sign
-            term = [Fraction(1)]
-            for i in range(n):
-                entry = [Fraction(int(i == perm[i])), Fraction(-mat[i][perm[i]])]
-                term = _poly_mul(term, entry)
-            for d, c in enumerate(term):
-                if d <= n:
-                    poly[d] += sign * c
+        poly = [Fraction(c) for c in _det_one_minus_q(mat)]
         inv = _poly_inv(poly, nmax)
-        chi = ctx.char_value(irrep, ctx.class_of(w))
+        acc = out.setdefault(ctx.class_of(w), [Fraction(0)] * nmax)
         for d in range(nmax):
-            total[d] += chi * inv[d]
+            acc[d] += inv[d]
+    return out
+
+
+def _molien_b(ctx, irrep, nmax=40):
+    """Fake-degree valuation oracle: lowest degree of (1/|W|) sum chi(w)/det(1-qw)."""
+    total = [Fraction(0)] * nmax
+    for cls, series in _molien_class_series(ctx, nmax).items():
+        chi = ctx.char_value(irrep, cls)
+        for d in range(nmax):
+            total[d] += chi * series[d]
     coeffs = [c / ctx.order for c in total]
     for d, c in enumerate(coeffs):
         assert c.denominator == 1 and c >= 0
@@ -106,12 +96,20 @@ def _molien_b(ctx, irrep, nmax=40):
     raise AssertionError("no nonzero coefficient")
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _det_one_minus_q(mat):
+    """det(I - q*mat) as coefficients in q: mat's characteristic
+    polynomial reversed, by Faddeev-LeVerrier (exact integer division)."""
+    n = len(mat)
+    coeffs = [1]
+    aux = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        aux = [[sum(mat[i][t] * aux[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+                for j in range(n)] for i in range(n)]
+        tr = sum(mat[i][t] * aux[t][i] for i in range(n) for t in range(n))
+        c, r = divmod(-tr, k)
+        assert r == 0
+        coeffs.append(c)
+    return coeffs
 
 
 def _poly_inv(p, nmax):
@@ -152,12 +150,13 @@ def test_tensor_sgn_involution_and_values():
         assert len(images) == len(reps)
 
 
-def test_induce_identity_and_regular():
-    ct = CartanType("B", 3)
+@pytest.mark.parametrize("ct", [CartanType("B", 3), CartanType("C", 2),
+                                CartanType("D", 4)], ids=str)
+def test_induce_identity_and_regular(ct):
     ctx = ctx_of(ct)
     for e in ctx.irreps():
-        assert wr.induce_multiplicity(ctx, e, e) == 1
-    rs = build_root_system(ct)
+        for f in ctx.irreps():
+            assert wr.induce_multiplicity(ctx, e, f) == (e == f), (e, f)
     trivial = wr.subgroup_context(ct, ())
     e0 = trivial.irreps()[0]
     for e in ctx.irreps():
