@@ -167,12 +167,7 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
 
 def _xstar_functional(rs: RootSystem, root):
     """The root as an integer functional on X_*-basis coordinates."""
-    n = rs.rank
-    vals = []
-    for col in range(n):
-        basis_vec = tuple(rs.cochar_basis[col][i] for i in range(n))
-        vals.append(sum(c * x for c, x in zip(root, basis_vec)))
-    return tuple(vals)
+    return mat_vec(rs.cochar_basis, root)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import partitions as pt
 from .rootdata import (CartanType, RootSystem, WeylElement,
-                       connected_components)
+                       connected_components, reflection_closure)
 
 
 class CharError(ValueError):
@@ -118,12 +118,10 @@ def d_char(pair, sign, alpha, beta, class_split) -> int:
     return val // 2
 
 
-# G2 classes: identity, rotations by 60/120/180 degrees, reflections in a
-# long root, reflections in a short root.
-G2_CLASSES = ("1", "r1", "r2", "r3", "sl", "ss")
-G2_CLASS_SIZES = {"1": 1, "r1": 2, "r2": 2, "r3": 1, "sl": 3, "ss": 3}
 G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
              "phi(2,1)", "phi(2,2)")
+# G2 classes: identity 1, rotations r1/r2/r3 by 60/120/180 degrees,
+# reflections sl in a long root and ss in a short root.
 G2_CHAR = {
     "phi(1,0)":  {"1": 1, "r1": 1, "r2": 1, "r3": 1, "sl": 1, "ss": 1},
     "phi(1,6)":  {"1": 1, "r1": 1, "r2": 1, "r3": 1, "sl": -1, "ss": -1},
@@ -212,6 +210,7 @@ class EmbeddedFactor:
     series: str          # the root-system series: A/B/C/D/G
     rank: int
     basis: tuple         # ordered simple roots (root-coordinate tuples)
+    cartan: tuple        # cartan[i][j] = <basis_i, basis_j^vee>
     roots: tuple         # the whole subsystem, in rs.roots order
     coords: tuple        # integer coordinates of each root in the basis
     frame: tuple         # classification frame (see _build_frame)
@@ -220,27 +219,15 @@ class EmbeddedFactor:
         return CartanType(self.series, self.rank)
 
 
-def subsystem_roots(rs: RootSystem, basis):
-    """The subsystem with the given simple basis, in rs.roots order, as
-    (roots, coords): the closure of the basis under the simple reflections
-    s_j(alpha) = alpha - <alpha, beta_j^vee> beta_j, each root with its
-    integer coordinates in the basis."""
-    k = len(basis)
-    cartan = [[rs.pairing(bi, bj) for bj in basis] for bi in basis]
-    seen = {}
-    queue = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    while queue:
-        c = queue.pop()
-        if c in seen:
-            continue
-        seen[c] = tuple(sum(x * b[t] for x, b in zip(c, basis))
-                        for t in range(rs.rank))
-        for j in range(k):
-            p = sum(x * cartan[i][j] for i, x in enumerate(c))
-            if p:
-                queue.append(tuple(x - p * (i == j) for i, x in enumerate(c)))
-    found = sorted(seen.items(), key=lambda item: rs._root_index[item[1]])
-    return tuple(r for _, r in found), tuple(c for c, _ in found)
+def subsystem_roots(rs: RootSystem, basis, cartan):
+    """The subsystem with the given simple basis and Cartan matrix, in
+    rs.roots order, as (roots, coords): reflection_closure(cartan) gives
+    each root's integer coordinates in the basis, and the root is that
+    combination of the basis."""
+    found = {tuple(sum(x * b[t] for x, b in zip(c, basis)) for t in range(rs.rank)): c
+             for c in reflection_closure(cartan)}
+    roots = tuple(sorted(found, key=rs._root_index.__getitem__))
+    return roots, tuple(found[r] for r in roots)
 
 
 def split_basis_into_factors(rs: RootSystem, basis):
@@ -375,9 +362,10 @@ def build_factor(rs: RootSystem, comp, forced_basis=None,
     if forced_series is not None:
         series = forced_series
         kind = {"A": "A", "B": "BC", "C": "BC", "D": "D", "G": "G"}[series]
-    roots, coords = subsystem_roots(rs, basis)
+    cartan = tuple(tuple(rs.pairing(bi, bj) for bj in basis) for bi in basis)
+    roots, coords = subsystem_roots(rs, basis, cartan)
     frame = _build_frame(rs, kind, series, rank, basis)
-    return EmbeddedFactor(kind, series, rank, basis, roots, coords, frame)
+    return EmbeddedFactor(kind, series, rank, basis, cartan, roots, coords, frame)
 
 
 def _signed_perm(factor: EmbeddedFactor, w: WeylElement):

@@ -6,7 +6,8 @@ byte-identical across runs).  Computed unramified tables can be cached on
 disk (--cache-dir or ORBITCALC_CACHE); a corrupt cache is ignored with a
 warning and recomputed.
 
-Exit codes: 0 success, 1 computational error, 2 usage error.
+Exit codes: 0 success, 1 computational error, 2 usage error (also for
+arguments and data files that cannot be parsed).
 """
 
 from __future__ import annotations
@@ -46,7 +47,14 @@ def parse_orbit(ct: CartanType, text: str) -> NilpotentOrbit:
     mark = None
     if text.endswith(("-I", "-II")):
         text, mark = text.rsplit("-", 1)
-    return NilpotentOrbit(ct, partition=parse_partition(text), mark=mark)
+    try:
+        partition = parse_partition(text)
+    except PartitionError:
+        raise
+    except ValueError:
+        raise UsageError(f"cannot parse the orbit {text!r}; "
+                         f"expected parts such as 2,1") from None
+    return NilpotentOrbit(ct, partition=partition, mark=mark)
 
 
 def _dump_json(payload) -> str:
@@ -57,6 +65,12 @@ def _dump_json(payload) -> str:
 # ---------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------
+
+# the keys of each cached payload (only unramified tables are cached)
+PAYLOAD_KEYS = {"unramified": frozenset({
+    "command", "series", "rank", "isogeny", "abc_pairs", "classes", "rows",
+    "hasse_A"})}
+
 
 def _cache_dir(args):
     return args.cache_dir or os.environ.get("ORBITCALC_CACHE")
@@ -77,8 +91,16 @@ def cache_load(args, kind, ct):
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             return None
+        missing = PAYLOAD_KEYS[kind] - data.keys()
+        if missing:
+            raise ValueError(f"missing {sorted(missing)}")
+        names = (data["command"], data["series"], data["rank"], data["isogeny"])
+        if names != (kind, ct.series, ct.rank, ct.isogeny):
+            raise ValueError(f"holds the table of {names}")
         return data
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
@@ -228,8 +250,11 @@ def cmd_arthur_wf(args):
 def cmd_local_wf(args):
     ct = _cartan_type(args)
     with open(args.data) as fh:
-        records = json.load(fh)
-    data = wf.restriction_data_from_json(records)
+        try:
+            data = wf.restriction_data_from_json(json.load(fh))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise UsageError(f"{args.data} is not restriction data "
+                             f"({type(exc).__name__}: {exc})") from None
     res = wf.local_wf(ct, data)
     payload = {"command": "local-wf", "series": ct.series, "rank": ct.rank,
                "isogeny": ct.isogeny, **res.to_json()}

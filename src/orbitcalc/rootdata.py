@@ -1,5 +1,15 @@
 """Root systems, Weyl groups and alcove symmetries for split types A-D, G2.
 
+Root data
+---------
+Everything is derived from the Cartan matrix and the simple root lengths:
+the roots are the closure of the simple roots under the simple
+reflections (reflection_closure, which also serves the subsystems of
+chartab), the positive ones are those with positive coefficient sum, each
+coroot is alpha^vee = sum_i c_i (alpha_i, alpha_i)/(alpha, alpha)
+alpha_i^vee, and the highest root theta of a component is its positive
+root of greatest height.
+
 Coordinates
 -----------
 Roots are stored as integer vectors of coefficients in the simple roots.
@@ -114,29 +124,6 @@ def _root_lengths(series: str, rank: int):
     return (1,) * rank
 
 
-def _highest_root_coords(series: str, rank: int, component):
-    n = rank
-    if series == "A":
-        return tuple(1 if i in component else 0 for i in range(n))
-    if series == "B":
-        v = [0] * n
-        v[0] = 1
-        for i in range(1, n):
-            v[i] = 2
-        return tuple(v)
-    if series == "C":
-        return tuple([2] * (n - 1) + [1])
-    if series == "D":
-        if n == 2:
-            return tuple(1 if i in component else 0 for i in range(n))
-        if n == 3:
-            return (1, 1, 1)
-        return tuple([1] + [2] * (n - 3) + [1, 1])
-    if series == "G":
-        return (2, 3)
-    raise RootDataError(series)
-
-
 def connected_components(size, linked):
     """Components of the graph on range(size) with an edge i-j wherever
     linked(i, j); each sorted, ordered by their least members."""
@@ -157,6 +144,25 @@ def connected_components(size, linked):
     return tuple(comps)
 
 
+def reflection_closure(cartan):
+    """The roots with Cartan matrix cartan[i][j] = <e_i, e_j^vee>: the set
+    of coefficient vectors reached from the unit vectors e_j by the simple
+    reflections s_j(c) = c - <c, e_j^vee> e_j."""
+    k = len(cartan)
+    seen = set()
+    queue = list(identity(k))
+    while queue:
+        c = queue.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        for j in range(k):
+            p = sum(x * cartan[i][j] for i, x in enumerate(c))
+            if p:
+                queue.append(tuple(x - p * (i == j) for i, x in enumerate(c)))
+    return seen
+
+
 class RootSystem:
     """Immutable after construction; built via build_root_system."""
 
@@ -175,46 +181,32 @@ class RootSystem:
     # -- construction -------------------------------------------------
 
     def _build_roots(self):
-        n = self.rank
-        frontier = [(self.simple_roots[i], self.simple_roots[i]) for i in range(n)]
-        # pairs (root coords, coroot coords in the simple-coroot basis);
-        # propagating both keeps <alpha, beta^vee> available exactly.
-        seen = {}
-        for r, cr in frontier:
-            seen[r] = cr
-        queue = list(frontier)
-        while queue:
-            root, coroot = queue.pop()
-            for j in range(n):
-                pairing = sum(root[k] * self.cartan[k][j] for k in range(n))
-                new_root = tuple(root[k] - (pairing if k == j else 0) for k in range(n))
-                cpair = sum(coroot[k] * self.cartan[j][k] for k in range(n))
-                new_coroot = tuple(coroot[k] - (cpair if k == j else 0) for k in range(n))
-                if new_root not in seen:
-                    seen[new_root] = new_coroot
-                    queue.append((new_root, new_coroot))
-        pos = sorted(r for r in seen if self._is_positive(r))
+        # a root's coefficients share one sign, so the sum decides it
+        pos = sorted(r for r in reflection_closure(self.cartan) if sum(r) > 0)
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [tuple(-x for x in r) for r in pos])
-        self._coroot_of = {r: seen[r] for r in self.roots}
+        self._coroot_of = {r: self._coroot(r) for r in self.roots}
 
-    @staticmethod
-    def _is_positive(root):
-        for x in root:
-            if x:
-                return x > 0
-        return False
+    def _coroot(self, root):
+        """Coefficients of root^vee in the simple coroots:
+        sum_i c_i (alpha_i, alpha_i)/(alpha, alpha) alpha_i^vee."""
+        norm = self._blinear(root, root)
+        coeffs = [c * l / norm for c, l in zip(root, self.lengths2)]
+        if any(x.denominator != 1 for x in coeffs):
+            raise RootDataError(f"non-integral coroot of {root}")
+        return tuple(int(x) for x in coeffs)
 
     def _build_affine(self):
         n = self.rank
         comps = connected_components(n, lambda i, j: self.cartan[i][j] != 0)
         self.components = comps
-        theta = []
-        for comp in comps:
-            theta.append(_highest_root_coords(self.cartan_type.series, n, comp))
-        self.highest_roots = tuple(theta)
+        # theta of a component is its positive root of greatest height (a
+        # root lies in one component, so touching it is lying in it)
+        self.highest_roots = tuple(
+            max((r for r in self.positive_roots if any(r[i] for i in comp)), key=sum)
+            for comp in comps)
         affine = [(self.simple_roots[i], 0) for i in range(n)]
-        for th in theta:
+        for th in self.highest_roots:
             affine.append((tuple(-x for x in th), 1))
         self.affine_simples = tuple(affine)
         # display index: affine node of component k comes first in the
@@ -238,10 +230,7 @@ class RootSystem:
 
     def pairing(self, root, other):
         """<root, other^vee>."""
-        cr = self._coroot_of[other]
-        n = self.rank
-        return sum(root[k] * self.cartan[k][j] * cr[j]
-                   for k in range(n) for j in range(n))
+        return sum(x * y for x, y in zip(root, self.coroot_coweight_coords(other)))
 
     def coroot_coweight_coords(self, root):
         """Coweight coordinates of the coroot of `root`."""
@@ -261,11 +250,6 @@ class RootSystem:
                 # with C[i][j] = 2(ai,aj)/(aj,aj):  (ai,aj) = C[i][j]*l2[j]/2
                 tot += a[i] * b[j] * self.cartan[i][j] * self.lengths2[j]
         return Fraction(tot, 2)
-
-    def reflect_root(self, root, simple_idx):
-        n = self.rank
-        pairing = sum(root[k] * self.cartan[k][simple_idx] for k in range(n))
-        return tuple(root[k] - (pairing if k == simple_idx else 0) for k in range(n))
 
     def reflect_point(self, v, simple_idx):
         """s_i acting on coweight coordinates."""
@@ -345,8 +329,7 @@ class WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    perm = tuple(rs._root_index[rs.reflect_root(r, i)] for r in rs.roots)
-    return WeylElement(rs, perm)
+    return reflection_in_root(rs, rs.simple_roots[i])
 
 
 def reflection_in_root(rs: RootSystem, root) -> WeylElement:
@@ -437,13 +420,6 @@ class AlcoveSymmetry:
             img = self.apply_affine_root(aff)
             images.append(affs.index(img))
         return tuple(images)
-
-    def __eq__(self, other):
-        return (self.finite_part.perm == other.finite_part.perm
-                and self.translation == other.translation)
-
-    def __hash__(self):
-        return hash((self.finite_part.perm, self.translation))
 
 
 def _alcove_barycenter(rs: RootSystem):

@@ -481,10 +481,7 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
     h = [Fraction(0)] * n
     for f, orb in zip(ctx.factors, factor_orbits):
         wdd = weighted_dynkin(orb).values
-        k = f.rank
-        cmat = tuple(tuple(rs.pairing(f.basis[i], f.basis[j]) for j in range(k))
-                     for i in range(k))
-        t = solve(cmat, tuple(Fraction(v) for v in wdd))
+        t = solve(f.cartan, tuple(Fraction(v) for v in wdd))
         for coef, beta in zip(t, f.basis):
             cw = rs.coroot_coweight_coords(beta)
             for i in range(n):

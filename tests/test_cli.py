@@ -85,11 +85,18 @@ def test_cache_corrupt_recovers(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     rc1, out1, _ = run(capsys, *args)
     path = next(tmp_path.iterdir())
-    path.write_text("{ not json")
-    rc2, out2, err = run(capsys, *args)
-    assert rc2 == 0
-    assert out1 == out2
-    assert "corrupt" in err
+    other = tmp_path / "other"
+    run(capsys, "unramified", "--type", "A", "--rank", "1", "--json",
+        "--cache-dir", str(other))
+    a1_table = next(other.iterdir()).read_text()
+    # not JSON, not an object, no table, and the table of another system
+    for text in ("{ not json", "[]", json.dumps({"schema": cli.SCHEMA_VERSION}),
+                 a1_table):
+        path.write_text(text)
+        rc2, out2, err = run(capsys, *args)
+        assert rc2 == 0, text
+        assert out1 == out2, text
+        assert "corrupt" in err, text
 
 
 def test_cache_version_bump_invalidates(tmp_path, capsys):
@@ -148,15 +155,44 @@ def test_cache_write_failing_partway_leaves_no_partial_file(tmp_path, capsys,
 
     args = types.SimpleNamespace(cache_dir=str(tmp_path))
     ct = CartanType("A", 1)
-    first = {"schema": cli.SCHEMA_VERSION, "rows": ["first"]}
+    first = {"schema": cli.SCHEMA_VERSION, **cli._unramified_payload(ct)}
     store_failing(first)
     assert list(tmp_path.iterdir()) == []
     assert cli.cache_load(args, "unramified", ct) is None
     cli.cache_store(args, "unramified", ct, first)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    store_failing({"schema": cli.SCHEMA_VERSION, "rows": ["second"] * 100})
+    store_failing({**first, "rows": ["second"] * 100})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert cli.cache_load(args, "unramified", ct) == first
+
+
+def test_payload_keys_are_what_unramified_writes():
+    payload = cli._unramified_payload(CartanType("A", 1))
+    assert set(payload) == cli.PAYLOAD_KEYS["unramified"]
+
+
+@pytest.mark.parametrize("argv, data, code", [
+    # unparsable arguments and data files: usage errors
+    (["arthur-wf", "--dual-orbit", "x"], None, 2),
+    (["local-wf"], "{ not json", 2),
+    (["local-wf"], '{"J": [0]}', 2),
+    (["local-wf"], '[{"J": [0]}]', 2),
+    (["local-wf"], '[{"J": [0], "irreps": [{"label": [2, 1], "mult": "x"}]}]', 2),
+    # well-formed input naming what does not exist: computational errors
+    (["arthur-wf", "--dual-orbit", "2,2"], None, 1),
+    (["local-wf"], '[{"J": [9], "irreps": [{"label": [2, 1], "mult": 1}]}]', 1),
+    (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
+], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
+        "wrong-total", "unknown-face", "unknown-character"])
+def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
+    if data is not None:
+        f = tmp_path / "data.json"
+        f.write_text(data)
+        argv = argv + ["--data", str(f)]
+    rc, out, err = run(capsys, *argv, "--type", "A", "--rank", "2")
+    assert rc == code
+    assert err.startswith("usage error: " if code == 2 else "error: ")
+    assert out == ""
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -26,12 +26,84 @@ def test_duals():
     assert rd.CartanType("A", 2).dual.series == "A"
 
 
+# every series up to rank 8, in both isogenies
+SYSTEMS = [rd.CartanType(s, r, iso)
+           for iso in ("adjoint", "simply_connected")
+           for s, r in [("A", 1), ("G", 2)] + [(s, r) for s in "ABCD" for r in range(2, 9)]]
+
+
 def test_root_counts():
-    assert len(rd.build_root_system(rd.CartanType("A", 1)).roots) == 2
-    assert len(rd.build_root_system(rd.CartanType("G", 2)).roots) == 12
-    assert len(rd.build_root_system(rd.CartanType("D", 4)).roots) == 24
-    assert len(rd.build_root_system(rd.CartanType("B", 3)).roots) == 18
-    assert len(rd.build_root_system(rd.CartanType("C", 3)).roots) == 18
+    count = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
+             "C": lambda n: 2 * n * n, "D": lambda n: 2 * n * (n - 1),
+             "G": lambda n: 12}
+    for ct in SYSTEMS:
+        rs = rd.build_root_system(ct)
+        assert len(rs.roots) == count[ct.series](ct.rank), ct
+        assert len(rs.positive_roots) * 2 == len(rs.roots), ct
+
+
+def epsilon_model(series, n):
+    """(simple roots, set of roots) in orthonormal coordinates, from the
+    plates of Bourbaki, Lie Groups and Lie Algebras, ch. VI."""
+    def e(*pairs, dim=n):
+        v = [0] * dim
+        for i, x in pairs:
+            v[i] += x
+        return tuple(v)
+
+    if series == "A":
+        simples = [e((i, 1), (i + 1, -1), dim=n + 1) for i in range(n)]
+        roots = {e((i, 1), (j, -1), dim=n + 1)
+                 for i in range(n + 1) for j in range(n + 1) if i != j}
+        return simples, roots
+    if series == "G":
+        # the plane x + y + z = 0; alpha_1 long, alpha_2 short
+        simples = [e((0, -2), (1, 1), (2, 1), dim=3), e((0, 1), (1, -1), dim=3)]
+        roots = set()
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    k = 3 - i - j
+                    roots |= {e((i, 1), (j, -1), dim=3),
+                              e((i, 2), (j, -1), (k, -1), dim=3),
+                              e((i, -2), (j, 1), (k, 1), dim=3)}
+        return simples, roots
+    long_pairs = {e((i, a), (j, b)) for i in range(n) for j in range(n) if i != j
+                  for a in (1, -1) for b in (1, -1)}
+    simples = [e((i, 1), (i + 1, -1)) for i in range(n - 1)]
+    if series == "B":
+        return simples + [e((n - 1, 1))], long_pairs | {e((i, a)) for i in range(n)
+                                                         for a in (1, -1)}
+    if series == "C":
+        return simples + [e((n - 1, 2))], long_pairs | {e((i, 2 * a)) for i in range(n)
+                                                         for a in (1, -1)}
+    return simples + [e((n - 2, 1), (n - 1, 1))], long_pairs
+
+
+def in_epsilon(coeffs, simples):
+    return tuple(sum(c * v[t] for c, v in zip(coeffs, simples))
+                 for t in range(len(simples[0])))
+
+
+def test_roots_match_epsilon_model():
+    for ct in SYSTEMS:
+        rs = rd.build_root_system(ct)
+        simples, roots = epsilon_model(ct.series, ct.rank)
+        assert {in_epsilon(r, simples) for r in rs.roots} == roots, ct
+
+
+def test_highest_root_is_highest():
+    """theta is a root, and theta + alpha_i is none for every simple root
+    alpha_i of theta's component; root membership from the epsilon model."""
+    for ct in SYSTEMS:
+        rs = rd.build_root_system(ct)
+        simples, roots = epsilon_model(ct.series, ct.rank)
+        assert len(rs.highest_roots) == len(rs.components), ct
+        for theta, comp in zip(rs.highest_roots, rs.components):
+            assert in_epsilon(theta, simples) in roots, ct
+            for i in comp:
+                up = tuple(t + (k == i) for k, t in enumerate(theta))
+                assert in_epsilon(up, simples) not in roots, (ct, theta, i)
 
 
 def test_affine_simple_counts():
@@ -43,13 +115,13 @@ def test_affine_simple_counts():
 
 
 def test_pairing_is_cartan_matrix():
-    for ct in [rd.CartanType(s, r) for s, r in
-               [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]]:
+    for ct in SYSTEMS:
         rs = rd.build_root_system(ct)
         for i in range(rs.rank):
             for j in range(rs.rank):
                 assert rs.pairing(rs.simple_roots[i], rs.simple_roots[j]) == rs.cartan[i][j]
-            assert rs.pairing(rs.simple_roots[i], rs.simple_roots[i]) == 2
+        for alpha in rs.roots:
+            assert rs.pairing(alpha, alpha) == 2, (ct, alpha)
 
 
 def test_weyl_orders():
