@@ -2,9 +2,18 @@
 
 Subcommands: orbits, dual-map, unramified, arthur-wf, local-wf, selftest.
 Human-readable tables by default, stable JSON with --json (schema-versioned,
-byte-identical across runs).  Computed unramified tables can be cached on
-disk (--cache-dir or ORBITCALC_CACHE); a corrupt cache is ignored with a
-warning and recomputed.
+byte-identical across runs).
+
+unramified, arthur-wf and local-wf keep their results in one on-disk store
+(--cache-dir or ORBITCALC_CACHE).  An entry's key holds the command, the
+normalised system, the exact inputs (the --dual-orbit text, the bytes of
+the --data file), SCHEMA_VERSION, the package version and a CRC-32 of the
+package's own sources, so that entries written by other code are never
+read.  An entry holds its key and both renderings (JSON and text); one that
+is not whole, or that answers another query, is ignored with a warning and
+recomputed.  The mathematical modules run only when first used (see
+orbitcalc/__init__.py), so a stored answer is printed before any of them
+does.
 
 Exit codes: 0 success, 1 computational error, 2 usage error (also for
 arguments and data files that cannot be parsed).
@@ -13,19 +22,23 @@ arguments and data files that cannot be parsed).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+import zlib
 
+# each runs on first use (see __init__); a stored answer is printed before
+# any of them does
+from . import __version__
 from . import balacarter as bc
+from . import chartab
 from . import duality as du
+from . import orbits
+from . import partitions as pt
 from . import wavefront as wf
-from .chartab import CharError
-from .orbits import (NilpotentOrbit, OrbitError, enumerate_orbits,
-                     hasse_edges, is_special, dual_ls, dual_bv,
-                     orbit_dimension, weighted_dynkin)
-from .partitions import PartitionError, parse_partition
-from .rootdata import CartanType, RootDataError
+from . import weylrep
+from .cartantype import CartanType, RootDataError
 
 SCHEMA_VERSION = 1
 
@@ -41,20 +54,20 @@ def _cartan_type(args) -> CartanType:
         raise UsageError(str(exc))
 
 
-def parse_orbit(ct: CartanType, text: str) -> NilpotentOrbit:
+def parse_orbit(ct: CartanType, text: str) -> orbits.NilpotentOrbit:
     if ct.series == "G":
-        return NilpotentOrbit(ct, g2_label=text)
+        return orbits.NilpotentOrbit(ct, g2_label=text)
     mark = None
     if text.endswith(("-I", "-II")):
         text, mark = text.rsplit("-", 1)
     try:
-        partition = parse_partition(text)
-    except PartitionError:
+        partition = pt.parse_partition(text)
+    except pt.PartitionError:
         raise
     except ValueError:
         raise UsageError(f"cannot parse the orbit {text!r}; "
                          f"expected parts such as 2,1") from None
-    return NilpotentOrbit(ct, partition=partition, mark=mark)
+    return orbits.NilpotentOrbit(ct, partition=partition, mark=mark)
 
 
 def _dump_json(payload) -> str:
@@ -63,29 +76,57 @@ def _dump_json(payload) -> str:
 
 
 # ---------------------------------------------------------------------
-# cache
+# the result store
 # ---------------------------------------------------------------------
 
-# the keys of each cached payload (only unramified tables are cached)
-PAYLOAD_KEYS = {"unramified": frozenset({
-    "command", "series", "rank", "isogeny", "abc_pairs", "classes", "rows",
-    "hasse_A"})}
+# the keys of each stored payload: the --json fields and the text rendering
+PAYLOAD_KEYS = {
+    "unramified": frozenset({"command", "series", "rank", "isogeny", "abc_pairs",
+                             "classes", "rows", "hasse_A", "text"}),
+    "arthur-wf": frozenset({"command", "series", "rank", "isogeny", "dual_orbit",
+                            "canonical", "geometric", "text"}),
+    "local-wf": frozenset({"command", "series", "rank", "isogeny", "canonical",
+                           "geometric", "text"}),
+}
 
 
 def _cache_dir(args):
     return args.cache_dir or os.environ.get("ORBITCALC_CACHE")
 
 
-def _cache_path(cdir, kind, ct):
-    name = f"{kind}-{ct.series}{ct.rank}-{ct.isogeny}-v{SCHEMA_VERSION}.json"
+def source_checksum() -> int:
+    """CRC-32 of the package's own *.py files (names and bytes)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    crc = 0
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with io.open_code(os.path.join(here, name)) as fh:
+                crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+    return crc
+
+
+def _store_key(kind, ct, inputs):
+    return {"command": kind, "system": [ct.series, ct.rank, ct.isogeny],
+            "inputs": inputs, "schema": SCHEMA_VERSION, "version": __version__,
+            "source": source_checksum()}
+
+
+def _cache_path(cdir, kind, ct, key):
+    digest = zlib.crc32(json.dumps(key, sort_keys=True).encode())
+    name = (f"{kind}-{ct.series}{ct.rank}-{ct.isogeny}-v{SCHEMA_VERSION}"
+            f"-{digest:08x}.json")
     return os.path.join(cdir, name)
 
 
-def cache_load(args, kind, ct):
+def cache_load(args, kind, ct, inputs=None):
+    """The stored payload of `kind` for ct and inputs (with its "schema"),
+    or None.  inputs is what the key records beside the system: the
+    --dual-orbit text or the --data file's bytes read as latin-1."""
     cdir = _cache_dir(args)
     if not cdir:
         return None
-    path = _cache_path(cdir, kind, ct)
+    key = _store_key(kind, ct, inputs)
+    path = _cache_path(cdir, kind, ct, key)
     if not os.path.exists(path):
         return None
     try:
@@ -95,30 +136,32 @@ def cache_load(args, kind, ct):
             raise ValueError("not a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             return None
-        missing = PAYLOAD_KEYS[kind] - data.keys()
+        missing = (PAYLOAD_KEYS[kind] | {"key"}) - data.keys()
         if missing:
             raise ValueError(f"missing {sorted(missing)}")
-        names = (data["command"], data["series"], data["rank"], data["isogeny"])
-        if names != (kind, ct.series, ct.rank, ct.isogeny):
-            raise ValueError(f"holds the table of {names}")
+        # the file name holds only a CRC of the key: compare it whole
+        stored = data.pop("key")
+        if stored != key:
+            raise ValueError(f"holds the entry of {stored}")
         return data
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
         return None
 
 
-def cache_store(args, kind, ct, payload):
+def cache_store(args, kind, ct, payload, inputs=None):
     cdir = _cache_dir(args)
     if not cdir:
         return
-    path = _cache_path(cdir, kind, ct)
+    key = _store_key(kind, ct, inputs)
+    path = _cache_path(cdir, kind, ct, key)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(cdir, exist_ok=True)
         # written aside and renamed: a reader at `path` meets the previous
         # file or the whole new one, never a part
         with open(tmp, "w") as fh:
-            fh.write(_dump_json(payload))
+            fh.write(_dump_json({**payload, "key": key}))
         os.replace(tmp, path)
     except OSError as exc:
         print(f"warning: cache not writable ({exc}); continuing in memory",
@@ -128,20 +171,34 @@ def cache_store(args, kind, ct, payload):
             os.remove(tmp)
 
 
+def _serve(args, kind, ct, inputs, compute):
+    """Print the payload of `kind` for ct and inputs, from the store or
+    from compute() (and then stored)."""
+    payload = cache_load(args, kind, ct, inputs)
+    if payload is None:
+        payload = compute()
+        cache_store(args, kind, ct, payload, inputs)
+    if args.json:
+        sys.stdout.write(_dump_json({k: v for k, v in payload.items()
+                                     if k != "text"}))
+    else:
+        sys.stdout.write(payload["text"])
+    return 0
+
+
 # ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
 
 def cmd_orbits(args):
     ct = _cartan_type(args)
-    orbs = enumerate_orbits(ct)
     rows = []
-    for o in orbs:
+    for o in orbits.enumerate_orbits(ct):
         rows.append({"orbit": o.to_json(), "label": o.label(),
-                     "wdd": weighted_dynkin(o).to_json(),
-                     "dim": orbit_dimension(o),
-                     "special": is_special(o)})
-    edges = [[a.label(), b.label()] for a, b in hasse_edges(ct)]
+                     "wdd": orbits.weighted_dynkin(o).to_json(),
+                     "dim": orbits.orbit_dimension(o),
+                     "special": orbits.is_special(o)})
+    edges = [[a.label(), b.label()] for a, b in orbits.hasse_edges(ct)]
     payload = {"command": "orbits", "series": ct.series, "rank": ct.rank,
                "isogeny": ct.isogeny, "orbits": rows, "hasse": edges}
     if args.json:
@@ -162,12 +219,12 @@ def cmd_orbits(args):
 def cmd_dual_map(args):
     ct = _cartan_type(args)
     rows = []
-    for o in enumerate_orbits(ct):
-        rows.append({"orbit": o.label(), "special": is_special(o),
-                     "dual_ls": dual_ls(o).label()})
+    for o in orbits.enumerate_orbits(ct):
+        rows.append({"orbit": o.label(), "special": orbits.is_special(o),
+                     "dual_ls": orbits.dual_ls(o).label()})
     bv = []
-    for o in enumerate_orbits(ct.dual):
-        bv.append({"dual_orbit": o.label(), "orbit": dual_bv(o).label()})
+    for o in orbits.enumerate_orbits(ct.dual):
+        bv.append({"dual_orbit": o.label(), "orbit": orbits.dual_bv(o).label()})
     payload = {"command": "dual-map", "series": ct.series, "rank": ct.rank,
                "isogeny": ct.isogeny, "lusztig_spaltenstein": rows,
                "barbasch_vogan": bv}
@@ -201,72 +258,63 @@ def _unramified_payload(ct: CartanType):
                       [b.orbit.label(), b.dual_orbit.label()]])
     npairs = len(bc.enumerate_pairs(ct))
     nclasses = len(bc.classes(ct))
-    return {"command": "unramified", "series": ct.series, "rank": ct.rank,
-            "isogeny": ct.isogeny, "abc_pairs": npairs, "classes": nclasses,
-            "rows": rows, "hasse_A": edges}
-
-
-def cmd_unramified(args):
-    ct = _cartan_type(args)
-    payload = cache_load(args, "unramified", ct)
-    if payload is None:
-        payload = _unramified_payload(ct)
-        cache_store(args, "unramified", ct, payload)
-    else:
-        payload.pop("schema", None)
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-        return 0
-    print(f"unramified nilpotent orbit classes for {ct} ({ct.isogeny})")
-    print(f"  affine Bala-Carter pairs: {payload['abc_pairs']}, "
-          f"classes: {payload['classes']}, invariants: {len(payload['rows'])}")
-    for r in payload["rows"]:
+    lines = [f"unramified nilpotent orbit classes for {ct} ({ct.isogeny})",
+             f"  affine Bala-Carter pairs: {npairs}, "
+             f"classes: {nclasses}, invariants: {len(rows)}"]
+    for r in rows:
         rep = r["representative"]
         pair = f"J={{{','.join('a%d' % i for i in rep['J'])}}}" \
                f" J'={{{','.join('a%d' % i for i in rep['Jprime'])}}}"
         name = f" class={r['class_name']}" if "class_name" in r else ""
-        print(f"  ({r['orbit_label']}, {r['dual_orbit_label']}^v)"
-              f"  x{r['members']}  {pair}{name}")
-    return 0
+        lines.append(f"  ({r['orbit_label']}, {r['dual_orbit_label']}^v)"
+                     f"  x{r['members']}  {pair}{name}")
+    return {"command": "unramified", "series": ct.series, "rank": ct.rank,
+            "isogeny": ct.isogeny, "abc_pairs": npairs, "classes": nclasses,
+            "rows": rows, "hasse_A": edges, "text": "\n".join(lines) + "\n"}
+
+
+def cmd_unramified(args):
+    ct = _cartan_type(args)
+    return _serve(args, "unramified", ct, None, lambda: _unramified_payload(ct))
 
 
 def cmd_arthur_wf(args):
     ct = _cartan_type(args)
-    dual = parse_orbit(CartanType(ct.dual.series, ct.rank, ct.dual.isogeny),
-                       args.dual_orbit)
-    res = wf.arthur_wf(ct, dual)
-    payload = {"command": "arthur-wf", "series": ct.series, "rank": ct.rank,
-               "isogeny": ct.isogeny, "dual_orbit": dual.to_json(),
-               **res.to_json()}
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-        return 0
-    print(f"spherical representation of {ct} with dual-side parameter "
-          f"{dual.label()}:")
-    print(f"  {res}")
-    return 0
+
+    def compute():
+        dual = parse_orbit(CartanType(ct.dual.series, ct.rank, ct.dual.isogeny),
+                           args.dual_orbit)
+        res = wf.arthur_wf(ct, dual)
+        return {"command": "arthur-wf", "series": ct.series, "rank": ct.rank,
+                "isogeny": ct.isogeny, "dual_orbit": dual.to_json(),
+                **res.to_json(),
+                "text": f"spherical representation of {ct} with dual-side "
+                        f"parameter {dual.label()}:\n  {res}\n"}
+
+    return _serve(args, "arthur-wf", ct, args.dual_orbit, compute)
 
 
 def cmd_local_wf(args):
     ct = _cartan_type(args)
-    with open(args.data) as fh:
+    with open(args.data, "rb") as fh:
+        raw = fh.read()
+
+    def compute():
         try:
-            data = wf.restriction_data_from_json(json.load(fh))
+            # decoded as open() in text mode would
+            text = io.TextIOWrapper(io.BytesIO(raw)).read()
+            data = wf.restriction_data_from_json(json.loads(text))
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"{args.data} is not restriction data "
                              f"({type(exc).__name__}: {exc})") from None
-    res = wf.local_wf(ct, data)
-    payload = {"command": "local-wf", "series": ct.series, "rank": ct.rank,
-               "isogeny": ct.isogeny, **res.to_json()}
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-        return 0
-    print(res)
-    return 0
+        res = wf.local_wf(ct, data)
+        return {"command": "local-wf", "series": ct.series, "rank": ct.rank,
+                "isogeny": ct.isogeny, **res.to_json(), "text": f"{res}\n"}
+
+    return _serve(args, "local-wf", ct, raw.decode("latin-1"), compute)
 
 
 def cmd_selftest(args):
-    from . import partitions as pt
     failures = 0
 
     def require(cond, what):
@@ -302,9 +350,8 @@ def cmd_selftest(args):
         require(duals == {"A1", "A1~", "G2(a1)"}, f"G2(a1) duals {duals}")
 
     def orthogonality_suite():
-        from .weylrep import ambient_context
         for ct in [CartanType("B", 2), CartanType("G", 2)]:
-            ctx = ambient_context(ct)
+            ctx = weylrep.ambient_context(ct)
             reps = ctx.irreps()
             for i, a in enumerate(reps):
                 for b in reps[i:]:
@@ -312,30 +359,30 @@ def cmd_selftest(args):
                             f"<{a}, {b}> in {ct}")
 
     def arthur_suite():
-        from .orbits import zero_orbit
         for ct in [CartanType("A", 2), CartanType("B", 2), CartanType("G", 2)]:
-            for o in enumerate_orbits(ct.dual):
+            for o in orbits.enumerate_orbits(ct.dual):
                 require(wf.cross_check_arthur(ct, o), f"{ct} at {o}")
             require(wf.local_wf(ct, wf.steinberg_pattern(ct)) ==
-                    wf.arthur_wf(ct, zero_orbit(ct.dual)), f"Steinberg of {ct}")
+                    wf.arthur_wf(ct, orbits.zero_orbit(ct.dual)),
+                    f"Steinberg of {ct}")
 
     def orbit_suite():
-        from .orbits import orbit_from_wdd
         for ct in [CartanType("B", 3), CartanType("C", 3), CartanType("D", 4)]:
-            for o in enumerate_orbits(ct):
-                require(orbit_from_wdd(weighted_dynkin(o)) == o, f"diagram of {o}")
-                d = dual_ls(o)
-                require(is_special(d) and dual_ls(dual_ls(d)) == d, f"d_LS at {o}")
+            for o in orbits.enumerate_orbits(ct):
+                require(orbits.orbit_from_wdd(orbits.weighted_dynkin(o)) == o,
+                        f"diagram of {o}")
+                d = orbits.dual_ls(o)
+                require(orbits.is_special(d) and orbits.dual_ls(orbits.dual_ls(d)) == d,
+                        f"d_LS at {o}")
 
     def lifting_suite():
-        from .orbits import regular_orbit, zero_orbit
         for ct in [CartanType("B", 3), CartanType("G", 2)]:
             delta = frozenset(range(1, ct.rank + 1))
             pair = bc.ABCPair(delta, frozenset())
             orbs = bc.distinguished_factor_orbits(ct, pair)
-            require(bc.saturation(ct, delta, orbs) == regular_orbit(ct),
+            require(bc.saturation(ct, delta, orbs) == orbits.regular_orbit(ct),
                     f"regular saturation in {ct}")
-            require(bc.saturation(ct, frozenset(), ()) == zero_orbit(ct),
+            require(bc.saturation(ct, frozenset(), ()) == orbits.zero_orbit(ct),
                     f"zero saturation in {ct}")
 
     print("selftest:")
@@ -407,11 +454,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OrbitError, PartitionError, CharError, du.DualityError,
-            wf.WavefrontError, bc.ABCError, RootDataError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    # last, since naming these classes loads their modules
+    except (orbits.OrbitError, pt.PartitionError, chartab.CharError,
+            du.DualityError, wf.WavefrontError, bc.ABCError,
+            RootDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,52 +29,14 @@ finite node alpha_i is index i (components are concatenated).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
 from .linalg import hermite_row_basis, identity, mat_inv, mat_vec, transpose
 
-SERIES = ("A", "B", "C", "D", "G")
 WEYL_ENUM_RANK_CAP = 6
-
-
-class RootDataError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class CartanType:
-    series: str
-    rank: int
-    isogeny: str = "adjoint"
-
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise RootDataError(f"unknown series {self.series!r}")
-        if self.isogeny not in ("adjoint", "simply_connected"):
-            raise RootDataError(f"unknown isogeny {self.isogeny!r}")
-        if self.rank < 1:
-            raise RootDataError("rank must be positive")
-        if self.series == "G" and self.rank != 2:
-            raise RootDataError("series G requires rank 2")
-        if self.series == "D" and self.rank < 2:
-            raise RootDataError("series D requires rank >= 2")
-        if self.series in ("B", "C") and self.rank < 2:
-            # B1 and C1 have the same root datum as A1
-            warnings.warn(f"{self.series}1 normalized to A1", stacklevel=3)
-            object.__setattr__(self, "series", "A")
-
-    @property
-    def dual(self) -> "CartanType":
-        dual_series = {"A": "A", "B": "C", "C": "B", "D": "D", "G": "G"}[self.series]
-        dual_isogeny = {"adjoint": "simply_connected",
-                        "simply_connected": "adjoint"}[self.isogeny]
-        return CartanType(dual_series, self.rank, dual_isogeny)
-
-    def __str__(self):
-        return f"{self.series}{self.rank}"
 
 
 def cartan_matrix(series: str, rank: int):

@@ -146,12 +146,19 @@ def restriction_data_from_json(records) -> dict:
             return tuple(detuple(t) for t in x)
         return x
 
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
     out = {}
     for rec in records:
-        j = frozenset(int(x) for x in rec["J"])
-        items = [(detuple(item["label"]), int(item["mult"]))
-                 for item in rec["irreps"]]
-        out[j] = items
+        if not isinstance(rec["J"], list) or not all(map(is_int, rec["J"])):
+            raise TypeError(f'"J" must be a list of node numbers, not {rec["J"]!r}')
+        items = []
+        for item in rec["irreps"]:
+            if not is_int(item["mult"]):
+                raise TypeError(f'"mult" must be an integer, not {item["mult"]!r}')
+            items.append((detuple(item["label"]), item["mult"]))
+        out[frozenset(rec["J"])] = items
     return out
 
 

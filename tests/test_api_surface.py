@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orbitcalc import (CartanType, NilpotentOrbit, ambient_context,
                        enumerate_nobc, leq_A, orbit_s, pair_saturation,
                        sommers_dual)
@@ -48,3 +50,43 @@ def test_sommers_dual_is_exported_and_total():
     assert sommers_dual(ct, frozenset(), ()) == regular_orbit(ct.dual)
     bottom = du.UnramifiedClassInvariant(zero_orbit(ct), regular_orbit(ct.dual))
     assert leq_A(bottom, bottom)
+
+
+# orbitcalc.__all__ before the package re-exported lazily
+PUBLIC_NAMES = [
+    "ABCPair", "AffineSubspace", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",
+    "RootSystem", "UnramifiedClassInvariant", "WavefrontResult",
+    "WeightedDynkinDiagram", "WeylContext", "WeylElement", "WeylIrrep",
+    "achar_dual_one", "alcove_symmetries", "ambient_context", "arthur_wf",
+    "balacarter", "build_root_system", "chartab", "classes", "closure_leq",
+    "cross_check_arthur", "dominant_conjugate", "dual_bv", "dual_ls", "duality",
+    "enumerate_nobc", "enumerate_orbits", "enumerate_pairs", "equivalent",
+    "face_hull", "families", "induce_multiplicity", "invariant_of", "is_special",
+    "j_induce", "leq_A", "linalg", "local_wf", "orbit_dimension",
+    "orbit_from_wdd", "orbit_s", "orbits", "pair_saturation", "partitions",
+    "regular_orbit", "rootdata", "saturation", "sommers_dual", "special_member",
+    "springer_orbit", "steinberg_pattern", "subgroup_context", "trivial_pattern",
+    "wavefront", "weighted_dynkin", "weyl_group", "weylrep", "zero_orbit",
+]
+
+
+def test_public_names_still_importable():
+    """Each name is read from its submodule on first access."""
+    import sys
+    import types
+
+    import orbitcalc
+    assert orbitcalc.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from orbitcalc import *", namespace)
+    for name in PUBLIC_NAMES:
+        value = namespace[name]
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"orbitcalc.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+            assert value.__module__.startswith("orbitcalc.")
+        assert getattr(orbitcalc, name) is value
+    assert set(PUBLIC_NAMES) <= set(dir(orbitcalc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        orbitcalc.no_such_name

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -11,11 +12,18 @@ import pytest
 from orbitcalc import cli
 from orbitcalc.rootdata import CartanType
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def test_unramified_g2(capsys):
@@ -178,11 +186,16 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '{"J": [0]}', 2),
     (["local-wf"], '[{"J": [0]}]', 2),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [2, 1], "mult": "x"}]}]', 2),
+    (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": 1.9}]}]', 2),
+    (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": true}]}]', 2),
+    (["local-wf"], '[{"J": "12", "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1.0, 2], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
     # well-formed input naming what does not exist: computational errors
     (["arthur-wf", "--dual-orbit", "2,2"], None, 1),
     (["local-wf"], '[{"J": [9], "irreps": [{"label": [2, 1], "mult": 1}]}]', 1),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
 ], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
+        "mult-float", "mult-bool", "J-string", "J-float",
         "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     if data is not None:
@@ -244,12 +257,229 @@ def test_local_wf_b5_d4xa1_degenerate_character(tmp_path):
     f = tmp_path / "data.json"
     f.write_text(json.dumps(
         [{"J": [0, 1, 2, 3, 5], "irreps": [{"label": [[[[2], [2]], 1], [2]], "mult": 1}]}]))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitcalc.cli", "local-wf", "--type", "B", "--rank", "5",
-         "--data", str(f), "--json"], capture_output=True, text=True, env=env)
+         "--data", str(f), "--json"], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["canonical"]
+
+
+# ---------------------------------------------------------------------
+# the result store shared by unramified, arthur-wf and local-wf
+# ---------------------------------------------------------------------
+
+STORED = ("unramified", "arthur-wf", "local-wf")
+MATH = ("balacarter", "weylrep", "chartab", "duality", "wavefront", "orbits",
+        "partitions")
+
+
+def _query(tmp_path, kind, variant=0):
+    """(argv, system, key inputs) of a query of `kind` on B2; variants
+    differ in their inputs only."""
+    ct = CartanType("B", 2)
+    argv = [kind, "--type", "B", "--rank", "2"]
+    if kind == "unramified":
+        return argv, ct, None
+    if kind == "arthur-wf":
+        orbit = ("2,2", "1,1,1,1")[variant]
+        return argv + ["--dual-orbit", orbit], ct, orbit
+    from orbitcalc import wavefront as wfmod
+    pattern = (wfmod.steinberg_pattern, wfmod.trivial_pattern)[variant]
+    f = tmp_path / f"data{variant}.json"
+    f.write_text(json.dumps(wfmod.restriction_data_to_json(pattern(ct))))
+    return argv + ["--data", str(f)], ct, f.read_bytes().decode("latin-1")
+
+
+def _entry_path(store, kind, ct, inputs):
+    return cli._cache_path(str(store), kind, ct, cli._store_key(kind, ct, inputs))
+
+
+@pytest.mark.parametrize("kind", STORED)
+def test_store_hit_prints_what_a_miss_prints(tmp_path, capsys, kind):
+    argv, _, _ = _query(tmp_path, kind)
+    plain = {mode: run(capsys, *argv, *mode) for mode in (("--json",), ())}
+    assert all(rc == 0 and out and err == "" for rc, out, err in plain.values())
+    # a miss, a hit in the same rendering, a hit in the other: one entry
+    # serves both
+    for first, second in [(("--json",), ()), ((), ("--json",))]:
+        store = tmp_path / f"store{len(first)}"
+        for mode in (first, first, second):
+            assert run(capsys, *argv, *mode, "--cache-dir", str(store)) == plain[mode]
+        assert len(list(store.iterdir())) == 1
+
+
+@pytest.mark.parametrize("kind", STORED)
+def test_store_truncated_entry_recomputed(tmp_path, capsys, kind):
+    argv, ct, inputs = _query(tmp_path, kind)
+    argv += ["--json", "--cache-dir", str(tmp_path / "store")]
+    rc, out, _ = run(capsys, *argv)
+    path = _entry_path(tmp_path / "store", kind, ct, inputs)
+    with open(path, "rb") as fh:
+        whole = fh.read()
+    with open(path, "r+b") as fh:
+        fh.truncate(len(whole) // 2)
+    rc2, out2, err2 = run(capsys, *argv)
+    assert (rc2, out2) == (rc, out) and "corrupt" in err2
+    # recomputed and stored whole again
+    with open(path, "rb") as fh:
+        assert fh.read() == whole
+    assert run(capsys, *argv) == (rc, out, "")
+
+
+@pytest.mark.parametrize("kind", ["arthur-wf", "local-wf"])
+def test_store_refuses_another_querys_entry(tmp_path, capsys, kind):
+    """An entry found at a query's path that records other inputs (a CRC
+    collision of the file name, or a copied file) is not served."""
+    store = tmp_path / "store"
+    argv0, ct, inputs0 = _query(tmp_path, kind, 0)
+    argv1, _, inputs1 = _query(tmp_path, kind, 1)
+    _, out0, _ = run(capsys, *argv0, "--json", "--cache-dir", str(store))
+    rc, out1, _ = run(capsys, *argv1, "--json")
+    assert out1 != out0
+    other = _entry_path(store, kind, ct, inputs1)
+    with open(_entry_path(store, kind, ct, inputs0), "rb") as src, \
+            open(other, "wb") as dst:
+        dst.write(src.read())
+    rc2, out2, err = run(capsys, *argv1, "--json", "--cache-dir", str(store))
+    assert (rc2, out2) == (rc, out1)
+    assert "corrupt" in err and "holds the entry of" in err
+
+
+@pytest.mark.parametrize("bump", ["version", "source"])
+def test_store_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch, bump):
+    """A new package version or any edit of the sources gives new keys: the
+    old entry is left in place and not read."""
+    argv, ct, inputs = _query(tmp_path, "arthur-wf")
+    argv += ["--json", "--cache-dir", str(tmp_path)]
+    ns = types.SimpleNamespace(cache_dir=str(tmp_path))
+    rc, out, _ = run(capsys, *argv)
+    assert cli.cache_load(ns, "arthur-wf", ct, inputs) is not None
+    if bump == "version":
+        monkeypatch.setattr(cli, "__version__", cli.__version__ + "+1")
+    else:
+        checksum = cli.source_checksum
+        monkeypatch.setattr(cli, "source_checksum", lambda: checksum() ^ 1)
+    assert cli.cache_load(ns, "arthur-wf", ct, inputs) is None
+    assert run(capsys, *argv) == (rc, out, "")
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_source_checksum_covers_every_source_file(tmp_path, monkeypatch):
+    pkg = os.path.join(SRC, "orbitcalc")
+    copy = tmp_path / "orbitcalc"
+    copy.mkdir()
+    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
+    for n in names:
+        shutil.copyfile(os.path.join(pkg, n), copy / n)
+    monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    seen = {cli.source_checksum()}
+    for n in names:
+        with open(copy / n, "a") as fh:
+            fh.write("\n")
+        seen.add(cli.source_checksum())
+    assert len(seen) == len(names) + 1
+
+
+_WRITER = """
+import json, sys, time, types
+from orbitcalc import cli
+from orbitcalc.rootdata import CartanType
+args = types.SimpleNamespace(cache_dir=sys.argv[1])
+with open(sys.argv[2]) as fh:
+    payload = json.load(fh)
+end = time.monotonic() + float(sys.argv[3])
+while time.monotonic() < end:
+    cli.cache_store(args, "unramified", CartanType("A", 1), payload)
+"""
+
+_READER = """
+import json, sys, time, types
+from orbitcalc import cli
+from orbitcalc.rootdata import CartanType
+args = types.SimpleNamespace(cache_dir=sys.argv[1])
+variants = []
+for path in sys.argv[3:]:
+    with open(path) as fh:
+        variants.append({"schema": cli.SCHEMA_VERSION, **json.load(fh)})
+seen = {"miss": 0, "whole": 0}
+end = time.monotonic() + float(sys.argv[2])
+while time.monotonic() < end:
+    got = cli.cache_load(args, "unramified", CartanType("A", 1))
+    if got is None:
+        seen["miss"] += 1
+    elif got in variants:
+        seen["whole"] += 1
+    else:
+        sys.exit("read an entry that neither writer wrote")
+print(json.dumps(seen))
+"""
+
+
+def test_store_concurrent_writers_and_reader(tmp_path):
+    """Two processes rewrite one entry while a third reads it: every read
+    is a whole entry or a miss, never an error or a mixture."""
+    payload = cli._unramified_payload(CartanType("A", 1))
+    files = []
+    for i, rows in enumerate((payload["rows"], payload["rows"] * 200)):
+        files.append(tmp_path / f"payload{i}.json")
+        files[-1].write_text(json.dumps({**payload, "rows": rows}))
+    store, seconds = str(tmp_path / "store"), "2"
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, store, str(f), seconds],
+                              env=_src_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for f in files]
+    procs.append(subprocess.Popen([sys.executable, "-c", _READER, store, seconds,
+                                   *map(str, files)], env=_src_env(),
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True))
+    results = []
+    try:
+        for proc in procs:
+            results.append(proc.communicate(timeout=60))
+    finally:
+        for proc in procs:
+            proc.kill()
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+        assert err == ""
+    seen = json.loads(results[-1][0])
+    assert seen["whole"] > 0
+    assert sorted(os.listdir(store)) == [os.path.basename(
+        _entry_path(store, "unramified", CartanType("A", 1), None))]
+
+
+_REPORT = """
+import json, sys, types
+from orbitcalc import cli
+rc = cli.main(sys.argv[1:])
+# an unused lazily bound module sits in sys.modules unexecuted, as an
+# instance of a subclass of ModuleType
+loaded = sorted(name for name, m in sys.modules.items()
+                if name.startswith("orbitcalc.") and type(m) is types.ModuleType)
+print("loaded: " + json.dumps(loaded), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("kind", STORED)
+def test_store_hit_loads_no_mathematics(tmp_path, kind):
+    argv, _, _ = _query(tmp_path, kind)
+    if kind == "unramified":  # normalised to A1 with a warning
+        argv = ["unramified", "--type", "C", "--rank", "1"]
+    argv += ["--cache-dir", str(tmp_path / "store")]
+    runs = []
+    for mode in (["--json"], ["--json"], [], []):
+        proc = subprocess.run([sys.executable, "-c", _REPORT, *argv, *mode],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        err, _, report = proc.stderr.rpartition("loaded: ")
+        runs.append(((proc.returncode, proc.stdout, err), json.loads(report)))
+    math = {f"orbitcalc.{m}" for m in MATH}
+    assert "orbitcalc.duality" in runs[0][1]  # the miss computes
+    for i in (1, 2, 3):
+        assert not math & set(runs[i][1]), runs[i][1]
+    # a hit prints, warns and exits as the miss did
+    assert runs[0][0] == runs[1][0] and runs[2][0] == runs[3][0]
+    assert runs[0][0][0] == 0
+    if kind == "unramified":
+        assert "C1 normalized to A1" in runs[1][0][2]
