@@ -1,7 +1,9 @@
 """The name of a split reductive group: series, rank and isogeny.
 
 Kept apart from rootdata so that validating a system, as every command
-does first, loads none of the root-system code.
+does first, loads none of the root-system code.  It defines no public
+function: perfbench/tracer.py keeps self time only for the modules in its
+MODULES list and fails on a traced call from any other.
 """
 
 from __future__ import annotations
