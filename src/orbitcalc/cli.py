@@ -142,7 +142,9 @@ def cache_load(args, kind, ct, inputs=None):
         # the file name holds only a CRC of the key: compare it whole
         stored = data.pop("key")
         if stored != key:
-            raise ValueError(f"holds the entry of {stored}")
+            differ = [k for k in key
+                      if not isinstance(stored, dict) or stored.get(k) != key[k]]
+            raise ValueError(f"holds the entry for another {', '.join(differ)}")
         return data
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)

@@ -343,7 +343,7 @@ def test_store_refuses_another_querys_entry(tmp_path, capsys, kind):
         dst.write(src.read())
     rc2, out2, err = run(capsys, *argv1, "--json", "--cache-dir", str(store))
     assert (rc2, out2) == (rc, out1)
-    assert "corrupt" in err and "holds the entry of" in err
+    assert "corrupt" in err and "holds the entry for another inputs" in err
 
 
 @pytest.mark.parametrize("bump", ["version", "source"])
