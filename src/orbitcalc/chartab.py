@@ -18,16 +18,23 @@ the cycles of that signed permutation are the class label.  A split
 type-D class gets its sign from the signed permutation alone (the parity
 of the sign changes of a W(B_k)-conjugator onto the representative with
 positive consecutive cycles; see _split_sign), with no group search.
+
+No group is enumerated: factor_classes lists each factor's classes with
+their sizes, |W| over the centralizer order (Geck-Pfeiffer 2000, 3.4;
+Carter 1972), and FactorClassifier.representative builds one element of
+a class as a product of reflections in roots read off the frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import partitions as pt
 from .rootdata import (CartanType, RootSystem, WeylElement,
-                       connected_components, reflection_closure)
+                       connected_components, reflection_closure,
+                       reflection_in_root)
 
 
 class CharError(ValueError):
@@ -131,6 +138,9 @@ G2_CHAR = {
     "phi(2,1)":  {"1": 2, "r1": 1, "r2": -1, "r3": -2, "sl": 0, "ss": 0},
     "phi(2,2)":  {"1": 2, "r1": -1, "r2": -1, "r3": 2, "sl": 0, "ss": 0},
 }
+# class sizes in W(G2): the reflections fall into two classes of three,
+# the rotations by 60 and 120 degrees into pairs
+G2_CLASS_SIZES = {"1": 1, "sl": 3, "ss": 3, "r1": 2, "r2": 2, "r3": 1}
 G2_B_INVARIANT = {"phi(1,0)": 0, "phi(1,6)": 6, "phi(1,3)l": 3,
                   "phi(1,3)s": 3, "phi(2,1)": 1, "phi(2,2)": 2}
 
@@ -182,6 +192,50 @@ def factor_irrep_labels(kind, rank):
     if kind == "G":
         return G2_IRREPS
     raise CharError(kind)
+
+
+def _centralizer_order(parts, scale):
+    """prod (scale*m)^{a_m} a_m!, a_m the multiplicity of the part m."""
+    out = 1
+    for m in set(parts):
+        a = parts.count(m)
+        out *= (scale * m) ** a * math.factorial(a)
+    return out
+
+
+@lru_cache(maxsize=None)
+def factor_classes(kind, rank):
+    """The conjugacy classes of W(kind_rank) as (label, size) pairs.
+
+    A size is |W| over the centralizer order: prod m^{a_m} a_m! in S_n,
+    and prod (2m)^{a_m+b_m} a_m! b_m! in W(B_n) for a_m positive and b_m
+    negative m-cycles.  A W(B_n)-class with an even number of negative
+    cycles lies in W(D_n), as one class of the same size unless it is
+    split (all cycles positive and even), then as two of half the size.
+    """
+    if kind == "G":
+        return tuple(G2_CLASS_SIZES.items())
+    if kind == "A":
+        n = math.factorial(rank + 1)
+        return tuple((alpha, n // _centralizer_order(alpha, 1))
+                     for alpha in pt.partitions_of(rank + 1))
+    if kind not in ("BC", "D"):
+        raise CharError(kind)
+    n = 2 ** rank * math.factorial(rank)
+    out = []
+    for k in range(rank + 1):
+        for alpha in pt.partitions_of(k):
+            for beta in pt.partitions_of(rank - k):
+                size = n // (_centralizer_order(alpha, 2) * _centralizer_order(beta, 2))
+                if kind == "BC":
+                    out.append(((alpha, beta), size))
+                elif len(beta) % 2:
+                    continue
+                elif beta or any(a % 2 for a in alpha):
+                    out.append(((alpha, beta, 0), size))
+                else:
+                    out += [((alpha, beta, 1), size // 2), ((alpha, beta, -1), size // 2)]
+    return tuple(out)
 
 
 def factor_char_value(kind, label, cls) -> int:
@@ -439,6 +493,15 @@ class FactorClassifier:
         self._cache[key] = out
         return out
 
+    def representative(self, cls) -> WeylElement:
+        """An element of the factor's class cls: a product of reflections
+        in roots of the factor (see _class_word)."""
+        rs = self.rs
+        w = WeylElement(rs, tuple(range(len(rs.roots))))
+        for root in _class_word(rs, self.factor, cls):
+            w = w * reflection_in_root(rs, root)
+        return w
+
     def _label(self, w):
         f = self.factor
         if f.kind == "G":
@@ -471,3 +534,51 @@ class FactorClassifier:
         if w.is_identity():
             return "1"
         return "r2" if all(p[p[p[i]]] == i for i in range(len(p))) else "r1"
+
+
+def _class_word(rs: RootSystem, f: EmbeddedFactor, cls):
+    """Roots whose reflections multiply to an element of the class cls.
+
+    The cycles take consecutive frame indices, positive cycles first; a
+    cycle on a..a+m-1 is s(e_a-e_{a+1})...s(e_{a+m-2}-e_{a+m-1}), where
+    e_a - e_b is (f_a - f_b)/(k+1) in type A_k and (f_a - f_b)/2 in types
+    B, C and D.  In types B and C a negative cycle takes one more sign
+    change on its last index j, s(e_j) = s(f_j/2) in B and s(2e_j) = s(f_j)
+    in C.  In type D the negative cycles are paired, each pair of last
+    indices a, b taking s(e_a-e_b)s(e_a+e_b), and the '-' split class
+    swaps the first s(e_0-e_1) for s(e_0+e_1), a conjugation by one sign
+    change.  G2: products of the reflections in its long and short simple
+    roots.
+    """
+    if f.kind == "G":
+        long, short = f.basis
+        return {"1": (), "sl": (long,), "ss": (short,), "r1": (long, short),
+                "r2": (long, short) * 2, "r3": (long, short) * 3}[cls]
+    frame = f.frame
+
+    def root(vec, d):
+        r = tuple(x // d for x in vec)
+        if any(x % d for x in vec) or r not in rs._root_index:
+            raise CharError(f"{vec}/{d} is not a root")
+        return r
+
+    def along(a, b, sign=-1):
+        d = f.rank + 1 if f.kind == "A" else 2
+        return root(tuple(x + sign * y for x, y in zip(frame[a], frame[b])), d)
+
+    alpha, beta = (cls, ()) if f.kind == "A" else cls[:2]
+    word, ends, pos = [], [], 0
+    for m in alpha + beta:
+        word += [along(i, i + 1) for i in range(pos, pos + m - 1)]
+        pos += m
+        ends.append(pos - 1)
+    negative = ends[len(alpha):]
+    if f.kind == "BC":
+        d = 2 if f.series == "B" else 1
+        word += [root(frame[j], d) for j in negative]
+    elif f.kind == "D":
+        for a, b in zip(negative[::2], negative[1::2]):
+            word += [along(a, b), along(a, b, 1)]
+        if cls[2] == -1:
+            word[0] = along(0, 1, 1)
+    return word

@@ -294,8 +294,10 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return reflection_in_root(rs, rs.simple_roots[i])
 
 
+@lru_cache(maxsize=None)
 def reflection_in_root(rs: RootSystem, root) -> WeylElement:
-    """Reflection s_beta for an arbitrary root beta."""
+    """Reflection s_beta for an arbitrary root beta (one per system and
+    root: WeylElement is immutable)."""
     n = rs.rank
     coroot_cw = rs.coroot_coweight_coords(root)
 
@@ -315,10 +317,6 @@ def weyl_group(ct: CartanType) -> tuple:
         raise RootDataError(
             f"enumeration too large: rank {ct.rank} exceeds cap {WEYL_ENUM_RANK_CAP}")
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    return _closure(rs, gens)
-
-
-def _closure(rs, gens):
     ident = WeylElement(rs, tuple(range(len(rs.roots))))
     seen = {ident.perm: ident}
     frontier = [ident]
@@ -332,12 +330,6 @@ def _closure(rs, gens):
                     new.append(x)
         frontier = new
     return tuple(seen.values())
-
-
-def subgroup_closure(rs: RootSystem, roots) -> tuple:
-    """Subgroup generated by the reflections in the given roots."""
-    gens = [reflection_in_root(rs, r) for r in roots]
-    return _closure(rs, gens)
 
 
 def dominant_conjugate(rs: RootSystem, v):

@@ -6,7 +6,11 @@ E tensor sign.
 
 A WeylContext wraps a reflection subgroup of an ambient root system
 (given by a simple basis of roots) as a product of embedded factors; the
-ambient group itself is the context of the full simple basis.
+ambient group itself is the context of the full simple basis.  Its
+classes are tuples of factor classes, each with one representative (the
+product of the factors' representatives) and its size (the product of
+the factors' sizes, from centralizer orders); inner products and
+induction sum over these classes, and no group is enumerated.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from functools import lru_cache
 from . import partitions as pt
 from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
                       b_invariant, build_factor, factor_char_value,
-                      factor_irrep_labels, split_basis_into_factors)
+                      factor_classes, factor_irrep_labels,
+                      split_basis_into_factors)
 from .linalg import solve
 from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
                      orbit_from_wdd, weighted_dynkin)
 from .rootdata import (CartanType, WeylElement, build_root_system,
-                       dominant_conjugate, subgroup_closure)
+                       dominant_conjugate)
 
 GROUP_ORDER_CAP = 10 ** 6
 
@@ -102,32 +107,31 @@ class WeylContext:
             self.order *= _factor_order(f)
         if self.order > GROUP_ORDER_CAP:
             raise CharError(f"group of order {self.order} exceeds cap {GROUP_ORDER_CAP}")
-        self._elements = None
-        self._class_counts = None
+        self._classes = None
 
     @property
     def factor_signature(self):
         return tuple((f.series, f.rank) for f in self.factors)
 
-    def elements(self):
-        if self._elements is None:
-            basis = [b for f in self.factors for b in f.basis]
-            self._elements = subgroup_closure(self.rs, basis)
-            if len(self._elements) != self.order:
-                raise CharError(f"{len(self._elements)} elements, order {self.order}")
-        return self._elements
-
     def class_of(self, w):
         return tuple(c.label(w) for c in self.classifiers)
 
+    def class_representatives(self):
+        """(class, representative, size) for each conjugacy class of W_J."""
+        if self._classes is None:
+            out = [((), WeylElement(self.rs, tuple(range(len(self.rs.roots)))), 1)]
+            for f, c in zip(self.factors, self.classifiers):
+                reps = [(lab, c.representative(lab), size)
+                        for lab, size in factor_classes(f.kind, f.rank)]
+                out = [(cls + (lab,), w * r, n * size)
+                       for cls, w, n in out for lab, r, size in reps]
+            if sum(n for _, _, n in out) != self.order:
+                raise CharError(f"class sizes do not sum to the order {self.order}")
+            self._classes = tuple(out)
+        return self._classes
+
     def class_counts(self):
-        if self._class_counts is None:
-            counts = {}
-            for w in self.elements():
-                cls = self.class_of(w)
-                counts[cls] = counts.get(cls, 0) + 1
-            self._class_counts = counts
-        return self._class_counts
+        return {cls: n for cls, _, n in self.class_representatives()}
 
     # -- irreps ---------------------------------------------------------
 
@@ -154,7 +158,7 @@ class WeylContext:
 
     def inner_product(self, e1: WeylIrrep, e2: WeylIrrep) -> int:
         tot = 0
-        for cls, size in self.class_counts().items():
+        for cls, _, size in self.class_representatives():
             tot += size * self.char_value(e1, cls) * self.char_value(e2, cls)
         q, r = divmod(tot, self.order)
         if r:
@@ -220,18 +224,15 @@ def subgroup_context(ct: CartanType, basis: tuple) -> WeylContext:
 @lru_cache(maxsize=None)
 def _fusion(sub: WeylContext):
     """Counter of (subgroup class, ambient class) pairs over W_J, in the
-    labels of the given context."""
+    labels of the given context: a class of W_J lies in the W-class of
+    its representative."""
     amb = ambient_context(sub.cartan_type)
-    counts = {}
-    for w in sub.elements():
-        key = (sub.class_of(w), amb.class_of(w))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {(cls, amb.class_of(w)): n for cls, w, n in sub.class_representatives()}
 
 
 def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
                         e_amb: WeylIrrep) -> int:
-    """<Ind_{W_J}^W e_sub, e_amb>, by summation over W_J."""
+    """<Ind_{W_J}^W e_sub, e_amb>, by summation over the classes of W_J."""
     tot = 0
     for (scls, acls), cnt in _fusion(sub).items():
         tot += cnt * sub.char_value(e_sub, scls) * \

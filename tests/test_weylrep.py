@@ -10,7 +10,8 @@ from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import CartanType, build_root_system, subgroup_closure
+from orbitcalc.rootdata import (CartanType, WeylElement, build_root_system,
+                                reflection_in_root)
 
 CTS = [CartanType(s, r) for s, r in
        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -19,6 +20,31 @@ CTS = [CartanType(s, r) for s, r in
 
 def ctx_of(ct):
     return wr.ambient_context(ct)
+
+
+def _closure(rs, roots):
+    """The subgroup generated by the reflections in the given roots, by
+    breadth-first closure (the test's own enumeration of W_J)."""
+    gens = [reflection_in_root(rs, r) for r in roots]
+    ident = WeylElement(rs, tuple(range(len(rs.roots))))
+    seen = {ident.perm: ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = g * w
+                if x.perm not in seen:
+                    seen[x.perm] = x
+                    new.append(x)
+        frontier = new
+    return tuple(seen.values())
+
+
+def _elements(ctx):
+    out = _closure(ctx.rs, [b for f in ctx.factors for b in f.basis])
+    assert len(out) == ctx.order
+    return out
 
 
 def test_irrep_counts():
@@ -70,7 +96,7 @@ def _molien_class_series(ctx, nmax):
     rs = ctx.rs
     n = rs.rank
     out = {}
-    for w in ctx.elements():
+    for w in _elements(ctx):
         imgs = [w.apply_root(rs.simple_roots[j]) for j in range(n)]
         mat = [[imgs[j][i] for j in range(n)] for i in range(n)]
         poly = [Fraction(c) for c in _det_one_minus_q(mat)]
@@ -359,7 +385,7 @@ def _split_sign_by_search(ctx, f, w, alpha):
         pi += [pos + (t + 1) % ln for t in range(ln)]
         pos += ln
     target = (tuple(pi), (1,) * pos)
-    for u in subgroup_closure(ctx.rs, f.basis):
+    for u in _closure(ctx.rs, f.basis):
         if ch._signed_perm(f, u * w * u.inverse()) == target:
             return 1
     return -1
@@ -381,9 +407,63 @@ def test_split_sign_matches_conjugacy_search():
         for f, cl in zip(ctx.factors, ctx.classifiers):
             if f.kind != "D":
                 continue
-            for w in ctx.elements():
+            for w in _elements(ctx):
                 alpha, beta, sign = cl.label(w)
                 if sign:
                     assert sign == _split_sign_by_search(ctx, f, w, alpha), (f.basis, w.perm)
                     checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------
+# the class sums against sums over the elements of W_J
+# ---------------------------------------------------------------------
+
+def _class_counts_by_elements(ctx, elements):
+    counts = {}
+    for w in elements:
+        cls = ctx.class_of(w)
+        counts[cls] = counts.get(cls, 0) + 1
+    return counts
+
+
+def _fusion_by_elements(sub, elements):
+    amb = wr.ambient_context(sub.cartan_type)
+    counts = {}
+    for w in elements:
+        key = (sub.class_of(w), amb.class_of(w))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+CLASS_SUM_SYSTEMS = [CartanType(s, r, iso)
+                     for iso in ("adjoint", "simply_connected")
+                     for s, r in [("A", 1), ("G", 2)] + [
+                         (s, r) for s in "ABCD" for r in range(2, 6)]]
+
+
+@pytest.mark.parametrize("ct", CLASS_SUM_SYSTEMS,
+                         ids=lambda ct: f"{ct}-{ct.isogeny}")
+def test_class_sums_match_element_sums(ct):
+    """class_counts and _fusion over class representatives equal the sums
+    over the elements of W_J, on the ambient context and every pair
+    context; each factor representative lies in its class, and the factor's
+    class sizes add up to its order."""
+    contexts = [ctx_of(ct)] + [bc.pair_context(ct, j) for j in bc.proper_subsets(ct)]
+    for ctx in contexts:
+        elements = _elements(ctx)
+        assert ctx.class_counts() == _class_counts_by_elements(ctx, elements)
+        assert wr._fusion(ctx) == _fusion_by_elements(ctx, elements)
+        for f, c in zip(ctx.factors, ctx.classifiers):
+            classes = ch.factor_classes(f.kind, f.rank)
+            for lab, _ in classes:
+                assert c.label(c.representative(lab)) == lab, (f.basis, lab)
+            assert sum(n for _, n in classes) == wr._factor_order(f)
+
+
+def test_group_order_cap(monkeypatch):
+    ct = CartanType("B", 3)
+    rs = build_root_system(ct)
+    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 47)
+    with pytest.raises(ch.CharError, match="exceeds cap 47"):
+        wr.WeylContext(ct, rs.simple_roots)
