@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import (hermite_row_basis, identity, integer_kernel, mat_inv,
-                     mat_vec, solve, transpose)
+from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
+                     solve, transpose)
 from .orbits import NilpotentOrbit
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
@@ -89,17 +89,21 @@ def _component_display_sets(rs: RootSystem):
     return out
 
 
+def is_proper(ct: CartanType, j: frozenset) -> bool:
+    """J is a set of nodes of the affine diagram, proper within each
+    component."""
+    rs = build_root_system(ct)
+    return (all(0 <= i < rs.node_count() for i in j)
+            and all(j & c != c for c in _component_display_sets(rs)))
+
+
 def proper_subsets(ct: CartanType):
     """All J in P(affine diagram): proper within each component."""
-    rs = build_root_system(ct)
-    comps = _component_display_sets(rs)
-    total = rs.node_count()
-    out = []
-    for mask in range(1 << total):
-        j = frozenset(i for i in range(total) if mask >> i & 1)
-        if all(j & c != c for c in comps):
-            out.append(j)
-    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+    total = build_root_system(ct).node_count()
+    subsets = (frozenset(i for i in range(total) if mask >> i & 1)
+               for mask in range(1 << total))
+    return tuple(sorted((j for j in subsets if is_proper(ct, j)),
+                        key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 def _basis_of(rs: RootSystem, j) -> tuple:
@@ -179,20 +183,26 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     affine simple roots a_i with marks m_i (1 at the affine node, theta's
     coefficients elsewhere; Bourbaki, Lie Groups and Lie Algebras, ch. VI,
     par. 2).  The base point is 0 on J and 1 / (sum of the marks off J) on
-    every other affine simple root.
+    every other affine simple root; the solve runs on these values times
+    the lcm of the mark sums, and the base is its only rational result.
     """
     rs = build_root_system(ct)
     n = rs.rank
-    values = [0] * n  # alpha_i(base) on the finite simple roots
+    free_marks = []
     for k, (comp, theta) in enumerate(zip(rs.components, rs.highest_roots)):
         free = [i for i in comp if rs.display_index(i) not in j]
         marks = sum(theta[i] for i in free) + (rs.display_index(n + k) not in j)
         if not marks:
             raise ABCError(f"J={sorted(j)} contains a whole component")
+        free_marks.append((free, marks))
+    scale = lcm(*(marks for _, marks in free_marks))
+    values = [0] * n  # scale * alpha_i(base) on the finite simple roots
+    for free, marks in free_marks:
         for i in free:
-            values[i] = Fraction(1, marks)
+            values[i] = scale // marks
     simples = tuple(_xstar_functional(rs, alpha) for alpha in rs.simple_roots)
-    base = solve(simples, values)
+    x, d = solve(simples, values)
+    base = tuple(Fraction(v, d * scale) for v in x)
     affs = _display_affines(rs)
     jrows = tuple(_xstar_functional(rs, affs[i][0]) for i in sorted(j))
     direction = integer_kernel(jrows) if j else identity(n)
@@ -216,8 +226,8 @@ def _face_data(ct: CartanType, j: frozenset):
     gradients (the roots whose X_* functional vanishes on the direction);
     the root indices grads of J's gradients and their affine offsets
     offs; and, with H the Hermite basis of G X_* (G the gradients'
-    functionals), one pair (m * c, m) per column c of H^-1, m the column's
-    common denominator: y is in G X_* iff y . (m * c) = 0 mod m for all.
+    functionals), one pair (x, m) = solve(H, e_i) per column of H^-1:
+    y is in G X_* iff y . x = 0 mod m for all.
     """
     rs = build_root_system(ct)
     hull = face_hull(ct, j)
@@ -230,15 +240,13 @@ def _face_data(ct: CartanType, j: frozenset):
     affs = _display_affines(rs)
     grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
     offs = tuple(affs[i][1] for i in sorted(j))
-    congruences = []
+    congruences = ()
     if j:
         h = hermite_row_basis(transpose(tuple(fns[g] for g in grads)))
         if len(h) != len(grads):
             raise ABCError(f"dependent gradients for J={sorted(j)}")
-        for col in transpose(mat_inv(h)):
-            m = lcm(*(x.denominator for x in col))
-            congruences.append((tuple(int(x * m) for x in col), m))
-    return d, vals, span, grads, offs, tuple(congruences)
+        congruences = tuple(solve(h, e) for e in identity(len(h)))
+    return d, vals, span, grads, offs, congruences
 
 
 # ---------------------------------------------------------------------
@@ -274,8 +282,8 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     QQ-span of J1's gradients (the dimensions being equal); the translate
     matches when the values g(w b1) + off_g = (u g)(b1) + off_g, g in J2,
     lie in G2 X_* (one congruence per column of H2^-1, H2 the Hermite
-    basis of G2 X_*); and u maps each factor of J2 onto a factor of J1
-    with the same orbit.
+    basis of G2 X_*, each read off solve(H2, e_i)); and u maps each factor
+    of J2 onto a factor of J1 with the same orbit.
     """
     table1, inv1 = _pair_data(ct, p1)
     table2, inv2 = _pair_data(ct, p2)

@@ -1,13 +1,14 @@
-"""Exact linear algebra over ZZ and QQ for small matrices.
+"""Exact integer linear algebra for small matrices.
 
 Everything in this package runs on matrices of size at most ~7, so the
-implementations favour clarity and exactness (python ints / Fraction)
-over asymptotics.  Matrices are tuples of tuples, rows first.
+implementations favour clarity and exactness (python ints) over
+asymptotics.  Matrices are tuples of tuples, rows first.  The one
+elimination is the row Hermite form (hermite_row_basis); kernels and
+solves are read off it, a rational solution as integers over a
+denominator.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def mat_vec(a, v):
@@ -20,31 +21,6 @@ def identity(n):
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
-
-
-def mat_inv(a):
-    """Inverse of a square matrix over QQ (entries int or Fraction)."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve(a, b):
-    """Solve a x = b exactly; a square invertible, b a vector."""
-    inv = mat_inv(a)
-    return mat_vec(inv, b)
 
 
 def _swap_rows(m, i, j):
@@ -109,3 +85,19 @@ def integer_kernel(a):
         return identity(cols)
     aug = tuple(col + e for col, e in zip(transpose(a), identity(cols)))
     return tuple(h[rows:] for h in hermite_row_basis(aug) if not any(h[:rows]))
+
+
+def solve(a, b):
+    """Solve a x = b for integer square a and integer vector b.
+
+    Returns (x, d) with a x = d b, d > 0 and gcd(x, d) = 1, so x / d is
+    the rational solution and d its least common denominator.  They are
+    read off the kernel of [a | -b], which is one primitive row (x, d)
+    when a is invertible.
+    """
+    aug = tuple(tuple(row) + (-v,) for row, v in zip(a, b))
+    ker = integer_kernel(aug)
+    if len(ker) != 1 or not ker[0][-1]:
+        raise ValueError("matrix not invertible")
+    row = ker[0] if ker[0][-1] > 0 else tuple(-v for v in ker[0])
+    return row[:-1], row[-1]

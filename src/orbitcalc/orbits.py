@@ -188,9 +188,7 @@ def _wdd_values(ct: CartanType, orbit: NilpotentOrbit):
         return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (top[-1],)
     if s == "C":
         return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (2 * top[-1],)
-    # D
-    if n == 1:
-        return (2 * top[0],)
+    # D (rank >= 2)
     vals = tuple(top[i] - top[i + 1] for i in range(n - 1))
     return vals[:-1] + (top[n - 2] - top[n - 1], top[n - 2] + top[n - 1])
 

@@ -24,17 +24,23 @@ simples sit at offset 0 and each irreducible component contributes
 (-theta, 1).  Node indices follow the extended-diagram convention used
 throughout the CLI: 0 is the affine node of the first component, the
 finite node alpha_i is index i (components are concatenated).
+
+Arithmetic
+----------
+All of it is integer: root lengths and coroots, the X_*-coordinates of
+the coroots (linalg.solve, which must return denominator 1), and the
+alcove walk of alcove_symmetries, which runs on m times the point, m
+the denominator of the alcove's barycentre.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
-from .linalg import hermite_row_basis, identity, mat_inv, mat_vec, transpose
+from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 
 WEYL_ENUM_RANK_CAP = 6
 
@@ -152,11 +158,11 @@ class RootSystem:
     def _coroot(self, root):
         """Coefficients of root^vee in the simple coroots:
         sum_i c_i (alpha_i, alpha_i)/(alpha, alpha) alpha_i^vee."""
-        norm = self._blinear(root, root)
-        coeffs = [c * l / norm for c, l in zip(root, self.lengths2)]
-        if any(x.denominator != 1 for x in coeffs):
+        norm = self.root_length2(root)
+        coeffs = [c * l for c, l in zip(root, self.lengths2)]
+        if any(x % norm for x in coeffs):
             raise RootDataError(f"non-integral coroot of {root}")
-        return tuple(int(x) for x in coeffs)
+        return tuple(x // norm for x in coeffs)
 
     def _build_affine(self):
         n = self.rank
@@ -201,17 +207,16 @@ class RootSystem:
         return tuple(sum(self.cartan[i][j] * cr[j] for j in range(n)) for i in range(n))
 
     def root_length2(self, root):
-        return self._blinear(root, root)
+        """(root, root) in the scale where the simple roots have lengths2.
 
-    def _blinear(self, a, b):
+        With C[i][j] = 2(ai,aj)/(aj,aj), (ai,aj) = C[i][j]*l2[j]/2; the
+        double sum below is even (its diagonal terms are 2 c_i^2 l2[i] and
+        its (i, j) and (j, i) terms are equal), so the result is an integer.
+        """
         n = self.rank
-        tot = 0
-        for i in range(n):
-            for j in range(n):
-                # (alpha_i, alpha_j) = C[i][j] * len2(alpha_j) / 2 * ... ;
-                # with C[i][j] = 2(ai,aj)/(aj,aj):  (ai,aj) = C[i][j]*l2[j]/2
-                tot += a[i] * b[j] * self.cartan[i][j] * self.lengths2[j]
-        return Fraction(tot, 2)
+        tot = sum(root[i] * root[j] * self.cartan[i][j] * self.lengths2[j]
+                  for i in range(n) for j in range(n))
+        return tot // 2
 
     def reflect_point(self, v, simple_idx):
         """s_i acting on coweight coordinates."""
@@ -376,24 +381,14 @@ class AlcoveSymmetry:
         return tuple(images)
 
 
-def _alcove_barycenter(rs: RootSystem):
-    """Interior point of the fundamental alcove: alpha_i(b)=1/m with
-    theta_k(b) < 1 on every component."""
-    n = rs.rank
-    heights = [sum(th) for th in rs.highest_roots]
-    m = max(heights) + 1
-    return tuple(Fraction(1, m) for _ in range(n))
+def _reduce_to_alcove(rs: RootSystem, v, m):
+    """Affine Weyl walk taking the point v / m into the closed fundamental
+    alcove, run on the integer vector v (coweight coordinates).
 
-
-def _reduce_to_alcove(rs: RootSystem, point):
-    """Affine Weyl walk taking `point` into the closed fundamental alcove.
-
-    Returns (w, shift) with w in W, shift in Q^vee coweight coords, and
-    w(point) + shift in the closure of the alcove.
+    Returns (w, v') with w in W and v' / m in the closure of the alcove,
+    v' / m the image of v / m under w followed by a translation in Q^vee.
     """
-    v = list(point)
     w = WeylElement(rs, tuple(range(len(rs.roots))))
-    shift = [Fraction(0)] * rs.rank
     guard = 0
     while True:
         guard += 1
@@ -402,28 +397,23 @@ def _reduce_to_alcove(rs: RootSystem, point):
         moved = False
         for i in range(rs.rank):
             if v[i] < 0:
-                v = list(rs.reflect_point(tuple(v), i))
-                s = simple_reflection(rs, i)
-                w = s * w
-                shift = list(s.apply_point(tuple(shift)))
+                v = rs.reflect_point(v, i)
+                w = simple_reflection(rs, i) * w
                 moved = True
                 break
         if moved:
             continue
-        for k, th in enumerate(rs.highest_roots):
+        for th in rs.highest_roots:
             val = sum(c * x for c, x in zip(th, v))
-            if val > 1:
-                # affine reflection in theta = 1
+            if val > m:
+                # affine reflection in theta = 1, scaled by m
                 coroot = rs.coroot_coweight_coords(th)
-                v = [x - (val - 1) * c for x, c in zip(v, coroot)]
-                refl = reflection_in_root(rs, th)
-                w = refl * w
-                shift = list(refl.apply_point(tuple(shift)))
-                shift = [s + c for s, c in zip(shift, coroot)]
+                v = tuple(x - (val - m) * c for x, c in zip(v, coroot))
+                w = reflection_in_root(rs, th) * w
                 moved = True
                 break
         if not moved:
-            return w, tuple(shift)
+            return w, v
 
 
 @lru_cache(maxsize=None)
@@ -432,44 +422,36 @@ def alcove_symmetries(ct: CartanType) -> tuple:
 
     One element per coset of the coroot lattice in X_*, each coset taken
     from the Hermite box of _coset_reps; the order is the index
-    |X_*/Z Phi^vee|, the product of the Hermite basis's diagonal.
+    |X_*/Z Phi^vee|, the product of the Hermite basis's diagonal.  The
+    coset of x is walked from b - x, b the barycentre alpha_i(b) = 1/m,
+    on the integer point m (b - x).
     """
     rs = build_root_system(ct)
     n = rs.rank
-    coroot_rows = tuple(rs.coroot_coweight_coords(rs.simple_roots[i]) for i in range(n))
-    # coset representatives of Q^vee in X_*, found by brute search in a box
-    cochar = rs.cochar_basis
-    inv_cochar = mat_inv(transpose(cochar))
-    qv_in_cochar = tuple(mat_vec(inv_cochar, row) for row in coroot_rows)
-    qv_in_cochar = tuple(tuple(int(x) for x in row) for row in qv_in_cochar)
-    reps = _coset_reps(qv_in_cochar)
-    b = _alcove_barycenter(rs)
+    cochar_t = transpose(rs.cochar_basis)
+    qv_in_cochar = []  # X_*-coordinates of the simple coroots
+    for i in range(n):
+        coords, d = solve(cochar_t, rs.coroot_coweight_coords(rs.simple_roots[i]))
+        if d != 1:
+            raise RootDataError(f"coroot {i + 1} is not in X_*")
+        qv_in_cochar.append(coords)
+    reps = _coset_reps(tuple(qv_in_cochar))
+    m = max(sum(th) for th in rs.highest_roots) + 1
+    mb = (1,) * n
+    affs = set(rs.affine_simples)
     out = []
     for rep in reps:
-        x = mat_vec(transpose(cochar), rep)  # coweight coords of the X_* element
-        p = tuple(bi - xi for bi, xi in zip(b, x))
-        w, shift = _reduce_to_alcove(rs, p)
-        # sigma = (translation by shift) o w o (translation by -x)
-        trans_f = [s - y for s, y in zip(shift, w.apply_point(x))]
-        if any(t.denominator != 1 for t in trans_f):
-            raise RootDataError(f"non-integral alcove translation {trans_f}")
-        trans = tuple(int(t) for t in trans_f)
-        sigma = AlcoveSymmetry(w, trans)
-        affs = set(rs.affine_simples)
-        if not _in_closed_alcove(rs, sigma.apply_point(b)) or \
-                {sigma.apply_affine_root(a) for a in affs} != affs:
+        x = mat_vec(cochar_t, rep)  # coweight coords of the X_* element
+        w, v = _reduce_to_alcove(rs, tuple(a - m * b for a, b in zip(mb, x)), m)
+        # sigma = (translation by t) o w, t = (v - w(m b)) / m
+        num = [a - b for a, b in zip(v, w.apply_point(mb))]
+        if any(t % m for t in num):
+            raise RootDataError(f"non-integral alcove translation {num}/{m}")
+        sigma = AlcoveSymmetry(w, tuple(t // m for t in num))
+        if {sigma.apply_affine_root(a) for a in affs} != affs:
             raise RootDataError(f"{sigma} does not stabilize the alcove")
         out.append(sigma)
     return tuple(out)
-
-
-def _in_closed_alcove(rs, v):
-    if any(x < 0 for x in v):
-        return False
-    for th in rs.highest_roots:
-        if sum(c * x for c, x in zip(th, v)) > 1:
-            return False
-    return True
 
 
 def _coset_reps(sub_rows):

@@ -55,11 +55,10 @@ def _result_from_invariants(invariants):
 
 def validate_restriction_data(ct: CartanType, data) -> dict:
     """data: {frozenset(display nodes) -> [(label tuple, mult), ...]}."""
-    subsets = set(bc.proper_subsets(ct))
     out = {}
     for j, items in data.items():
         j = frozenset(j)
-        if j not in subsets:
+        if not bc.is_proper(ct, j):
             raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}")
         ctx = bc.pair_context(ct, j)
         valid_labels = {e.label for e in ctx.irreps()}

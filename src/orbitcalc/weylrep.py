@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
@@ -94,10 +93,11 @@ class WeylContext:
         comps = split_basis_into_factors(self.rs, tuple(basis))
         if _standard_order:
             # ambient systems: keep the declared simple-root order and
-            # series so that labels match the system-level orbit recipes
-            series = ct.series if len(comps) == 1 else "A"
+            # series so that labels match the system-level orbit recipes;
+            # such a system is connected (D2, the one that is not, keeps
+            # the canonical order)
             self.factors = tuple(
-                build_factor(self.rs, c, forced_basis=c, forced_series=series)
+                build_factor(self.rs, c, forced_basis=c, forced_series=ct.series)
                 for c in comps)
         else:
             self.factors = tuple(build_factor(self.rs, c) for c in comps)
@@ -428,46 +428,16 @@ def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
     """Orbit of the Springer pair of a factor-level label.
 
     On the image of the trivial-local-system map this inverts
-    springer_rep_label; elsewhere it is the symbol-plus-collapse recipe.
+    springer_rep_label; off it only G2's phi(1,3)l (the sign character of
+    A(G2(a1)) = S3) is known, and a classical label raises CharError.
     """
     image = _springer_image(ct)
     if lab in image:
         return image[lab]
-    s, n = ct.series, ct.rank
-    if s == "G":
+    if ct.series == "G":
         return NilpotentOrbit(ct, g2_label=G2_SPRINGER_EXTRA_ORBIT[lab])
-    if s == "A":
-        return NilpotentOrbit(ct, partition=lab)
-    if s in ("B", "C"):
-        lam, mu = lab
-        top, bot = _bc_symbol(lam, mu, n)
-        if s == "B":
-            multi = [2 * a + 1 for a in top] + [2 * b for b in bot]
-        else:
-            multi = [2 * a for a in top] + [2 * b + 1 for b in bot]
-        p = _pre_partition(multi)
-        q = pt.collapse(p, s, n)
-        return NilpotentOrbit(ct, partition=q)
-    (lam, mu), sign = lab
-    top, bot = _d_symbol(lam, mu, n)
-    cands = set()
-    for r1, r2 in ((top, bot), (bot, top)):
-        multi = [2 * a + 1 for a in r1] + [2 * b for b in r2]
-        cands.add(pt.collapse(_pre_partition(multi), "D", n))
-    if len(cands) != 1:
-        raise CharError(f"{lab} collapses to several orbits {cands}")
-    q = cands.pop()
-    mark = None
-    if all(x % 2 == 0 for x in q):
-        mark = "I" if sign <= 0 else "II"
-    return NilpotentOrbit(ct, partition=q, mark=mark)
-
-
-def _pre_partition(multi):
-    multi = sorted(multi)
-    if len(set(multi)) != len(multi):
-        raise CharError(f"repeated symbol entries {multi}")
-    return pt.normalize(v - i for i, v in enumerate(multi))
+    raise CharError(f"{lab} is not the Springer label of an orbit of {ct} "
+                    f"with the trivial local system")
 
 
 # ---------------------------------------------------------------------
@@ -476,25 +446,26 @@ def _pre_partition(multi):
 
 def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
     """Saturation: build the neutral element h from the per-factor weighted
-    diagrams, dominance-normalize, and look the diagram up."""
+    diagrams, dominance-normalize, and look the diagram up.
+
+    On each factor h = sum_k t_k beta_k^vee with C t = wdd, C the factor's
+    Cartan matrix; solve gives t as x / d, and h is summed as m * h over
+    the common denominator m of the factors."""
     rs = ctx.rs
     n = rs.rank
-    h = [Fraction(0)] * n
-    for f, orb in zip(ctx.factors, factor_orbits):
-        wdd = weighted_dynkin(orb).values
-        t = solve(f.cartan, tuple(Fraction(v) for v in wdd))
-        for coef, beta in zip(t, f.basis):
+    sols = [(f, solve(f.cartan, weighted_dynkin(orb).values))
+            for f, orb in zip(ctx.factors, factor_orbits)]
+    m = math.lcm(*(d for _, (_, d) in sols))
+    h = [0] * n
+    for f, (x, d) in sols:
+        for coef, beta in zip(x, f.basis):
             cw = rs.coroot_coweight_coords(beta)
             for i in range(n):
-                h[i] += coef * cw[i]
-    hdom = dominant_conjugate(rs, tuple(h))
-    vals = []
-    for x in hdom:
-        fx = Fraction(x)
-        if fx.denominator != 1:
-            raise CharError(f"non-integral weighting {hdom}")
-        vals.append(int(fx))
-    return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, tuple(vals)))
+                h[i] += m // d * coef * cw[i]
+    if any(v % m for v in h):
+        raise CharError(f"non-integral weighting {tuple(h)}/{m}")
+    hdom = dominant_conjugate(rs, tuple(v // m for v in h))
+    return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, hdom))
 
 
 def factor_orbit_from_distinguished_labels(f: EmbeddedFactor, zero_nodes):

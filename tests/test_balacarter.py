@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -312,9 +313,30 @@ def smith_kernel(a):
     return hermite_row_basis(ker) if ker else ()
 
 
+def mat_inv(a):
+    """Inverse of a square matrix over QQ (entries int or Fraction)."""
+    n = len(a)
+    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix not invertible")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def reference_face_hull(ct, j):
     """The hull by one solve over QQ with a slack t_k per component:
-    a_i = 0 on J and a_i = t_k off J, a_i the affine simple roots."""
+    a_i = 0 on J and a_i = t_k off J, a_i the affine simple roots.  The
+    solve is the Gauss-Jordan mat_inv, so this shares no elimination with
+    face_hull."""
     rs = build_root_system(ct)
     affs = bc._display_affines(rs)
     comps = bc._component_display_sets(rs)
@@ -332,7 +354,7 @@ def reference_face_hull(ct, j):
             trow[k] = -1
             rows.append(list(bc._xstar_functional(rs, alpha)) + trow)
             rhs.append(Fraction(-off))
-    sol = solve(tuple(tuple(r) for r in rows), tuple(rhs))
+    sol = mat_vec(mat_inv(tuple(tuple(r) for r in rows)), tuple(rhs))
     assert all(t > 0 for t in sol[n:])
     jrows = tuple(bc._xstar_functional(rs, affs[i][0]) for i in sorted(j))
     direction = smith_kernel(jrows) if j else identity(n)
@@ -500,6 +522,35 @@ def test_integer_kernel_matches_smith_kernel(a):
     assert ker == smith_kernel(a)
     for x in ker:
         assert not any(mat_vec(a, x))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_gauss_jordan(ab):
+    """a x = d b with d > 0 and gcd(x, d) = 1: x / d is the oracle's
+    a^-1 b in lowest terms."""
+    a, b = tuple(map(tuple, ab[0])), tuple(ab[1])
+    try:
+        want = mat_vec(mat_inv(a), b)
+    except ValueError:
+        with pytest.raises(ValueError, match="matrix not invertible"):
+            solve(a, b)
+        return
+    x, d = solve(a, b)
+    assert mat_vec(a, x) == tuple(d * v for v in b)
+    assert d > 0 and math.gcd(*x, d) == 1
+    assert tuple(Fraction(v, d) for v in x) == want
+
+
+@pytest.mark.parametrize("a, b", [(((0,),), (1,)), (((0,),), (0,)),
+                                  (((1, 2), (2, 4)), (1, 2)),
+                                  (((1, 2), (2, 4)), (1, 0))])
+def test_solve_singular_raises(a, b):
+    with pytest.raises(ValueError, match="matrix not invertible"):
+        solve(a, b)
 
 
 def _det(a):

@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 
 from orbitcalc import balacarter as bc
+from orbitcalc import cli
 from orbitcalc import wavefront as wf
 from orbitcalc.orbits import (NilpotentOrbit, enumerate_orbits, regular_orbit,
                               zero_orbit)
-from orbitcalc.rootdata import CartanType
+from orbitcalc.rootdata import CartanType, build_root_system
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
@@ -82,6 +85,39 @@ def test_validation_errors():
         wf.local_wf(ct, {frozenset(): [(("bogus",), 1)]})
     with pytest.raises(wf.WavefrontError):
         wf.local_wf(ct, {})
+
+
+@pytest.mark.parametrize("ct", [ADJ("B", 3), CartanType("D", 2, "simply_connected"),
+                                ADJ("G", 2)], ids=str)
+def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tmp_path,
+                                                             capsys):
+    """Each J is checked on its own (nodes in range, proper in every
+    component): listing all 2^(n+1) subsets made a bad file fail only
+    after seconds at rank 12 and beyond."""
+    faces = set(bc.proper_subsets(ct))
+    total = build_root_system(ct).node_count()
+    nodes = range(-1, total + 1)
+    candidates = [frozenset(c) for k in range(len(nodes) + 1)
+                  for c in itertools.combinations(nodes, k)]
+    trivial = {j: next(e for e in bc.pair_context(ct, j).irreps() if e.b == 0).label
+               for j in faces}
+
+    def no_listing(ct):
+        raise AssertionError("proper_subsets called")
+
+    monkeypatch.setattr(bc, "proper_subsets", no_listing)
+    for j in candidates:
+        if j in faces:
+            assert wf.validate_restriction_data(ct, {j: [(trivial[j], 1)]})
+        else:
+            with pytest.raises(wf.WavefrontError, match="is not a face type"):
+                wf.validate_restriction_data(ct, {j: [((), 1)]})
+    path = tmp_path / "data.json"
+    path.write_text('[{"J": [%d], "irreps": [{"label": [], "mult": 1}]}]' % total)
+    rc = cli.main(["local-wf", "--type", ct.series, "--rank", str(ct.rank),
+                   "--isogeny", ct.isogeny, "--data", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"error: J=[{total}] is not a face type")
 
 
 def test_restriction_data_json_roundtrip():

@@ -293,6 +293,29 @@ def test_springer_special_bijection():
                 assert dual_ls(dual_ls(o)) == o
 
 
+# characters off the trivial-local-system image that a symbol-and-collapse
+# recipe once sent four at a time onto one orbit: (5,3,3,1,1) in B6 and
+# (4,4,2,2) in C6, whose component groups leave room for fewer
+OFF_IMAGE = [("B", ((2, 2), (1, 1))), ("B", ((2, 1, 1), (2,))),
+             ("B", ((2, 2, 1), (1,))), ("B", ((2, 2, 2), ())),
+             ("C", ((), (3, 3))), ("C", ((1,), (3, 2))),
+             ("C", ((2,), (2, 2))), ("C", ((1, 1), (3, 1)))]
+
+
+@pytest.mark.parametrize("series, lab", OFF_IMAGE, ids=str)
+def test_springer_orbit_off_the_image_raises(series, lab):
+    ct = CartanType(series, 6)
+    assert lab in {e.label[0] for e in ctx_of(ct).irreps()}
+    assert lab not in wr._springer_image(ct)
+    with pytest.raises(ch.CharError, match="trivial local system"):
+        wr.springer_orbit_label(ct, lab)
+
+
+def test_springer_orbit_g2_nontrivial_system():
+    ct = CartanType("G", 2)
+    assert wr.springer_orbit_label(ct, "phi(1,3)l") == NilpotentOrbit(ct, g2_label="G2(a1)")
+
+
 def test_orbit_s_extremes():
     for ct in CTS:
         ctx = ctx_of(ct)
