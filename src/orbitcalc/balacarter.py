@@ -17,18 +17,19 @@ Since alpha(w b) = (w^-1 alpha)(b), scanning u = w^-1 over W needs only
 lookups and integer dot products: u must send J2's gradients into the
 QQ-span of J1's (directions), the values of J2's affine roots at w b1
 must lie in G2 X_* (translates), and u must match the per-factor orbits.
-The base b itself is read off the affine marks (face_hull).
+The base b itself is read off the affine marks (face_hull), as an
+integer vector over one denominator.
 
-Node indices are "display" indices: 0 is the affine node (per component),
-1..n the finite simple roots.
+Nodes are numbered as in rs.affine_simples: per component the affine
+node, then the finite simple roots (for a simple type 0 is the affine
+node and 1..n are alpha_1..alpha_n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
                      solve, transpose)
@@ -67,26 +68,12 @@ class ABCPair:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    base: tuple       # X_*-basis coordinates, Fractions
-    direction: tuple  # HNF row basis of the direction lattice
+    base: tuple        # X_*-basis coordinates times denominator, integers
+    denominator: int   # positive, gcd(base, denominator) = 1
+    direction: tuple   # HNF row basis of the direction lattice
 
     def dim(self) -> int:
         return len(self.direction)
-
-
-def _display_affines(rs: RootSystem):
-    """Affine simples in display order (affine node first per component)."""
-    return [rs.affine_simples[rs.internal_index(d)] for d in range(rs.node_count())]
-
-
-def _component_display_sets(rs: RootSystem):
-    out = []
-    pos = 0
-    for k, comp in enumerate(rs.components):
-        size = len(comp) + 1
-        out.append(frozenset(range(pos, pos + size)))
-        pos += size
-    return out
 
 
 def is_proper(ct: CartanType, j: frozenset) -> bool:
@@ -94,7 +81,7 @@ def is_proper(ct: CartanType, j: frozenset) -> bool:
     component."""
     rs = build_root_system(ct)
     return (all(0 <= i < rs.node_count() for i in j)
-            and all(j & c != c for c in _component_display_sets(rs)))
+            and all(j & c != c for c in rs.node_components))
 
 
 def proper_subsets(ct: CartanType):
@@ -107,8 +94,7 @@ def proper_subsets(ct: CartanType):
 
 
 def _basis_of(rs: RootSystem, j) -> tuple:
-    affs = _display_affines(rs)
-    return tuple(sorted(affs[i][0] for i in j))
+    return tuple(sorted(rs.affine_simples[i][0] for i in j))
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +127,7 @@ def enumerate_pairs(ct: CartanType) -> tuple:
     """All affine Bala-Carter pairs, no equivalence applied."""
     if ct.rank > ABC_RANK_CAP:
         raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
-    rs = build_root_system(ct)
-    affs = _display_affines(rs)
+    affs = build_root_system(ct).affine_simples
     out = []
     for j in proper_subsets(ct):
         ctx = pair_context(ct, j)
@@ -157,8 +142,7 @@ def enumerate_pairs(ct: CartanType) -> tuple:
 
 def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
     """Per-factor distinguished orbits named by the 0/2 weighting of J'."""
-    rs = build_root_system(ct)
-    affs = _display_affines(rs)
+    affs = build_root_system(ct).affine_simples
     ctx = pair_context(ct, pair.J)
     zero_roots = {affs[i][0] for i in pair.Jprime}
     return tuple(factor_orbit_from_distinguished_labels(f, zero_roots)
@@ -180,18 +164,18 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     fundamental alcove plus the saturated direction lattice.
 
     On each component the alcove is sum_i m_i a_i = 1, a_i >= 0, over the
-    affine simple roots a_i with marks m_i (1 at the affine node, theta's
-    coefficients elsewhere; Bourbaki, Lie Groups and Lie Algebras, ch. VI,
-    par. 2).  The base point is 0 on J and 1 / (sum of the marks off J) on
-    every other affine simple root; the solve runs on these values times
-    the lcm of the mark sums, and the base is its only rational result.
+    affine simple roots a_i with marks m_i (rs.marks: 1 at the affine
+    node, theta's coefficients elsewhere; Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI, par. 2).  The base point is 0 on J and
+    1 / (sum of the marks off J) on every other affine simple root; the
+    solve runs on these values times the lcm of the mark sums.
     """
     rs = build_root_system(ct)
     n = rs.rank
     free_marks = []
-    for k, (comp, theta) in enumerate(zip(rs.components, rs.highest_roots)):
-        free = [i for i in comp if rs.display_index(i) not in j]
-        marks = sum(theta[i] for i in free) + (rs.display_index(n + k) not in j)
+    for nodes in rs.node_components:
+        free = nodes - j
+        marks = sum(rs.marks[i] for i in free)
         if not marks:
             raise ABCError(f"J={sorted(j)} contains a whole component")
         free_marks.append((free, marks))
@@ -199,14 +183,16 @@ def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     values = [0] * n  # scale * alpha_i(base) on the finite simple roots
     for free, marks in free_marks:
         for i in free:
-            values[i] = scale // marks
+            alpha, off = rs.affine_simples[i]
+            if not off:
+                values[rs.simple_roots.index(alpha)] = scale // marks
     simples = tuple(_xstar_functional(rs, alpha) for alpha in rs.simple_roots)
     x, d = solve(simples, values)
-    base = tuple(Fraction(v, d * scale) for v in x)
-    affs = _display_affines(rs)
-    jrows = tuple(_xstar_functional(rs, affs[i][0]) for i in sorted(j))
+    denominator = d * scale
+    g = gcd(*x, denominator)
+    jrows = tuple(_xstar_functional(rs, rs.affine_simples[i][0]) for i in sorted(j))
     direction = integer_kernel(jrows) if j else identity(n)
-    return AffineSubspace(base, direction)
+    return AffineSubspace(tuple(v // g for v in x), denominator // g, direction)
 
 
 @lru_cache(maxsize=None)
@@ -220,8 +206,8 @@ def _root_functionals(ct: CartanType) -> tuple:
 def _face_data(ct: CartanType, j: frozenset):
     """Integer data of face_hull(ct, j) for `equivalent`.
 
-    Returns (d, vals, span, grads, offs, congruences): the common
-    denominator d of the base b and vals[a] = d * alpha_a(b) for every
+    Returns (d, vals, span, grads, offs, congruences): the denominator d
+    of the base b and vals[a] = d * alpha_a(b) for every
     root index a; the set span of root indices in the QQ-span of J's
     gradients (the roots whose X_* functional vanishes on the direction);
     the root indices grads of J's gradients and their affine offsets
@@ -232,12 +218,11 @@ def _face_data(ct: CartanType, j: frozenset):
     rs = build_root_system(ct)
     hull = face_hull(ct, j)
     fns = _root_functionals(ct)
-    d = lcm(*(x.denominator for x in hull.base))
-    base = tuple(int(x * d) for x in hull.base)
-    vals = tuple(sum(a * b for a, b in zip(f, base)) for f in fns)
+    d = hull.denominator
+    vals = tuple(sum(a * b for a, b in zip(f, hull.base)) for f in fns)
     span = frozenset(i for i, f in enumerate(fns)
                      if not any(mat_vec(hull.direction, f)))
-    affs = _display_affines(rs)
+    affs = rs.affine_simples
     grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
     offs = tuple(affs[i][1] for i in sorted(j))
     congruences = ()

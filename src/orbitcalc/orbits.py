@@ -298,15 +298,14 @@ def hasse_edges(ct: CartanType):
 
 def covers(items, leq):
     """Cover relations (a, b) of the partial order leq on items, in the
-    order of the items: a < b with nothing strictly between."""
+    order of the items: a < b with nothing strictly between.  leq runs
+    once per ordered pair: b covers a when it is above a but above no c
+    that is above a."""
+    up = {a: [b for b in items if b != a and leq(a, b)] for a in items}
     edges = []
     for a in items:
-        for b in items:
-            if a == b or not leq(a, b):
-                continue
-            if any(c != a and c != b and leq(a, c) and leq(c, b) for c in items):
-                continue
-            edges.append((a, b))
+        between = set().union(*(up[c] for c in up[a]))
+        edges.extend((a, b) for b in up[a] if b not in between)
     return tuple(edges)
 
 

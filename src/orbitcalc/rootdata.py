@@ -19,11 +19,14 @@ coefficient vector c then evaluates as alpha(v) = sum_i c_i v_i, and the
 simple coroot alpha_j^vee has coweight coordinates equal to column j of
 the Cartan matrix.
 
-Affine simple roots are (linear root, integer offset) pairs; the finite
-simples sit at offset 0 and each irreducible component contributes
-(-theta, 1).  Node indices follow the extended-diagram convention used
-throughout the CLI: 0 is the affine node of the first component, the
-finite node alpha_i is index i (components are concatenated).
+Affine simple roots are (linear root, integer offset) pairs, listed in
+the node order of the extended Dynkin diagram: component by component,
+the affine node (-theta, 1) and then the component's finite simple roots
+(alpha_i, 0), so that affine_simples[i] is node a_i.  For a simple type
+node 0 is the affine node and node i is alpha_i.  marks holds the
+coefficients of the relation sum_i m_i a_i = 1 on each component (1 at
+the affine node, theta's coefficients elsewhere), and node_components
+the node numbers of each component.
 
 Arithmetic
 ----------
@@ -165,25 +168,24 @@ class RootSystem:
         return tuple(x // norm for x in coeffs)
 
     def _build_affine(self):
-        n = self.rank
-        comps = connected_components(n, lambda i, j: self.cartan[i][j] != 0)
-        self.components = comps
+        comps = connected_components(self.rank, lambda i, j: self.cartan[i][j] != 0)
         # theta of a component is its positive root of greatest height (a
         # root lies in one component, so touching it is lying in it)
         self.highest_roots = tuple(
             max((r for r in self.positive_roots if any(r[i] for i in comp)), key=sum)
             for comp in comps)
-        affine = [(self.simple_roots[i], 0) for i in range(n)]
-        for th in self.highest_roots:
+        affine, marks, node_comps = [], [], []
+        for comp, th in zip(comps, self.highest_roots):
+            first = len(affine)
             affine.append((tuple(-x for x in th), 1))
+            marks.append(1)
+            for i in comp:
+                affine.append((self.simple_roots[i], 0))
+                marks.append(th[i])
+            node_comps.append(frozenset(range(first, len(affine))))
         self.affine_simples = tuple(affine)
-        # display index: affine node of component k comes first in the
-        # conventional labelling (0 for a single component)
-        order = []
-        for k, comp in enumerate(comps):
-            order.append(n + k)
-            order.extend(comp)
-        self._display_order = tuple(order)
+        self.marks = tuple(marks)
+        self.node_components = tuple(node_comps)
 
     def _build_lattices(self):
         n = self.rank
@@ -224,17 +226,8 @@ class RootSystem:
         c = v[simple_idx]
         return tuple(x - c * y for x, y in zip(v, coroot))
 
-    # -- node display --------------------------------------------------
-
     def node_count(self):
         return len(self.affine_simples)
-
-    def display_index(self, internal_idx):
-        """Internal affine-simple index -> conventional node number."""
-        return self._display_order.index(internal_idx)
-
-    def internal_index(self, display_idx):
-        return self._display_order[display_idx]
 
 
 @lru_cache(maxsize=None)
@@ -372,13 +365,9 @@ class AlcoveSymmetry:
         return (beta, m - shift)
 
     def node_permutation(self, rs: RootSystem):
-        """Permutation of the affine simple nodes (internal indices)."""
-        images = []
-        affs = list(rs.affine_simples)
-        for aff in affs:
-            img = self.apply_affine_root(aff)
-            images.append(affs.index(img))
-        return tuple(images)
+        """Permutation of the affine simple nodes, by node number."""
+        affs = rs.affine_simples
+        return tuple(affs.index(self.apply_affine_root(a)) for a in affs)
 
 
 def _reduce_to_alcove(rs: RootSystem, v, m):

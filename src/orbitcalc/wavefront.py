@@ -54,10 +54,12 @@ def _result_from_invariants(invariants):
 
 
 def validate_restriction_data(ct: CartanType, data) -> dict:
-    """data: {frozenset(display nodes) -> [(label tuple, mult), ...]}."""
+    """data: {frozenset(node numbers) -> [(label tuple, mult), ...]}."""
     out = {}
     for j, items in data.items():
         j = frozenset(j)
+        if j in out:
+            raise WavefrontError(f"J={sorted(j)} is given twice")
         if not bc.is_proper(ct, j):
             raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}")
         ctx = bc.pair_context(ct, j)
@@ -157,7 +159,10 @@ def restriction_data_from_json(records) -> dict:
             if not is_int(item["mult"]):
                 raise TypeError(f'"mult" must be an integer, not {item["mult"]!r}')
             items.append((detuple(item["label"]), item["mult"]))
-        out[frozenset(rec["J"])] = items
+        j = frozenset(rec["J"])
+        if j in out:
+            raise ValueError(f"face J={sorted(j)} appears in two records")
+        out[j] = items
     return out
 
 

@@ -99,11 +99,9 @@ def test_criterion_3():
     assert time.time() - t0 < 60
 
 
-def _is_affine_node(ct, display_idx):
+def _is_affine_node(ct, node):
     from orbitcalc.rootdata import build_root_system
-    rs = build_root_system(ct)
-    internal = rs.internal_index(display_idx)
-    return internal >= rs.rank
+    return build_root_system(ct).affine_simples[node][1] == 1
 
 
 def _bv_of(ct, orbit):

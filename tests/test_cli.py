@@ -190,12 +190,14 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": true}]}]', 2),
     (["local-wf"], '[{"J": "12", "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1.0, 2], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[1, 1, 1]], "mult": 1}]}, '
+                   '{"J": [2, 1], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
     # well-formed input naming what does not exist: computational errors
     (["arthur-wf", "--dual-orbit", "2,2"], None, 1),
     (["local-wf"], '[{"J": [9], "irreps": [{"label": [2, 1], "mult": 1}]}]', 1),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
 ], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
-        "mult-float", "mult-bool", "J-string", "J-float",
+        "mult-float", "mult-bool", "J-string", "J-float", "J-repeated",
         "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     if data is not None:
@@ -483,3 +485,18 @@ def test_store_hit_loads_no_mathematics(tmp_path, kind):
     assert runs[0][0][0] == 0
     if kind == "unramified":
         assert "C1 normalized to A1" in runs[1][0][2]
+
+
+def test_unramified_miss_loads_no_fractions(tmp_path):
+    """The library's arithmetic is integer: a run that computes an
+    unramified table (face hulls included) imports neither fractions nor
+    decimal."""
+    code = ("import sys\nfrom orbitcalc import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print([m for m in ('fractions', 'decimal') if m in sys.modules], "
+            "file=sys.stderr)\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "unramified", "--type", "B",
+                           "--rank", "3", "--json", "--cache-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"]
+    assert proc.stderr.splitlines()[-1] == "[]"

@@ -158,13 +158,9 @@ def test_omega_equivariance_of_invariant():
         rs = build_root_system(ct)
         for sigma in alcove_symmetries(ct):
             perm = sigma.node_permutation(rs)
-
-            def dmap(d):
-                return rs.display_index(perm[rs.internal_index(d)])
-
             for pair in bc.enumerate_pairs(ct):
-                moved = bc.ABCPair(frozenset(map(dmap, pair.J)),
-                                   frozenset(map(dmap, pair.Jprime)))
+                moved = bc.ABCPair(frozenset(perm[d] for d in pair.J),
+                                   frozenset(perm[d] for d in pair.Jprime))
                 assert du.pair_invariant(ct, pair) == du.pair_invariant(ct, moved)
 
 

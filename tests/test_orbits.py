@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcalc import partitions as pt
 from orbitcalc.orbits import (NilpotentOrbit, OrbitError, WeightedDynkinDiagram,
-                              closure_leq, dual_bv, dual_ls, enumerate_orbits,
+                              closure_leq, covers, dual_bv, dual_ls, enumerate_orbits,
                               hasse_edges, is_special, orbit_dimension,
                               orbit_from_json, orbit_from_wdd, regular_orbit,
                               special_orbits, weighted_dynkin, zero_orbit)
@@ -149,3 +151,49 @@ def test_json_roundtrip():
     for ct in ALL_SMALL:
         for o in enumerate_orbits(ct):
             assert orbit_from_json(o.to_json(), ct.isogeny) == o
+
+
+def reference_covers(items, leq):
+    """The covers by definition: a < b and no c with a < c < b."""
+    edges = []
+    for a in items:
+        for b in items:
+            if a == b or not leq(a, b):
+                continue
+            if any(c != a and c != b and leq(a, c) and leq(c, b) for c in items):
+                continue
+            edges.append((a, b))
+    return tuple(edges)
+
+
+@st.composite
+def _closed_dags(draw):
+    """A random DAG on range(n), transitively closed, with its nodes in a
+    random order: (items, set of pairs a < b)."""
+    n = draw(st.integers(0, 9))
+    less = {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    for k in range(n):
+        less |= {(i, j) for i, m in less if m == k for l, j in less if l == k}
+    return draw(st.permutations(range(n))), less
+
+
+@given(_closed_dags())
+@settings(max_examples=300, deadline=None)
+def test_covers_matches_reference(dag):
+    items, less = dag
+    leq = lambda a, b: a == b or (a, b) in less
+    assert covers(items, leq) == reference_covers(items, leq)
+
+
+@pytest.mark.parametrize("ct", [CartanType("A", 6), CartanType("B", 4)], ids=str)
+def test_covers_calls_leq_at_most_n_squared(ct):
+    items = enumerate_orbits(ct)
+    calls = 0
+
+    def leq(a, b):
+        nonlocal calls
+        calls += 1
+        return closure_leq(a, b)
+
+    assert covers(items, leq) == reference_covers(items, closure_leq)
+    assert calls <= len(items) ** 2

@@ -98,11 +98,14 @@ def test_highest_root_is_highest():
     for ct in SYSTEMS:
         rs = rd.build_root_system(ct)
         simples, roots = epsilon_model(ct.series, ct.rank)
-        assert len(rs.highest_roots) == len(rs.components), ct
-        for theta, comp in zip(rs.highest_roots, rs.components):
+        assert len(rs.highest_roots) == len(rs.node_components), ct
+        for theta, nodes in zip(rs.highest_roots, rs.node_components):
             assert in_epsilon(theta, simples) in roots, ct
-            for i in comp:
-                up = tuple(t + (k == i) for k, t in enumerate(theta))
+            for i in nodes:
+                alpha, off = rs.affine_simples[i]
+                if off:
+                    continue
+                up = tuple(t + a for t, a in zip(theta, alpha))
                 assert in_epsilon(up, simples) not in roots, (ct, theta, i)
 
 
@@ -206,8 +209,20 @@ def test_alcove_symmetries_form_group():
 
 
 def test_display_indexing():
-    rs = rd.build_root_system(rd.CartanType("G", 2))
-    # node 0 is the affine node, nodes 1..n the finite simples
-    assert rs.internal_index(0) == 2  # internal affine index == rank
-    assert rs.internal_index(1) == 0
-    assert rs.display_index(2) == 0
+    """Node 0 is (-theta, 1), node i is (alpha_i, 0); a component's affine
+    node precedes its finite nodes, and the marks are 1 at the affine
+    node and theta's coefficients elsewhere."""
+    for ct in SYSTEMS:
+        if ct.series == "D" and ct.rank == 2:
+            continue
+        rs = rd.build_root_system(ct)
+        theta, = rs.highest_roots
+        assert rs.affine_simples[0] == (tuple(-x for x in theta), 1), ct
+        assert rs.affine_simples[1:] == tuple((a, 0) for a in rs.simple_roots), ct
+        assert rs.marks == (1, *theta), ct
+        assert rs.node_components == (frozenset(range(rs.rank + 1)),), ct
+    # D2 = A1 x A1: nodes a0, a1 on alpha_1's component, a2, a3 on alpha_2's
+    rs = rd.build_root_system(rd.CartanType("D", 2))
+    assert rs.affine_simples == (((-1, 0), 1), ((1, 0), 0), ((0, -1), 1), ((0, 1), 0))
+    assert rs.marks == (1, 1, 1, 1)
+    assert rs.node_components == (frozenset({0, 1}), frozenset({2, 3}))

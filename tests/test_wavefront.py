@@ -85,6 +85,9 @@ def test_validation_errors():
         wf.local_wf(ct, {frozenset(): [(("bogus",), 1)]})
     with pytest.raises(wf.WavefrontError):
         wf.local_wf(ct, {})
+    # one face under two keys: neither record may be dropped silently
+    with pytest.raises(wf.WavefrontError, match="given twice"):
+        wf.local_wf(ct, {(1, 2): [((((1, 1), ()),), 1)], (2, 1): [((((), (1, 1)),), 1)]})
 
 
 @pytest.mark.parametrize("ct", [ADJ("B", 3), CartanType("D", 2, "simply_connected"),
