@@ -158,7 +158,6 @@ def _xstar_functional(rs: RootSystem, root):
     return mat_vec(rs.cochar_basis, root)
 
 
-@lru_cache(maxsize=None)
 def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
     """Affine hull of the alcove face of type J: base point in the closed
     fundamental alcove plus the saturated direction lattice.
@@ -279,13 +278,12 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     shifts = tuple(d1 * off for off in offs2)
     congruences = tuple((row, d1 * m) for row, m in congruences2)
     for u in weyl_group(ct):
-        perm = u.perm
-        if not all(perm[g] in span1 for g in grads2):
+        if not all(u[g] in span1 for g in grads2):
             continue
-        y = tuple(vals1[perm[g]] + s for g, s in zip(grads2, shifts))
+        y = tuple(vals1[u[g]] + s for g, s in zip(grads2, shifts))
         if any(sum(a * b for a, b in zip(row, y)) % m for row, m in congruences):
             continue
-        if all(table1.get(frozenset(perm[i] for i in idx)) == data
+        if all(table1.get(frozenset(u[i] for i in idx)) == data
                for idx, data in table2.items()):
             return True
     return False

@@ -11,10 +11,10 @@ The abstract values come from Murnaghan-Nakayama style recursions:
                    on split classes (all cycles positive and even);
 * G2            -- the dihedral table of order 12.
 
-Concrete Weyl elements (root permutations from rootdata) are matched to
-abstract class labels through per-factor integer frames: the element's
-root permutation moves each frame vector to a signed frame vector, and
-the cycles of that signed permutation are the class label.  A split
+Concrete Weyl elements (root-permutation tuples from rootdata) are matched
+to abstract class labels through per-factor integer frames: the element
+moves each frame vector to a signed frame vector, and the cycles of that
+signed permutation are the class label, memoized per tuple.  A split
 type-D class gets its sign from the signed permutation alone (the parity
 of the sign changes of a W(B_k)-conjugator onto the representative with
 positive consecutive cycles; see _split_sign), with no group search.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import partitions as pt
-from .rootdata import (CartanType, RootSystem, WeylElement,
+from .rootdata import (CartanType, RootSystem, apply_root_coords,
                        connected_components, reflection_closure,
                        reflection_in_root)
 
@@ -422,14 +422,14 @@ def build_factor(rs: RootSystem, comp, forced_basis=None,
     return EmbeddedFactor(kind, series, rank, basis, cartan, roots, coords, frame)
 
 
-def _signed_perm(factor: EmbeddedFactor, w: WeylElement):
+def _signed_perm(rs: RootSystem, factor: EmbeddedFactor, w):
     """(pi, signs) with w(frame_i) = signs[i] * frame_{pi[i]}."""
     # a frame may hold v and -v (type A1): the unsigned match wins
     where = {tuple(-x for x in v): (i, -1) for i, v in enumerate(factor.frame)}
     where.update((v, (i, 1)) for i, v in enumerate(factor.frame))
     pi, signs = [], []
     for v in factor.frame:
-        hit = where.get(w.apply_root_coords(v))
+        hit = where.get(apply_root_coords(rs, w, v))
         if hit is None:
             raise CharError("element does not preserve the factor frame")
         pi.append(hit[0])
@@ -485,28 +485,27 @@ class FactorClassifier:
         self.factor = factor
         self._cache = {}
 
-    def label(self, w: WeylElement):
-        key = w.perm
-        if key in self._cache:
-            return self._cache[key]
+    def label(self, w):
+        if w in self._cache:
+            return self._cache[w]
         out = self._label(w)
-        self._cache[key] = out
+        self._cache[w] = out
         return out
 
-    def representative(self, cls) -> WeylElement:
+    def representative(self, cls) -> tuple:
         """An element of the factor's class cls: a product of reflections
         in roots of the factor (see _class_word)."""
         rs = self.rs
-        w = WeylElement(rs, tuple(range(len(rs.roots))))
+        w = tuple(range(len(rs.roots)))
         for root in _class_word(rs, self.factor, cls):
-            w = w * reflection_in_root(rs, root)
+            w = tuple(w[i] for i in reflection_in_root(rs, root))
         return w
 
     def _label(self, w):
         f = self.factor
         if f.kind == "G":
             return self._g2_label(w)
-        pi, signs = _signed_perm(f, w)
+        pi, signs = _signed_perm(self.rs, f, w)
         alpha, beta = _cycle_data(pi, signs)
         if f.kind == "A":
             if any(s != 1 for s in signs):
@@ -523,17 +522,17 @@ class FactorClassifier:
         """Class of w in the dihedral W(G2), read off its root permutation:
         -1 negates every root, a reflection exactly its own root pair, a
         rotation none; among rotations r2 has order 3 and r1 order 6."""
-        rs, p = self.rs, w.perm
+        rs = self.rs
         negated = [r for i, r in enumerate(rs.roots)
-                   if p[i] == rs._root_index[tuple(-x for x in r)]]
-        if len(negated) == len(p):
+                   if w[i] == rs._root_index[tuple(-x for x in r)]]
+        if len(negated) == len(w):
             return "r3"
         if negated:
             lmax = max(rs.root_length2(r) for r in rs.roots)
             return "sl" if rs.root_length2(negated[0]) == lmax else "ss"
-        if w.is_identity():
+        if w == tuple(range(len(w))):
             return "1"
-        return "r2" if all(p[p[p[i]]] == i for i in range(len(p))) else "r1"
+        return "r2" if all(w[w[w[i]]] == i for i in range(len(w))) else "r1"
 
 
 def _class_word(rs: RootSystem, f: EmbeddedFactor, cls):

@@ -28,6 +28,14 @@ coefficients of the relation sum_i m_i a_i = 1 on each component (1 at
 the affine node, theta's coefficients elsewhere), and node_components
 the node numbers of each component.
 
+Weyl group
+----------
+A Weyl element is the tuple w of root indices with w(rs.roots[i]) =
+rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
+tuple(range(len(rs.roots))).  apply_root_coords extends the action
+linearly to coefficient vectors, and apply_point acts on coweight
+coordinates.  An AlcoveSymmetry's finite part is such a tuple.
+
 Arithmetic
 ----------
 All of it is integer: root lengths and coroots, the X_*-coordinates of
@@ -239,63 +247,31 @@ def build_root_system(ct: CartanType) -> RootSystem:
 # Weyl group elements as permutations of the root list
 # ---------------------------------------------------------------------
 
-class WeylElement:
-    __slots__ = ("perm", "rs")
-
-    def __init__(self, rs: RootSystem, perm: tuple):
-        self.rs = rs
-        self.perm = perm
-
-    def __mul__(self, other):
-        # (self*other) acts as self after other
-        p, q = self.perm, other.perm
-        return WeylElement(self.rs, tuple(p[q[i]] for i in range(len(q))))
-
-    def inverse(self):
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return WeylElement(self.rs, tuple(inv))
-
-    def __eq__(self, other):
-        return self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def apply_root(self, root):
-        return self.rs.roots[self.perm[self.rs._root_index[root]]]
-
-    def apply_root_coords(self, coords):
-        """Linear extension of the root action to coefficient vectors."""
-        rs = self.rs
-        n = rs.rank
-        out = [0] * n
-        for i in range(n):
-            if coords[i]:
-                img = self.apply_root(rs.simple_roots[i])
-                for k in range(n):
-                    out[k] += coords[i] * img[k]
-        return tuple(out)
-
-    def apply_point(self, v):
-        """w on coweight coordinates: alpha_i(w v) = (w^-1 alpha_i)(v)."""
-        inv = self.inverse()
-        return tuple(sum(x * y for x, y in zip(inv.apply_root(b), v))
-                     for b in self.rs.simple_roots)
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.perm))
+def apply_root_coords(rs: RootSystem, w, coords):
+    """Linear extension of the root action of w to coefficient vectors."""
+    n = rs.rank
+    out = [0] * n
+    for i in range(n):
+        if coords[i]:
+            img = rs.roots[w[rs._root_index[rs.simple_roots[i]]]]
+            for k in range(n):
+                out[k] += coords[i] * img[k]
+    return tuple(out)
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+def apply_point(rs: RootSystem, w, v):
+    """w on coweight coordinates: alpha_i(w v) = (w^-1 alpha_i)(v)."""
+    return tuple(sum(x * y for x, y in zip(rs.roots[w.index(rs._root_index[b])], v))
+                 for b in rs.simple_roots)
+
+
+def simple_reflection(rs: RootSystem, i: int) -> tuple:
     return reflection_in_root(rs, rs.simple_roots[i])
 
 
 @lru_cache(maxsize=None)
-def reflection_in_root(rs: RootSystem, root) -> WeylElement:
-    """Reflection s_beta for an arbitrary root beta (one per system and
-    root: WeylElement is immutable)."""
+def reflection_in_root(rs: RootSystem, root) -> tuple:
+    """Reflection s_beta for an arbitrary root beta."""
     n = rs.rank
     coroot_cw = rs.coroot_coweight_coords(root)
 
@@ -303,8 +279,7 @@ def reflection_in_root(rs: RootSystem, root) -> WeylElement:
         pairing = sum(alpha[k] * coroot_cw[k] for k in range(n))
         return tuple(alpha[k] - pairing * root[k] for k in range(n))
 
-    perm = tuple(rs._root_index[refl(r)] for r in rs.roots)
-    return WeylElement(rs, perm)
+    return tuple(rs._root_index[refl(r)] for r in rs.roots)
 
 
 @lru_cache(maxsize=None)
@@ -315,19 +290,19 @@ def weyl_group(ct: CartanType) -> tuple:
         raise RootDataError(
             f"enumeration too large: rank {ct.rank} exceeds cap {WEYL_ENUM_RANK_CAP}")
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = WeylElement(rs, tuple(range(len(rs.roots))))
-    seen = {ident.perm: ident}
+    ident = tuple(range(len(rs.roots)))
+    seen = {ident: None}  # in breadth-first order
     frontier = [ident]
     while frontier:
         new = []
         for w in frontier:
             for g in gens:
-                x = g * w
-                if x.perm not in seen:
-                    seen[x.perm] = x
+                x = tuple(g[i] for i in w)
+                if x not in seen:
+                    seen[x] = None
                     new.append(x)
         frontier = new
-    return tuple(seen.values())
+    return tuple(seen)
 
 
 def dominant_conjugate(rs: RootSystem, v):
@@ -350,24 +325,24 @@ def dominant_conjugate(rs: RootSystem, v):
 
 @dataclass(frozen=True)
 class AlcoveSymmetry:
-    finite_part: WeylElement
+    finite_part: tuple  # a Weyl element (root permutation)
     translation: tuple  # coweight coordinates, a vector of X_*
 
-    def apply_point(self, v):
-        w = self.finite_part.apply_point(v)
+    def apply_point(self, rs: RootSystem, v):
+        w = apply_point(rs, self.finite_part, v)
         return tuple(a + b for a, b in zip(w, self.translation))
 
-    def apply_affine_root(self, aff):
+    def apply_affine_root(self, rs: RootSystem, aff):
         """sigma . (alpha, m) = (w alpha, m - (w alpha)(t))."""
         alpha, m = aff
-        beta = self.finite_part.apply_root(alpha)
+        beta = rs.roots[self.finite_part[rs._root_index[alpha]]]
         shift = sum(b * t for b, t in zip(beta, self.translation))
         return (beta, m - shift)
 
     def node_permutation(self, rs: RootSystem):
         """Permutation of the affine simple nodes, by node number."""
         affs = rs.affine_simples
-        return tuple(affs.index(self.apply_affine_root(a)) for a in affs)
+        return tuple(affs.index(self.apply_affine_root(rs, a)) for a in affs)
 
 
 def _reduce_to_alcove(rs: RootSystem, v, m):
@@ -377,7 +352,7 @@ def _reduce_to_alcove(rs: RootSystem, v, m):
     Returns (w, v') with w in W and v' / m in the closure of the alcove,
     v' / m the image of v / m under w followed by a translation in Q^vee.
     """
-    w = WeylElement(rs, tuple(range(len(rs.roots))))
+    w = tuple(range(len(rs.roots)))
     guard = 0
     while True:
         guard += 1
@@ -387,7 +362,8 @@ def _reduce_to_alcove(rs: RootSystem, v, m):
         for i in range(rs.rank):
             if v[i] < 0:
                 v = rs.reflect_point(v, i)
-                w = simple_reflection(rs, i) * w
+                s = simple_reflection(rs, i)
+                w = tuple(s[k] for k in w)
                 moved = True
                 break
         if moved:
@@ -398,7 +374,8 @@ def _reduce_to_alcove(rs: RootSystem, v, m):
                 # affine reflection in theta = 1, scaled by m
                 coroot = rs.coroot_coweight_coords(th)
                 v = tuple(x - (val - m) * c for x, c in zip(v, coroot))
-                w = reflection_in_root(rs, th) * w
+                s = reflection_in_root(rs, th)
+                w = tuple(s[k] for k in w)
                 moved = True
                 break
         if not moved:
@@ -433,11 +410,11 @@ def alcove_symmetries(ct: CartanType) -> tuple:
         x = mat_vec(cochar_t, rep)  # coweight coords of the X_* element
         w, v = _reduce_to_alcove(rs, tuple(a - m * b for a, b in zip(mb, x)), m)
         # sigma = (translation by t) o w, t = (v - w(m b)) / m
-        num = [a - b for a, b in zip(v, w.apply_point(mb))]
+        num = [a - b for a, b in zip(v, apply_point(rs, w, mb))]
         if any(t % m for t in num):
             raise RootDataError(f"non-integral alcove translation {num}/{m}")
         sigma = AlcoveSymmetry(w, tuple(t // m for t in num))
-        if {sigma.apply_affine_root(a) for a in affs} != affs:
+        if {sigma.apply_affine_root(rs, a) for a in affs} != affs:
             raise RootDataError(f"{sigma} does not stabilize the alcove")
         out.append(sigma)
     return tuple(out)

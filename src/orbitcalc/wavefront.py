@@ -150,6 +150,10 @@ def restriction_data_from_json(records) -> dict:
     def is_int(x):
         return isinstance(x, int) and not isinstance(x, bool)
 
+    def is_label(x):  # nested lists of integers and names (G2)
+        return isinstance(x, list) and all(
+            is_int(t) or isinstance(t, str) or is_label(t) for t in x)
+
     out = {}
     for rec in records:
         if not isinstance(rec["J"], list) or not all(map(is_int, rec["J"])):
@@ -158,6 +162,8 @@ def restriction_data_from_json(records) -> dict:
         for item in rec["irreps"]:
             if not is_int(item["mult"]):
                 raise TypeError(f'"mult" must be an integer, not {item["mult"]!r}')
+            if not is_label(item["label"]):
+                raise TypeError(f'"label" must be nested lists of integers, not {item["label"]!r}')
             items.append((detuple(item["label"]), item["mult"]))
         j = frozenset(rec["J"])
         if j in out:

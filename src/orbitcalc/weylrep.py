@@ -27,8 +27,7 @@ from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
 from .linalg import solve
 from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
                      orbit_from_wdd, weighted_dynkin)
-from .rootdata import (CartanType, WeylElement, build_root_system,
-                       dominant_conjugate)
+from .rootdata import CartanType, build_root_system, dominant_conjugate
 
 GROUP_ORDER_CAP = 10 ** 6
 
@@ -119,11 +118,11 @@ class WeylContext:
     def class_representatives(self):
         """(class, representative, size) for each conjugacy class of W_J."""
         if self._classes is None:
-            out = [((), WeylElement(self.rs, tuple(range(len(self.rs.roots)))), 1)]
+            out = [((), tuple(range(len(self.rs.roots))), 1)]
             for f, c in zip(self.factors, self.classifiers):
                 reps = [(lab, c.representative(lab), size)
                         for lab, size in factor_classes(f.kind, f.rank)]
-                out = [(cls + (lab,), w * r, n * size)
+                out = [(cls + (lab,), tuple(w[i] for i in r), n * size)
                        for cls, w, n in out for lab, r, size in reps]
             if sum(n for _, _, n in out) != self.order:
                 raise CharError(f"class sizes do not sum to the order {self.order}")
@@ -153,8 +152,7 @@ class WeylContext:
         return v
 
     def dim(self, irrep: WeylIrrep) -> int:
-        ident = WeylElement(self.rs, tuple(range(len(self.rs.roots))))
-        return self.char_value(irrep, self.class_of(ident))
+        return self.char_value(irrep, self.class_of(tuple(range(len(self.rs.roots)))))
 
     def inner_product(self, e1: WeylIrrep, e2: WeylIrrep) -> int:
         tot = 0
@@ -216,7 +214,6 @@ def ambient_context(ct: CartanType) -> WeylContext:
     return WeylContext(ct, rs.simple_roots, _standard_order=standard)
 
 
-@lru_cache(maxsize=None)
 def subgroup_context(ct: CartanType, basis: tuple) -> WeylContext:
     return WeylContext(ct, basis)
 

@@ -56,7 +56,7 @@ def test_sommers_dual_is_exported_and_total():
 PUBLIC_NAMES = [
     "ABCPair", "AffineSubspace", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",
     "RootSystem", "UnramifiedClassInvariant", "WavefrontResult",
-    "WeightedDynkinDiagram", "WeylContext", "WeylElement", "WeylIrrep",
+    "WeightedDynkinDiagram", "WeylContext", "WeylIrrep",
     "achar_dual_one", "alcove_symmetries", "ambient_context", "arthur_wf",
     "balacarter", "build_root_system", "chartab", "classes", "closure_leq",
     "cross_check_arthur", "dominant_conjugate", "dual_bv", "dual_ls", "duality",

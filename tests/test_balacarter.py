@@ -406,18 +406,17 @@ def in_lattice_plus_span(vec, direction_rows):
     return all(Fraction(w[i]).denominator == 1 for i in range(rank, n))
 
 
-def xstar_matrix(w):
+def xstar_matrix(rs, w):
     """The oracle's own integer matrix of w on X_*-basis coordinates.
 
     Adjoint: X_* is the coweight lattice, and row i is the root vector of
     w^{-1}(alpha_i).  Simply connected: X_* has the simple coroots as
     basis, and column j holds the coroot coordinates of w(alpha_j)^vee.
     """
-    rs = w.rs
     if rs.cartan_type.isogeny == "adjoint":
-        inv = w.inverse()
-        return tuple(inv.apply_root(b) for b in rs.simple_roots)
-    return tuple(zip(*(rs._coroot_of[w.apply_root(b)] for b in rs.simple_roots)))
+        return tuple(rs.roots[w.index(rs._root_index[b])] for b in rs.simple_roots)
+    return tuple(zip(*(rs._coroot_of[rs.roots[w[rs._root_index[b]]]]
+                       for b in rs.simple_roots)))
 
 
 def rational_base(hull):
@@ -431,8 +430,9 @@ def reference_equivalent(ct, p1, p2):
     table2, inv2 = bc._pair_data(ct, p2)
     if inv1 != inv2 or hull1.dim() != hull2.dim():
         return False
+    rs = build_root_system(ct)
     for w in weyl_group(ct):
-        mx = xstar_matrix(w)
+        mx = xstar_matrix(rs, w)
         wdir = tuple(mat_vec(mx, row) for row in hull1.direction)
         if hermite_row_basis(wdir) != hull2.direction:
             continue
@@ -440,7 +440,7 @@ def reference_equivalent(ct, p1, p2):
         diff = tuple(b - c for b, c in zip(rational_base(hull2), wbase))
         if not in_lattice_plus_span(diff, hull2.direction):
             continue
-        if all(table2.get(frozenset(w.perm[i] for i in idx)) == data
+        if all(table2.get(frozenset(w[i] for i in idx)) == data
                for idx, data in table1.items()):
             return True
     return False

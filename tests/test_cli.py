@@ -192,13 +192,17 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '[{"J": [1.0, 2], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[1, 1, 1]], "mult": 1}]}, '
                    '{"J": [2, 1], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1], "irreps": [{"label": null, "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1], "irreps": [{"label": [{"a": 1}], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1], "irreps": [{"label": [[1.0, 1]], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1], "irreps": [{"label": [[true, 1]], "mult": 1}]}]', 2),
     # well-formed input naming what does not exist: computational errors
     (["arthur-wf", "--dual-orbit", "2,2"], None, 1),
     (["local-wf"], '[{"J": [9], "irreps": [{"label": [2, 1], "mult": 1}]}]', 1),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
 ], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
         "mult-float", "mult-bool", "J-string", "J-float", "J-repeated",
-        "wrong-total", "unknown-face", "unknown-character"])
+        "label-null", "label-object", "label-float", "label-bool", "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     if data is not None:
         f = tmp_path / "data.json"

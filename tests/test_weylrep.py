@@ -10,8 +10,7 @@ from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import (CartanType, WeylElement, build_root_system,
-                                reflection_in_root)
+from orbitcalc.rootdata import CartanType, build_root_system, reflection_in_root
 
 CTS = [CartanType(s, r) for s, r in
        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -26,19 +25,19 @@ def _closure(rs, roots):
     """The subgroup generated by the reflections in the given roots, by
     breadth-first closure (the test's own enumeration of W_J)."""
     gens = [reflection_in_root(rs, r) for r in roots]
-    ident = WeylElement(rs, tuple(range(len(rs.roots))))
-    seen = {ident.perm: ident}
+    ident = tuple(range(len(rs.roots)))
+    seen = {ident: None}
     frontier = [ident]
     while frontier:
         new = []
         for w in frontier:
             for g in gens:
-                x = g * w
-                if x.perm not in seen:
-                    seen[x.perm] = x
+                x = tuple(g[i] for i in w)
+                if x not in seen:
+                    seen[x] = None
                     new.append(x)
         frontier = new
-    return tuple(seen.values())
+    return tuple(seen)
 
 
 def _elements(ctx):
@@ -97,7 +96,7 @@ def _molien_class_series(ctx, nmax):
     n = rs.rank
     out = {}
     for w in _elements(ctx):
-        imgs = [w.apply_root(rs.simple_roots[j]) for j in range(n)]
+        imgs = [rs.roots[w[rs._root_index[b]]] for b in rs.simple_roots]
         mat = [[imgs[j][i] for j in range(n)] for i in range(n)]
         poly = [Fraction(c) for c in _det_one_minus_q(mat)]
         inv = _poly_inv(poly, nmax)
@@ -409,7 +408,10 @@ def _split_sign_by_search(ctx, f, w, alpha):
         pos += ln
     target = (tuple(pi), (1,) * pos)
     for u in _closure(ctx.rs, f.basis):
-        if ch._signed_perm(f, u * w * u.inverse()) == target:
+        inv = [0] * len(u)
+        for i, j in enumerate(u):
+            inv[j] = i
+        if ch._signed_perm(ctx.rs, f, tuple(u[w[k]] for k in inv)) == target:
             return 1
     return -1
 
@@ -433,7 +435,7 @@ def test_split_sign_matches_conjugacy_search():
             for w in _elements(ctx):
                 alpha, beta, sign = cl.label(w)
                 if sign:
-                    assert sign == _split_sign_by_search(ctx, f, w, alpha), (f.basis, w.perm)
+                    assert sign == _split_sign_by_search(ctx, f, w, alpha), (f.basis, w)
                     checked += 1
     assert checked > 0
 
