@@ -17,8 +17,8 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "balacarter": ("ABCPair", "AffineSubspace", "classes", "enumerate_pairs",
-                   "equivalent", "face_hull", "pair_saturation", "saturation"),
+    "balacarter": ("ABCPair", "classes", "enumerate_pairs", "equivalent",
+                   "face_hull", "pair_saturation", "saturation"),
     "cartantype": ("CartanType",),
     "duality": ("UnramifiedClassInvariant", "achar_dual_one", "enumerate_nobc",
                 "invariant_of", "leq_A", "sommers_dual"),

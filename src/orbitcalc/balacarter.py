@@ -9,16 +9,17 @@ pairs when it maps one hull onto the other modulo the cocharacter lattice
 and transports the per-factor distinguished orbits.
 
 The decision is integer and reads every Weyl element off its root
-permutation.  Per face J (_face_data) it keeps d * alpha(b) for every
-root alpha, b the hull's base and d its common denominator, the roots in
-the QQ-span of J's gradients, and one congruence per column of H^-1,
-H the Hermite basis of G X_* for the gradients' X_* functionals G.
-Since alpha(w b) = (w^-1 alpha)(b), scanning u = w^-1 over W needs only
-lookups and integer dot products: u must send J2's gradients into the
-QQ-span of J1's (directions), the values of J2's affine roots at w b1
-must lie in G2 X_* (translates), and u must match the per-factor orbits.
-The base b itself is read off the affine marks (face_hull), as an
-integer vector over one denominator.
+permutation.  Per face J, face_hull keeps d * alpha(b) for every root
+alpha, the roots in the QQ-span of J's gradients, and one congruence per
+column of H^-1, H the Hermite basis of G X_* for the gradients' X_*
+functionals G.  The base b is read off the affine marks in coweight
+coordinates (alpha_i(b) = 1 / (sum of the marks off J) on the free
+finite nodes, 0 on J), d being the lcm of those sums, so only the
+congruences need a solve.  Since alpha(w b) = (w^-1 alpha)(b), scanning
+u = w^-1 over W needs only lookups and integer dot products: u must send
+J2's gradients into the QQ-span of J1's (directions), the values of J2's
+affine roots at w b1 must lie in G2 X_* (translates), and u must match
+the per-factor orbits.
 
 Nodes are numbered as in rs.affine_simples: per component the affine
 node, then the finite simple roots (for a simple type 0 is the affine
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
                      solve, transpose)
@@ -66,16 +67,6 @@ class ABCPair:
         return f"({fmt(self.J)},{fmt(self.Jprime)})"
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    base: tuple        # X_*-basis coordinates times denominator, integers
-    denominator: int   # positive, gcd(base, denominator) = 1
-    direction: tuple   # HNF row basis of the direction lattice
-
-    def dim(self) -> int:
-        return len(self.direction)
-
-
 def is_proper(ct: CartanType, j: frozenset) -> bool:
     """J is a set of nodes of the affine diagram, proper within each
     component."""
@@ -99,6 +90,8 @@ def _basis_of(rs: RootSystem, j) -> tuple:
 
 @lru_cache(maxsize=None)
 def pair_context(ct: CartanType, j: frozenset) -> WeylContext:
+    if not is_proper(ct, j):
+        raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
     rs = build_root_system(ct)
     return subgroup_context(ct, _basis_of(rs, j))
 
@@ -153,80 +146,50 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
 # hulls
 # ---------------------------------------------------------------------
 
-def _xstar_functional(rs: RootSystem, root):
-    """The root as an integer functional on X_*-basis coordinates."""
-    return mat_vec(rs.cochar_basis, root)
-
-
-def face_hull(ct: CartanType, j: frozenset) -> AffineSubspace:
-    """Affine hull of the alcove face of type J: base point in the closed
-    fundamental alcove plus the saturated direction lattice.
+@lru_cache(maxsize=None)
+def face_hull(ct: CartanType, j: frozenset) -> tuple:
+    """Integer data of the affine hull of the alcove face of type J.
 
     On each component the alcove is sum_i m_i a_i = 1, a_i >= 0, over the
     affine simple roots a_i with marks m_i (rs.marks: 1 at the affine
     node, theta's coefficients elsewhere; Bourbaki, Lie Groups and Lie
-    Algebras, ch. VI, par. 2).  The base point is 0 on J and
-    1 / (sum of the marks off J) on every other affine simple root; the
-    solve runs on these values times the lcm of the mark sums.
+    Algebras, ch. VI, par. 2).  The hull's base point b is 0 on J and
+    1 / (sum of the marks off J) on every other affine simple root, so in
+    coweight coordinates d * b is d // (mark sum) on the free finite
+    nodes, d the lcm of the mark sums.  Its direction is the kernel of
+    J's gradients.
+
+    Returns (d, vals, span, grads, offs, congruences): d and
+    vals[a] = d * alpha_a(b) for every root index a; the set span of root
+    indices in the QQ-span of J's gradients (the roots vanishing on the
+    direction); the root indices grads of J's gradients and their affine
+    offsets offs; and, with H the Hermite basis of G X_* (G the
+    gradients' X_* functionals), one pair (x, m) = solve(H, e_i) per
+    column of H^-1: y is in G X_* iff y . x = 0 mod m for all.
     """
+    if not is_proper(ct, j):
+        raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
     rs = build_root_system(ct)
-    n = rs.rank
-    free_marks = []
-    for nodes in rs.node_components:
-        free = nodes - j
-        marks = sum(rs.marks[i] for i in free)
-        if not marks:
-            raise ABCError(f"J={sorted(j)} contains a whole component")
-        free_marks.append((free, marks))
-    scale = lcm(*(marks for _, marks in free_marks))
-    values = [0] * n  # scale * alpha_i(base) on the finite simple roots
-    for free, marks in free_marks:
-        for i in free:
-            alpha, off = rs.affine_simples[i]
-            if not off:
-                values[rs.simple_roots.index(alpha)] = scale // marks
-    simples = tuple(_xstar_functional(rs, alpha) for alpha in rs.simple_roots)
-    x, d = solve(simples, values)
-    denominator = d * scale
-    g = gcd(*x, denominator)
-    jrows = tuple(_xstar_functional(rs, rs.affine_simples[i][0]) for i in sorted(j))
-    direction = integer_kernel(jrows) if j else identity(n)
-    return AffineSubspace(tuple(v // g for v in x), denominator // g, direction)
-
-
-@lru_cache(maxsize=None)
-def _root_functionals(ct: CartanType) -> tuple:
-    """Every root's X_* functional, in rs.roots order."""
-    rs = build_root_system(ct)
-    return tuple(_xstar_functional(rs, r) for r in rs.roots)
-
-
-@lru_cache(maxsize=None)
-def _face_data(ct: CartanType, j: frozenset):
-    """Integer data of face_hull(ct, j) for `equivalent`.
-
-    Returns (d, vals, span, grads, offs, congruences): the denominator d
-    of the base b and vals[a] = d * alpha_a(b) for every
-    root index a; the set span of root indices in the QQ-span of J's
-    gradients (the roots whose X_* functional vanishes on the direction);
-    the root indices grads of J's gradients and their affine offsets
-    offs; and, with H the Hermite basis of G X_* (G the gradients'
-    functionals), one pair (x, m) = solve(H, e_i) per column of H^-1:
-    y is in G X_* iff y . x = 0 mod m for all.
-    """
-    rs = build_root_system(ct)
-    hull = face_hull(ct, j)
-    fns = _root_functionals(ct)
-    d = hull.denominator
-    vals = tuple(sum(a * b for a, b in zip(f, hull.base)) for f in fns)
-    span = frozenset(i for i, f in enumerate(fns)
-                     if not any(mat_vec(hull.direction, f)))
     affs = rs.affine_simples
-    grads = tuple(rs._root_index[affs[i][0]] for i in sorted(j))
-    offs = tuple(affs[i][1] for i in sorted(j))
+    sums = [sum(rs.marks[i] for i in nodes - j) for nodes in rs.node_components]
+    d = lcm(*sums)
+    point = [0] * rs.rank  # d * alpha_i(b) on the finite simple roots
+    for nodes, marks in zip(rs.node_components, sums):
+        for i in nodes - j:
+            alpha, off = affs[i]
+            if not off:
+                point[rs.simple_roots.index(alpha)] = d // marks
+    vals = tuple(sum(c * x for c, x in zip(r, point)) for r in rs.roots)
+    jl = sorted(j)
+    gradients = tuple(affs[i][0] for i in jl)
+    direction = integer_kernel(gradients) if j else identity(rs.rank)
+    span = frozenset(a for a, r in enumerate(rs.roots) if not any(mat_vec(direction, r)))
+    grads = tuple(rs._root_index[g] for g in gradients)
+    offs = tuple(affs[i][1] for i in jl)
     congruences = ()
     if j:
-        h = hermite_row_basis(transpose(tuple(fns[g] for g in grads)))
+        h = hermite_row_basis(transpose(tuple(mat_vec(rs.cochar_basis, g)
+                                              for g in gradients)))
         if len(h) != len(grads):
             raise ABCError(f"dependent gradients for J={sorted(j)}")
         congruences = tuple(solve(h, e) for e in identity(len(h)))
@@ -237,22 +200,17 @@ def _face_data(ct: CartanType, j: frozenset):
 # equivalence
 # ---------------------------------------------------------------------
 
-def _factor_orbit_table(ct: CartanType, pair: ABCPair):
-    """Map frozenset(factor root indices) -> (series, rank, orbit key)."""
-    rs = build_root_system(ct)
-    ctx = pair_context(ct, pair.J)
-    orbs = distinguished_factor_orbits(ct, pair)
-    table = {}
-    for f, o in zip(ctx.factors, orbs):
-        idx = frozenset(rs._root_index[r] for r in f.roots)
-        key = o.g2_label if o.system.series == "G" else o.partition
-        table[idx] = (f.series, f.rank, key)
-    return table
-
-
 @lru_cache(maxsize=None)
 def _pair_data(ct: CartanType, pair: ABCPair):
-    table = _factor_orbit_table(ct, pair)
+    """Map frozenset(factor root indices) -> (series, rank, orbit key),
+    and its sorted values, the bucket invariant of `classes`."""
+    rs = build_root_system(ct)
+    ctx = pair_context(ct, pair.J)
+    table = {}
+    for f, o in zip(ctx.factors, distinguished_factor_orbits(ct, pair)):
+        idx = frozenset(rs._root_index[r] for r in f.roots)
+        table[idx] = (f.series, f.rank,
+                      o.g2_label if o.system.series == "G" else o.partition)
     return table, tuple(sorted(table.values()))
 
 
@@ -273,8 +231,8 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     table2, inv2 = _pair_data(ct, p2)
     if inv1 != inv2 or len(p1.J) != len(p2.J):
         return False
-    d1, vals1, span1, _, _, _ = _face_data(ct, p1.J)
-    _, _, _, grads2, offs2, congruences2 = _face_data(ct, p2.J)
+    d1, vals1, span1, _, _, _ = face_hull(ct, p1.J)
+    _, _, _, grads2, offs2, congruences2 = face_hull(ct, p2.J)
     shifts = tuple(d1 * off for off in offs2)
     congruences = tuple((row, d1 * m) for row, m in congruences2)
     for u in weyl_group(ct):

@@ -230,10 +230,10 @@ def _fusion(sub: WeylContext):
 def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
                         e_amb: WeylIrrep) -> int:
     """<Ind_{W_J}^W e_sub, e_amb>, by summation over the classes of W_J."""
+    amb = ambient_context(sub.cartan_type)
     tot = 0
     for (scls, acls), cnt in _fusion(sub).items():
-        tot += cnt * sub.char_value(e_sub, scls) * \
-            ambient_context(sub.cartan_type).char_value(e_amb, acls)
+        tot += cnt * sub.char_value(e_sub, scls) * amb.char_value(e_amb, acls)
     q, r = divmod(tot, sub.order)
     if r:
         raise CharError("non-integral induction multiplicity")

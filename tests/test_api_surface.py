@@ -54,7 +54,7 @@ def test_sommers_dual_is_exported_and_total():
 
 # orbitcalc.__all__ before the package re-exported lazily
 PUBLIC_NAMES = [
-    "ABCPair", "AffineSubspace", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",
+    "ABCPair", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",
     "RootSystem", "UnramifiedClassInvariant", "WavefrontResult",
     "WeightedDynkinDiagram", "WeylContext", "WeylIrrep",
     "achar_dual_one", "alcove_symmetries", "ambient_context", "arthur_wf",

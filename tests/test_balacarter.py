@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -60,21 +61,36 @@ def test_enumerate_pairs_a2_all_jprime_empty():
         (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
 
 
+def _xstar_functional(rs, root):
+    """The root as an integer functional on X_*-basis coordinates."""
+    return mat_vec(rs.cochar_basis, root)
+
+
+def _at(rs, root, point):
+    """root(point), the point in X_*-basis coordinates."""
+    return sum(c * x for c, x in zip(_xstar_functional(rs, root), point))
+
+
 def test_face_hull_extremes():
     ct = CartanType("G", 2)
-    full = bc.face_hull(ct, frozenset())
-    assert full.dim() == 2
-    point = bc.face_hull(ct, frozenset({1, 2}))
-    assert point.dim() == 0
-    assert (point.base, point.denominator) == ((0, 0), 1)
-    vertex = bc.face_hull(ct, frozenset({0, 1}))
-    assert vertex.dim() == 0
     rs = build_root_system(ct)
+    every_root = frozenset(range(len(rs.roots)))
+    d, vals, span, grads, _, _ = bc.face_hull(ct, frozenset())
+    assert (span, grads) == (frozenset(), ())  # the whole plane
+    base, _ = reference_face_hull(ct, frozenset())
+    assert vals == tuple(d * _at(rs, r, base) for r in rs.roots)
+    d, vals, span, _, _, _ = bc.face_hull(ct, frozenset({1, 2}))
+    assert (d, vals, span) == (1, (0,) * len(rs.roots), every_root)  # the origin
+    d, vals, span, grads, offs, _ = bc.face_hull(ct, frozenset({0, 1}))
+    assert span == every_root  # a vertex
+    base, _ = reference_face_hull(ct, frozenset({0, 1}))
+    assert vals == tuple(d * _at(rs, r, base) for r in rs.roots)
     # the hull point must kill both affine roots of J
-    for i in (0, 1):
-        alpha, off = rs.affine_simples[i]
-        fn = bc._xstar_functional(rs, alpha)
-        assert sum(c * x for c, x in zip(fn, vertex.base)) + off * vertex.denominator == 0
+    for i, g, off in zip((0, 1), grads, offs):
+        alpha, a_off = rs.affine_simples[i]
+        assert (rs.roots[g], off) == (alpha, a_off)
+        assert _at(rs, alpha, base) + off == 0
+        assert vals[g] + off * d == 0
 
 
 def test_equivalent_reflexive_and_g2_identification():
@@ -326,11 +342,12 @@ def mat_inv(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+@functools.lru_cache(maxsize=None)
 def reference_face_hull(ct, j):
-    """The hull by one solve over QQ with a slack t_k per component:
-    a_i = 0 on J and a_i = t_k off J, a_i the affine simple roots.  The
-    solve is the Gauss-Jordan mat_inv, so this shares no elimination with
-    face_hull."""
+    """The hull (base, direction) in X_*-basis coordinates, by one solve
+    over QQ with a slack t_k per component: a_i = 0 on J and a_i = t_k off
+    J, a_i the affine simple roots.  The solve is the Gauss-Jordan
+    mat_inv, so this shares no elimination with face_hull."""
     rs = build_root_system(ct)
     affs = rs.affine_simples
     comps = rs.node_components
@@ -339,18 +356,18 @@ def reference_face_hull(ct, j):
     rows, rhs = [], []
     for i in sorted(j):
         alpha, off = affs[i]
-        rows.append(list(bc._xstar_functional(rs, alpha)) + [0] * ncomp)
+        rows.append(list(_xstar_functional(rs, alpha)) + [0] * ncomp)
         rhs.append(Fraction(-off))
     for k, comp in enumerate(comps):
         for i in sorted(comp - j):
             alpha, off = affs[i]
             trow = [0] * ncomp
             trow[k] = -1
-            rows.append(list(bc._xstar_functional(rs, alpha)) + trow)
+            rows.append(list(_xstar_functional(rs, alpha)) + trow)
             rhs.append(Fraction(-off))
     sol = mat_vec(mat_inv(tuple(tuple(r) for r in rows)), tuple(rhs))
     assert all(t > 0 for t in sol[n:])
-    jrows = tuple(bc._xstar_functional(rs, affs[i][0]) for i in sorted(j))
+    jrows = tuple(_xstar_functional(rs, affs[i][0]) for i in sorted(j))
     direction = smith_kernel(jrows) if j else identity(n)
     return tuple(sol[:n]), direction
 
@@ -419,26 +436,24 @@ def xstar_matrix(rs, w):
                        for b in rs.simple_roots)))
 
 
-def rational_base(hull):
-    return tuple(Fraction(x, hull.denominator) for x in hull.base)
-
-
 def reference_equivalent(ct, p1, p2):
-    """The hull test by an HNF of each image direction and a Smith form."""
-    hull1, hull2 = bc.face_hull(ct, p1.J), bc.face_hull(ct, p2.J)
+    """The hull test on the reference hulls, by an HNF of each image
+    direction and a Smith form."""
+    base1, direction1 = reference_face_hull(ct, p1.J)
+    base2, direction2 = reference_face_hull(ct, p2.J)
     table1, inv1 = bc._pair_data(ct, p1)
     table2, inv2 = bc._pair_data(ct, p2)
-    if inv1 != inv2 or hull1.dim() != hull2.dim():
+    if inv1 != inv2 or len(direction1) != len(direction2):
         return False
     rs = build_root_system(ct)
     for w in weyl_group(ct):
         mx = xstar_matrix(rs, w)
-        wdir = tuple(mat_vec(mx, row) for row in hull1.direction)
-        if hermite_row_basis(wdir) != hull2.direction:
+        wdir = tuple(mat_vec(mx, row) for row in direction1)
+        if hermite_row_basis(wdir) != direction2:
             continue
-        wbase = mat_vec(mx, rational_base(hull1))
-        diff = tuple(b - c for b, c in zip(rational_base(hull2), wbase))
-        if not in_lattice_plus_span(diff, hull2.direction):
+        wbase = mat_vec(mx, base1)
+        diff = tuple(b - c for b, c in zip(base2, wbase))
+        if not in_lattice_plus_span(diff, direction2):
             continue
         if all(table2.get(frozenset(w[i] for i in idx)) == data
                for idx, data in table1.items()):
@@ -485,13 +500,22 @@ def test_subsystem_roots_match_reference_span_test(iso):
 
 @pytest.mark.parametrize("iso", ISOGENIES)
 def test_face_hull_matches_reference_slack_system(iso):
+    """d * alpha(b) and the span against the reference base and direction,
+    each root read as the test's own X_* functional."""
     faces = 0
     for s, r in [("A", 1)] + [(s, r) for s in "ABCD" for r in range(2, 7)] + [("G", 2)]:
         ct = CartanType(s, r, iso)
+        rs = build_root_system(ct)
         for j in bc.proper_subsets(ct):
-            hull = bc.face_hull(ct, j)
-            assert hull.denominator > 0 and math.gcd(*hull.base, hull.denominator) == 1
-            assert (rational_base(hull), hull.direction) == reference_face_hull(ct, j), (ct, j)
+            d, vals, span, grads, offs, _ = bc.face_hull(ct, j)
+            base, direction = reference_face_hull(ct, j)
+            assert d > 0, (ct, j)
+            assert vals == tuple(d * _at(rs, root, base) for root in rs.roots), (ct, j)
+            assert span == frozenset(
+                a for a, root in enumerate(rs.roots)
+                if not any(mat_vec(direction, _xstar_functional(rs, root)))), (ct, j)
+            assert tuple((rs.roots[g], off) for g, off in zip(grads, offs)) == \
+                tuple(rs.affine_simples[i] for i in sorted(j)), (ct, j)
             faces += 1
     assert faces == 984
 
@@ -505,6 +529,22 @@ def test_face_hull_of_a_whole_component_raises(ct):
             bc.face_hull(ct, comp)
         with pytest.raises(bc.ABCError):
             bc.face_hull(ct, frozenset(range(rs.node_count())))
+
+
+@pytest.mark.parametrize("ct", [CartanType("G", 2), CartanType("A", 1),
+                                CartanType("D", 2), CartanType("B", 3)], ids=str)
+def test_nodes_outside_the_diagram_raise(ct):
+    """Node numbers below 0 or past the last node do not wrap around."""
+    for node in (-1, build_root_system(ct).node_count()):
+        j = frozenset({node})
+        with pytest.raises(bc.ABCError):
+            bc.face_hull(ct, j)
+        with pytest.raises(bc.ABCError):
+            bc.pair_context(ct, j)
+        with pytest.raises(bc.ABCError):
+            bc.saturation(ct, j, ())
+        with pytest.raises(bc.ABCError):
+            bc.pair_saturation(ct, bc.ABCPair(j, frozenset()))
 
 
 def _int_matrices(max_rows, max_cols, bound):
