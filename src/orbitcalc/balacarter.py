@@ -28,7 +28,7 @@ node and 1..n are alpha_1..alpha_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
@@ -46,14 +46,13 @@ class ABCError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ABCPair:
-    J: frozenset
-    Jprime: frozenset
+class ABCPair(namedtuple("ABCPair", "J Jprime")):
+    __slots__ = ()  # two frozensets of node numbers
 
-    def __post_init__(self):
-        if not self.Jprime <= self.J:
+    def __new__(cls, J, Jprime):
+        if not Jprime <= J:
             raise ABCError("J' must be a subset of J")
+        return super().__new__(cls, J, Jprime)
 
     def sort_key(self):
         return (len(self.J), tuple(sorted(self.J)), len(self.Jprime),

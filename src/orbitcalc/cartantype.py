@@ -9,7 +9,7 @@ MODULES list and fails on a traced call from any other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 SERIES = ("A", "B", "C", "D", "G")
 
@@ -18,27 +18,25 @@ class RootDataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CartanType:
-    series: str
-    rank: int
-    isogeny: str = "adjoint"
+class CartanType(namedtuple("CartanType", "series rank isogeny")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise RootDataError(f"unknown series {self.series!r}")
-        if self.isogeny not in ("adjoint", "simply_connected"):
-            raise RootDataError(f"unknown isogeny {self.isogeny!r}")
-        if self.rank < 1:
+    def __new__(cls, series, rank, isogeny="adjoint"):
+        if series not in SERIES:
+            raise RootDataError(f"unknown series {series!r}")
+        if isogeny not in ("adjoint", "simply_connected"):
+            raise RootDataError(f"unknown isogeny {isogeny!r}")
+        if rank < 1:
             raise RootDataError("rank must be positive")
-        if self.series == "G" and self.rank != 2:
+        if series == "G" and rank != 2:
             raise RootDataError("series G requires rank 2")
-        if self.series == "D" and self.rank < 2:
+        if series == "D" and rank < 2:
             raise RootDataError("series D requires rank >= 2")
-        if self.series in ("B", "C") and self.rank < 2:
+        if series in ("B", "C") and rank < 2:
             # B1 and C1 have the same root datum as A1
-            warnings.warn(f"{self.series}1 normalized to A1", stacklevel=3)
-            object.__setattr__(self, "series", "A")
+            warnings.warn(f"{series}1 normalized to A1", stacklevel=2)
+            series = "A"
+        return super().__new__(cls, series, rank, isogeny)
 
     @property
     def dual(self) -> "CartanType":

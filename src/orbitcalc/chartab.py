@@ -28,7 +28,7 @@ a class as a product of reflections in roots read off the frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
@@ -258,16 +258,15 @@ def factor_char_value(kind, label, cls) -> int:
 # embedded factors: classify concrete elements
 # ---------------------------------------------------------------------
 
-@dataclass
-class EmbeddedFactor:
-    kind: str            # 'A', 'BC', 'D', 'G'
-    series: str          # the root-system series: A/B/C/D/G
-    rank: int
-    basis: tuple         # ordered simple roots (root-coordinate tuples)
-    cartan: tuple        # cartan[i][j] = <basis_i, basis_j^vee>
-    roots: tuple         # the whole subsystem, in rs.roots order
-    coords: tuple        # integer coordinates of each root in the basis
-    frame: tuple         # classification frame (see _build_frame)
+class EmbeddedFactor(namedtuple("EmbeddedFactor",
+                                "kind series rank basis cartan roots coords frame")):
+    # kind: 'A', 'BC', 'D', 'G'; series: the root-system series A/B/C/D/G;
+    # basis: ordered simple roots (root-coordinate tuples);
+    # cartan[i][j] = <basis_i, basis_j^vee>;
+    # roots: the whole subsystem, in rs.roots order;
+    # coords: integer coordinates of each root in the basis;
+    # frame: classification frame (see _build_frame)
+    __slots__ = ()
 
     def cartan_type(self) -> CartanType:
         return CartanType(self.series, self.rank)

@@ -145,6 +145,8 @@ def cache_load(args, kind, ct, inputs=None):
             differ = [k for k in key
                       if not isinstance(stored, dict) or stored.get(k) != key[k]]
             raise ValueError(f"holds the entry for another {', '.join(differ)}")
+        if not isinstance(data["text"], str):
+            raise ValueError('"text" is not a string')
         return data
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)

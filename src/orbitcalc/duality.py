@@ -11,7 +11,7 @@ in closure order and the second components compare the other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import balacarter as bc
@@ -25,10 +25,9 @@ class DualityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class UnramifiedClassInvariant:
-    orbit: NilpotentOrbit
-    dual_orbit: NilpotentOrbit
+class UnramifiedClassInvariant(namedtuple("UnramifiedClassInvariant",
+                                          "orbit dual_orbit")):
+    __slots__ = ()
 
     def to_json(self):
         return {"orbit": self.orbit.to_json(),

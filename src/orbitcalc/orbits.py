@@ -13,7 +13,7 @@ the fork node alpha_{n-1} is >= the value at alpha_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
@@ -36,32 +36,27 @@ class OrbitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NilpotentOrbit:
-    system: CartanType
-    partition: tuple | None = None
-    g2_label: str | None = None
-    mark: str | None = None  # 'I' or 'II', type D very even only
+class NilpotentOrbit(namedtuple("NilpotentOrbit", "system partition g2_label mark")):
+    __slots__ = ()  # mark: 'I' or 'II', type D very even only
 
-    def __post_init__(self):
-        ct = self.system
-        if ct.series == "G":
-            if self.g2_label not in G2_LABELS:
-                raise OrbitError(f"bad G2 label {self.g2_label!r}")
-            if self.partition is not None or self.mark is not None:
+    def __new__(cls, system, partition=None, g2_label=None, mark=None):
+        if system.series == "G":
+            if g2_label not in G2_LABELS:
+                raise OrbitError(f"bad G2 label {g2_label!r}")
+            if partition is not None or mark is not None:
                 raise OrbitError("G2 orbits carry a label only")
-            return
-        if self.partition is None:
+        elif partition is None:
             raise OrbitError("classical orbit needs a partition")
-        p = pt.normalize(self.partition)
-        object.__setattr__(self, "partition", p)
-        if not pt.valid(p, ct.series, ct.rank):
-            raise OrbitError(f"{p} is not a valid {ct.series}{ct.rank} partition")
-        ve = ct.series == "D" and all(x % 2 == 0 for x in p)
-        if ve and self.mark not in ("I", "II"):
-            raise OrbitError(f"very even orbit {p} needs a mark I/II")
-        if not ve and self.mark is not None:
-            raise OrbitError(f"orbit {p} must not carry a mark")
+        else:
+            p = partition = pt.normalize(partition)
+            if not pt.valid(p, system.series, system.rank):
+                raise OrbitError(f"{p} is not a valid {system.series}{system.rank} partition")
+            ve = system.series == "D" and all(x % 2 == 0 for x in p)
+            if ve and mark not in ("I", "II"):
+                raise OrbitError(f"very even orbit {p} needs a mark I/II")
+            if not ve and mark is not None:
+                raise OrbitError(f"orbit {p} must not carry a mark")
+        return super().__new__(cls, system, partition, g2_label, mark)
 
     @property
     def very_even(self) -> bool:
@@ -94,14 +89,13 @@ def orbit_from_json(rec, isogeny="adjoint") -> NilpotentOrbit:
     return NilpotentOrbit(ct, partition=tuple(rec["partition"]), mark=rec.get("mark"))
 
 
-@dataclass(frozen=True)
-class WeightedDynkinDiagram:
-    system: CartanType
-    values: tuple  # value at alpha_1..alpha_n
+class WeightedDynkinDiagram(namedtuple("WeightedDynkinDiagram", "system values")):
+    __slots__ = ()  # values: the value at alpha_1..alpha_n
 
-    def __post_init__(self):
-        if not all(v in (0, 1, 2) for v in self.values):
-            raise OrbitError(f"weights must be 0/1/2, got {self.values}")
+    def __new__(cls, system, values):
+        if not all(v in (0, 1, 2) for v in values):
+            raise OrbitError(f"weights must be 0/1/2, got {values}")
+        return super().__new__(cls, system, values)
 
     def to_json(self):
         return {f"a{i+1}": v for i, v in enumerate(self.values)}

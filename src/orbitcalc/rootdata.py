@@ -47,7 +47,7 @@ the denominator of the alcove's barycentre.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
@@ -323,10 +323,10 @@ def dominant_conjugate(rs: RootSystem, v):
 # Alcove symmetries
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlcoveSymmetry:
-    finite_part: tuple  # a Weyl element (root permutation)
-    translation: tuple  # coweight coordinates, a vector of X_*
+class AlcoveSymmetry(namedtuple("AlcoveSymmetry", "finite_part translation")):
+    # finite_part: a Weyl element (root permutation);
+    # translation: coweight coordinates, a vector of X_*
+    __slots__ = ()
 
     def apply_point(self, rs: RootSystem, v):
         w = apply_point(rs, self.finite_part, v)

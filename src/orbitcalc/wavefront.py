@@ -13,7 +13,7 @@ invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import balacarter as bc
 from . import duality as du
@@ -26,10 +26,10 @@ class WavefrontError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WavefrontResult:
-    canonical: tuple  # A-order-maximal UnramifiedClassInvariants
-    geometric: tuple  # closure-maximal orbits among the canonical lifts
+class WavefrontResult(namedtuple("WavefrontResult", "canonical geometric")):
+    # canonical: the A-order-maximal UnramifiedClassInvariants;
+    # geometric: the closure-maximal orbits among the canonical lifts
+    __slots__ = ()
 
     def to_json(self):
         return {"canonical": [i.to_json() for i in self.canonical],

@@ -16,7 +16,7 @@ induction sum over these classes, and no group is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
@@ -40,11 +40,9 @@ class JInductionTie(CharError):
         self.candidates = tuple(candidates)
 
 
-@dataclass(frozen=True)
-class WeylIrrep:
-    factors: tuple  # ((series, rank), ...)
-    label: tuple    # per-factor labels
-    b: int
+class WeylIrrep(namedtuple("WeylIrrep", "factors label b")):
+    # factors: ((series, rank), ...); label: the per-factor labels
+    __slots__ = ()
 
     def to_json(self):
         return {"factors": [list(f) for f in self.factors],

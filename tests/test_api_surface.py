@@ -52,6 +52,28 @@ def test_sommers_dual_is_exported_and_total():
     assert leq_A(bottom, bottom)
 
 
+def test_record_semantics():
+    """The value records print as Name(field=value, ...), hash as the tuple
+    of their fields and refuse assignment."""
+    b3 = CartanType("B", 3)
+    d4 = NilpotentOrbit(CartanType("D", 4), partition=(2, 2, 2, 2), mark="I")
+    g2_triv = min(ambient_context(CartanType("G", 2)).irreps(), key=lambda e: e.b)
+    assert repr(b3) == "CartanType(series='B', rank=3, isogeny='adjoint')"
+    assert repr(d4) == ("NilpotentOrbit(system=CartanType(series='D', rank=4, "
+                        "isogeny='adjoint'), partition=(2, 2, 2, 2), "
+                        "g2_label=None, mark='I')")
+    assert repr(bc.ABCPair(frozenset({0, 1}), frozenset({1}))) == \
+        "ABCPair(J=frozenset({0, 1}), Jprime=frozenset({1}))"
+    assert repr(g2_triv) == \
+        "WeylIrrep(factors=(('G', 2),), label=('phi(1,0)',), b=0)"
+    assert hash(b3) == hash(("B", 3, "adjoint"))
+    for record, field in [(b3, "rank"), (d4, "mark"), (g2_triv, "b")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    a3 = CartanType("A", 3)
+    assert NilpotentOrbit(a3, partition=(1, 3)).partition == (3, 1)
+
+
 # orbitcalc.__all__ before the package re-exported lazily
 PUBLIC_NAMES = [
     "ABCPair", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",

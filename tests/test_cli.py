@@ -97,14 +97,28 @@ def test_cache_corrupt_recovers(tmp_path, capsys):
     run(capsys, "unramified", "--type", "A", "--rank", "1", "--json",
         "--cache-dir", str(other))
     a1_table = next(other.iterdir()).read_text()
-    # not JSON, not an object, no table, and the table of another system
+    text_not_str = json.dumps({**json.loads(path.read_text()), "text": 5})
+    # not JSON, not an object, no table, the table of another system, and a
+    # text rendering that is not a string
     for text in ("{ not json", "[]", json.dumps({"schema": cli.SCHEMA_VERSION}),
-                 a1_table):
+                 a1_table, text_not_str):
         path.write_text(text)
         rc2, out2, err = run(capsys, *args)
         assert rc2 == 0, text
         assert out1 == out2, text
         assert "corrupt" in err, text
+
+
+def test_cache_text_not_a_string_recomputed(tmp_path, capsys):
+    """A text-mode hit on an entry whose text rendering is not a string
+    warns and prints what a miss prints."""
+    args = ["unramified", "--type", "A", "--rank", "2", "--cache-dir", str(tmp_path)]
+    rc1, out1, _ = run(capsys, *args)
+    path = next(tmp_path.iterdir())
+    path.write_text(json.dumps({**json.loads(path.read_text()), "text": 5}))
+    rc2, out2, err = run(capsys, *args)
+    assert rc1 == rc2 == 0
+    assert out2 == out1 and "corrupt" in err
 
 
 def test_cache_version_bump_invalidates(tmp_path, capsys):
@@ -504,3 +518,33 @@ def test_unramified_miss_loads_no_fractions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rows"]
     assert proc.stderr.splitlines()[-1] == "[]"
+
+
+_HEAVY = """
+import sys
+from orbitcalc import cli
+store, data = sys.argv[1:]
+b3 = ["--type", "B", "--rank", "3", "--json", "--cache-dir", store]
+rcs = [cli.main(argv) for argv in (
+    ["unramified", *b3], ["unramified", *b3],  # a miss, then a hit
+    ["arthur-wf", *b3, "--dual-orbit", "2,2,1,1"],
+    ["local-wf", "--type", "A", "--rank", "2", "--json", "--data", data])]
+print(rcs, [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
+      file=sys.stderr)
+"""
+
+
+def test_no_process_imports_dataclasses(tmp_path):
+    """Neither a store hit nor a miss imports dataclasses, inspect or typing
+    (about 13 ms of every start, plus about 1.2 ms per dataclass).  -S keeps
+    .pth files from importing them first."""
+    store, data = tmp_path / "store", tmp_path / "data.json"
+    data.write_text('[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": 1}]}]')
+    proc = subprocess.run([sys.executable, "-S", "-c", _HEAVY, str(store), str(data)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []", proc.stderr
+    # two unramified outputs, the second from the store, then two others
+    outs = proc.stdout.splitlines()
+    assert len(outs) == 4 and outs[0] == outs[1]
+    assert len(list(store.iterdir())) == 2
