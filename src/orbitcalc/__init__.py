@@ -26,12 +26,12 @@ _EXPORTS = {
                "dual_bv", "dual_ls", "enumerate_orbits", "is_special",
                "orbit_dimension", "orbit_from_wdd", "regular_orbit",
                "weighted_dynkin", "zero_orbit"),
-    "rootdata": ("AlcoveSymmetry", "RootSystem", "alcove_symmetries",
-                 "build_root_system", "dominant_conjugate", "weyl_group"),
+    "rootdata": ("RootSystem", "build_root_system", "dominant_conjugate",
+                 "weyl_group"),
     "wavefront": ("WavefrontResult", "arthur_wf", "cross_check_arthur",
                   "local_wf", "steinberg_pattern", "trivial_pattern"),
-    "weylrep": ("WeylContext", "WeylIrrep", "ambient_context", "families",
-                "induce_multiplicity", "j_induce", "orbit_s", "special_member",
+    "weylrep": ("WeylContext", "WeylIrrep", "ambient_context",
+                "induce_multiplicity", "j_induce", "special_member",
                 "springer_orbit", "subgroup_context"),
 }
 _SUBMODULES = ("balacarter", "chartab", "duality", "linalg", "orbits",

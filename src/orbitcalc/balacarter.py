@@ -54,6 +54,10 @@ class ABCPair(namedtuple("ABCPair", "J Jprime")):
             raise ABCError("J' must be a subset of J")
         return super().__new__(cls, J, Jprime)
 
+    @classmethod
+    def _make(cls, iterable):  # validated, as CartanType._make
+        return cls(*iterable)
+
     def sort_key(self):
         return (len(self.J), tuple(sorted(self.J)), len(self.Jprime),
                 tuple(sorted(self.Jprime)))

@@ -38,6 +38,10 @@ class CartanType(namedtuple("CartanType", "series rank isogeny")):
             series = "A"
         return super().__new__(cls, series, rank, isogeny)
 
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @property
     def dual(self) -> "CartanType":
         dual_series = {"A": "A", "B": "C", "C": "B", "D": "D", "G": "G"}[self.series]

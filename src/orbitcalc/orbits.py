@@ -58,6 +58,10 @@ class NilpotentOrbit(namedtuple("NilpotentOrbit", "system partition g2_label mar
                 raise OrbitError(f"orbit {p} must not carry a mark")
         return super().__new__(cls, system, partition, g2_label, mark)
 
+    @classmethod
+    def _make(cls, iterable):  # validated, as CartanType._make
+        return cls(*iterable)
+
     @property
     def very_even(self) -> bool:
         return self.mark is not None
@@ -82,13 +86,6 @@ class NilpotentOrbit(namedtuple("NilpotentOrbit", "system partition g2_label mar
         return rec
 
 
-def orbit_from_json(rec, isogeny="adjoint") -> NilpotentOrbit:
-    ct = CartanType(rec["series"], rec["rank"], isogeny)
-    if ct.series == "G":
-        return NilpotentOrbit(ct, g2_label=rec["g2_label"])
-    return NilpotentOrbit(ct, partition=tuple(rec["partition"]), mark=rec.get("mark"))
-
-
 class WeightedDynkinDiagram(namedtuple("WeightedDynkinDiagram", "system values")):
     __slots__ = ()  # values: the value at alpha_1..alpha_n
 
@@ -96,6 +93,10 @@ class WeightedDynkinDiagram(namedtuple("WeightedDynkinDiagram", "system values")
         if not all(v in (0, 1, 2) for v in values):
             raise OrbitError(f"weights must be 0/1/2, got {values}")
         return super().__new__(cls, system, values)
+
+    @classmethod
+    def _make(cls, iterable):  # validated, as CartanType._make
+        return cls(*iterable)
 
     def to_json(self):
         return {f"a{i+1}": v for i, v in enumerate(self.values)}
@@ -275,10 +276,6 @@ def is_special(orbit: NilpotentOrbit) -> bool:
     if orbit.system.series == "G":
         return G2_TABLE[orbit.g2_label]["special"]
     return dual_ls(dual_ls(orbit)) == orbit
-
-
-def special_orbits(ct: CartanType) -> tuple:
-    return tuple(o for o in enumerate_orbits(ct) if is_special(o))
 
 
 def hasse_edges(ct: CartanType):

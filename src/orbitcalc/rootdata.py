@@ -1,4 +1,4 @@
-"""Root systems, Weyl groups and alcove symmetries for split types A-D, G2.
+"""Root systems and Weyl groups for split types A-D, G2.
 
 Root data
 ---------
@@ -33,25 +33,20 @@ Weyl group
 A Weyl element is the tuple w of root indices with w(rs.roots[i]) =
 rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
 tuple(range(len(rs.roots))).  apply_root_coords extends the action
-linearly to coefficient vectors, and apply_point acts on coweight
-coordinates.  An AlcoveSymmetry's finite part is such a tuple.
+linearly to coefficient vectors.
 
 Arithmetic
 ----------
-All of it is integer: root lengths and coroots, the X_*-coordinates of
-the coroots (linalg.solve, which must return denominator 1), and the
-alcove walk of alcove_symmetries, which runs on m times the point, m
-the denominator of the alcove's barycentre.
+All of it is integer: root lengths, coroots (a non-integral coroot
+raises RootDataError) and the reflections of coweight coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
-from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
+from .linalg import identity
 
 WEYL_ENUM_RANK_CAP = 6
 
@@ -259,12 +254,6 @@ def apply_root_coords(rs: RootSystem, w, coords):
     return tuple(out)
 
 
-def apply_point(rs: RootSystem, w, v):
-    """w on coweight coordinates: alpha_i(w v) = (w^-1 alpha_i)(v)."""
-    return tuple(sum(x * y for x, y in zip(rs.roots[w.index(rs._root_index[b])], v))
-                 for b in rs.simple_roots)
-
-
 def simple_reflection(rs: RootSystem, i: int) -> tuple:
     return reflection_in_root(rs, rs.simple_roots[i])
 
@@ -317,116 +306,3 @@ def dominant_conjugate(rs: RootSystem, v):
                 moved = True
                 break
     return v
-
-
-# ---------------------------------------------------------------------
-# Alcove symmetries
-# ---------------------------------------------------------------------
-
-class AlcoveSymmetry(namedtuple("AlcoveSymmetry", "finite_part translation")):
-    # finite_part: a Weyl element (root permutation);
-    # translation: coweight coordinates, a vector of X_*
-    __slots__ = ()
-
-    def apply_point(self, rs: RootSystem, v):
-        w = apply_point(rs, self.finite_part, v)
-        return tuple(a + b for a, b in zip(w, self.translation))
-
-    def apply_affine_root(self, rs: RootSystem, aff):
-        """sigma . (alpha, m) = (w alpha, m - (w alpha)(t))."""
-        alpha, m = aff
-        beta = rs.roots[self.finite_part[rs._root_index[alpha]]]
-        shift = sum(b * t for b, t in zip(beta, self.translation))
-        return (beta, m - shift)
-
-    def node_permutation(self, rs: RootSystem):
-        """Permutation of the affine simple nodes, by node number."""
-        affs = rs.affine_simples
-        return tuple(affs.index(self.apply_affine_root(rs, a)) for a in affs)
-
-
-def _reduce_to_alcove(rs: RootSystem, v, m):
-    """Affine Weyl walk taking the point v / m into the closed fundamental
-    alcove, run on the integer vector v (coweight coordinates).
-
-    Returns (w, v') with w in W and v' / m in the closure of the alcove,
-    v' / m the image of v / m under w followed by a translation in Q^vee.
-    """
-    w = tuple(range(len(rs.roots)))
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise RootDataError("alcove reduction failed to terminate")
-        moved = False
-        for i in range(rs.rank):
-            if v[i] < 0:
-                v = rs.reflect_point(v, i)
-                s = simple_reflection(rs, i)
-                w = tuple(s[k] for k in w)
-                moved = True
-                break
-        if moved:
-            continue
-        for th in rs.highest_roots:
-            val = sum(c * x for c, x in zip(th, v))
-            if val > m:
-                # affine reflection in theta = 1, scaled by m
-                coroot = rs.coroot_coweight_coords(th)
-                v = tuple(x - (val - m) * c for x, c in zip(v, coroot))
-                s = reflection_in_root(rs, th)
-                w = tuple(s[k] for k in w)
-                moved = True
-                break
-        if not moved:
-            return w, v
-
-
-@lru_cache(maxsize=None)
-def alcove_symmetries(ct: CartanType) -> tuple:
-    """The group Omega of affine maps stabilizing the fundamental alcove.
-
-    One element per coset of the coroot lattice in X_*, each coset taken
-    from the Hermite box of _coset_reps; the order is the index
-    |X_*/Z Phi^vee|, the product of the Hermite basis's diagonal.  The
-    coset of x is walked from b - x, b the barycentre alpha_i(b) = 1/m,
-    on the integer point m (b - x).
-    """
-    rs = build_root_system(ct)
-    n = rs.rank
-    cochar_t = transpose(rs.cochar_basis)
-    qv_in_cochar = []  # X_*-coordinates of the simple coroots
-    for i in range(n):
-        coords, d = solve(cochar_t, rs.coroot_coweight_coords(rs.simple_roots[i]))
-        if d != 1:
-            raise RootDataError(f"coroot {i + 1} is not in X_*")
-        qv_in_cochar.append(coords)
-    reps = _coset_reps(tuple(qv_in_cochar))
-    m = max(sum(th) for th in rs.highest_roots) + 1
-    mb = (1,) * n
-    affs = set(rs.affine_simples)
-    out = []
-    for rep in reps:
-        x = mat_vec(cochar_t, rep)  # coweight coords of the X_* element
-        w, v = _reduce_to_alcove(rs, tuple(a - m * b for a, b in zip(mb, x)), m)
-        # sigma = (translation by t) o w, t = (v - w(m b)) / m
-        num = [a - b for a, b in zip(v, apply_point(rs, w, mb))]
-        if any(t % m for t in num):
-            raise RootDataError(f"non-integral alcove translation {num}/{m}")
-        sigma = AlcoveSymmetry(w, tuple(t // m for t in num))
-        if {sigma.apply_affine_root(rs, a) for a in affs} != affs:
-            raise RootDataError(f"{sigma} does not stabilize the alcove")
-        out.append(sigma)
-    return tuple(out)
-
-
-def _coset_reps(sub_rows):
-    """Representatives of ZZ^n / L, L the full-rank row lattice of sub_rows.
-
-    The Hermite basis H is upper triangular with positive diagonal, so
-    the box 0 <= x_i < H_ii holds exactly one point of each coset.
-    """
-    h = hermite_row_basis(sub_rows)
-    if len(h) != len(sub_rows[0]):
-        raise RootDataError("sublattice not of full rank")
-    return tuple(itertools.product(*(range(h[i][i]) for i in range(len(h)))))

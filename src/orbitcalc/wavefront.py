@@ -158,6 +158,8 @@ def restriction_data_from_json(records) -> dict:
     for rec in records:
         if not isinstance(rec["J"], list) or not all(map(is_int, rec["J"])):
             raise TypeError(f'"J" must be a list of node numbers, not {rec["J"]!r}')
+        if len(set(rec["J"])) != len(rec["J"]):
+            raise ValueError(f'"J" repeats a node: {rec["J"]!r}')
         items = []
         for item in rec["irreps"]:
             if not is_int(item["mult"]):
@@ -171,16 +173,3 @@ def restriction_data_from_json(records) -> dict:
         out[j] = items
     return out
 
-
-def restriction_data_to_json(data):
-    def listify(x):
-        if isinstance(x, tuple):
-            return [listify(t) for t in x]
-        return x
-
-    recs = []
-    for j in sorted(data, key=lambda s: (len(s), sorted(s))):
-        recs.append({"J": sorted(j),
-                     "irreps": [{"label": listify(lab), "mult": m}
-                                for lab, m in data[j]]})
-    return recs

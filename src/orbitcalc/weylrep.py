@@ -127,9 +127,6 @@ class WeylContext:
             self._classes = tuple(out)
         return self._classes
 
-    def class_counts(self):
-        return {cls: n for cls, _, n in self.class_representatives()}
-
     # -- irreps ---------------------------------------------------------
 
     def irreps(self):
@@ -148,9 +145,6 @@ class WeylContext:
         for f, lab, c in zip(self.factors, irrep.label, cls):
             v *= factor_char_value(f.kind, lab, c)
         return v
-
-    def dim(self, irrep: WeylIrrep) -> int:
-        return self.char_value(irrep, self.class_of(tuple(range(len(self.rs.roots)))))
 
     def inner_product(self, e1: WeylIrrep, e2: WeylIrrep) -> int:
         tot = 0
@@ -332,20 +326,6 @@ def family_key(ctx: WeylContext, irrep: WeylIrrep):
                  for f, lab in zip(ctx.factors, irrep.label))
 
 
-def families(ctx: WeylContext):
-    """Partition of Irr into families; each family lists (members, special)."""
-    blocks = {}
-    for e in ctx.irreps():
-        blocks.setdefault(family_key(ctx, e), []).append(e)
-    out = []
-    for key, members in blocks.items():
-        specials = [e for e in members if is_special_rep(ctx, e)]
-        if len(specials) != 1:
-            raise CharError(f"family {key} has specials {specials}")
-        out.append((tuple(members), specials[0]))
-    return tuple(out)
-
-
 def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
     """The special representation in the family of irrep."""
     key = family_key(ctx, irrep)
@@ -487,12 +467,6 @@ def orbit_s_factors(ctx: WeylContext, irrep: WeylIrrep):
     return tuple(out)
 
 
-def orbit_s(ctx: WeylContext, irrep: WeylIrrep) -> NilpotentOrbit:
-    """The special orbit of the ambient system attached to a character of
-    the context group: lift the per-factor special orbits."""
-    return ambient_orbit_from_factor_orbits(ctx, orbit_s_factors(ctx, irrep))
-
-
 def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
                    target: CartanType | None = None) -> NilpotentOrbit:
     """Orbit of the Springer pair of an ambient-group representation.
@@ -510,19 +484,3 @@ def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
                  for f, lab in zip(tctx.factors, irrep.label))
     return ambient_orbit_from_factor_orbits(tctx, orbs)
 
-
-def is_orbit_rep(ctx: WeylContext, irrep: WeylIrrep) -> bool:
-    """True when the Springer pair of irrep carries the trivial local system."""
-    return all(lab in _springer_image(f.cartan_type())
-               for f, lab in zip(ctx.factors, irrep.label))
-
-
-def orbit_springer_irrep(ctx: WeylContext, orbit: NilpotentOrbit,
-                         source: CartanType | None = None) -> WeylIrrep:
-    """The representation of the context's Weyl group whose Springer pair is
-    (orbit, trivial system); source names the system the orbit lives in."""
-    src = source or orbit.system
-    for e in ctx.irreps():
-        if is_orbit_rep(ctx, e) and springer_orbit(ctx, e, target=src) == orbit:
-            return e
-    raise CharError(f"no trivial-system representation found for {orbit}")

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
-from orbitcalc import (CartanType, NilpotentOrbit, ambient_context,
-                       enumerate_nobc, leq_A, orbit_s, pair_saturation,
+from orbitcalc import (CartanType, NilpotentOrbit, WeightedDynkinDiagram,
+                       ambient_context, enumerate_nobc, leq_A, pair_saturation,
                        sommers_dual)
 from orbitcalc import balacarter as bc
 from orbitcalc import duality as du
-from orbitcalc.orbits import regular_orbit, zero_orbit
+from orbitcalc.cartantype import RootDataError
+from orbitcalc.orbits import OrbitError, regular_orbit, zero_orbit
+from orbitcalc.partitions import PartitionError
+from orbitcalc.weylrep import ambient_orbit_from_factor_orbits, orbit_s_factors
 
 
 def test_invariant_constant_on_classes():
@@ -33,7 +36,8 @@ def test_weyl_irrep_json():
 def test_orbit_s_public_wrapper():
     ctx = ambient_context(CartanType("G", 2))
     sgn = max(ctx.irreps(), key=lambda e: e.b)
-    assert orbit_s(ctx, sgn) == regular_orbit(CartanType("G", 2))
+    assert ambient_orbit_from_factor_orbits(ctx, orbit_s_factors(ctx, sgn)) == \
+        regular_orbit(CartanType("G", 2))
 
 
 def test_invariant_json():
@@ -74,18 +78,57 @@ def test_record_semantics():
     assert NilpotentOrbit(a3, partition=(1, 3)).partition == (3, 1)
 
 
+def test_cartan_type_make_and_replace_validate():
+    b3 = CartanType("B", 3)
+    with pytest.raises(RootDataError, match="rank must be positive"):
+        b3._replace(rank=0)
+    with pytest.raises(RootDataError, match="unknown series"):
+        CartanType._make(("Q", 1, "x"))
+    assert b3._replace(series="C") == CartanType("C", 3)
+    assert type(CartanType._make(("D", 4, "adjoint"))) is CartanType
+
+
+def test_nilpotent_orbit_make_and_replace_validate():
+    b3 = CartanType("B", 3)
+    orbit = NilpotentOrbit(b3, partition=(3, 3, 1))
+    with pytest.raises(PartitionError, match="has total 3"):
+        NilpotentOrbit._make((b3, (2, 1), None, None))
+    with pytest.raises(OrbitError, match="not a valid B3 partition"):
+        orbit._replace(partition=(2, 1, 1, 1, 1, 1))
+    a3 = CartanType("A", 3)
+    assert NilpotentOrbit(a3, partition=(4,))._replace(partition=(1, 3)).partition == (3, 1)
+
+
+def test_weighted_dynkin_diagram_make_and_replace_validate():
+    b3 = CartanType("B", 3)
+    with pytest.raises(OrbitError, match="weights must be 0/1/2"):
+        WeightedDynkinDiagram._make((b3, (9, 9, 9)))
+    with pytest.raises(OrbitError, match="weights must be 0/1/2"):
+        WeightedDynkinDiagram(b3, (2, 2, 2))._replace(values=(3, 0, 0))
+    assert WeightedDynkinDiagram(b3, (2, 2, 2))._replace(values=(0, 0, 2)).values == (0, 0, 2)
+
+
+def test_abc_pair_make_and_replace_validate():
+    with pytest.raises(bc.ABCError, match="subset of J"):
+        bc.ABCPair._make((frozenset(), frozenset({1})))
+    pair = bc.ABCPair(frozenset({0, 1}), frozenset({1}))
+    with pytest.raises(bc.ABCError, match="subset of J"):
+        pair._replace(J=frozenset({0}))
+    assert pair._replace(Jprime=frozenset()) == bc.ABCPair(frozenset({0, 1}), frozenset())
+
+
 # orbitcalc.__all__ before the package re-exported lazily
 PUBLIC_NAMES = [
-    "ABCPair", "AlcoveSymmetry", "CartanType", "NilpotentOrbit",
+    "ABCPair", "CartanType", "NilpotentOrbit",
     "RootSystem", "UnramifiedClassInvariant", "WavefrontResult",
     "WeightedDynkinDiagram", "WeylContext", "WeylIrrep",
-    "achar_dual_one", "alcove_symmetries", "ambient_context", "arthur_wf",
+    "achar_dual_one", "ambient_context", "arthur_wf",
     "balacarter", "build_root_system", "chartab", "classes", "closure_leq",
     "cross_check_arthur", "dominant_conjugate", "dual_bv", "dual_ls", "duality",
     "enumerate_nobc", "enumerate_orbits", "enumerate_pairs", "equivalent",
-    "face_hull", "families", "induce_multiplicity", "invariant_of", "is_special",
+    "face_hull", "induce_multiplicity", "invariant_of", "is_special",
     "j_induce", "leq_A", "linalg", "local_wf", "orbit_dimension",
-    "orbit_from_wdd", "orbit_s", "orbits", "pair_saturation", "partitions",
+    "orbit_from_wdd", "orbits", "pair_saturation", "partitions",
     "regular_orbit", "rootdata", "saturation", "sommers_dual", "special_member",
     "springer_orbit", "steinberg_pattern", "subgroup_context", "trivial_pattern",
     "wavefront", "weighted_dynkin", "weyl_group", "weylrep", "zero_orbit",

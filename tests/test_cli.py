@@ -12,6 +12,8 @@ import pytest
 from orbitcalc import cli
 from orbitcalc.rootdata import CartanType
 
+from oracles import restriction_data_to_json
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -206,6 +208,7 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '[{"J": [1.0, 2], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1, 2], "irreps": [{"label": [[1, 1, 1]], "mult": 1}]}, '
                    '{"J": [2, 1], "irreps": [{"label": [[3]], "mult": 1}]}]', 2),
+    (["local-wf"], '[{"J": [1, 1], "irreps": [{"label": [[2]], "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1], "irreps": [{"label": null, "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1], "irreps": [{"label": [{"a": 1}], "mult": 1}]}]', 2),
     (["local-wf"], '[{"J": [1], "irreps": [{"label": [[1.0, 1]], "mult": 1}]}]', 2),
@@ -216,7 +219,7 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
 ], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
         "mult-float", "mult-bool", "J-string", "J-float", "J-repeated",
-        "label-null", "label-object", "label-float", "label-bool", "wrong-total", "unknown-face", "unknown-character"])
+        "J-repeated-node", "label-null", "label-object", "label-float", "label-bool", "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     if data is not None:
         f = tmp_path / "data.json"
@@ -240,7 +243,7 @@ def test_local_wf_from_file(tmp_path, capsys):
     from orbitcalc import wavefront as wfmod
     data = wfmod.steinberg_pattern(CartanType("B", 2))
     f = tmp_path / "data.json"
-    f.write_text(json.dumps(wfmod.restriction_data_to_json(data)))
+    f.write_text(json.dumps(restriction_data_to_json(data)))
     rc, out, _ = run(capsys, "local-wf", "--type", "B", "--rank", "2",
                      "--data", str(f), "--json")
     assert rc == 0
@@ -307,7 +310,7 @@ def _query(tmp_path, kind, variant=0):
     from orbitcalc import wavefront as wfmod
     pattern = (wfmod.steinberg_pattern, wfmod.trivial_pattern)[variant]
     f = tmp_path / f"data{variant}.json"
-    f.write_text(json.dumps(wfmod.restriction_data_to_json(pattern(ct))))
+    f.write_text(json.dumps(restriction_data_to_json(pattern(ct))))
     return argv + ["--data", str(f)], ct, f.read_bytes().decode("latin-1")
 
 

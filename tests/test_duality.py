@@ -7,7 +7,9 @@ from orbitcalc import duality as du
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, dual_bv,
                               enumerate_orbits, is_special, regular_orbit,
                               zero_orbit)
-from orbitcalc.rootdata import CartanType, alcove_symmetries, build_root_system
+from orbitcalc.rootdata import CartanType, build_root_system
+
+from oracles import alcove_symmetries
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 

@@ -26,6 +26,8 @@ from orbitcalc import orbits
 from orbitcalc import wavefront as wf
 from orbitcalc.rootdata import CartanType
 
+from oracles import restriction_data_to_json
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli")
 ISOGENIES = ("adjoint", "simply_connected")
 TABLES = [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
@@ -90,7 +92,7 @@ def _output(case) -> bytes:
             data = PATTERNS[extra](CartanType(s, r, iso))
             path = os.path.join(tmp, "data.json")
             with open(path, "w") as fh:
-                json.dump(wf.restriction_data_to_json(data), fh)
+                json.dump(restriction_data_to_json(data), fh)
             argv += ["--data", path]
         with contextlib.redirect_stdout(buf):
             rc = cli.main(argv)

@@ -6,8 +6,8 @@ from orbitcalc import partitions as pt
 from orbitcalc.orbits import (NilpotentOrbit, OrbitError, WeightedDynkinDiagram,
                               closure_leq, covers, dual_bv, dual_ls, enumerate_orbits,
                               hasse_edges, is_special, orbit_dimension,
-                              orbit_from_json, orbit_from_wdd, regular_orbit,
-                              special_orbits, weighted_dynkin, zero_orbit)
+                              orbit_from_wdd, regular_orbit, weighted_dynkin,
+                              zero_orbit)
 from orbitcalc.rootdata import CartanType
 
 ALL_SMALL = [CartanType(s, r) for s, r in
@@ -137,7 +137,7 @@ def test_duality_order_reversing():
 
 def test_special_g2():
     g2 = CartanType("G", 2)
-    specials = {o.g2_label for o in special_orbits(g2)}
+    specials = {o.g2_label for o in enumerate_orbits(g2) if is_special(o)}
     assert specials == {"0", "G2(a1)", "G2"}
 
 
@@ -145,12 +145,6 @@ def test_hasse_edges_b2():
     ct = CartanType("B", 2)
     edges = {(a.label(), b.label()) for a, b in hasse_edges(ct)}
     assert edges == {("1,1,1,1,1", "2,2,1"), ("2,2,1", "3,1,1"), ("3,1,1", "5")}
-
-
-def test_json_roundtrip():
-    for ct in ALL_SMALL:
-        for o in enumerate_orbits(ct):
-            assert orbit_from_json(o.to_json(), ct.isogeny) == o
 
 
 def reference_covers(items, leq):

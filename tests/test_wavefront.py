@@ -9,6 +9,8 @@ from orbitcalc.orbits import (NilpotentOrbit, enumerate_orbits, regular_orbit,
                               zero_orbit)
 from orbitcalc.rootdata import CartanType, build_root_system
 
+from oracles import restriction_data_to_json
+
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
 SMALL = [ADJ("A", 1), ADJ("A", 2), ADJ("B", 2), ADJ("C", 3), ADJ("G", 2)]
@@ -126,7 +128,7 @@ def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tm
 def test_restriction_data_json_roundtrip():
     ct = ADJ("B", 2)
     data = wf.steinberg_pattern(ct)
-    js = wf.restriction_data_to_json(data)
+    js = restriction_data_to_json(data)
     back = wf.restriction_data_from_json(js)
     assert wf.validate_restriction_data(ct, back) == \
         wf.validate_restriction_data(ct, data)
