@@ -1,8 +1,9 @@
 """Affine Bala-Carter data.
 
-A pair (J, J') consists of a subset J of the affine simple nodes, proper
-within each component of the extended diagram, and a distinguished subset
-J' (the nodes weighted 0; the rest of J gets 2).  Pairs are taken up to
+A pair (J, J') is a face J, a set of affine simple nodes proper within
+each component of the extended diagram, with one distinguished orbit on
+each factor of J's pseudo-Levi, read off the factor type's table of 0/2
+diagrams: J' is the set of nodes weighted 0.  Pairs are taken up to
 the extended-Weyl-group equivalence, decided here through the affine hull
 of the corresponding alcove face: a finite Weyl element w identifies two
 pairs when it maps one hull onto the other modulo the cocharacter lattice
@@ -30,14 +31,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 from math import lcm
+from types import MappingProxyType
 
 from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
                      solve, transpose)
-from .orbits import NilpotentOrbit
+from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
-                      factor_orbit_from_distinguished_labels, subgroup_context)
+                      subgroup_context)
 
 ABC_RANK_CAP = 5
 
@@ -64,10 +67,6 @@ class ABCPair(namedtuple("ABCPair", "J Jprime")):
 
     def to_json(self):
         return {"J": sorted(self.J), "Jprime": sorted(self.Jprime)}
-
-    def __str__(self):
-        fmt = lambda s: "{" + ",".join(f"a{i}" for i in sorted(s)) + "}"
-        return f"({fmt(self.J)},{fmt(self.Jprime)})"
 
 
 def is_proper(ct: CartanType, j: frozenset) -> bool:
@@ -99,50 +98,60 @@ def pair_context(ct: CartanType, j: frozenset) -> WeylContext:
     return subgroup_context(ct, _basis_of(rs, j))
 
 
-def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
-    """rank + #{alpha(h)=0} == #{alpha(h)=2} for the 0/2 weighting.
+@lru_cache(maxsize=None)
+def _distinguished(series: str, rank: int) -> MappingProxyType:
+    """0/2 diagram -> orbit, for the distinguished orbits of a simple type.
 
-    h solves beta_i(h) = label_i on the factor basis, so any subsystem root
-    alpha = sum c_i beta_i evaluates to sum c_i label_i.
+    An even orbit is distinguished when dim g_0 = dim g_2, that is when
+    rank + #{alpha(h)=0} = #{alpha(h)=2} over the type's roots; classically
+    the regular orbit in type A, the partitions into distinct odd parts in
+    B and D and into distinct even parts in C (Collingwood-McGovern,
+    Nilpotent Orbits in Semisimple Lie Algebras, 1993, par. 8.2).  Both
+    sides of the count are sums over the factors of a pseudo-Levi, and on
+    each factor the left side is at least the right, so a 0/2 weighting of
+    J is distinguished exactly when each factor's is.
     """
-    rank = sum(f.rank for f in ctx.factors)
-    n0 = n2 = 0
-    for f in ctx.factors:
-        labels = tuple(0 if b in zero_roots else 2 for b in f.basis)
-        for coeffs in f.coords:
-            val = sum(c * l for c, l in zip(coeffs, labels))
-            if val == 0:
-                n0 += 1
-            elif val == 2:
-                n2 += 1
-    return rank + n0 == n2
+    ct = CartanType(series, rank)
+    roots = build_root_system(ct).roots
+    table = {}
+    for o in enumerate_orbits(ct):
+        wdd = weighted_dynkin(o).values
+        vals = [sum(c * v for c, v in zip(r, wdd)) for r in roots]
+        if set(wdd) <= {0, 2} and rank + vals.count(0) == vals.count(2):
+            table[wdd] = o
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
 def enumerate_pairs(ct: CartanType) -> tuple:
-    """All affine Bala-Carter pairs, no equivalence applied."""
+    """All affine Bala-Carter pairs, no equivalence applied: per face J,
+    one distinguished 0/2 diagram on each factor of its pseudo-Levi."""
     if ct.rank > ABC_RANK_CAP:
         raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
     affs = build_root_system(ct).affine_simples
     out = []
     for j in proper_subsets(ct):
-        ctx = pair_context(ct, j)
-        jl = sorted(j)
-        for mask in range(1 << len(jl)):
-            jp = frozenset(jl[i] for i in range(len(jl)) if mask >> i & 1)
-            zero_roots = {affs[i][0] for i in jp}
-            if _distinguished_ok(ctx, zero_roots):
-                out.append(ABCPair(j, jp))
-    return tuple(sorted(out, key=lambda p: p.sort_key()))
+        node = {affs[i][0]: i for i in j}
+        zeros = [[frozenset(node[b] for b, v in zip(f.basis, wdd) if not v)
+                  for wdd in _distinguished(f.series, f.rank)]
+                 for f in pair_context(ct, j).factors]
+        out.extend(ABCPair(j, frozenset().union(*jp)) for jp in product(*zeros))
+    return tuple(sorted(out, key=ABCPair.sort_key))
 
 
 def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
     """Per-factor distinguished orbits named by the 0/2 weighting of J'."""
     affs = build_root_system(ct).affine_simples
-    ctx = pair_context(ct, pair.J)
     zero_roots = {affs[i][0] for i in pair.Jprime}
-    return tuple(factor_orbit_from_distinguished_labels(f, zero_roots)
-                 for f in ctx.factors)
+    out = []
+    for f in pair_context(ct, pair.J).factors:
+        wdd = tuple(0 if b in zero_roots else 2 for b in f.basis)
+        orbit = _distinguished(f.series, f.rank).get(wdd)
+        if orbit is None:
+            raise ABCError(f"J'={sorted(pair.Jprime)} is not distinguished "
+                           f"on J={sorted(pair.J)}")
+        out.append(orbit)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------

@@ -22,6 +22,22 @@ class CartanType(namedtuple("CartanType", "series rank isogeny")):
     __slots__ = ()
 
     def __new__(cls, series, rank, isogeny="adjoint"):
+        return cls._validated(series, rank, isogeny)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make skips __new__
+        return cls._validated(*iterable)
+
+    def _replace(self, /, **kwds):  # namedtuple's would add its own frame
+        result = self._validated(*map(kwds.pop, self._fields, self))
+        if kwds:
+            raise ValueError(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    @classmethod
+    def _validated(cls, series, rank, isogeny="adjoint"):
+        """The checked record.  Each entry point above calls this directly,
+        so stacklevel=3 names the line that called the entry point."""
         if series not in SERIES:
             raise RootDataError(f"unknown series {series!r}")
         if isogeny not in ("adjoint", "simply_connected"):
@@ -34,13 +50,9 @@ class CartanType(namedtuple("CartanType", "series rank isogeny")):
             raise RootDataError("series D requires rank >= 2")
         if series in ("B", "C") and rank < 2:
             # B1 and C1 have the same root datum as A1
-            warnings.warn(f"{series}1 normalized to A1", stacklevel=2)
+            warnings.warn(f"{series}1 normalized to A1", stacklevel=3)
             series = "A"
         return super().__new__(cls, series, rank, isogeny)
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def dual(self) -> "CartanType":

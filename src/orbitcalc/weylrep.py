@@ -44,21 +44,8 @@ class WeylIrrep(namedtuple("WeylIrrep", "factors label b")):
     # factors: ((series, rank), ...); label: the per-factor labels
     __slots__ = ()
 
-    def to_json(self):
-        return {"factors": [list(f) for f in self.factors],
-                "label": _label_json(self.label),
-                "b": self.b}
-
     def __str__(self):
         return f"{_label_str(self.factors, self.label)} (b={self.b})"
-
-
-def _label_json(label):
-    def conv(x):
-        if isinstance(x, tuple):
-            return [conv(t) for t in x]
-        return x
-    return conv(label)
 
 
 def _label_str(factors, label):
@@ -441,16 +428,6 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
         raise CharError(f"non-integral weighting {tuple(h)}/{m}")
     hdom = dominant_conjugate(rs, tuple(v // m for v in h))
     return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, hdom))
-
-
-def factor_orbit_from_distinguished_labels(f: EmbeddedFactor, zero_nodes):
-    """Distinguished orbit of one factor from its 0/2 weighting.
-
-    zero_nodes: subset of f.basis getting weight 0 (the rest get 2).
-    """
-    ct = f.cartan_type()
-    wdd = tuple(0 if b in zero_nodes else 2 for b in f.basis)
-    return orbit_from_wdd(WeightedDynkinDiagram(ct, wdd))
 
 
 # ---------------------------------------------------------------------

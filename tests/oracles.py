@@ -8,7 +8,9 @@ library against it or use it to build their inputs.
 - the character-side helpers class_counts, dim, families, is_orbit_rep
   and orbit_springer_irrep;
 - restriction_data_to_json, the inverse of
-  wavefront.restriction_data_from_json.
+  wavefront.restriction_data_from_json;
+- enumerate_pairs_by_masks, the affine Bala-Carter pairs found by trying
+  every 0/2 weighting of every face against the distinguished count.
 
 A library change that needs one of these (an Omega route for the simply
 connected classes, say) imports it back from here.
@@ -18,6 +20,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
+from orbitcalc import balacarter as bc
 from orbitcalc.chartab import CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
 from orbitcalc.orbits import NilpotentOrbit
@@ -206,3 +209,42 @@ def restriction_data_to_json(data):
                      "irreps": [{"label": listify(lab), "mult": m}
                                 for lab, m in data[j]]})
     return recs
+
+
+# ---------------------------------------------------------------------
+# affine Bala-Carter pairs
+# ---------------------------------------------------------------------
+
+def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
+    """rank + #{alpha(h)=0} == #{alpha(h)=2} for the 0/2 weighting.
+
+    h solves beta_i(h) = label_i on the factor basis, so any subsystem root
+    alpha = sum c_i beta_i evaluates to sum c_i label_i.
+    """
+    rank = sum(f.rank for f in ctx.factors)
+    n0 = n2 = 0
+    for f in ctx.factors:
+        labels = tuple(0 if b in zero_roots else 2 for b in f.basis)
+        for coeffs in f.coords:
+            val = sum(c * l for c, l in zip(coeffs, labels))
+            if val == 0:
+                n0 += 1
+            elif val == 2:
+                n2 += 1
+    return rank + n0 == n2
+
+
+def enumerate_pairs_by_masks(ct: CartanType) -> tuple:
+    """All affine Bala-Carter pairs, from all 2^|J| 0/2 masks of each face;
+    no rank cap."""
+    affs = build_root_system(ct).affine_simples
+    out = []
+    for j in bc.proper_subsets(ct):
+        ctx = bc.pair_context(ct, j)
+        jl = sorted(j)
+        for mask in range(1 << len(jl)):
+            jp = frozenset(jl[i] for i in range(len(jl)) if mask >> i & 1)
+            zero_roots = {affs[i][0] for i in jp}
+            if _distinguished_ok(ctx, zero_roots):
+                out.append(bc.ABCPair(j, jp))
+    return tuple(sorted(out, key=lambda p: p.sort_key()))

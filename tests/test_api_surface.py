@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -22,15 +23,6 @@ def test_invariant_constant_on_classes():
             sats = {pair_saturation(ct, p) for p in cls}
             assert len(invs) == 1, (ct, cls)
             assert len(sats) == 1, (ct, cls)
-
-
-def test_weyl_irrep_json():
-    ctx = ambient_context(CartanType("B", 2))
-    for e in ctx.irreps():
-        rec = e.to_json()
-        json.dumps(rec)
-        assert rec["b"] == e.b
-        assert rec["factors"] == [["B", 2]]
 
 
 def test_orbit_s_public_wrapper():
@@ -86,6 +78,18 @@ def test_cartan_type_make_and_replace_validate():
         CartanType._make(("Q", 1, "x"))
     assert b3._replace(series="C") == CartanType("C", 3)
     assert type(CartanType._make(("D", 4, "adjoint"))) is CartanType
+
+
+def test_cartan_type_warning_names_the_caller():
+    """B1 and C1 become A1 with a warning that points at the line that built
+    the record, by the constructor, _make or _replace."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        CartanType("B", 1)
+        CartanType("B", 3)._replace(rank=1)
+        CartanType._make(("C", 1, "adjoint"))
+    assert [str(w.message) for w in caught] == ["B1 normalized to A1"] * 2 + ["C1 normalized to A1"]
+    assert [w.filename for w in caught] == [__file__] * 3
 
 
 def test_nilpotent_orbit_make_and_replace_validate():

@@ -8,15 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcalc import balacarter as bc
+from orbitcalc import duality as du
+from orbitcalc import weylrep as wr
 from orbitcalc.chartab import subsystem_roots
 from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
                               mat_vec, solve, transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
-                              regular_orbit, zero_orbit)
+                              regular_orbit, weighted_dynkin, zero_orbit)
 from orbitcalc.rootdata import CartanType, build_root_system, weyl_group
 from orbitcalc.weylrep import ambient_context
 
-from oracles import alcove_symmetries, coset_reps
+from oracles import alcove_symmetries, coset_reps, enumerate_pairs_by_masks
 
 SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
 ISOGENIES = ("adjoint", "simply_connected")
@@ -230,6 +232,82 @@ def test_bc_pairs_in_distinct_w_classes_not_identified():
         for b in finite:
             if bc.pair_saturation(ct, a) != bc.pair_saturation(ct, b):
                 assert not bc.equivalent(ct, a, b), (a, b)
+
+
+# ---------------------------------------------------------------------
+# distinguished diagrams per factor type
+# ---------------------------------------------------------------------
+
+PAIR_SYSTEMS = ([("A", n) for n in range(1, 9)]
+                + [(s, n) for s in "BCD" for n in range(2, 9)] + [("G", 2)])
+SIMPLE_TYPES = ([("A", n) for n in range(1, 9)]
+                + [(s, n) for s in "BC" for n in range(2, 9)]
+                + [("D", n) for n in range(3, 9)] + [("G", 2)])
+
+
+@pytest.mark.parametrize("series,rank", PAIR_SYSTEMS)
+def test_enumerate_pairs_matches_mask_oracle(monkeypatch, request, series, rank):
+    """The per-type tables give the pairs that all 2^|J| masks of every face
+    give.  Pairs do not depend on the isogeny.  The faces of B8, C8 and D8
+    include Weyl groups above GROUP_ORDER_CAP, so their contexts are dropped
+    afterwards rather than served to a later query under the cap."""
+    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 10 ** 8)
+    if rank > 5:
+        request.addfinalizer(bc.pair_context.cache_clear)
+    ct = CartanType(series, rank)
+    assert bc.enumerate_pairs.__wrapped__(ct) == enumerate_pairs_by_masks(ct)
+
+
+def _distinct_parts(total, parity):
+    """Partitions of total into distinct parts of the given parity."""
+    def parts(rest, largest):
+        if rest == 0:
+            yield ()
+        for p in range(min(rest, largest), 0, -1):
+            if p % 2 == parity:
+                yield from ((p,) + tail for tail in parts(rest - p, p - 1))
+    return set(parts(total, total))
+
+
+def test_distinguished_tables_match_classification():
+    """Collingwood-McGovern 1993, par. 8.2: in A the regular orbit only; in B
+    and D the partitions into distinct odd parts, in C into distinct even
+    parts; in G2 the orbits G2 and G2(a1)."""
+    classical = {"A": lambda n: {(n + 1,)},
+                 "B": lambda n: _distinct_parts(2 * n + 1, 1),
+                 "C": lambda n: _distinct_parts(2 * n, 0),
+                 "D": lambda n: _distinct_parts(2 * n, 1),
+                 "G": lambda n: {"G2", "G2(a1)"}}
+    for series, rank in PAIR_SYSTEMS:
+        table = bc._distinguished(series, rank)
+        got = {o.g2_label or o.partition for o in table.values()}
+        assert got == classical[series](rank), (series, rank)
+        for wdd, orbit in table.items():
+            assert set(wdd) <= {0, 2} and weighted_dynkin(orbit).values == wdd
+
+
+def test_distinguished_count_bounds_every_simple_type():
+    """rank + #{alpha(h)=0} >= #{alpha(h)=2} for every 0/2 weighting of a
+    simple type.  A pseudo-Levi's counts are sums over its factors, so
+    equality on J holds exactly when it holds on every factor."""
+    seen = 0
+    for series, rank in SIMPLE_TYPES:
+        roots = build_root_system(CartanType(series, rank)).roots
+        for wdd in itertools.product((0, 2), repeat=rank):
+            vals = [sum(c * v for c, v in zip(r, wdd)) for r in roots]
+            assert rank + vals.count(0) >= vals.count(2), (series, rank, wdd)
+            seen += 1
+    assert seen == 2034
+
+
+def test_non_distinguished_jprime_raises():
+    """(2,0,0) on B3 is no distinguished diagram, so the pair names no orbit."""
+    ct = CartanType("B", 3, "adjoint")
+    pair = bc.ABCPair(J(1, 2, 3), J(2, 3))
+    for f in (bc.distinguished_factor_orbits, bc.pair_saturation, du.pair_invariant):
+        with pytest.raises(bc.ABCError, match="not distinguished"):
+            f(ct, pair)
 
 
 # ---------------------------------------------------------------------
