@@ -35,6 +35,7 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
+from .chartab import build_factor, split_basis_into_factors
 from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
                      solve, transpose)
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
@@ -99,6 +100,18 @@ def pair_context(ct: CartanType, j: frozenset) -> WeylContext:
 
 
 @lru_cache(maxsize=None)
+def _face_factors(ct: CartanType, j: frozenset) -> tuple:
+    """The factors of J's pseudo-Levi, as pair_context(ct, j).factors,
+    without the group: the pairs need no Weyl group, so they never meet
+    GROUP_ORDER_CAP."""
+    if not is_proper(ct, j):
+        raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
+    rs = build_root_system(ct)
+    return tuple(build_factor(rs, c)
+                 for c in split_basis_into_factors(rs, _basis_of(rs, j)))
+
+
+@lru_cache(maxsize=None)
 def _distinguished(series: str, rank: int) -> MappingProxyType:
     """0/2 diagram -> orbit, for the distinguished orbits of a simple type.
 
@@ -134,7 +147,7 @@ def enumerate_pairs(ct: CartanType) -> tuple:
         node = {affs[i][0]: i for i in j}
         zeros = [[frozenset(node[b] for b, v in zip(f.basis, wdd) if not v)
                   for wdd in _distinguished(f.series, f.rank)]
-                 for f in pair_context(ct, j).factors]
+                 for f in _face_factors(ct, j)]
         out.extend(ABCPair(j, frozenset().union(*jp)) for jp in product(*zeros))
     return tuple(sorted(out, key=ABCPair.sort_key))
 
@@ -144,7 +157,7 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
     affs = build_root_system(ct).affine_simples
     zero_roots = {affs[i][0] for i in pair.Jprime}
     out = []
-    for f in pair_context(ct, pair.J).factors:
+    for f in _face_factors(ct, pair.J):
         wdd = tuple(0 if b in zero_roots else 2 for b in f.basis)
         orbit = _distinguished(f.series, f.rank).get(wdd)
         if orbit is None:
@@ -217,13 +230,12 @@ def _pair_data(ct: CartanType, pair: ABCPair):
     """Map frozenset(factor root indices) -> (series, rank, orbit key),
     and its sorted values, the bucket invariant of `classes`."""
     rs = build_root_system(ct)
-    ctx = pair_context(ct, pair.J)
     table = {}
-    for f, o in zip(ctx.factors, distinguished_factor_orbits(ct, pair)):
+    for f, o in zip(_face_factors(ct, pair.J), distinguished_factor_orbits(ct, pair)):
         idx = frozenset(rs._root_index[r] for r in f.roots)
         table[idx] = (f.series, f.rank,
                       o.g2_label if o.system.series == "G" else o.partition)
-    return table, tuple(sorted(table.values()))
+    return MappingProxyType(table), tuple(sorted(table.values()))
 
 
 def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:

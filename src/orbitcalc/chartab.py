@@ -23,6 +23,13 @@ No group is enumerated: factor_classes lists each factor's classes with
 their sizes, |W| over the centralizer order (Geck-Pfeiffer 2000, 3.4;
 Carter 1972), and FactorClassifier.representative builds one element of
 a class as a product of reflections in roots read off the frame.
+
+Each datum is computed once per process: the character values of each
+type, the rim-hook removals they recurse through, the class lists, and
+each embedded factor (build_factor, per root system and component, so
+every face with that component shares it).  The cached values are
+integers, tuples and namedtuples of tuples, so no caller can change what
+a later one is served.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ class CharError(ValueError):
 # rim hooks and abstract character values
 # ---------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _strips(lam, r):
     """All removals of an r-rim-hook: (smaller partition, leg length)."""
     if r <= 0:
@@ -400,13 +408,15 @@ def _build_frame(rs: RootSystem, kind, series, rank, basis):
     return tuple(reversed(es))
 
 
+@lru_cache(maxsize=None)
 def build_factor(rs: RootSystem, comp, forced_basis=None,
                  forced_series=None) -> EmbeddedFactor:
-    """forced_basis/forced_series override the canonical normal form; the
-    caller promises the pair is a standard model for the subsystem (used
-    for ambient systems, where labels must agree with the system-level
-    recipes; the canonical form may differ by a diagram automorphism or,
-    for B2 = C2, by the dual naming)."""
+    """The factor with simple roots comp, once per root system and
+    component.  forced_basis/forced_series override the canonical normal
+    form; the caller promises the pair is a standard model for the
+    subsystem (used for ambient systems, where labels must agree with the
+    system-level recipes; the canonical form may differ by a diagram
+    automorphism or, for B2 = C2, by the dual naming)."""
     kind, series, rank, basis = _classify_factor(rs, comp)
     if forced_basis is not None:
         if set(forced_basis) != set(basis):

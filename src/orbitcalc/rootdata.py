@@ -118,10 +118,12 @@ def connected_components(size, linked):
     return tuple(comps)
 
 
+@lru_cache(maxsize=None)
 def reflection_closure(cartan):
     """The roots with Cartan matrix cartan[i][j] = <e_i, e_j^vee>: the set
     of coefficient vectors reached from the unit vectors e_j by the simple
-    reflections s_j(c) = c - <c, e_j^vee> e_j."""
+    reflections s_j(c) = c - <c, e_j^vee> e_j.  Once per Cartan matrix,
+    shared by every factor of that type."""
     k = len(cartan)
     seen = set()
     queue = list(identity(k))
@@ -134,11 +136,12 @@ def reflection_closure(cartan):
             p = sum(x * cartan[i][j] for i, x in enumerate(c))
             if p:
                 queue.append(tuple(x - p * (i == j) for i, x in enumerate(c)))
-    return seen
+    return frozenset(seen)
 
 
 class RootSystem:
-    """Immutable after construction; built via build_root_system."""
+    """Built via build_root_system, and immutable after construction apart
+    from the memo of coroot_coweight_coords, which holds tuples."""
 
     def __init__(self, ct: CartanType):
         self.cartan_type = ct
@@ -160,6 +163,7 @@ class RootSystem:
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [tuple(-x for x in r) for r in pos])
         self._coroot_of = {r: self._coroot(r) for r in self.roots}
+        self._coroot_cw = {}  # coroot_coweight_coords, as they are asked for
 
     def _coroot(self, root):
         """Coefficients of root^vee in the simple coroots:
@@ -207,9 +211,13 @@ class RootSystem:
 
     def coroot_coweight_coords(self, root):
         """Coweight coordinates of the coroot of `root`."""
-        cr = self._coroot_of[root]
-        n = self.rank
-        return tuple(sum(self.cartan[i][j] * cr[j] for j in range(n)) for i in range(n))
+        cw = self._coroot_cw.get(root)
+        if cw is None:
+            cr = self._coroot_of[root]
+            n = self.rank
+            cw = self._coroot_cw[root] = tuple(
+                sum(self.cartan[i][j] * cr[j] for j in range(n)) for i in range(n))
+        return cw
 
     def root_length2(self, root):
         """(root, root) in the scale where the simple roots have lengths2.

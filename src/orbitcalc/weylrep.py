@@ -11,13 +11,26 @@ classes are tuples of factor classes, each with one representative (the
 product of the factors' representatives) and its size (the product of
 the factors' sizes, from centralizer orders); inner products and
 induction sum over these classes, and no group is enumerated.
+
+Each datum is computed once per process.  A context keeps its class
+representatives, its irreps and its character values, and builds its
+class labellers on first use; the fusion of a context's classes into the
+ambient ones, the family -> special table of each factor type, the orbit
+of each Springer character and the weighting solve of each factor orbit
+are cached by their arguments.  j_induce folds the fusion into the induced class function
+once per character, so each candidate costs one dot product.  Every
+cached value is immutable (an integer, a tuple, a frozenset, a namedtuple
+or a read-only mapping of those), so no caller can change what a later
+query is served.  GROUP_ORDER_CAP is checked whenever a context is built:
+contexts share their factors (chartab.build_factor), never the check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import partitions as pt
 from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
@@ -85,17 +98,18 @@ class WeylContext:
                 for c in comps)
         else:
             self.factors = tuple(build_factor(self.rs, c) for c in comps)
-        self.classifiers = tuple(FactorClassifier(self.rs, f) for f in self.factors)
+        self.factor_signature = tuple((f.series, f.rank) for f in self.factors)
         self.order = 1
         for f in self.factors:
             self.order *= _factor_order(f)
         if self.order > GROUP_ORDER_CAP:
             raise CharError(f"group of order {self.order} exceeds cap {GROUP_ORDER_CAP}")
-        self._classes = None
+        self._classes = self._irreps = None
+        self._values = {}  # (irrep label, class) -> character value
 
-    @property
-    def factor_signature(self):
-        return tuple((f.series, f.rank) for f in self.factors)
+    @cached_property
+    def classifiers(self):
+        return tuple(FactorClassifier(self.rs, f) for f in self.factors)
 
     def class_of(self, w):
         return tuple(c.label(w) for c in self.classifiers)
@@ -117,20 +131,26 @@ class WeylContext:
     # -- irreps ---------------------------------------------------------
 
     def irreps(self):
-        labels = [()]
-        for f in self.factors:
-            labels = [acc + (lab,) for acc in labels
-                      for lab in factor_irrep_labels(f.kind, f.rank)]
-        return tuple(self._irrep(lab) for lab in labels)
+        if self._irreps is None:
+            labels = [()]
+            for f in self.factors:
+                labels = [acc + (lab,) for acc in labels
+                          for lab in factor_irrep_labels(f.kind, f.rank)]
+            self._irreps = tuple(self._irrep(lab) for lab in labels)
+        return self._irreps
 
     def _irrep(self, label):
         b = sum(b_invariant(f.kind, lab) for f, lab in zip(self.factors, label))
         return WeylIrrep(self.factor_signature, tuple(label), b)
 
     def char_value(self, irrep: WeylIrrep, cls) -> int:
-        v = 1
-        for f, lab, c in zip(self.factors, irrep.label, cls):
-            v *= factor_char_value(f.kind, lab, c)
+        key = (irrep.label, cls)
+        v = self._values.get(key)
+        if v is None:
+            v = 1
+            for f, lab, c in zip(self.factors, irrep.label, cls):
+                v *= factor_char_value(f.kind, lab, c)
+            self._values[key] = v
         return v
 
     def inner_product(self, e1: WeylIrrep, e2: WeylIrrep) -> int:
@@ -203,30 +223,48 @@ def _fusion(sub: WeylContext):
     labels of the given context: a class of W_J lies in the W-class of
     its representative."""
     amb = ambient_context(sub.cartan_type)
-    return {(cls, amb.class_of(w)): n for cls, w, n in sub.class_representatives()}
+    return MappingProxyType({(cls, amb.class_of(w)): n
+                             for cls, w, n in sub.class_representatives()})
 
 
-def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
-                        e_amb: WeylIrrep) -> int:
-    """<Ind_{W_J}^W e_sub, e_amb>, by summation over the classes of W_J."""
-    amb = ambient_context(sub.cartan_type)
-    tot = 0
+def _induced(sub: WeylContext, e_sub: WeylIrrep):
+    """|W_J| Ind_{W_J}^W e_sub on the ambient classes that meet W_J: each
+    class of W_J adds its size times e_sub's value to the ambient class
+    of its representative."""
+    out = {}
     for (scls, acls), cnt in _fusion(sub).items():
-        tot += cnt * sub.char_value(e_sub, scls) * amb.char_value(e_amb, acls)
-    q, r = divmod(tot, sub.order)
+        out[acls] = out.get(acls, 0) + cnt * sub.char_value(e_sub, scls)
+    return out
+
+
+def _multiplicity(sub: WeylContext, induced, e_amb: WeylIrrep) -> int:
+    """<Ind e_sub, e_amb>, induced being _induced(sub, e_sub)."""
+    amb = ambient_context(sub.cartan_type)
+    q, r = divmod(sum(v * amb.char_value(e_amb, acls) for acls, v in induced.items()),
+                  sub.order)
     if r:
         raise CharError("non-integral induction multiplicity")
     return q
 
 
+def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
+                        e_amb: WeylIrrep) -> int:
+    """<Ind_{W_J}^W e_sub, e_amb> = <e_sub, Res e_amb>, by summation over
+    the classes of W_J."""
+    return _multiplicity(sub, _induced(sub, e_sub), e_amb)
+
+
 def j_induce(sub: WeylContext, e_sub: WeylIrrep) -> WeylIrrep:
-    """Unique constituent of Ind e_sub with the same b-invariant."""
+    """Unique constituent of Ind e_sub with the same b-invariant: the
+    induced class function is folded once, and each candidate with
+    b <= b(e_sub) costs one dot product."""
     amb = ambient_context(sub.cartan_type)
+    induced = _induced(sub, e_sub)
     hits = []
     for e in amb.irreps():
         if e.b > e_sub.b:
             continue
-        m = induce_multiplicity(sub, e_sub, e)
+        m = _multiplicity(sub, induced, e)
         if m > 0:
             if e.b < e_sub.b:
                 raise CharError(
@@ -273,32 +311,40 @@ def _interleaved(a, b):
 
 
 def factor_family_key(f: EmbeddedFactor, lab):
-    if f.kind == "A":
+    return _family_key(f.kind, f.rank, lab)
+
+
+def _family_key(kind, rank, lab):
+    if kind == "A":
         return ("A", lab)
-    if f.kind == "BC":
+    if kind == "BC":
         lam, mu = lab
-        top, bot = _bc_symbol(lam, mu, f.rank)
+        top, bot = _bc_symbol(lam, mu, rank)
         return ("BC", tuple(sorted(top + bot)))
-    if f.kind == "D":
+    if kind == "D":
         (lam, mu), sign = lab
-        top, bot = _d_symbol(lam, mu, f.rank)
+        top, bot = _d_symbol(lam, mu, rank)
         return ("D", tuple(sorted(top + bot)), sign)
     fam = {"phi(1,0)": "triv", "phi(1,6)": "sgn"}.get(lab, "big")
     return ("G", fam)
 
 
 def factor_is_special(f: EmbeddedFactor, lab) -> bool:
-    if f.kind == "A":
+    return _is_special(f.kind, f.rank, lab)
+
+
+def _is_special(kind, rank, lab) -> bool:
+    if kind == "A":
         return True
-    if f.kind == "BC":
+    if kind == "BC":
         lam, mu = lab
-        top, bot = _bc_symbol(lam, mu, f.rank)
+        top, bot = _bc_symbol(lam, mu, rank)
         return _interleaved(top, bot)
-    if f.kind == "D":
+    if kind == "D":
         (lam, mu), sign = lab
         if sign:
             return True
-        top, bot = _d_symbol(lam, mu, f.rank)
+        top, bot = _d_symbol(lam, mu, rank)
         return _interleaved(top, bot) or _interleaved(bot, top)
     return lab in ("phi(1,0)", "phi(2,1)", "phi(1,6)")
 
@@ -313,16 +359,31 @@ def family_key(ctx: WeylContext, irrep: WeylIrrep):
                  for f, lab in zip(ctx.factors, irrep.label))
 
 
+@lru_cache(maxsize=None)
+def _specials(kind, rank):
+    """label -> the special label of its family, for one factor type."""
+    labels = factor_irrep_labels(kind, rank)
+    found = {}
+    for lab in labels:
+        if _is_special(kind, rank, lab):
+            found.setdefault(_family_key(kind, rank, lab), []).append(lab)
+    table = {}
+    for lab in labels:
+        specials = found.get(_family_key(kind, rank, lab), [])
+        if len(specials) != 1:
+            raise CharError(f"family of {lab} in {kind}{rank} has specials {specials}")
+        table[lab] = specials[0]
+    return MappingProxyType(table)
+
+
 def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
-    """The special representation in the family of irrep."""
-    key = family_key(ctx, irrep)
-    out = []
-    for e in ctx.irreps():
-        if family_key(ctx, e) == key and is_special_rep(ctx, e):
-            out.append(e)
-    if len(out) != 1:
-        raise CharError(f"family of {irrep} has specials {out}")
-    return out[0]
+    """The special representation in the family of irrep: a family of a
+    product is a product of families, each with one special member."""
+    out = tuple(_specials(f.kind, f.rank).get(lab)
+                for f, lab in zip(ctx.factors, irrep.label))
+    if len(irrep.label) != len(ctx.factors) or None in out:
+        raise CharError(f"{irrep} is not a character of this context")
+    return ctx._irrep(out)
 
 
 # ---------------------------------------------------------------------
@@ -383,7 +444,7 @@ def springer_rep_label(orbit: NilpotentOrbit):
 
 @lru_cache(maxsize=None)
 def _springer_image(ct: CartanType):
-    return {springer_rep_label(o): o for o in enumerate_orbits(ct)}
+    return MappingProxyType({springer_rep_label(o): o for o in enumerate_orbits(ct)})
 
 
 def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
@@ -415,7 +476,7 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
     the common denominator m of the factors."""
     rs = ctx.rs
     n = rs.rank
-    sols = [(f, solve(f.cartan, weighted_dynkin(orb).values))
+    sols = [(f, _factor_weighting(f.cartan, weighted_dynkin(orb).values))
             for f, orb in zip(ctx.factors, factor_orbits)]
     m = math.lcm(*(d for _, (_, d) in sols))
     h = [0] * n
@@ -428,6 +489,12 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
         raise CharError(f"non-integral weighting {tuple(h)}/{m}")
     hdom = dominant_conjugate(rs, tuple(v // m for v in h))
     return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, hdom))
+
+
+@lru_cache(maxsize=None)
+def _factor_weighting(cartan, wdd):
+    """(x, d) with cartan x = d wdd: one solve per factor type and diagram."""
+    return solve(cartan, wdd)
 
 
 # ---------------------------------------------------------------------
@@ -444,6 +511,7 @@ def orbit_s_factors(ctx: WeylContext, irrep: WeylIrrep):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
                    target: CartanType | None = None) -> NilpotentOrbit:
     """Orbit of the Springer pair of an ambient-group representation.

@@ -7,6 +7,10 @@ library against it or use it to build their inputs.
   apply_point, a Weyl element acting on coweight coordinates;
 - the character-side helpers class_counts, dim, families, is_orbit_rep
   and orbit_springer_irrep;
+- induce_multiplicity_by_pairs and j_induce_by_pairs, induction summed
+  over the (subgroup class, ambient class) pairs of the fusion once per
+  ambient character, as weylrep did before it folded the induced class
+  function;
 - restriction_data_to_json, the inverse of
   wavefront.restriction_data_from_json;
 - enumerate_pairs_by_masks, the affine Bala-Carter pairs found by trying
@@ -21,13 +25,14 @@ from collections import namedtuple
 from functools import lru_cache
 
 from orbitcalc import balacarter as bc
-from orbitcalc.chartab import CharError
+from orbitcalc.chartab import CharError, build_factor, split_basis_into_factors
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
 from orbitcalc.orbits import NilpotentOrbit
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_root_system, reflection_in_root,
                                 simple_reflection)
-from orbitcalc.weylrep import (WeylContext, WeylIrrep, _springer_image,
+from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep,
+                               _fusion, _springer_image, ambient_context,
                                family_key, is_special_rep, springer_orbit)
 
 
@@ -193,6 +198,39 @@ def orbit_springer_irrep(ctx: WeylContext, orbit: NilpotentOrbit,
     raise CharError(f"no trivial-system representation found for {orbit}")
 
 
+def induce_multiplicity_by_pairs(sub: WeylContext, e_sub: WeylIrrep,
+                                 e_amb: WeylIrrep) -> int:
+    """<Ind_{W_J}^W e_sub, e_amb>, by summation over the classes of W_J."""
+    amb = ambient_context(sub.cartan_type)
+    tot = 0
+    for (scls, acls), cnt in _fusion(sub).items():
+        tot += cnt * sub.char_value(e_sub, scls) * amb.char_value(e_amb, acls)
+    q, r = divmod(tot, sub.order)
+    if r:
+        raise CharError("non-integral induction multiplicity")
+    return q
+
+
+def j_induce_by_pairs(sub: WeylContext, e_sub: WeylIrrep) -> WeylIrrep:
+    """Unique constituent of Ind e_sub with the same b-invariant."""
+    amb = ambient_context(sub.cartan_type)
+    hits = []
+    for e in amb.irreps():
+        if e.b > e_sub.b:
+            continue
+        m = induce_multiplicity_by_pairs(sub, e_sub, e)
+        if m > 0:
+            if e.b < e_sub.b:
+                raise CharError(
+                    f"induction of {e_sub} has constituent below b={e_sub.b}")
+            hits.append((e, m))
+    if len(hits) == 1 and hits[0][1] == 1:
+        return hits[0][0]
+    raise JInductionTie(
+        f"truncated induction of {e_sub} is not a single constituent: {hits}",
+        [h[0] for h in hits])
+
+
 # ---------------------------------------------------------------------
 # restriction data
 # ---------------------------------------------------------------------
@@ -215,15 +253,15 @@ def restriction_data_to_json(data):
 # affine Bala-Carter pairs
 # ---------------------------------------------------------------------
 
-def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
+def _distinguished_ok(factors, zero_roots) -> bool:
     """rank + #{alpha(h)=0} == #{alpha(h)=2} for the 0/2 weighting.
 
     h solves beta_i(h) = label_i on the factor basis, so any subsystem root
     alpha = sum c_i beta_i evaluates to sum c_i label_i.
     """
-    rank = sum(f.rank for f in ctx.factors)
+    rank = sum(f.rank for f in factors)
     n0 = n2 = 0
-    for f in ctx.factors:
+    for f in factors:
         labels = tuple(0 if b in zero_roots else 2 for b in f.basis)
         for coeffs in f.coords:
             val = sum(c * l for c, l in zip(coeffs, labels))
@@ -236,15 +274,18 @@ def _distinguished_ok(ctx: WeylContext, zero_roots) -> bool:
 
 def enumerate_pairs_by_masks(ct: CartanType) -> tuple:
     """All affine Bala-Carter pairs, from all 2^|J| 0/2 masks of each face;
-    no rank cap."""
-    affs = build_root_system(ct).affine_simples
+    no rank cap, and no Weyl group: the face's factors are built as
+    pair_context builds them."""
+    rs = build_root_system(ct)
+    affs = rs.affine_simples
     out = []
     for j in bc.proper_subsets(ct):
-        ctx = bc.pair_context(ct, j)
+        basis = tuple(sorted(affs[i][0] for i in j))
+        factors = [build_factor(rs, c) for c in split_basis_into_factors(rs, basis)]
         jl = sorted(j)
         for mask in range(1 << len(jl)):
             jp = frozenset(jl[i] for i in range(len(jl)) if mask >> i & 1)
             zero_roots = {affs[i][0] for i in jp}
-            if _distinguished_ok(ctx, zero_roots):
+            if _distinguished_ok(factors, zero_roots):
                 out.append(bc.ABCPair(j, jp))
     return tuple(sorted(out, key=lambda p: p.sort_key()))

@@ -246,17 +246,25 @@ SIMPLE_TYPES = ([("A", n) for n in range(1, 9)]
 
 
 @pytest.mark.parametrize("series,rank", PAIR_SYSTEMS)
-def test_enumerate_pairs_matches_mask_oracle(monkeypatch, request, series, rank):
+def test_enumerate_pairs_matches_mask_oracle(monkeypatch, series, rank):
     """The per-type tables give the pairs that all 2^|J| masks of every face
-    give.  Pairs do not depend on the isogeny.  The faces of B8, C8 and D8
-    include Weyl groups above GROUP_ORDER_CAP, so their contexts are dropped
-    afterwards rather than served to a later query under the cap."""
+    give.  Pairs do not depend on the isogeny."""
     monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
-    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 10 ** 8)
-    if rank > 5:
-        request.addfinalizer(bc.pair_context.cache_clear)
     ct = CartanType(series, rank)
     assert bc.enumerate_pairs.__wrapped__(ct) == enumerate_pairs_by_masks(ct)
+
+
+def test_enumerate_pairs_needs_no_weyl_group(monkeypatch):
+    """Pairs read each face's factors, never a WeylContext: B8 has faces
+    whose Weyl groups exceed GROUP_ORDER_CAP, and with only the rank cap
+    raised its 595 pairs still come out."""
+    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    ct = CartanType("B", 8)
+    assert any(math.prod(map(wr._factor_order, bc._face_factors(ct, j))) > wr.GROUP_ORDER_CAP
+               for j in bc.proper_subsets(ct))
+    pairs = bc.enumerate_pairs.__wrapped__(ct)
+    assert len(pairs) == 595
+    assert pairs == enumerate_pairs_by_masks(ct)
 
 
 def _distinct_parts(total, parity):

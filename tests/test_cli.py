@@ -551,3 +551,30 @@ def test_no_process_imports_dataclasses(tmp_path):
     outs = proc.stdout.splitlines()
     assert len(outs) == 4 and outs[0] == outs[1]
     assert len(list(store.iterdir())) == 2
+
+
+_STORELESS = """
+import sys
+from orbitcalc import cli
+store, data = sys.argv[1:]
+b3 = ["--type", "B", "--rank", "3", "--json", "--cache-dir", store]
+for argv in (["unramified", *b3], ["unramified", *b3],
+             ["arthur-wf", *b3, "--dual-orbit", "2,2,1,1"],
+             ["local-wf", "--type", "A", "--rank", "2", "--data", data]):
+    cli.main(argv)
+before = "orbitcalc._storeless" in sys.modules
+cli.main(["orbits", "--type", "A", "--rank", "2"])
+print(before, "orbitcalc._storeless" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_stored_commands_never_import_the_storeless_module(tmp_path):
+    """orbits, dual-map and selftest run from orbitcalc._storeless, which
+    the stored commands, hit or miss, never import, so never compile."""
+    import orbitcalc
+    assert "_storeless" not in orbitcalc._SUBMODULES
+    store, data = tmp_path / "store", tmp_path / "data.json"
+    data.write_text('[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": 1}]}]')
+    proc = subprocess.run([sys.executable, "-c", _STORELESS, str(store), str(data)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.stderr.splitlines()[-1] == "False True", proc.stderr

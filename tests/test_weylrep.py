@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -10,9 +11,11 @@ from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import CartanType, build_root_system, reflection_in_root
+from orbitcalc.rootdata import (CartanType, build_root_system, reflection_closure,
+                                reflection_in_root)
 
-from oracles import class_counts, dim, families, orbit_springer_irrep
+from oracles import (class_counts, dim, families, induce_multiplicity_by_pairs,
+                     j_induce_by_pairs, orbit_springer_irrep)
 
 CTS = [CartanType(s, r) for s, r in
        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -229,6 +232,43 @@ def test_g2_pseudo_levi_j_induction():
     sgn_a11 = max(a11.irreps(), key=lambda e: e.b)
     j2 = wr.j_induce(a11, sgn_a11)
     assert j2.label == ("phi(2,2)",)
+
+
+INDUCTION_SYSTEMS = ([("A", n) for n in range(1, 6)]
+                     + [(s, n) for s in "BCD" for n in range(2, 6)] + [("G", 2)])
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type, message and candidates of its CharError."""
+    try:
+        return fn(*args)
+    except ch.CharError as exc:
+        return type(exc), str(exc), getattr(exc, "candidates", None)
+
+
+@pytest.mark.parametrize("iso", ["adjoint", "simply_connected"])
+def test_folded_induction_matches_pairwise_oracle(iso):
+    """The induced class function, folded once per source character, gives
+    the multiplicity that summing over the fusion pairs gives, for every
+    ambient character with b <= b(E) (those j-induction weighs), and the
+    same j-induced character or the same JInductionTie, for every
+    character of every face context."""
+    outcomes = {}
+    for s, r in INDUCTION_SYSTEMS:
+        ct = CartanType(s, r, iso)
+        amb = wr.ambient_context(ct)
+        for j in bc.proper_subsets(ct):
+            sub = bc.pair_context(ct, j)
+            for e in sub.irreps():
+                for a in amb.irreps():
+                    if a.b <= e.b:
+                        assert wr.induce_multiplicity(sub, e, a) == \
+                            induce_multiplicity_by_pairs(sub, e, a), (ct, j, e, a)
+                got = _outcome(wr.j_induce, sub, e)
+                assert got == _outcome(j_induce_by_pairs, sub, e), (ct, j, e)
+                kind = "single" if isinstance(got, wr.WeylIrrep) else got[0].__name__
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes == {"single": 3276, "JInductionTie": 6}
 
 
 def test_families_unique_special():
@@ -494,3 +534,51 @@ def test_group_order_cap(monkeypatch):
     monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 47)
     with pytest.raises(ch.CharError, match="exceeds cap 47"):
         wr.WeylContext(ct, rs.simple_roots)
+
+
+def _immutable(x):
+    """x and everything it holds are immutable: numbers, strings, tuples
+    (namedtuples too), frozensets and read-only mappings."""
+    if x is None or isinstance(x, (int, str)):
+        return True
+    if isinstance(x, (tuple, frozenset)):
+        return all(map(_immutable, x))
+    if isinstance(x, MappingProxyType):
+        return all(_immutable(k) and _immutable(v) for k, v in x.items())
+    return False
+
+
+def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
+    """Every value the character layer keeps is immutable, and a context
+    built after the caches are warm still checks GROUP_ORDER_CAP."""
+    ct = CartanType("B", 4)
+    rs = build_root_system(ct)
+    amb = wr.ambient_context(ct)
+    kept = [amb.irreps(), amb.class_representatives(), wr._springer_image(ct)]
+    for j in bc.proper_subsets(ct):
+        ctx = bc.pair_context(ct, j)
+        for e in ctx.irreps():
+            try:
+                kept.append(wr.springer_orbit(amb, wr.j_induce(ctx, e), target=ct.dual))
+            except ch.CharError:  # a tie, or a label off the Springer image
+                pass
+            kept.append(wr.orbit_s_factors(ctx, e))
+        kept += [ctx.irreps(), ctx.class_representatives(), wr._fusion(ctx),
+                 bc._face_factors(ct, j), tuple(ctx._values.values()),
+                 tuple(v for c in ctx.classifiers for v in c._cache.values())]
+        for f in ctx.factors:
+            kept += [ch.build_factor(rs, f.basis), reflection_closure(f.cartan),
+                     wr._specials(f.kind, f.rank)]
+            kept += [wr._factor_weighting(f.cartan, wdd) for wdd in bc._distinguished(f.series, f.rank)]
+    for pair in bc.enumerate_pairs(ct):
+        kept += [bc._pair_data(ct, pair), bc.pair_saturation(ct, pair)]
+    kept += [rs.coroot_coweight_coords(r) for r in rs.roots]
+    for x in kept:
+        assert _immutable(x), x
+    assert any(isinstance(x, MappingProxyType) and any(k != v for k, v in x.items())
+               for x in kept)  # a family -> special table that moves a label
+    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 47)
+    with pytest.raises(ch.CharError, match="exceeds cap 47"):
+        wr.WeylContext(ct, rs.simple_roots)
+    with pytest.raises(ch.CharError, match="exceeds cap 47"):
+        bc.pair_context.__wrapped__(ct, frozenset({0, 1, 2, 3}))
