@@ -140,9 +140,13 @@ def collapse_oracle(p, series: str, rank: int) -> tuple[int, ...]:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse the CLI form "a,b,c"."""
-    parts = [int(t) for t in text.replace(" ", "").split(",") if t]
-    return normalize(parts)
+    """Parse the CLI form "a,b,c": every field ASCII digits, with spaces
+    allowed around it.  Raises ValueError (not PartitionError) for any
+    other text, such as an empty field, a sign or non-ASCII digits."""
+    fields = [t.strip(" ") for t in text.split(",")]
+    if not all(t.isascii() and t.isdigit() for t in fields):
+        raise ValueError(f"{text!r} is not a list of parts such as 2,1")
+    return normalize([int(t) for t in fields])
 
 
 def format_partition(p) -> str:

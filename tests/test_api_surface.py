@@ -159,3 +159,45 @@ def test_public_names_still_importable():
     assert set(PUBLIC_NAMES) <= set(dir(orbitcalc))
     with pytest.raises(AttributeError, match="no_such_name"):
         orbitcalc.no_such_name
+
+
+_TRACED_OWNERS = """
+import inspect, json, sys
+sys.path.insert(0, sys.argv[1])
+import orbitcalc.cli  # all that perfbench/child.py loads before tracer.install()
+import tracer
+
+
+def traced(obj):
+    # tracer.install's rule: public functions and lru_cache wrappers, and
+    # the public methods of classes other than exceptions
+    if hasattr(obj, "cache_info") or inspect.isfunction(obj):
+        return not obj.__name__.startswith("_")
+    return (inspect.isclass(obj) and not issubclass(obj, BaseException)
+            and any(not key.startswith("_") and inspect.isfunction(attr)
+                    for key, attr in vars(obj).items()))
+
+
+owners = {tracer._owner(obj) for mod in tracer._package_modules()
+          for obj in list(vars(mod).values())
+          if tracer._owner(obj) is not None and traced(obj)}
+print(json.dumps({"owners": sorted(owners), "modules": list(tracer.MODULES)}))
+"""
+
+
+def test_every_traced_module_has_a_self_time_metric():
+    """perfbench's traced lane keys self time by its fixed MODULES list, so
+    a traced call owned by any other orbitcalc module kills the run: every
+    module that owns something the tracer wraps must be in that list."""
+    import os
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_OWNERS, os.path.join(root, "perfbench")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert "cli" in found["owners"] and "weylrep" in found["owners"]
+    assert set(found["owners"]) <= set(found["modules"]), found

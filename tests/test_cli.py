@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ import stat
 import subprocess
 import sys
 import types
+import warnings
 
 import pytest
 
@@ -15,6 +17,7 @@ from orbitcalc.rootdata import CartanType
 from oracles import restriction_data_to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run(capsys, *argv):
@@ -198,6 +201,14 @@ def test_payload_keys_are_what_unramified_writes():
 @pytest.mark.parametrize("argv, data, code", [
     # unparsable arguments and data files: usage errors
     (["arthur-wf", "--dual-orbit", "x"], None, 2),
+    (["arthur-wf", "--dual-orbit", "2,,1"], None, 2),
+    (["arthur-wf", "--dual-orbit", ",2,1"], None, 2),
+    (["arthur-wf", "--dual-orbit", "2,1,"], None, 2),
+    (["arthur-wf", "--dual-orbit", "+2,1"], None, 2),
+    (["arthur-wf", "--dual-orbit", "\uff12,\uff11"], None, 2),
+    (["arthur-wf", "--dual-orbit", "2_1,1"], None, 2),
+    (["arthur-wf", "--dual-orbit", ""], None, 2),
+    (["arthur-wf", "--dual-orbit", "1 2"], None, 2),
     (["local-wf"], "{ not json", 2),
     (["local-wf"], '{"J": [0]}', 2),
     (["local-wf"], '[{"J": [0]}]', 2),
@@ -217,7 +228,9 @@ def test_payload_keys_are_what_unramified_writes():
     (["arthur-wf", "--dual-orbit", "2,2"], None, 1),
     (["local-wf"], '[{"J": [9], "irreps": [{"label": [2, 1], "mult": 1}]}]', 1),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
-], ids=["orbit", "not-json", "not-a-list", "no-irreps", "mult",
+], ids=["orbit", "orbit-empty-field", "orbit-leading-comma",
+        "orbit-trailing-comma", "orbit-sign", "orbit-fullwidth", "orbit-underscore",
+        "orbit-empty", "orbit-inner-space", "not-json", "not-a-list", "no-irreps", "mult",
         "mult-float", "mult-bool", "J-string", "J-float", "J-repeated",
         "J-repeated-node", "label-null", "label-object", "label-float", "label-bool", "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
@@ -229,6 +242,27 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     assert rc == code
     assert err.startswith("usage error: " if code == 2 else "error: ")
     assert out == ""
+
+
+with open(os.path.join(GOLDEN, "usage.json")) as fh:
+    USAGE = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(USAGE))
+def test_usage_golden(capsys, monkeypatch, name):
+    """--help of the top-level parser and of each subcommand, and command
+    lines argparse refuses, print byte for byte what they printed when
+    every subcommand's arguments were built up front.  tests/golden/usage.json
+    is argparse's text at 80 columns on Python 3.10 to 3.13.0 (later
+    versions print the choices of an invalid-choice error unquoted)."""
+    case = USAGE[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -578,3 +612,81 @@ def test_stored_commands_never_import_the_storeless_module(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _STORELESS, str(store), str(data)],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.stderr.splitlines()[-1] == "False True", proc.stderr
+
+
+# ---------------------------------------------------------------------
+# process exit
+# ---------------------------------------------------------------------
+
+_EXIT_PROBE = """
+import atexit, gc, os, sys
+# registered before main's hook, so it runs after it
+atexit.register(lambda: os.write(2, b"frozen %d\\n" % gc.get_freeze_count()))
+from orbitcalc import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_objects_frozen_at_exit(tmp_path):
+    """A process that ran main, to a miss, a hit or a usage error, has
+    frozen the collector's objects by the time its last exit hook runs."""
+    store = tmp_path / "store"
+    query = ["unramified", "--type", "A", "--rank", "1", "--cache-dir", str(store)]
+    for argv, code in ((query, 0), (query, 0), (["unramified", "--type", "Z"], 2)):
+        proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, *argv],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        assert proc.returncode == code, proc.stderr
+        last = proc.stderr.splitlines()[-1].split()
+        assert last[0] == "frozen" and int(last[1]) > 0, proc.stderr
+        assert len(list(store.iterdir())) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(capsys, enabled):
+    """An in-process caller keeps a normal collector until it exits."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc, _, _ = run(capsys, "unramified", "--type", "A", "--rank", "1")
+        assert rc == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert gc.get_freeze_count() == 0
+
+
+_HOOKS_RUN = """
+import atexit, gc, os, sys
+runs = []
+gc.freeze = lambda: runs.append(None)  # counts the exit hooks main left
+atexit.register(lambda: os.write(2, b"hooks %d\\n" % len(runs)))
+from orbitcalc import cli
+for _ in range(3):
+    cli.main(sys.argv[1:])
+"""
+
+
+def test_one_exit_hook_however_often_main_runs():
+    proc = subprocess.run([sys.executable, "-c", _HOOKS_RUN, "unramified",
+                           "--type", "A", "--rank", "1"],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "hooks 1", proc.stderr
+
+
+def test_no_file_left_to_the_collector(tmp_path, capsys, monkeypatch):
+    """A miss and a hit of each stored command close every file they open,
+    so that nothing depends on the collection that freezing skips at exit."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    store = str(tmp_path / "store")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for kind in STORED:
+            argv, _, _ = _query(tmp_path, kind)
+            for _ in ("miss", "hit"):
+                assert run(capsys, *argv, "--cache-dir", store)[0] == 0
+        gc.collect()
+    assert unraisable == []
+    assert len(os.listdir(store)) == len(STORED)

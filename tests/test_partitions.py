@@ -81,4 +81,18 @@ def test_transpose_involution_property(parts):
 def test_parse_and_format():
     assert pt.parse_partition("3,1,1") == (3, 1, 1)
     assert pt.parse_partition("1, 3, 1") == (3, 1, 1)
+    assert pt.parse_partition(" 2 ,1 ") == (2, 1)
+    assert pt.parse_partition("2,1,0") == (2, 1)
     assert pt.format_partition((3, 1)) == "3,1"
+
+
+@pytest.mark.parametrize("text", ["2,,1", ",2,1", "2,1,", "+2,1", "-2,1",
+                                  "\uff12,\uff11", "2_1,1", "", " ", "1 2",
+                                  "2,\t1", "x"])
+def test_parse_rejects_all_but_ascii_digit_fields(text):
+    """Each field is ASCII digits with spaces around it; any other text is
+    a ValueError that is not a PartitionError (a usage error, not a
+    computational one)."""
+    with pytest.raises(ValueError) as exc:
+        pt.parse_partition(text)
+    assert not isinstance(exc.value, pt.PartitionError)
