@@ -26,8 +26,7 @@ _EXPORTS = {
                "dual_bv", "dual_ls", "enumerate_orbits", "is_special",
                "orbit_dimension", "orbit_from_wdd", "regular_orbit",
                "weighted_dynkin", "zero_orbit"),
-    "rootdata": ("RootSystem", "build_root_system", "dominant_conjugate",
-                 "weyl_group"),
+    "rootdata": ("RootSystem", "build_root_system", "dominant_conjugate"),
     "wavefront": ("WavefrontResult", "arthur_wf", "cross_check_arthur",
                   "local_wf", "steinberg_pattern", "trivial_pattern"),
     "weylrep": ("WeylContext", "WeylIrrep", "ambient_context",

@@ -3,24 +3,36 @@
 A pair (J, J') is a face J, a set of affine simple nodes proper within
 each component of the extended diagram, with one distinguished orbit on
 each factor of J's pseudo-Levi, read off the factor type's table of 0/2
-diagrams: J' is the set of nodes weighted 0.  Pairs are taken up to
-the extended-Weyl-group equivalence, decided here through the affine hull
-of the corresponding alcove face: a finite Weyl element w identifies two
-pairs when it maps one hull onto the other modulo the cocharacter lattice
-and transports the per-factor distinguished orbits.
+diagrams: J' is the set of nodes weighted 0.  Pairs are taken up to the
+extended-affine-Weyl-group equivalence (Sommers, A generalization of the
+Bala-Carter theorem for nilpotent orbits, IMRN 1998): a finite Weyl
+element w identifies two pairs when it maps the affine hull of one
+alcove face onto the other's modulo the cocharacter lattice X_* and
+transports the per-factor distinguished orbits.
 
-The decision is integer and reads every Weyl element off its root
-permutation.  Per face J, face_hull keeps d * alpha(b) for every root
-alpha, the roots in the QQ-span of J's gradients, and one congruence per
-column of H^-1, H the Hermite basis of G X_* for the gradients' X_*
+The decision reads the two faces' diagrams and enumerates no Weyl group.
+Per face J, face_hull keeps d * alpha(b) for every root alpha, the root
+indices of J's gradients with their affine offsets, and one congruence
+per column of H^-1, H the Hermite basis of G X_* for the gradients' X_*
 functionals G.  The base b is read off the affine marks in coweight
 coordinates (alpha_i(b) = 1 / (sum of the marks off J) on the free
 finite nodes, 0 on J), d being the lcm of those sums, so only the
-congruences need a solve.  Since alpha(w b) = (w^-1 alpha)(b), scanning
-u = w^-1 over W needs only lookups and integer dot products: u must send
-J2's gradients into the QQ-span of J1's (directions), the values of J2's
-affine roots at w b1 must lie in G2 X_* (translates), and u must match
-the per-factor orbits.
+congruences need a solve.  Pairs p1 and p2 are equivalent exactly when
+some bijection sigma from J2's gradients onto J1's
+  (i) keeps every pairing <g, h^vee> and each factor's (series, rank,
+      orbit);
+  (ii) puts y_g = d1 * sigma(g)(b1) + d1 * off_g, g in J2, in d1 G2 X_*
+      (J2's congruences): since alpha(w b) = (w^-1 alpha)(b), these are
+      the values of J2's affine roots at w b1 for w^-1 = sigma on J2;
+  (iii) is realised by W: some u in W has u(g) = sigma(g) for every g
+      (rootdata.conjugate_root_tuples).
+Nothing is lost by asking the witness to map J2's gradients onto J1's.
+A witness u maps J2's pseudo-Levi roots onto J1's, and the element of
+J1's pseudo-Levi Weyl group that carries u(J2's gradients) back onto
+J1's fixes J1's span and each factor's orbit and moves b1 by coroots
+only (s_beta b1 = b1 + off * beta^vee), which lie in Q^vee in X_*.
+The bijections come from a backtrack over the gradients that checks (i)
+node by node; (ii) and then (iii) are checked on each complete one.
 
 Nodes are numbered as in rs.affine_simples: per component the affine
 node, then the finite simple roots (for a simple type 0 is the affine
@@ -36,10 +48,10 @@ from math import lcm
 from types import MappingProxyType
 
 from .chartab import build_factor, split_basis_into_factors
-from .linalg import (hermite_row_basis, identity, integer_kernel, mat_vec,
-                     solve, transpose)
+from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
-from .rootdata import CartanType, RootSystem, build_root_system, weyl_group
+from .rootdata import (CartanType, RootSystem, build_root_system,
+                       conjugate_root_tuples)
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
                       subgroup_context)
 
@@ -102,8 +114,8 @@ def pair_context(ct: CartanType, j: frozenset) -> WeylContext:
 @lru_cache(maxsize=None)
 def _face_factors(ct: CartanType, j: frozenset) -> tuple:
     """The factors of J's pseudo-Levi, as pair_context(ct, j).factors,
-    without the group: the pairs need no Weyl group, so they never meet
-    GROUP_ORDER_CAP."""
+    without the group: the pairs and their saturations need no Weyl
+    group, so they never meet GROUP_ORDER_CAP."""
     if not is_proper(ct, j):
         raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
     rs = build_root_system(ct)
@@ -184,13 +196,12 @@ def face_hull(ct: CartanType, j: frozenset) -> tuple:
     nodes, d the lcm of the mark sums.  Its direction is the kernel of
     J's gradients.
 
-    Returns (d, vals, span, grads, offs, congruences): d and
-    vals[a] = d * alpha_a(b) for every root index a; the set span of root
-    indices in the QQ-span of J's gradients (the roots vanishing on the
-    direction); the root indices grads of J's gradients and their affine
-    offsets offs; and, with H the Hermite basis of G X_* (G the
-    gradients' X_* functionals), one pair (x, m) = solve(H, e_i) per
-    column of H^-1: y is in G X_* iff y . x = 0 mod m for all.
+    Returns (d, vals, grads, offs, congruences): d and
+    vals[a] = d * alpha_a(b) for every root index a; the root indices
+    grads of J's gradients and their affine offsets offs; and, with H the
+    Hermite basis of G X_* (G the gradients' X_* functionals), one pair
+    (x, m) = solve(H, e_i) per column of H^-1: y is in G X_* iff
+    y . x = 0 mod m for all.
     """
     if not is_proper(ct, j):
         raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
@@ -207,8 +218,6 @@ def face_hull(ct: CartanType, j: frozenset) -> tuple:
     vals = tuple(sum(c * x for c, x in zip(r, point)) for r in rs.roots)
     jl = sorted(j)
     gradients = tuple(affs[i][0] for i in jl)
-    direction = integer_kernel(gradients) if j else identity(rs.rank)
-    span = frozenset(a for a, r in enumerate(rs.roots) if not any(mat_vec(direction, r)))
     grads = tuple(rs._root_index[g] for g in gradients)
     offs = tuple(affs[i][1] for i in jl)
     congruences = ()
@@ -218,7 +227,7 @@ def face_hull(ct: CartanType, j: frozenset) -> tuple:
         if len(h) != len(grads):
             raise ABCError(f"dependent gradients for J={sorted(j)}")
         congruences = tuple(solve(h, e) for e in identity(len(h)))
-    return d, vals, span, grads, offs, congruences
+    return d, vals, grads, offs, congruences
 
 
 # ---------------------------------------------------------------------
@@ -227,46 +236,71 @@ def face_hull(ct: CartanType, j: frozenset) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pair_data(ct: CartanType, pair: ABCPair):
-    """Map frozenset(factor root indices) -> (series, rank, orbit key),
-    and its sorted values, the bucket invariant of `classes`."""
+    """The pair's diagram and its bucket invariant: per gradient g of J,
+    in face_hull's order, the (series, rank, orbit key) of g's factor and
+    the pairings <g, h^vee> with every gradient h; and the sorted factor
+    data, the invariant `classes` buckets pairs by."""
     rs = build_root_system(ct)
-    table = {}
+    factor_of, data = {}, []
     for f, o in zip(_face_factors(ct, pair.J), distinguished_factor_orbits(ct, pair)):
-        idx = frozenset(rs._root_index[r] for r in f.roots)
-        table[idx] = (f.series, f.rank,
-                      o.g2_label if o.system.series == "G" else o.partition)
-    return MappingProxyType(table), tuple(sorted(table.values()))
+        data.append((f.series, f.rank,
+                     o.g2_label if o.system.series == "G" else o.partition))
+        factor_of.update((rs._root_index[b], data[-1]) for b in f.basis)
+    grads = face_hull(ct, pair.J)[2]
+    nodes = tuple((factor_of[g], tuple(rs.pairing(rs.roots[g], rs.roots[h]) for h in grads))
+                  for g in grads)
+    return nodes, tuple(sorted(data))
+
+
+def _diagram_maps(nodes1, nodes2):
+    """Every bijection sigma from J2's gradients onto J1's that keeps each
+    gradient's factor data and every pairing, as the tuple of J1 positions
+    of the images of J2's gradients; a backtrack, node by node."""
+    sigma = []
+
+    def extend(k):
+        if k == len(nodes2):
+            yield tuple(sigma)
+            return
+        data, row = nodes2[k]
+        for t, (data1, row1) in enumerate(nodes1):
+            if (data1 == data and t not in sigma
+                    and all(row1[s] == row[i] and nodes1[s][1][t] == nodes2[i][1][k]
+                            for i, s in enumerate(sigma))):
+                sigma.append(t)
+                yield from extend(k + 1)
+                sigma.pop()
+
+    return extend(0)
 
 
 def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     """The extended-Weyl-group equivalence of affine Bala-Carter pairs.
 
     Some w in W maps hull 1 onto hull 2 moved by a cocharacter and
-    transports the factor orbits.  The scan runs over u = w^-1 and reads
-    everything off u's root permutation and the root values on face 1:
-    the directions match when u sends every gradient g of J2 into the
-    QQ-span of J1's gradients (the dimensions being equal); the translate
-    matches when the values g(w b1) + off_g = (u g)(b1) + off_g, g in J2,
-    lie in G2 X_* (one congruence per column of H2^-1, H2 the Hermite
-    basis of G2 X_*, each read off solve(H2, e_i)); and u maps each factor
-    of J2 onto a factor of J1 with the same orbit.
+    transports the factor orbits.  With u = w^-1 taken to map J2's
+    gradients onto J1's, u is a bijection sigma of the two diagrams that
+    keeps the pairings and the factor data; the translate matches when
+    the values g(w b1) + off_g = sigma(g)(b1) + off_g, g in J2, lie in
+    G2 X_* (one congruence per column of H2^-1, H2 the Hermite basis of
+    G2 X_*, each read off solve(H2, e_i)); and sigma must be the action
+    of some element of W on J2's gradients.
     """
-    table1, inv1 = _pair_data(ct, p1)
-    table2, inv2 = _pair_data(ct, p2)
-    if inv1 != inv2 or len(p1.J) != len(p2.J):
+    nodes1, inv1 = _pair_data(ct, p1)
+    nodes2, inv2 = _pair_data(ct, p2)
+    if inv1 != inv2:
         return False
-    d1, vals1, span1, _, _, _ = face_hull(ct, p1.J)
-    _, _, _, grads2, offs2, congruences2 = face_hull(ct, p2.J)
+    rs = build_root_system(ct)
+    d1, vals1, grads1, _, _ = face_hull(ct, p1.J)
+    _, _, grads2, offs2, congruences2 = face_hull(ct, p2.J)
     shifts = tuple(d1 * off for off in offs2)
     congruences = tuple((row, d1 * m) for row, m in congruences2)
-    for u in weyl_group(ct):
-        if not all(u[g] in span1 for g in grads2):
-            continue
-        y = tuple(vals1[u[g]] + s for g, s in zip(grads2, shifts))
+    for sigma in _diagram_maps(nodes1, nodes2):
+        image = tuple(grads1[t] for t in sigma)
+        y = tuple(vals1[g] + s for g, s in zip(image, shifts))
         if any(sum(a * b for a, b in zip(row, y)) % m for row, m in congruences):
             continue
-        if all(table1.get(frozenset(u[i] for i in idx)) == data
-               for idx, data in table2.items()):
+        if conjugate_root_tuples(rs, grads2, image):
             return True
     return False
 
@@ -292,11 +326,13 @@ def classes(ct: CartanType) -> tuple:
 
 
 def saturation(ct: CartanType, j: frozenset, factor_orbits) -> NilpotentOrbit:
-    """Lift of a pseudo-Levi orbit: same weighted Dynkin diagram upstairs."""
-    ctx = pair_context(ct, frozenset(j))
-    if len(factor_orbits) != len(ctx.factors):
+    """Lift of a pseudo-Levi orbit: same weighted Dynkin diagram upstairs.
+    It reads the face's factors only, so it meets no group-order cap."""
+    factors = _face_factors(ct, frozenset(j))
+    if len(factor_orbits) != len(factors):
         raise ABCError("factor orbit tuple does not match the pseudo-Levi")
-    return ambient_orbit_from_factor_orbits(ctx, tuple(factor_orbits))
+    return ambient_orbit_from_factor_orbits(build_root_system(ct), factors,
+                                            tuple(factor_orbits))
 
 
 def pair_saturation(ct: CartanType, pair: ABCPair) -> NilpotentOrbit:

@@ -301,9 +301,8 @@ def covers(items, leq):
 
 
 def maxima(items, leq):
-    """The leq-maximal items, without repeats, in the order of the items."""
-    out = []
-    for a in items:
-        if a not in out and not any(b != a and leq(a, b) for b in items):
-            out.append(a)
-    return out
+    """The leq-maximal items, without repeats, in the order of the items.
+    Repeats are dropped first, so leq runs once per ordered pair of
+    distinct items."""
+    distinct = list(dict.fromkeys(items))
+    return [a for a in distinct if not any(b != a and leq(a, b) for b in distinct)]

@@ -33,7 +33,9 @@ Weyl group
 A Weyl element is the tuple w of root indices with w(rs.roots[i]) =
 rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
 tuple(range(len(rs.roots))).  apply_root_coords extends the action
-linearly to coefficient vectors.
+linearly to coefficient vectors.  The group itself is never enumerated:
+conjugate_root_tuples decides whether some element maps one tuple of
+roots onto another with one dominance walk (dominant_conjugate).
 
 Arithmetic
 ----------
@@ -47,8 +49,6 @@ from functools import lru_cache
 
 from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
 from .linalg import identity
-
-WEYL_ENUM_RANK_CAP = 6
 
 
 def cartan_matrix(series: str, rank: int):
@@ -262,10 +262,6 @@ def apply_root_coords(rs: RootSystem, w, coords):
     return tuple(out)
 
 
-def simple_reflection(rs: RootSystem, i: int) -> tuple:
-    return reflection_in_root(rs, rs.simple_roots[i])
-
-
 @lru_cache(maxsize=None)
 def reflection_in_root(rs: RootSystem, root) -> tuple:
     """Reflection s_beta for an arbitrary root beta."""
@@ -277,29 +273,6 @@ def reflection_in_root(rs: RootSystem, root) -> tuple:
         return tuple(alpha[k] - pairing * root[k] for k in range(n))
 
     return tuple(rs._root_index[refl(r)] for r in rs.roots)
-
-
-@lru_cache(maxsize=None)
-def weyl_group(ct: CartanType) -> tuple:
-    """The full Weyl group, closed under composition, as a tuple."""
-    rs = build_root_system(ct)
-    if ct.rank > WEYL_ENUM_RANK_CAP:
-        raise RootDataError(
-            f"enumeration too large: rank {ct.rank} exceeds cap {WEYL_ENUM_RANK_CAP}")
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = tuple(range(len(rs.roots)))
-    seen = {ident: None}  # in breadth-first order
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = tuple(g[i] for i in w)
-                if x not in seen:
-                    seen[x] = None
-                    new.append(x)
-        frontier = new
-    return tuple(seen)
 
 
 def dominant_conjugate(rs: RootSystem, v):
@@ -314,3 +287,26 @@ def dominant_conjugate(rs: RootSystem, v):
                 moved = True
                 break
     return v
+
+
+def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
+    """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
+    a and b are tuples of root indices.
+
+    Any two roots pair to at most 3 in absolute value (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, par. 1.3), so every coweight
+    coordinate of a coroot lies in [-3, 3] and the base-7 digits of
+    v = sum_k 7^k roots[a_k]^vee are unique: w v = sum_k 7^k
+    w(roots[a_k])^vee equals the code of b exactly when w maps each a_k
+    to b_k (so also only when a and b have the same length, no coroot
+    being zero).  Two codes are conjugate when their dominant conjugates
+    agree.
+    """
+    def code(t):
+        v = (0,) * rs.rank
+        for k, i in enumerate(t):
+            cw = rs.coroot_coweight_coords(rs.roots[i])
+            v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
+        return dominant_conjugate(rs, v)
+
+    return code(a) == code(b)

@@ -467,17 +467,18 @@ def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
 # transporting factor orbits into the ambient system
 # ---------------------------------------------------------------------
 
-def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
+def ambient_orbit_from_factor_orbits(rs, factors, factor_orbits):
     """Saturation: build the neutral element h from the per-factor weighted
-    diagrams, dominance-normalize, and look the diagram up.
+    diagrams, dominance-normalize, and look the diagram up.  rs is the
+    ambient root system and factors the embedded factors of the subsystem
+    (a context's factors, or a face's).
 
     On each factor h = sum_k t_k beta_k^vee with C t = wdd, C the factor's
     Cartan matrix; solve gives t as x / d, and h is summed as m * h over
     the common denominator m of the factors."""
-    rs = ctx.rs
     n = rs.rank
     sols = [(f, _factor_weighting(f.cartan, weighted_dynkin(orb).values))
-            for f, orb in zip(ctx.factors, factor_orbits)]
+            for f, orb in zip(factors, factor_orbits)]
     m = math.lcm(*(d for _, (_, d) in sols))
     h = [0] * n
     for f, (x, d) in sols:
@@ -488,7 +489,7 @@ def ambient_orbit_from_factor_orbits(ctx: WeylContext, factor_orbits):
     if any(v % m for v in h):
         raise CharError(f"non-integral weighting {tuple(h)}/{m}")
     hdom = dominant_conjugate(rs, tuple(v // m for v in h))
-    return orbit_from_wdd(WeightedDynkinDiagram(ctx.cartan_type, hdom))
+    return orbit_from_wdd(WeightedDynkinDiagram(rs.cartan_type, hdom))
 
 
 @lru_cache(maxsize=None)
@@ -527,5 +528,5 @@ def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
         raise CharError("context/target Weyl groups do not match")
     orbs = tuple(springer_orbit_label(f.cartan_type(), lab)
                  for f, lab in zip(tctx.factors, irrep.label))
-    return ambient_orbit_from_factor_orbits(tctx, orbs)
+    return ambient_orbit_from_factor_orbits(tctx.rs, tctx.factors, orbs)
 

@@ -1,6 +1,8 @@
 """Code that no orbitcalc command runs, kept for the tests that compare the
 library against it or use it to build their inputs.
 
+- weyl_group, the finite Weyl group closed under composition from the
+  simple reflections (simple_reflection), up to WEYL_ENUM_RANK_CAP;
 - the alcove group Omega = X_* / Z Phi^vee, as the affine maps that
   stabilise the fundamental alcove (AlcoveSymmetry, alcove_symmetries),
   with the Hermite box of coset representatives it is built from and
@@ -29,16 +31,45 @@ from orbitcalc.chartab import CharError, build_factor, split_basis_into_factors
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
 from orbitcalc.orbits import NilpotentOrbit
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
-                                build_root_system, reflection_in_root,
-                                simple_reflection)
+                                build_root_system, reflection_in_root)
 from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep,
                                _fusion, _springer_image, ambient_context,
                                family_key, is_special_rep, springer_orbit)
 
 
 # ---------------------------------------------------------------------
-# Weyl elements on points, alcove symmetries
+# the Weyl group, Weyl elements on points, alcove symmetries
 # ---------------------------------------------------------------------
+
+WEYL_ENUM_RANK_CAP = 6
+
+
+def simple_reflection(rs: RootSystem, i: int) -> tuple:
+    return reflection_in_root(rs, rs.simple_roots[i])
+
+
+@lru_cache(maxsize=None)
+def weyl_group(ct: CartanType) -> tuple:
+    """The full Weyl group, closed under composition, as a tuple."""
+    rs = build_root_system(ct)
+    if ct.rank > WEYL_ENUM_RANK_CAP:
+        raise RootDataError(
+            f"enumeration too large: rank {ct.rank} exceeds cap {WEYL_ENUM_RANK_CAP}")
+    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+    ident = tuple(range(len(rs.roots)))
+    seen = {ident: None}  # in breadth-first order
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = tuple(g[i] for i in w)
+                if x not in seen:
+                    seen[x] = None
+                    new.append(x)
+        frontier = new
+    return tuple(seen)
+
 
 def apply_point(rs: RootSystem, w, v):
     """w on coweight coordinates: alpha_i(w v) = (w^-1 alpha_i)(v)."""

@@ -28,7 +28,8 @@ def test_invariant_constant_on_classes():
 def test_orbit_s_public_wrapper():
     ctx = ambient_context(CartanType("G", 2))
     sgn = max(ctx.irreps(), key=lambda e: e.b)
-    assert ambient_orbit_from_factor_orbits(ctx, orbit_s_factors(ctx, sgn)) == \
+    assert ambient_orbit_from_factor_orbits(ctx.rs, ctx.factors,
+                                            orbit_s_factors(ctx, sgn)) == \
         regular_orbit(CartanType("G", 2))
 
 
@@ -135,7 +136,7 @@ PUBLIC_NAMES = [
     "orbit_from_wdd", "orbits", "pair_saturation", "partitions",
     "regular_orbit", "rootdata", "saturation", "sommers_dual", "special_member",
     "springer_orbit", "steinberg_pattern", "subgroup_context", "trivial_pattern",
-    "wavefront", "weighted_dynkin", "weyl_group", "weylrep", "zero_orbit",
+    "wavefront", "weighted_dynkin", "weylrep", "zero_orbit",
 ]
 
 

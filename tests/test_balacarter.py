@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 from orbitcalc import balacarter as bc
 from orbitcalc import duality as du
+from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
 from orbitcalc.chartab import subsystem_roots
 from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
                               mat_vec, solve, transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, weighted_dynkin, zero_orbit)
-from orbitcalc.rootdata import CartanType, build_root_system, weyl_group
+from orbitcalc.rootdata import CartanType, build_root_system
 from orbitcalc.weylrep import ambient_context
 
-from oracles import alcove_symmetries, coset_reps, enumerate_pairs_by_masks
+from oracles import (alcove_symmetries, coset_reps, enumerate_pairs_by_masks,
+                     weyl_group)
 
 SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
 ISOGENIES = ("adjoint", "simply_connected")
@@ -77,15 +79,13 @@ def _at(rs, root, point):
 def test_face_hull_extremes():
     ct = CartanType("G", 2)
     rs = build_root_system(ct)
-    every_root = frozenset(range(len(rs.roots)))
-    d, vals, span, grads, _, _ = bc.face_hull(ct, frozenset())
-    assert (span, grads) == (frozenset(), ())  # the whole plane
+    d, vals, grads, _, congruences = bc.face_hull(ct, frozenset())
+    assert (grads, congruences) == ((), ())  # the whole plane
     base, _ = reference_face_hull(ct, frozenset())
     assert vals == tuple(d * _at(rs, r, base) for r in rs.roots)
-    d, vals, span, _, _, _ = bc.face_hull(ct, frozenset({1, 2}))
-    assert (d, vals, span) == (1, (0,) * len(rs.roots), every_root)  # the origin
-    d, vals, span, grads, offs, _ = bc.face_hull(ct, frozenset({0, 1}))
-    assert span == every_root  # a vertex
+    d, vals, _, _, _ = bc.face_hull(ct, frozenset({1, 2}))
+    assert (d, vals) == (1, (0,) * len(rs.roots))  # the origin
+    d, vals, grads, offs, _ = bc.face_hull(ct, frozenset({0, 1}))  # a vertex
     base, _ = reference_face_hull(ct, frozenset({0, 1}))
     assert vals == tuple(d * _at(rs, r, base) for r in rs.roots)
     # the hull point must kill both affine roots of J
@@ -265,6 +265,33 @@ def test_enumerate_pairs_needs_no_weyl_group(monkeypatch):
     pairs = bc.enumerate_pairs.__wrapped__(ct)
     assert len(pairs) == 595
     assert pairs == enumerate_pairs_by_masks(ct)
+
+
+def test_pair_saturation_needs_no_weyl_group(monkeypatch):
+    """saturation reads each face's factors, never a WeylContext: with only
+    the rank cap raised, every B8 pair on a face whose Weyl group exceeds
+    GROUP_ORDER_CAP saturates to the orbit whose weighted diagram is the
+    dominant conjugate of the pair's neutral element h.  The test solves
+    for h itself, over QQ on the whole face: beta(h) = 0 on J' and 2 on
+    the rest of J, h in the span of J's coroots."""
+    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    ct = CartanType("B", 8)
+    rs = build_root_system(ct)
+    big = {j for j in bc.proper_subsets(ct)
+           if math.prod(map(wr._factor_order, bc._face_factors(ct, j))) > wr.GROUP_ORDER_CAP}
+    pairs = [p for p in bc.enumerate_pairs.__wrapped__(ct) if p.J in big]
+    assert len(pairs) == 15
+    for p in pairs:
+        nodes = sorted(p.J)
+        basis = [rs.affine_simples[i][0] for i in nodes]
+        labels = [0 if i in p.Jprime else 2 for i in nodes]
+        t = mat_vec(mat_inv(tuple(tuple(rs.pairing(b, c) for c in basis) for b in basis)),
+                    labels)
+        h = [sum(tk * rs.coroot_coweight_coords(c)[i] for tk, c in zip(t, basis))
+             for i in range(rs.rank)]
+        assert all(Fraction(x).denominator == 1 for x in h), p
+        want = rd.dominant_conjugate(rs, tuple(int(x) for x in h))
+        assert weighted_dynkin(bc.pair_saturation(ct, p)).values == want, p
 
 
 def _distinct_parts(total, parity):
@@ -523,14 +550,26 @@ def xstar_matrix(rs, w):
                        for b in rs.simple_roots)))
 
 
+def reference_factor_table(ct, pair):
+    """frozenset(root indices of a factor of J) -> (series, rank, orbit
+    key) of the pair's orbit on that factor."""
+    rs = build_root_system(ct)
+    return {frozenset(rs._root_index[r] for r in f.roots):
+            (f.series, f.rank, o.g2_label if o.system.series == "G" else o.partition)
+            for f, o in zip(bc._face_factors(ct, pair.J),
+                            bc.distinguished_factor_orbits(ct, pair))}
+
+
 def reference_equivalent(ct, p1, p2):
     """The hull test on the reference hulls, by an HNF of each image
-    direction and a Smith form."""
+    direction and a Smith form; w must map each factor of J1 onto a
+    factor of J2 that carries the same orbit."""
     base1, direction1 = reference_face_hull(ct, p1.J)
     base2, direction2 = reference_face_hull(ct, p2.J)
-    table1, inv1 = bc._pair_data(ct, p1)
-    table2, inv2 = bc._pair_data(ct, p2)
-    if inv1 != inv2 or len(direction1) != len(direction2):
+    table1 = reference_factor_table(ct, p1)
+    table2 = reference_factor_table(ct, p2)
+    if sorted(table1.values()) != sorted(table2.values()) \
+            or len(direction1) != len(direction2):
         return False
     rs = build_root_system(ct)
     for w in weyl_group(ct):
@@ -568,6 +607,44 @@ def test_equivalent_matches_reference_hull_test(iso):
 
 
 @pytest.mark.parametrize("iso", ISOGENIES)
+def test_conjugate_root_tuples_matches_weyl_orbit_oracle(iso):
+    """For every face pair that test_equivalent_matches_reference_hull_test
+    compares, in both orders, and every ordering of the first face's
+    gradients: conjugate_root_tuples finds the second face's gradients
+    conjugate to that ordering exactly when some element of the
+    enumerated Weyl group maps the one onto the other."""
+    compared = 0
+    for s, r in SMALL:
+        ct = CartanType(s, r, iso)
+        rs = build_root_system(ct)
+        buckets = {}
+        for p in bc.enumerate_pairs(ct):
+            buckets.setdefault(bc._pair_data(ct, p)[1], []).append(p)
+        faces = {(x.J, y.J) for ps in buckets.values() for x in ps for y in ps
+                 if x != y}
+        for j1, j2 in faces:
+            grads1, grads2 = bc.face_hull(ct, j1)[2], bc.face_hull(ct, j2)[2]
+            orbit = {tuple(w[g] for g in grads2) for w in weyl_group(ct)}
+            for image in itertools.permutations(grads1):
+                assert rd.conjugate_root_tuples(rs, grads2, image) == (image in orbit), \
+                    (ct, grads2, image)
+                compared += 1
+    assert compared == 2354
+
+
+@pytest.mark.parametrize("series,rank,iso,count", [
+    ("B", 6, "adjoint", 70), ("C", 6, "simply_connected", 112),
+    ("D", 6, "simply_connected", 77), ("A", 6, "simply_connected", 21)])
+def test_rank6_class_counts(monkeypatch, series, rank, iso, count):
+    """The class counts that the scan over all of W gave at rank 6.  The
+    cap is raised here only, and nothing rank-6 is left in the cached
+    enumerate_pairs or classes."""
+    monkeypatch.setattr(bc, "ABC_RANK_CAP", 6)
+    monkeypatch.setattr(bc, "enumerate_pairs", bc.enumerate_pairs.__wrapped__)
+    assert len(bc.classes.__wrapped__(CartanType(series, rank, iso))) == count
+
+
+@pytest.mark.parametrize("iso", ISOGENIES)
 def test_subsystem_roots_match_reference_span_test(iso):
     factors = 0
     for s, r in SMALL + [(s, 5) for s in "ABCD"]:
@@ -587,20 +664,17 @@ def test_subsystem_roots_match_reference_span_test(iso):
 
 @pytest.mark.parametrize("iso", ISOGENIES)
 def test_face_hull_matches_reference_slack_system(iso):
-    """d * alpha(b) and the span against the reference base and direction,
-    each root read as the test's own X_* functional."""
+    """d * alpha(b) against the reference base, each root read as the
+    test's own X_* functional."""
     faces = 0
     for s, r in [("A", 1)] + [(s, r) for s in "ABCD" for r in range(2, 7)] + [("G", 2)]:
         ct = CartanType(s, r, iso)
         rs = build_root_system(ct)
         for j in bc.proper_subsets(ct):
-            d, vals, span, grads, offs, _ = bc.face_hull(ct, j)
-            base, direction = reference_face_hull(ct, j)
+            d, vals, grads, offs, _ = bc.face_hull(ct, j)
+            base, _ = reference_face_hull(ct, j)
             assert d > 0, (ct, j)
             assert vals == tuple(d * _at(rs, root, base) for root in rs.roots), (ct, j)
-            assert span == frozenset(
-                a for a, root in enumerate(rs.roots)
-                if not any(mat_vec(direction, _xstar_functional(rs, root)))), (ct, j)
             assert tuple((rs.roots[g], off) for g, off in zip(grads, offs)) == \
                 tuple(rs.affine_simples[i] for i in sorted(j)), (ct, j)
             faces += 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from orbitcalc import partitions as pt
 from orbitcalc.orbits import (NilpotentOrbit, OrbitError, WeightedDynkinDiagram,
                               closure_leq, covers, dual_bv, dual_ls, enumerate_orbits,
-                              hasse_edges, is_special, orbit_dimension,
+                              hasse_edges, is_special, maxima, orbit_dimension,
                               orbit_from_wdd, regular_orbit, weighted_dynkin,
                               zero_orbit)
 from orbitcalc.rootdata import CartanType
@@ -191,3 +191,36 @@ def test_covers_calls_leq_at_most_n_squared(ct):
 
     assert covers(items, leq) == reference_covers(items, closure_leq)
     assert calls <= len(items) ** 2
+
+
+def reference_maxima(items, leq):
+    """By definition: each item above no other, once, in the order of
+    first appearance."""
+    out = []
+    for a in items:
+        if a not in out and not any(b != a and leq(a, b) for b in items):
+            out.append(a)
+    return out
+
+
+def test_maxima_calls_leq_once_per_ordered_pair_of_distinct_items():
+    """Repeats are dropped before the quadratic scan."""
+    items = [2, 3, 2, 6, 3, 1, 6, 5, 1, 2]
+    calls = []
+
+    def divides(a, b):
+        calls.append((a, b))
+        return b % a == 0
+
+    assert maxima(items, divides) == [6, 5]
+    assert len(calls) == len(set(calls))
+    assert all(a != b for a, b in calls)
+
+
+@given(_closed_dags(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_maxima_matches_reference_with_repeats(dag, data):
+    nodes, less = dag
+    items = data.draw(st.lists(st.sampled_from(nodes), max_size=20)) if nodes else []
+    leq = lambda a, b: a == b or (a, b) in less
+    assert maxima(items, leq) == reference_maxima(items, leq)

@@ -364,9 +364,9 @@ def test_orbit_s_extremes():
         triv = next(e for e in reps if e.b == 0)
         sgn = max(reps, key=lambda e: e.b)
         sat_sgn = wr.ambient_orbit_from_factor_orbits(
-            ctx, wr.orbit_s_factors(ctx, sgn))
+            ctx.rs, ctx.factors, wr.orbit_s_factors(ctx, sgn))
         sat_triv = wr.ambient_orbit_from_factor_orbits(
-            ctx, wr.orbit_s_factors(ctx, triv))
+            ctx.rs, ctx.factors, wr.orbit_s_factors(ctx, triv))
         assert sat_sgn == regular_orbit(ct)
         assert sat_triv == zero_orbit(ct)
 
@@ -375,7 +375,8 @@ def test_g2_orbit_s_big_family():
     ctx = ctx_of(CartanType("G", 2))
     hits = {}
     for e in ctx.irreps():
-        orb = wr.ambient_orbit_from_factor_orbits(ctx, wr.orbit_s_factors(ctx, e))
+        orb = wr.ambient_orbit_from_factor_orbits(ctx.rs, ctx.factors,
+                                                  wr.orbit_s_factors(ctx, e))
         hits[e.label[0]] = orb.g2_label
     assert hits["phi(1,6)"] == "G2"
     assert hits["phi(1,0)"] == "0"
