@@ -8,7 +8,9 @@ representations attached to dual-side orbits.
 Every submodule but cli is registered at import and executed on first
 use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
-loads none of the mathematics.
+loads none of the mathematics.  The private modules _storeless and
+_classical are not registered: their one importer loads each on first
+use.
 """
 
 import importlib.util
@@ -29,9 +31,8 @@ _EXPORTS = {
     "rootdata": ("RootSystem", "build_root_system", "dominant_conjugate"),
     "wavefront": ("WavefrontResult", "arthur_wf", "cross_check_arthur",
                   "local_wf", "steinberg_pattern", "trivial_pattern"),
-    "weylrep": ("WeylContext", "WeylIrrep", "ambient_context",
-                "induce_multiplicity", "j_induce", "special_member",
-                "springer_orbit", "subgroup_context"),
+    "weylrep": ("WeylContext", "WeylIrrep", "ambient_context", "j_induce",
+                "special_member", "springer_orbit", "subgroup_context"),
 }
 _SUBMODULES = ("balacarter", "chartab", "duality", "linalg", "orbits",
                "partitions", "rootdata", "wavefront", "weylrep")

@@ -25,7 +25,8 @@ some bijection sigma from J2's gradients onto J1's
       (J2's congruences): since alpha(w b) = (w^-1 alpha)(b), these are
       the values of J2's affine roots at w b1 for w^-1 = sigma on J2;
   (iii) is realised by W: some u in W has u(g) = sigma(g) for every g
-      (rootdata.conjugate_root_tuples).
+      (rootdata.conjugate_root_tuples; equivalent computes the code of
+      J2's gradients once per call).
 Nothing is lost by asking the witness to map J2's gradients onto J1's.
 A witness u maps J2's pseudo-Levi roots onto J1's, and the element of
 J1's pseudo-Levi Weyl group that carries u(J2's gradients) back onto
@@ -47,19 +48,13 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
+from .cartantype import ABCError, _check_abc_rank
 from .chartab import build_factor, split_basis_into_factors
 from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
-from .rootdata import (CartanType, RootSystem, build_root_system,
-                       conjugate_root_tuples)
+from .rootdata import CartanType, RootSystem, build_root_system, root_tuple_code
 from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
                       subgroup_context)
-
-ABC_RANK_CAP = 5
-
-
-class ABCError(ValueError):
-    pass
 
 
 class ABCPair(namedtuple("ABCPair", "J Jprime")):
@@ -151,8 +146,7 @@ def _distinguished(series: str, rank: int) -> MappingProxyType:
 def enumerate_pairs(ct: CartanType) -> tuple:
     """All affine Bala-Carter pairs, no equivalence applied: per face J,
     one distinguished 0/2 diagram on each factor of its pseudo-Levi."""
-    if ct.rank > ABC_RANK_CAP:
-        raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
+    _check_abc_rank(ct)  # cartantype.ABC_RANK_CAP
     affs = build_root_system(ct).affine_simples
     out = []
     for j in proper_subsets(ct):
@@ -295,12 +289,15 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     _, _, grads2, offs2, congruences2 = face_hull(ct, p2.J)
     shifts = tuple(d1 * off for off in offs2)
     congruences = tuple((row, d1 * m) for row, m in congruences2)
+    code2 = None  # J2's gradients' code, once per call
     for sigma in _diagram_maps(nodes1, nodes2):
         image = tuple(grads1[t] for t in sigma)
         y = tuple(vals1[g] + s for g, s in zip(image, shifts))
         if any(sum(a * b for a, b in zip(row, y)) % m for row, m in congruences):
             continue
-        if conjugate_root_tuples(rs, grads2, image):
+        if code2 is None:
+            code2 = root_tuple_code(rs, grads2)
+        if root_tuple_code(rs, image) == code2:
             return True
     return False
 

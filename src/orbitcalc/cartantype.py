@@ -1,9 +1,13 @@
-"""The name of a split reductive group: series, rank and isogeny.
+"""The name of a split reductive group: series, rank and isogeny; and the
+rank cap of the affine Bala-Carter enumeration.
 
 Kept apart from rootdata so that validating a system, as every command
-does first, loads none of the root-system code.  It defines no public
-function: perfbench/tracer.py keeps self time only for the modules in its
-MODULES list and fails on a traced call from any other.
+does first, loads none of the root-system code.  The cap lives here so
+that the pair enumeration (balacarter) and the partition path of
+arthur-wf (_classical) read one value at call time without loading the
+character layer.  It defines no public function: perfbench/tracer.py
+keeps self time only for the modules in its MODULES list and fails on a
+traced call from any other.
 """
 
 from __future__ import annotations
@@ -13,9 +17,21 @@ from collections import namedtuple
 
 SERIES = ("A", "B", "C", "D", "G")
 
+ABC_RANK_CAP = 5
+
 
 class RootDataError(ValueError):
     pass
+
+
+class ABCError(ValueError):
+    pass
+
+
+def _check_abc_rank(ct):
+    """Raise ABCError past ABC_RANK_CAP, read at call time."""
+    if ct.rank > ABC_RANK_CAP:
+        raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
 
 
 class CartanType(namedtuple("CartanType", "series rank isogeny")):

@@ -7,6 +7,11 @@ An unramified class is recorded as the faithful pair
 
 and two invariants compare in the A-order when the first components compare
 in closure order and the second components compare the other way.
+
+achar_dual_one checks that (d(O^vee), O^vee) is attained.  For types A-D
+it reads partitions (_classical, imported on first use); G2 and the
+queries that partitions do not decide run sommers_dual, through the
+faces' Weyl groups (balacarter, weylrep), which stays the oracle.
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+# balacarter and weylrep run on first use (see __init__): a classical
+# achar_dual_one never runs them, nor the character layer under them
 from . import balacarter as bc
-from .orbits import NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls
-from .rootdata import CartanType
-from .weylrep import (JInductionTie, ambient_context, j_induce,
-                      springer_orbit, springer_rep_label)
+from . import weylrep as wr
+from .cartantype import CartanType
+from .orbits import (NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls,
+                     springer_rep_label)
 
 
 class DualityError(ValueError):
@@ -42,18 +49,16 @@ def sommers_dual(ct: CartanType, j, factor_orbits) -> NilpotentOrbit:
     attached special representation, j-induce, and read the Springer orbit
     on the dual side.
 
-    Raises JInductionTie when a degenerate type-D special representation has
-    no unique minimal-b constituent; the tie carries both candidates.
+    Raises weylrep.JInductionTie when a degenerate type-D special
+    representation has no unique minimal-b constituent; the tie carries
+    both candidates.
     """
     ctx = bc.pair_context(ct, frozenset(j))
     if len(factor_orbits) != len(ctx.factors):
         raise DualityError("factor orbits do not match the pseudo-Levi")
-    labels = []
-    for f, orb in zip(ctx.factors, factor_orbits):
-        labels.append(springer_rep_label(dual_ls(orb)))
-    e = ctx._irrep(tuple(labels))
-    jim = j_induce(ctx, e)
-    return springer_orbit(ambient_context(ct), jim, target=ct.dual)
+    e = ctx._irrep(tuple(springer_rep_label(dual_ls(orb)) for orb in factor_orbits))
+    jim = wr.j_induce(ctx, e)
+    return wr.springer_orbit(wr.ambient_context(ct), jim, target=ct.dual)
 
 
 def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
@@ -97,16 +102,25 @@ def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClas
     Checks that the pair is attained by some affine Bala-Carter class;
     failure would contradict the surjectivity of the Sommers dual.  The
     invariant is constant on classes, so the check runs over pairs: the
-    Sommers dual is computed only for pairs saturating to d(O^vee), up to
-    the first hit.
+    Sommers dual is computed only for pairs saturating to d(O^vee).
+
+    For types A-D the check reads partitions (_classical, imported here
+    on first use); G2, and the queries that partitions do not decide (a
+    very even O^vee or d(O^vee) in type D), take the path through the
+    faces' Weyl groups and j-induction, up to the first hit.
     """
     if dual_orbit.system.series != ct.dual.series or \
             dual_orbit.system.rank != ct.rank:
         raise DualityError(f"{dual_orbit} is not an orbit of the dual of {ct}")
     inv = UnramifiedClassInvariant(dual_bv(dual_orbit), dual_orbit)
-    attained = any(
-        sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
-        for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == inv.orbit)
+    attained = None
+    if ct.series != "G":
+        from . import _classical
+        attained = _classical.attained(ct, dual_orbit, inv.orbit)
+    if attained is None:
+        attained = any(
+            sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
+            for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == inv.orbit)
     if not attained:
         raise DualityError(f"invariant {inv} not realized by any class")
     return inv

@@ -1,10 +1,15 @@
 """Nilpotent orbits: enumeration, closure order, weighted Dynkin diagrams,
-Lusztig-Spaltenstein and Barbasch-Vogan duality; and the cover-relation
-and maxima helpers that every finite order of the package uses.
+Lusztig-Spaltenstein and Barbasch-Vogan duality, the Springer label of
+(orbit, trivial local system); and the cover-relation and maxima helpers
+that every finite order of the package uses.
 
 Classical orbits are partitions with the usual parity rules; G2 orbits are
 the five labels 0 < A1 < A1~ < G2(a1) < G2, kept in one literal table whose
 entries the test suite re-derives from independent oracles.
+
+The Springer labels are read off the orbit's symbol, so that the
+character layer (weylrep) and the partition path of arthur-wf
+(_classical) share one copy.  Only orbit_dimension reads a root system.
 
 Type D very even orbits (all parts even) come in I/II pairs.  The mark is
 tied to the weighted Dynkin diagram: mark I is the diagram whose value at
@@ -17,7 +22,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
-from .rootdata import CartanType, build_root_system
+from . import rootdata  # runs on first use (see __init__)
+from .cartantype import CartanType
 
 G2_LABELS = ("0", "A1", "A1~", "G2(a1)", "G2")
 
@@ -213,7 +219,7 @@ def orbit_dimension(orbit: NilpotentOrbit) -> int:
     ct = orbit.system
     if ct.series == "G":
         return G2_TABLE[orbit.g2_label]["dim"]
-    rs = build_root_system(ct)
+    rs = rootdata.build_root_system(ct)
     h = weighted_dynkin(orbit).values
     n0 = n1 = 0
     for beta in rs.roots:
@@ -276,6 +282,61 @@ def is_special(orbit: NilpotentOrbit) -> bool:
     if orbit.system.series == "G":
         return G2_TABLE[orbit.g2_label]["special"]
     return dual_ls(dual_ls(orbit)) == orbit
+
+
+# ---------------------------------------------------------------------
+# Springer labels
+# ---------------------------------------------------------------------
+
+G2_SPRINGER = {"G2": "phi(1,0)", "G2(a1)": "phi(2,1)", "A1~": "phi(2,2)",
+               "A1": "phi(1,3)s", "0": "phi(1,6)"}
+
+
+def _unshift(row):
+    row = sorted(row)
+    parts = [v - i for i, v in enumerate(row)]
+    if any(x < 0 for x in parts):
+        raise OrbitError(f"{row} is not a symbol row")
+    return pt.normalize(parts)
+
+
+def springer_rep_label(orbit: NilpotentOrbit):
+    """The label of the Weyl group character that the Springer
+    correspondence attaches to (orbit, trivial local system): a partition
+    (A), a bipartition (lam, mu) (B, C), ((lam, mu), sign) with sign 0
+    unless lam = mu (D), or a G2 name; in the labels of chartab."""
+    ct = orbit.system
+    s = ct.series
+    if s == "G":
+        return G2_SPRINGER[orbit.g2_label]
+    if s == "A":
+        return orbit.partition
+    p = sorted(orbit.partition)
+    if s in ("B", "C"):
+        want = len(p) if len(p) % 2 == 1 else len(p) + 1
+    else:
+        want = len(p) if len(p) % 2 == 0 else len(p) + 1
+    p = [0] * (want - len(p)) + p
+    star = [v + i for i, v in enumerate(p)]
+    odds = [(v - 1) // 2 for v in star if v % 2 == 1]
+    evens = [v // 2 for v in star if v % 2 == 0]
+    if s == "B":
+        if len(odds) != len(evens) + 1:
+            raise OrbitError(f"bad type-B symbol for {orbit}")
+        return (_unshift(odds), _unshift(evens))
+    if s == "C":
+        if len(evens) != len(odds) + 1:
+            raise OrbitError(f"bad type-C symbol for {orbit}")
+        return (_unshift(evens), _unshift(odds))
+    # D; the sign/mark alignment is pinned by the Bala-Carter rows: the
+    # '+' character (positive block-cycle split classes) pairs with mark II
+    if len(odds) != len(evens):
+        raise OrbitError(f"bad type-D symbol for {orbit}")
+    pair = tuple(sorted((_unshift(odds), _unshift(evens))))
+    sign = 0
+    if pair[0] == pair[1]:
+        sign = -1 if orbit.mark == "I" else 1
+    return (pair, sign)
 
 
 def hasse_edges(ct: CartanType):

@@ -35,7 +35,8 @@ rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
 tuple(range(len(rs.roots))).  apply_root_coords extends the action
 linearly to coefficient vectors.  The group itself is never enumerated:
 conjugate_root_tuples decides whether some element maps one tuple of
-roots onto another with one dominance walk (dominant_conjugate).
+roots onto another by comparing their codes (root_tuple_code), one
+dominance walk each (dominant_conjugate).
 
 Arithmetic
 ----------
@@ -150,6 +151,8 @@ class RootSystem:
         self.cartan = cartan_matrix(ct.series, n)
         self.lengths2 = _root_lengths(ct.series, n)
         self.simple_roots = identity(n)
+        # the simple coroots in coweight coordinates: the Cartan matrix's columns
+        self._columns = tuple(tuple(row[j] for row in self.cartan) for j in range(n))
         self._build_roots()
         self._build_affine()
         self._build_lattices()
@@ -233,9 +236,8 @@ class RootSystem:
 
     def reflect_point(self, v, simple_idx):
         """s_i acting on coweight coordinates."""
-        coroot = tuple(self.cartan[k][simple_idx] for k in range(self.rank))
         c = v[simple_idx]
-        return tuple(x - c * y for x, y in zip(v, coroot))
+        return tuple(x - c * y for x, y in zip(v, self._columns[simple_idx]))
 
     def node_count(self):
         return len(self.affine_simples)
@@ -289,24 +291,25 @@ def dominant_conjugate(rs: RootSystem, v):
     return v
 
 
-def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
-    """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
-    a and b are tuples of root indices.
+def root_tuple_code(rs: RootSystem, t):
+    """The W-invariant code of a tuple t of root indices: the dominant
+    conjugate of v = sum_k 7^k roots[t_k]^vee.
 
     Any two roots pair to at most 3 in absolute value (Bourbaki, Lie
     Groups and Lie Algebras, ch. VI, par. 1.3), so every coweight
-    coordinate of a coroot lies in [-3, 3] and the base-7 digits of
-    v = sum_k 7^k roots[a_k]^vee are unique: w v = sum_k 7^k
-    w(roots[a_k])^vee equals the code of b exactly when w maps each a_k
-    to b_k (so also only when a and b have the same length, no coroot
-    being zero).  Two codes are conjugate when their dominant conjugates
-    agree.
+    coordinate of a coroot lies in [-3, 3] and the base-7 digits of v are
+    unique: w v equals the undominated code of b exactly when w maps each
+    t_k to b_k (so also only when t and b have the same length, no coroot
+    being zero).  Two tuples are W-conjugate when their codes agree.
     """
-    def code(t):
-        v = (0,) * rs.rank
-        for k, i in enumerate(t):
-            cw = rs.coroot_coweight_coords(rs.roots[i])
-            v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
-        return dominant_conjugate(rs, v)
+    v = (0,) * rs.rank
+    for k, i in enumerate(t):
+        cw = rs.coroot_coweight_coords(rs.roots[i])
+        v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
+    return dominant_conjugate(rs, v)
 
-    return code(a) == code(b)
+
+def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
+    """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
+    a and b are tuples of root indices (see root_tuple_code)."""
+    return root_tuple_code(rs, a) == root_tuple_code(rs, b)

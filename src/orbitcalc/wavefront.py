@@ -9,17 +9,23 @@ face, and keeps the A-order maxima.
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
 invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
+Its check that some affine Bala-Carter pair attains the invariant
+(duality.achar_dual_one) reads partitions for types A-D, so that a
+classical arthur_wf runs no root system and no character table; G2,
+local_wf and cross_check_arthur go through the faces' Weyl groups.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+# each runs on first use (see __init__): arthur_wf on a classical type
+# runs duality alone, and no root system or character table
 from . import balacarter as bc
 from . import duality as du
+from . import weylrep as wr
+from .cartantype import CartanType
 from .orbits import NilpotentOrbit, closure_leq, maxima
-from .rootdata import CartanType
-from .weylrep import orbit_s_factors
 
 
 class WavefrontError(ValueError):
@@ -85,7 +91,7 @@ def local_wf(ct: CartanType, data) -> WavefrontResult:
         ctx = bc.pair_context(ct, j)
         for label, _mult in items:
             e = ctx._irrep(label)
-            factor_orbits = orbit_s_factors(ctx, e)
+            factor_orbits = wr.orbit_s_factors(ctx, e)
             invariants.append(du.invariant_of(ct, j, factor_orbits))
     if not invariants:
         raise WavefrontError("restriction data is empty")

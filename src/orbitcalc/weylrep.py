@@ -1,6 +1,7 @@
 """Irreducible characters of Weyl groups and the maps built on them:
 b-invariants, Lusztig symbols and families, special representations, the
-orbit side of the Springer correspondence, truncated (j-) induction, and
+orbit side of the Springer correspondence (the inverse of
+orbits.springer_rep_label), truncated (j-) induction, and
 the map sending a character E to the special orbit of the family of
 E tensor sign.
 
@@ -39,7 +40,7 @@ from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
                       split_basis_into_factors)
 from .linalg import solve
 from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
-                     orbit_from_wdd, weighted_dynkin)
+                     orbit_from_wdd, springer_rep_label, weighted_dynkin)
 from .rootdata import CartanType, build_root_system, dominant_conjugate
 
 GROUP_ORDER_CAP = 10 ** 6
@@ -247,13 +248,6 @@ def _multiplicity(sub: WeylContext, induced, e_amb: WeylIrrep) -> int:
     return q
 
 
-def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
-                        e_amb: WeylIrrep) -> int:
-    """<Ind_{W_J}^W e_sub, e_amb> = <e_sub, Res e_amb>, by summation over
-    the classes of W_J."""
-    return _multiplicity(sub, _induced(sub, e_sub), e_amb)
-
-
 def j_induce(sub: WeylContext, e_sub: WeylIrrep) -> WeylIrrep:
     """Unique constituent of Ind e_sub with the same b-invariant: the
     induced class function is folded once, and each candidate with
@@ -310,10 +304,6 @@ def _interleaved(a, b):
     return True
 
 
-def factor_family_key(f: EmbeddedFactor, lab):
-    return _family_key(f.kind, f.rank, lab)
-
-
 def _family_key(kind, rank, lab):
     if kind == "A":
         return ("A", lab)
@@ -327,10 +317,6 @@ def _family_key(kind, rank, lab):
         return ("D", tuple(sorted(top + bot)), sign)
     fam = {"phi(1,0)": "triv", "phi(1,6)": "sgn"}.get(lab, "big")
     return ("G", fam)
-
-
-def factor_is_special(f: EmbeddedFactor, lab) -> bool:
-    return _is_special(f.kind, f.rank, lab)
 
 
 def _is_special(kind, rank, lab) -> bool:
@@ -347,16 +333,6 @@ def _is_special(kind, rank, lab) -> bool:
         top, bot = _d_symbol(lam, mu, rank)
         return _interleaved(top, bot) or _interleaved(bot, top)
     return lab in ("phi(1,0)", "phi(2,1)", "phi(1,6)")
-
-
-def is_special_rep(ctx: WeylContext, irrep: WeylIrrep) -> bool:
-    return all(factor_is_special(f, lab)
-               for f, lab in zip(ctx.factors, irrep.label))
-
-
-def family_key(ctx: WeylContext, irrep: WeylIrrep):
-    return tuple(factor_family_key(f, lab)
-                 for f, lab in zip(ctx.factors, irrep.label))
 
 
 @lru_cache(maxsize=None)
@@ -390,56 +366,9 @@ def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
 # Springer correspondence (orbit component)
 # ---------------------------------------------------------------------
 
-G2_SPRINGER = {"G2": "phi(1,0)", "G2(a1)": "phi(2,1)", "A1~": "phi(2,2)",
-               "A1": "phi(1,3)s", "0": "phi(1,6)"}
-# the remaining character belongs to the pair (G2(a1), nontrivial system)
+# the character off the trivial-local-system image: G2's phi(1,3)l belongs
+# to the pair (G2(a1), sign of A(G2(a1)) = S3)
 G2_SPRINGER_EXTRA_ORBIT = {"phi(1,3)l": "G2(a1)"}
-
-
-def _unshift(row):
-    row = sorted(row)
-    parts = [v - i for i, v in enumerate(row)]
-    if any(x < 0 for x in parts):
-        raise CharError(f"{row} is not a symbol row")
-    return pt.normalize(parts)
-
-
-def springer_rep_label(orbit: NilpotentOrbit):
-    """Factor-level Springer label (trivial local system) of an orbit."""
-    ct = orbit.system
-    s, n = ct.series, ct.rank
-    if s == "G":
-        return G2_SPRINGER[orbit.g2_label]
-    if s == "A":
-        return orbit.partition
-    p = sorted(orbit.partition)
-    if s in ("B", "C"):
-        want = len(p) if len(p) % 2 == 1 else len(p) + 1
-    else:
-        want = len(p) if len(p) % 2 == 0 else len(p) + 1
-    p = [0] * (want - len(p)) + p
-    star = [v + i for i, v in enumerate(p)]
-    odds = [(v - 1) // 2 for v in star if v % 2 == 1]
-    evens = [v // 2 for v in star if v % 2 == 0]
-    if s == "B":
-        if len(odds) != len(evens) + 1:
-            raise CharError(f"bad type-B symbol for {orbit}")
-        lam, mu = _unshift(odds), _unshift(evens)
-        return (lam, mu)
-    if s == "C":
-        if len(evens) != len(odds) + 1:
-            raise CharError(f"bad type-C symbol for {orbit}")
-        lam, mu = _unshift(evens), _unshift(odds)
-        return (lam, mu)
-    # D; the sign/mark alignment is pinned by the Bala-Carter rows: the
-    # '+' character (positive block-cycle split classes) pairs with mark II
-    if len(odds) != len(evens):
-        raise CharError(f"bad type-D symbol for {orbit}")
-    pair = tuple(sorted((_unshift(odds), _unshift(evens))))
-    sign = 0
-    if pair[0] == pair[1]:
-        sign = -1 if orbit.mark == "I" else 1
-    return (pair, sign)
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ library against it or use it to build their inputs.
   stabilise the fundamental alcove (AlcoveSymmetry, alcove_symmetries),
   with the Hermite box of coset representatives it is built from and
   apply_point, a Weyl element acting on coweight coordinates;
-- the character-side helpers class_counts, dim, families, is_orbit_rep
-  and orbit_springer_irrep;
+- the character-side helpers class_counts, dim, families, is_orbit_rep,
+  orbit_springer_irrep, family_key, factor_family_key, is_special_rep,
+  factor_is_special and induce_multiplicity;
 - induce_multiplicity_by_pairs and j_induce_by_pairs, induction summed
   over the (subgroup class, ambient class) pairs of the fusion once per
   ambient character, as weylrep did before it folded the induced class
@@ -33,8 +34,9 @@ from orbitcalc.orbits import NilpotentOrbit
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_root_system, reflection_in_root)
 from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep,
-                               _fusion, _springer_image, ambient_context,
-                               family_key, is_special_rep, springer_orbit)
+                               _family_key, _fusion, _induced, _is_special,
+                               _multiplicity, _springer_image, ambient_context,
+                               springer_orbit)
 
 
 # ---------------------------------------------------------------------
@@ -198,6 +200,24 @@ def dim(ctx: WeylContext, irrep: WeylIrrep) -> int:
     return ctx.char_value(irrep, ctx.class_of(tuple(range(len(ctx.rs.roots)))))
 
 
+def factor_family_key(f, lab):
+    return _family_key(f.kind, f.rank, lab)
+
+
+def factor_is_special(f, lab) -> bool:
+    return _is_special(f.kind, f.rank, lab)
+
+
+def is_special_rep(ctx: WeylContext, irrep: WeylIrrep) -> bool:
+    return all(factor_is_special(f, lab)
+               for f, lab in zip(ctx.factors, irrep.label))
+
+
+def family_key(ctx: WeylContext, irrep: WeylIrrep):
+    return tuple(factor_family_key(f, lab)
+                 for f, lab in zip(ctx.factors, irrep.label))
+
+
 def families(ctx: WeylContext):
     """Partition of Irr into families; each family lists (members, special)."""
     blocks = {}
@@ -227,6 +247,13 @@ def orbit_springer_irrep(ctx: WeylContext, orbit: NilpotentOrbit,
         if is_orbit_rep(ctx, e) and springer_orbit(ctx, e, target=src) == orbit:
             return e
     raise CharError(f"no trivial-system representation found for {orbit}")
+
+
+def induce_multiplicity(sub: WeylContext, e_sub: WeylIrrep,
+                        e_amb: WeylIrrep) -> int:
+    """<Ind_{W_J}^W e_sub, e_amb> = <e_sub, Res e_amb>, from the induced
+    class function that weylrep.j_induce folds."""
+    return _multiplicity(sub, _induced(sub, e_sub), e_amb)
 
 
 def induce_multiplicity_by_pairs(sub: WeylContext, e_sub: WeylIrrep,

@@ -21,7 +21,7 @@ from orbitcalc.orbits import (NilpotentOrbit, closure_leq, dual_bv,
                               enumerate_orbits, regular_orbit, zero_orbit)
 from orbitcalc.rootdata import CartanType
 
-from oracles import families, orbit_springer_irrep
+from oracles import families, is_special_rep, orbit_springer_irrep
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
@@ -241,7 +241,7 @@ def test_criterion_9():
             for members, special in families(sub):
                 assert special in members  # unique special member per family
             for e in sub.irreps():
-                if not wr.is_special_rep(sub, e):
+                if not is_special_rep(sub, e):
                     continue
                 jim = wr.j_induce(sub, e)
                 assert jim.b == e.b, (ct, j, e)

@@ -131,7 +131,7 @@ PUBLIC_NAMES = [
     "balacarter", "build_root_system", "chartab", "classes", "closure_leq",
     "cross_check_arthur", "dominant_conjugate", "dual_bv", "dual_ls", "duality",
     "enumerate_nobc", "enumerate_orbits", "enumerate_pairs", "equivalent",
-    "face_hull", "induce_multiplicity", "invariant_of", "is_special",
+    "face_hull", "invariant_of", "is_special",
     "j_induce", "leq_A", "linalg", "local_wf", "orbit_dimension",
     "orbit_from_wdd", "orbits", "pair_saturation", "partitions",
     "regular_orbit", "rootdata", "saturation", "sommers_dual", "special_member",

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcalc import balacarter as bc
+from orbitcalc import cartantype
 from orbitcalc import duality as du
 from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
@@ -249,7 +250,7 @@ SIMPLE_TYPES = ([("A", n) for n in range(1, 9)]
 def test_enumerate_pairs_matches_mask_oracle(monkeypatch, series, rank):
     """The per-type tables give the pairs that all 2^|J| masks of every face
     give.  Pairs do not depend on the isogeny."""
-    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 8)
     ct = CartanType(series, rank)
     assert bc.enumerate_pairs.__wrapped__(ct) == enumerate_pairs_by_masks(ct)
 
@@ -258,7 +259,7 @@ def test_enumerate_pairs_needs_no_weyl_group(monkeypatch):
     """Pairs read each face's factors, never a WeylContext: B8 has faces
     whose Weyl groups exceed GROUP_ORDER_CAP, and with only the rank cap
     raised its 595 pairs still come out."""
-    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 8)
     ct = CartanType("B", 8)
     assert any(math.prod(map(wr._factor_order, bc._face_factors(ct, j))) > wr.GROUP_ORDER_CAP
                for j in bc.proper_subsets(ct))
@@ -274,7 +275,7 @@ def test_pair_saturation_needs_no_weyl_group(monkeypatch):
     dominant conjugate of the pair's neutral element h.  The test solves
     for h itself, over QQ on the whole face: beta(h) = 0 on J' and 2 on
     the rest of J, h in the span of J's coroots."""
-    monkeypatch.setattr(bc, "ABC_RANK_CAP", 8)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 8)
     ct = CartanType("B", 8)
     rs = build_root_system(ct)
     big = {j for j in bc.proper_subsets(ct)
@@ -639,7 +640,7 @@ def test_rank6_class_counts(monkeypatch, series, rank, iso, count):
     """The class counts that the scan over all of W gave at rank 6.  The
     cap is raised here only, and nothing rank-6 is left in the cached
     enumerate_pairs or classes."""
-    monkeypatch.setattr(bc, "ABC_RANK_CAP", 6)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 6)
     monkeypatch.setattr(bc, "enumerate_pairs", bc.enumerate_pairs.__wrapped__)
     assert len(bc.classes.__wrapped__(CartanType(series, rank, iso))) == count
 

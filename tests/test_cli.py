@@ -542,6 +542,37 @@ def test_store_hit_loads_no_mathematics(tmp_path, kind):
         assert "C1 normalized to A1" in runs[1][0][2]
 
 
+CHARACTER_LAYER = {f"orbitcalc.{m}" for m in
+                   ("chartab", "weylrep", "balacarter", "rootdata", "linalg")}
+
+
+def _loaded(argv):
+    proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
+
+
+@pytest.mark.parametrize("series,rank,dual", [
+    ("A", 3, "2,1,1"), ("B", 4, "3,3,1,1"), ("C", 4, "5,1,1,1,1"),
+    ("D", 3, "3,1,1,1"), ("D", 4, "3,3,1,1")])
+def test_classical_arthur_miss_runs_no_character_layer(tmp_path, series, rank, dual):
+    """A classical arthur-wf miss is answered from partitions: it runs
+    none of the root-system, linear-algebra, Bala-Carter or character
+    modules.  G2 still runs them."""
+    argv = ["arthur-wf", "--type", series, "--rank", str(rank), "--dual-orbit", dual,
+            "--json", "--cache-dir", str(tmp_path)]
+    loaded = _loaded(argv)
+    assert "orbitcalc.duality" in loaded and "orbitcalc._classical" in loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+
+
+def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
+    loaded = _loaded(["arthur-wf", "--type", "G", "--rank", "2", "--dual-orbit", "A1",
+                      "--json", "--cache-dir", str(tmp_path)])
+    assert CHARACTER_LAYER <= loaded and "orbitcalc._classical" not in loaded
+
+
 def test_unramified_miss_loads_no_fractions(tmp_path):
     """The library's arithmetic is integer: a run that computes an
     unramified table (face hulls included) imports neither fractions nor
