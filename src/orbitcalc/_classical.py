@@ -1,6 +1,7 @@
-"""The partition path of arthur-wf: whether some affine Bala-Carter pair of
-a group of type A, B, C or D attains (d_BV(O^v), O^v), decided from
-partitions alone, with no root system and no character table.
+"""The partition path: the invariant (saturation, Sommers dual) of an affine
+Bala-Carter pair of a group of type A, B, C or D, and whether some pair
+attains (d_BV(O^v), O^v) (arthur-wf), decided from partitions alone, with
+no root system and no character table.
 
 Faces as blocks.  Each node of the affine diagram (numbered as in
 rootdata's affine_simples) has a root in the coordinates e_0, e_1, ...;
@@ -32,14 +33,19 @@ multiplicity 1, is read as a W(D_n) label in type D and looked up in
 the Springer table of the dual series (Sommers, Lusztig's canonical
 quotient and generalized duality, J. Algebra 2001).
 
-attained answers None, and today's path (duality, through balacarter and
-weylrep) answers instead, where partitions do not decide:
-  - in type D when O^v or d_BV(O^v) is very even: partitions give neither
-    a degenerate symbol's sign nor a very even saturation's mark;
+A pair is keyed by its blocks' (kind, m) and partitions (face_pairs
+lists a face's keys; balacarter.block_key reads a pair's key off its
+factors).  invariant and attained answer None, and the path through the
+faces' Weyl groups (duality.invariant_of, through balacarter and weylrep)
+answers instead, where partitions do not decide:
+  - in type D when the saturation or the Sommers dual (O^v or d_BV(O^v)
+    in attained) is very even: partitions give neither a degenerate
+    symbol's sign nor a very even orbit's mark;
   - when a candidate's least-b constituents are not a single character of
     multiplicity 1, or its label is off the Springer image.
-It is imported by duality at first use and is not one of the package's
-lazily loaded submodules (orbitcalc/__init__.py).
+It is imported at first use by duality (achar_dual_one, pair_invariant)
+and balacarter (block_key), never for G2, and is not one of the
+package's lazily loaded submodules (orbitcalc/__init__.py).
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ def faces(series: str, rank: int):
     return out
 
 
-def face_blocks(series: str, rank: int, j) -> tuple:
-    """The sorted (kind, m) of J's blocks, free coordinates included."""
+def blocks(series: str, rank: int, j) -> tuple:
+    """J's blocks, free coordinates included, as (kind, m, the nodes of J
+    in the block)."""
     roots, _ = node_roots(series, rank)
     owner = list(range(rank + (series == "A")))  # union-find on the coordinates
 
@@ -108,19 +115,25 @@ def face_blocks(series: str, rank: int, j) -> tuple:
         first = find(roots[i][0][0])
         for c, _ in roots[i][1:]:
             owner[find(c)] = first
-    coords, nodes, kinds = Counter(), Counter(), {}
+    coords, nodes, kinds = Counter(), {}, {}
     for c in range(len(owner)):
         coords[find(c)] += 1
     for i in j:
         root = find(roots[i][0][0])
-        nodes[root] += 1
+        nodes.setdefault(root, set()).add(i)
         if len(roots[i]) == 1:
             kinds[root] = "B" if abs(roots[i][0][1]) == 1 else "C"
     out = []
     for root, m in coords.items():
-        kind = kinds.get(root) or ("D" if nodes[root] == m else "A")
-        out.append((kind, m))
-    return tuple(sorted(out))
+        members = frozenset(nodes.get(root, ()))
+        kind = kinds.get(root) or ("D" if len(members) == m else "A")
+        out.append((kind, m, members))
+    return tuple(out)
+
+
+def face_blocks(series: str, rank: int, j) -> tuple:
+    """The sorted (kind, m) of J's blocks, free coordinates included."""
+    return tuple(sorted((kind, m) for kind, m, _ in blocks(series, rank, j)))
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +307,22 @@ def sommers_dual(ct: CartanType, key):
     if orbit is None:
         raise _Declined
     return orbit
+
+
+def invariant(ct: CartanType, key):
+    """The (saturation, Sommers dual) of a pair, as orbits, from its key;
+    None where partitions do not decide: in type D when either is very
+    even (partitions give no mark), and wherever sommers_dual declines."""
+    sat = saturation(ct, key)
+    if ct.series == "D" and all(x % 2 == 0 for x in sat):
+        return None
+    try:
+        dual = sommers_dual(ct, key)
+    except _Declined:
+        return None
+    if dual is None:
+        return None
+    return orbits.NilpotentOrbit(ct, partition=sat), dual
 
 
 @lru_cache(maxsize=None)

@@ -48,13 +48,15 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
+# weylrep runs on first use (see __init__): pairs, classes and a
+# classical pair's invariant (block_key) never run it, nor the character
+# layer under it
+from . import weylrep as wr
 from .cartantype import ABCError, _check_abc_rank
-from .chartab import build_factor, split_basis_into_factors
 from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
-from .rootdata import CartanType, RootSystem, build_root_system, root_tuple_code
-from .weylrep import (WeylContext, ambient_orbit_from_factor_orbits,
-                      subgroup_context)
+from .rootdata import (CartanType, RootSystem, build_factor, build_root_system,
+                       root_tuple_code, split_basis_into_factors)
 
 
 class ABCPair(namedtuple("ABCPair", "J Jprime")):
@@ -99,11 +101,11 @@ def _basis_of(rs: RootSystem, j) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def pair_context(ct: CartanType, j: frozenset) -> WeylContext:
+def pair_context(ct: CartanType, j: frozenset) -> wr.WeylContext:
     if not is_proper(ct, j):
         raise ABCError(f"J={sorted(j)} is not a face type of {ct}")
     rs = build_root_system(ct)
-    return subgroup_context(ct, _basis_of(rs, j))
+    return wr.subgroup_context(ct, _basis_of(rs, j))
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +173,36 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
                            f"on J={sorted(pair.J)}")
         out.append(orbit)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def block_key(ct: CartanType, pair: ABCPair) -> tuple:
+    """The pair as the partition path (_classical) keys it, for types A-D:
+    the sorted ((kind, m), partition) of J's coordinate blocks.
+
+    A block with one distinguished orbit takes it: the A blocks and free
+    coordinates, B1 and C1 (an A1 factor on +-e_i or +-2e_i), C2 (a factor
+    normalized to B2), D2 (two A1 factors) and D3 (an A3 factor).  Any
+    other block (B_m and D_m for m >= 4, C_m for m >= 3) is one factor of
+    J's pseudo-Levi, of that type, and takes its distinguished orbit.
+    """
+    from . import _classical as cl
+    affs = build_root_system(ct).affine_simples
+    node = {affs[i][0]: i for i in pair.J}
+    orbit_on = {frozenset(node[b] for b in f.basis): o
+                for f, o in zip(_face_factors(ct, pair.J),
+                                distinguished_factor_orbits(ct, pair))}
+    key = []
+    for kind, m, nodes in cl.blocks(ct.series, ct.rank, pair.J):
+        choices = cl.distinguished(kind, m)
+        if len(choices) > 1:
+            orbit = orbit_on.get(nodes)
+            if orbit is None or orbit.system.series != kind or orbit.system.rank != m:
+                raise ABCError(f"block {kind}{m} of J={sorted(pair.J)} is not "
+                               f"a factor of that type")
+            choices = (orbit.partition,)
+        key.append(((kind, m), choices[0]))
+    return tuple(sorted(key))
 
 
 # ---------------------------------------------------------------------
@@ -328,8 +360,8 @@ def saturation(ct: CartanType, j: frozenset, factor_orbits) -> NilpotentOrbit:
     factors = _face_factors(ct, frozenset(j))
     if len(factor_orbits) != len(factors):
         raise ABCError("factor orbit tuple does not match the pseudo-Levi")
-    return ambient_orbit_from_factor_orbits(build_root_system(ct), factors,
-                                            tuple(factor_orbits))
+    return wr.ambient_orbit_from_factor_orbits(build_root_system(ct), factors,
+                                               tuple(factor_orbits))
 
 
 def pair_saturation(ct: CartanType, pair: ABCPair) -> NilpotentOrbit:

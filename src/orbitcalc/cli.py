@@ -121,15 +121,25 @@ def _cache_path(cdir, kind, ct, key):
     return os.path.join(cdir, name)
 
 
-def cache_load(args, kind, ct, inputs=None):
-    """The stored payload of `kind` for ct and inputs (with its "schema"),
-    or None.  inputs is what the key records beside the system: the
-    --dual-orbit text or the --data file's bytes read as latin-1."""
+def _store_entry(args, kind, ct, inputs):
+    """The (key, path) of the store entry of `kind` for ct and inputs, or
+    None without a store."""
     cdir = _cache_dir(args)
     if not cdir:
         return None
     key = _store_key(kind, ct, inputs)
-    path = _cache_path(cdir, kind, ct, key)
+    return key, _cache_path(cdir, kind, ct, key)
+
+
+def cache_load(args, kind, ct, inputs=None, entry=None):
+    """The stored payload of `kind` for ct and inputs (with its "schema"),
+    or None.  inputs is what the key records beside the system: the
+    --dual-orbit text or the --data file's bytes read as latin-1.  entry
+    is their _store_entry, when the caller has built it."""
+    entry = entry or _store_entry(args, kind, ct, inputs)
+    if entry is None:
+        return None
+    key, path = entry
     if not os.path.exists(path):
         return None
     try:
@@ -156,15 +166,14 @@ def cache_load(args, kind, ct, inputs=None):
         return None
 
 
-def cache_store(args, kind, ct, payload, inputs=None):
-    cdir = _cache_dir(args)
-    if not cdir:
+def cache_store(args, kind, ct, payload, inputs=None, entry=None):
+    entry = entry or _store_entry(args, kind, ct, inputs)
+    if entry is None:
         return
-    key = _store_key(kind, ct, inputs)
-    path = _cache_path(cdir, kind, ct, key)
+    key, path = entry
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        os.makedirs(cdir, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # written aside and renamed: a reader at `path` meets the previous
         # file or the whole new one, never a part
         with open(tmp, "w") as fh:
@@ -180,11 +189,13 @@ def cache_store(args, kind, ct, payload, inputs=None):
 
 def _serve(args, kind, ct, inputs, compute):
     """Print the payload of `kind` for ct and inputs, from the store or
-    from compute() (and then stored)."""
-    payload = cache_load(args, kind, ct, inputs)
+    from compute() (and then stored).  The entry's key and path are built
+    once: the key's source_checksum reads every source file."""
+    entry = _store_entry(args, kind, ct, inputs)
+    payload = cache_load(args, kind, ct, inputs, entry)
     if payload is None:
         payload = compute()
-        cache_store(args, kind, ct, payload, inputs)
+        cache_store(args, kind, ct, payload, inputs, entry)
     return _write(args, payload)
 
 

@@ -8,10 +8,13 @@ An unramified class is recorded as the faithful pair
 and two invariants compare in the A-order when the first components compare
 in closure order and the second components compare the other way.
 
-achar_dual_one checks that (d(O^vee), O^vee) is attained.  For types A-D
-it reads partitions (_classical, imported on first use); G2 and the
-queries that partitions do not decide run sommers_dual, through the
-faces' Weyl groups (balacarter, weylrep), which stays the oracle.
+achar_dual_one checks that (d(O^vee), O^vee) is attained, and
+pair_invariant gives the invariant of one pair, as the unramified tables
+(enumerate_nobc) record each class.  For types A-D both read partitions
+(_classical, imported on first use); G2 and what partitions do not decide
+run invariant_of and sommers_dual, through the faces' Weyl groups
+(balacarter, weylrep), which stay the oracle.  local-wf's invariants
+(invariant_of on arbitrary face characters) always take that path.
 """
 
 from __future__ import annotations
@@ -68,6 +71,16 @@ def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
 
 
 def pair_invariant(ct: CartanType, pair: bc.ABCPair) -> UnramifiedClassInvariant:
+    """The invariant of an affine Bala-Carter pair.  For types A-D it is
+    read from partitions (_classical, imported here on first use, on the
+    pair's balacarter.block_key); G2, and the pairs that partitions do not
+    decide (a very even saturation or Sommers dual in type D), take
+    invariant_of, which stays the oracle."""
+    if ct.series != "G":
+        from . import _classical
+        found = _classical.invariant(ct, bc.block_key(ct, pair))
+        if found is not None:
+            return UnramifiedClassInvariant(*found)
     return invariant_of(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
 
 

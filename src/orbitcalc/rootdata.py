@@ -4,8 +4,8 @@ Root data
 ---------
 Everything is derived from the Cartan matrix and the simple root lengths:
 the roots are the closure of the simple roots under the simple
-reflections (reflection_closure, which also serves the subsystems of
-chartab), the positive ones are those with positive coefficient sum, each
+reflections (reflection_closure, which also serves the embedded
+factors below), the positive ones are those with positive coefficient sum, each
 coroot is alpha^vee = sum_i c_i (alpha_i, alpha_i)/(alpha, alpha)
 alpha_i^vee, and the highest root theta of a component is its positive
 root of greatest height.
@@ -38,6 +38,16 @@ conjugate_root_tuples decides whether some element maps one tuple of
 roots onto another by comparing their codes (root_tuple_code), one
 dominance walk each (dominant_conjugate).
 
+Embedded factors
+----------------
+The simple subsystems spanned by parts of a basis of roots (a face's
+pseudo-Levi, or a context's factors): split_basis_into_factors splits
+the basis diagram into components, and build_factor classifies each, once
+per root system and component, as an EmbeddedFactor: its type, its basis
+in the standard order of that type, its roots and the integer frame on
+which chartab labels the classes of its Weyl group.  Affine Bala-Carter
+pairs and their classes read these and no character table.
+
 Arithmetic
 ----------
 All of it is integer: root lengths, coroots (a non-integral coroot
@@ -46,6 +56,7 @@ raises RootDataError) and the reflections of coweight coordinates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartantype import SERIES, CartanType, RootDataError  # noqa: F401 (re-exported)
@@ -246,6 +257,175 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
     return RootSystem(ct)
+
+
+# ---------------------------------------------------------------------
+# embedded factors: the simple subsystems spanned by parts of a basis
+# ---------------------------------------------------------------------
+
+class EmbeddedFactor(namedtuple("EmbeddedFactor",
+                                "kind series rank basis cartan roots coords frame")):
+    # kind: 'A', 'BC', 'D', 'G'; series: the root-system series A/B/C/D/G;
+    # basis: ordered simple roots (root-coordinate tuples);
+    # cartan[i][j] = <basis_i, basis_j^vee>;
+    # roots: the whole subsystem, in rs.roots order;
+    # coords: integer coordinates of each root in the basis;
+    # frame: classification frame (see _build_frame)
+    __slots__ = ()
+
+    def cartan_type(self) -> CartanType:
+        return CartanType(self.series, self.rank)
+
+
+def subsystem_roots(rs: RootSystem, basis, cartan):
+    """The subsystem with the given simple basis and Cartan matrix, in
+    rs.roots order, as (roots, coords): reflection_closure(cartan) gives
+    each root's integer coordinates in the basis, and the root is that
+    combination of the basis."""
+    found = {tuple(sum(x * b[t] for x, b in zip(c, basis)) for t in range(rs.rank)): c
+             for c in reflection_closure(cartan)}
+    roots = tuple(sorted(found, key=rs._root_index.__getitem__))
+    return roots, tuple(found[r] for r in roots)
+
+
+def split_basis_into_factors(rs: RootSystem, basis):
+    """Connected components of the basis diagram, as lists of roots."""
+    comps = connected_components(
+        len(basis), lambda i, j: rs.pairing(basis[i], basis[j]) != 0)
+    return tuple(tuple(basis[i] for i in comp) for comp in comps)
+
+
+def _classify_factor(rs: RootSystem, comp):
+    """Determine (kind, series, rank, ordered basis) of one connected factor."""
+    k = len(comp)
+    pair = {(i, j): rs.pairing(comp[i], comp[j]) for i in range(k) for j in range(k)}
+    deg = {i: sum(1 for j in range(k) if i != j and pair[(i, j)] != 0) for i in range(k)}
+    off = [pair[(i, j)] for i in range(k) for j in range(k) if i != j]
+    triple = any(v == -3 for v in off)
+    double = any(v == -2 for v in off)
+    if triple:
+        # G2: order (long, short); <short, long^vee> = -1, <long, short^vee> = -3
+        i, j = 0, 1
+        if pair[(i, j)] == -3:
+            order = (comp[i], comp[j])
+        else:
+            order = (comp[j], comp[i])
+        return ("G", "G", 2, order)
+    if not double:
+        forks = [i for i in range(k) if deg[i] == 3]
+        if forks and k >= 4:
+            return ("D", "D", k, _order_d(comp, pair, deg, forks[0]))
+        return ("A", "A", k, _order_path(comp, pair, deg))
+    # doubly laced: B (unique short root, at the end) or C (unique long root)
+    len2 = [rs.root_length2(c) for c in comp]
+    path = _order_path(comp, pair, deg)
+    idx = {c: i for i, c in enumerate(comp)}
+    lmax = max(len2)
+    n_long = sum(1 for v in len2 if v == lmax)
+    if k == 2 or n_long >= k - 1:
+        # B-type shape (B2 == C2 normalized long-first)
+        if len2[idx[path[0]]] < len2[idx[path[-1]]]:
+            path = tuple(reversed(path))
+        return ("BC", "B", k, path)
+    # exactly one long root: type C, long root last
+    if len2[idx[path[0]]] > len2[idx[path[-1]]]:
+        path = tuple(reversed(path))
+    return ("BC", "C", k, path)
+
+
+def _order_path(comp, pair, deg):
+    k = len(comp)
+    if k == 1:
+        return (comp[0],)
+    ends = [i for i in range(k) if deg[i] == 1]
+    start = min(ends, key=lambda i: comp[i])
+    order = [start]
+    used = {start}
+    while len(order) < k:
+        cur = order[-1]
+        nxt = next(j for j in range(k)
+                   if j not in used and pair[(cur, j)] != 0)
+        order.append(nxt)
+        used.add(nxt)
+    return tuple(comp[i] for i in order)
+
+
+def _order_d(comp, pair, deg, fork):
+    k = len(comp)
+    tips = [j for j in range(k) if deg[j] == 1 and pair[(fork, j)] != 0]
+    if len(tips) == 3:  # D4: three tips at the fork; two become the prongs
+        tips = sorted(tips, key=lambda i: comp[i])[1:]
+    prongs = sorted(tips, key=lambda i: comp[i])
+    remaining = {j for j in range(k) if j not in prongs and j != fork}
+    order = []
+    if remaining:
+        cur = min((i for i in remaining if deg[i] == 1), key=lambda i: comp[i])
+        order.append(cur)
+        remaining.discard(cur)
+        while remaining:
+            nxt = next(j for j in remaining if pair[(order[-1], j)] != 0)
+            order.append(nxt)
+            remaining.discard(nxt)
+    order.append(fork)
+    order.extend(prongs)
+    return tuple(comp[i] for i in order)
+
+
+def _build_frame(rs: RootSystem, kind, series, rank, basis):
+    """Integer root-coordinate vectors used to classify group elements.
+
+    A: the k+1 points of the permutation model, (k+1)(e_i - mean);
+    B/C/D: the vectors 2*e_i (so everything stays a root combination).
+    """
+    n = rs.rank
+    k = rank
+    if kind == "G":
+        return ()
+    if kind == "A":
+        pts = [tuple(sum((k - j) * b[t] for j, b in enumerate(basis))
+                     for t in range(n))]
+        for b in basis:
+            pts.append(tuple(x - (k + 1) * y for x, y in zip(pts[-1], b)))
+        return tuple(pts)
+    if kind == "BC":
+        # frame vectors are 2*e_i: for B the last simple root is e_k,
+        # for C it is 2*e_k, and 2*e_i = 2*beta_i + 2*e_{i+1} going left
+        scale = 2 if series == "B" else 1
+        es = [tuple(scale * x for x in basis[-1])]
+        rest = basis[:-1]
+    elif kind == "D":
+        bl, bm = basis[-2], basis[-1]
+        es = [tuple(y - x for x, y in zip(bl, bm)),   # 2*e_k
+              tuple(x + y for x, y in zip(bl, bm))]   # 2*e_{k-1}
+        rest = basis[:-2]
+    else:
+        raise RootDataError(kind)
+    for b in reversed(rest):
+        es.append(tuple(2 * x + y for x, y in zip(b, es[-1])))
+    return tuple(reversed(es))
+
+
+@lru_cache(maxsize=None)
+def build_factor(rs: RootSystem, comp, forced_basis=None,
+                 forced_series=None) -> EmbeddedFactor:
+    """The factor with simple roots comp, once per root system and
+    component.  forced_basis/forced_series override the canonical normal
+    form; the caller promises the pair is a standard model for the
+    subsystem (used for ambient systems, where labels must agree with the
+    system-level recipes; the canonical form may differ by a diagram
+    automorphism or, for B2 = C2, by the dual naming)."""
+    kind, series, rank, basis = _classify_factor(rs, comp)
+    if forced_basis is not None:
+        if set(forced_basis) != set(basis):
+            raise RootDataError(f"{forced_basis} is not a basis of the factor")
+        basis = tuple(forced_basis)
+    if forced_series is not None:
+        series = forced_series
+        kind = {"A": "A", "B": "BC", "C": "BC", "D": "D", "G": "G"}[series]
+    cartan = tuple(tuple(rs.pairing(bi, bj) for bj in basis) for bi in basis)
+    roots, coords = subsystem_roots(rs, basis, cartan)
+    frame = _build_frame(rs, kind, series, rank, basis)
+    return EmbeddedFactor(kind, series, rank, basis, cartan, roots, coords, frame)
 
 
 # ---------------------------------------------------------------------

@@ -84,7 +84,10 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
 
 
 def local_wf(ct: CartanType, data) -> WavefrontResult:
-    """Wavefront sets from restriction data, maximized over the faces."""
+    """Wavefront sets from restriction data, maximized over the faces.
+    Every invariant's Sommers dual builds the ambient context, so a group
+    past GROUP_ORDER_CAP fails first, before any root system is built."""
+    wr.check_group_order(ct)
     data = validate_restriction_data(ct, data)
     invariants = []
     for j, items in data.items():

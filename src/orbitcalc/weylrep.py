@@ -23,7 +23,8 @@ once per character, so each candidate costs one dot product.  Every
 cached value is immutable (an integer, a tuple, a frozenset, a namedtuple
 or a read-only mapping of those), so no caller can change what a later
 query is served.  GROUP_ORDER_CAP is checked whenever a context is built:
-contexts share their factors (chartab.build_factor), never the check.
+contexts share their factors (rootdata.build_factor), never the check;
+check_group_order reads it for a whole system from (series, rank) alone.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import partitions as pt
-from .chartab import (CharError, EmbeddedFactor, FactorClassifier,
-                      b_invariant, build_factor, factor_char_value,
-                      factor_classes, factor_irrep_labels,
-                      split_basis_into_factors)
+from .chartab import (CharError, FactorClassifier, b_invariant,
+                      factor_char_value, factor_classes, factor_irrep_labels)
 from .linalg import solve
 from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
                      orbit_from_wdd, springer_rep_label, weighted_dynkin)
-from .rootdata import CartanType, build_root_system, dominant_conjugate
+from .rootdata import (CartanType, EmbeddedFactor, build_factor,
+                       build_root_system, dominant_conjugate,
+                       split_basis_into_factors)
 
 GROUP_ORDER_CAP = 10 ** 6
 
@@ -103,8 +104,7 @@ class WeylContext:
         self.order = 1
         for f in self.factors:
             self.order *= _factor_order(f)
-        if self.order > GROUP_ORDER_CAP:
-            raise CharError(f"group of order {self.order} exceeds cap {GROUP_ORDER_CAP}")
+        _check_order(self.order)
         self._classes = self._irreps = None
         self._values = {}  # (irrep label, class) -> character value
 
@@ -170,15 +170,32 @@ class WeylContext:
         return self._irrep(tuple(out))
 
 
-def _factor_order(f: EmbeddedFactor) -> int:
-    k = f.rank
-    if f.kind == "A":
+def _weyl_order(kind, k) -> int:
+    if kind == "A":
         return math.factorial(k + 1)
-    if f.kind == "BC":
+    if kind == "BC":
         return (2 ** k) * math.factorial(k)
-    if f.kind == "D":
+    if kind == "D":
         return (2 ** (k - 1)) * math.factorial(k)
     return 12
+
+
+def _factor_order(f: EmbeddedFactor) -> int:
+    return _weyl_order(f.kind, f.rank)
+
+
+def _check_order(order):
+    """GROUP_ORDER_CAP, read at call time."""
+    if order > GROUP_ORDER_CAP:
+        raise CharError(f"group of order {order} exceeds cap {GROUP_ORDER_CAP}")
+
+
+def check_group_order(ct: CartanType):
+    """Raise the cap's CharError if W of ct exceeds GROUP_ORDER_CAP, its
+    order read from (series, rank) alone, before any root system is built.
+    Every proper subgroup is smaller, so a command that builds the
+    ambient context anyway can fail fast with this."""
+    _check_order(_weyl_order({"B": "BC", "C": "BC"}.get(ct.series, ct.series), ct.rank))
 
 
 def _tensor_sgn_label(f: EmbeddedFactor, lab):

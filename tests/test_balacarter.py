@@ -12,12 +12,11 @@ from orbitcalc import cartantype
 from orbitcalc import duality as du
 from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
-from orbitcalc.chartab import subsystem_roots
 from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
                               mat_vec, solve, transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, weighted_dynkin, zero_orbit)
-from orbitcalc.rootdata import CartanType, build_root_system
+from orbitcalc.rootdata import CartanType, build_root_system, subsystem_roots
 from orbitcalc.weylrep import ambient_context
 
 from oracles import (alcove_symmetries, coset_reps, enumerate_pairs_by_masks,

@@ -1,10 +1,12 @@
-"""The partition path of arthur-wf (orbitcalc._classical) against the path
-through the faces' Weyl groups and j-induction, which it replaces for
-types A-D and which stays the oracle.
+"""The partition path (orbitcalc._classical) against the path through the
+faces' Weyl groups and j-induction, which it replaces for types A-D in
+arthur-wf and in the unramified tables, and which stays the oracle.
 
 A face's pairs are compared as a multiset of (saturation, Sommers dual),
 the saturation by its partition; a very even Sommers dual counts as
-"very even" on both sides, since partitions do not give its mark.  The
+"very even" on both sides, since partitions do not give its mark.  A
+pair's invariant, as the unramified tables read it (duality.pair_invariant
+on balacarter.block_key), is compared with invariant_of pair by pair.  The
 tests marked slow run the same comparisons at ranks 6-8 with the caps
 raised inside the test (pytest -m slow).
 """
@@ -102,6 +104,107 @@ def test_d3_face_is_a3():
     assert cl.face_blocks("B", 4, j) == (("A", 1), ("D", 3))
 
 
+def compare_pairs(ct):
+    """(pairs, pairs that partitions leave open) of ct, after checking that
+    every pair's invariant is invariant_of's, and that every pair that
+    partitions decide is read from partitions."""
+    pairs = bc.enumerate_pairs(ct)
+    left_open = 0
+    for p in pairs:
+        oracle = du.invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p))
+        assert du.pair_invariant(ct, p) == oracle, (ct, p)
+        found = cl.invariant(ct, bc.block_key(ct, p))
+        if found is None:
+            left_open += 1
+        else:
+            assert found == tuple(oracle), (ct, p)
+    return len(pairs), left_open
+
+
+def test_block_key_d2_is_two_a1_factors():
+    """D4's {a0, a1} is two A1 factors and one D2 block, whose one
+    distinguished orbit (3, 1) the key takes."""
+    ct = CartanType("D", 4)
+    pair = bc.ABCPair(frozenset({0, 1}), frozenset())
+    assert bc.block_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
+                                      (("D", 2), (3, 1)))
+    assert bc.block_key(ct, pair) in cl.face_pairs(ct, pair.J)
+    assert compare_pairs(CartanType("D", 2)) == (9, 4)
+
+
+def test_block_key_d3_is_an_a3_factor():
+    ct = CartanType("D", 5)
+    pair = bc.ABCPair(frozenset({0, 1, 2}), frozenset())
+    assert [(f.series, f.rank) for f in bc._face_factors(ct, pair.J)] == [("A", 3)]
+    assert bc.block_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
+                                      (("D", 3), (5, 1)))
+
+
+def test_block_key_b1_c1_and_c2_from_a1_and_b2_factors():
+    """An A1 factor on e_2 is a B1 block, on 2e_0 a C1 block; C3's {a2, a3}
+    is a factor normalized to B2 and a C2 block."""
+    b3, c3 = CartanType("B", 3), CartanType("C", 3)
+    assert bc.block_key(b3, bc.ABCPair(frozenset({3}), frozenset())) == \
+        ((("A", 1), (1,)), (("A", 1), (1,)), (("B", 1), (3,)))
+    assert bc.block_key(c3, bc.ABCPair(frozenset({0}), frozenset())) == \
+        ((("A", 1), (1,)), (("A", 1), (1,)), (("C", 1), (2,)))
+    j = frozenset({2, 3})
+    assert [(f.series, f.rank) for f in bc._face_factors(c3, j)] == [("B", 2)]
+    assert bc.block_key(c3, bc.ABCPair(j, frozenset())) == \
+        ((("A", 1), (1,)), (("C", 2), (4,)))
+
+
+def test_block_key_reads_the_factor_orbit_where_a_block_has_several():
+    """B4's finite nodes are one B4 factor; its two distinguished orbits
+    give the face's two pairs two keys."""
+    ct = CartanType("B", 4)
+    j = frozenset({1, 2, 3, 4})
+    keys = {bc.block_key(ct, p) for p in bc.enumerate_pairs(ct) if p.J == j}
+    assert keys == {((("B", 4), (9,)),), ((("B", 4), (5, 3, 1)),)}
+    assert keys == set(cl.face_pairs(ct, j))
+
+
+def test_pair_invariants_match_todays_path_to_rank_5():
+    """All 1024 pairs of A1-A5, B2-B5, C2-C5 and D2-D5 in both isogenies.
+    Partitions leave open the 24 pairs whose saturation or Sommers dual is
+    very even: 4 of D2 and 8 of D4 in each isogeny."""
+    totals, left_open = Counter(), Counter()
+    for iso in ("adjoint", "simply_connected"):
+        for s in "ABCD":
+            for r in range(1 if s == "A" else 2, 6):
+                pairs, n = compare_pairs(CartanType(s, r, iso))
+                totals[iso] += pairs
+                if n:
+                    left_open[f"{s}{r} {iso}"] = n
+    assert totals == {"adjoint": 512, "simply_connected": 512}
+    assert left_open == {"D2 adjoint": 4, "D4 adjoint": 8,
+                         "D2 simply_connected": 4, "D4 simply_connected": 8}
+
+
+def test_unramified_tables_fall_back_on_32_of_293_classes(monkeypatch):
+    """On the unramified tables of A-D at ranks 2-4 and G2, in both
+    isogenies, invariant_of runs for 32 of the 293 classes: the 14 of G2
+    and the 18 very even ones of D2 and D4.  With every class on
+    invariant_of the tables are the same."""
+    systems = [CartanType(s, r, iso) for iso in ("adjoint", "simply_connected")
+               for s, r in [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]]
+    calls = Counter()
+    oracle = du.invariant_of
+
+    def counted(ct, j, factor_orbits):
+        calls[ct.series] += 1
+        return oracle(ct, j, factor_orbits)
+
+    with monkeypatch.context() as m:
+        m.setattr(du, "invariant_of", counted)
+        tables = [du.enumerate_nobc.__wrapped__(ct) for ct in systems]
+    assert sum(len(bc.classes(ct)) for ct in systems) == 293
+    assert calls == {"G": 14, "D": 18}
+    with monkeypatch.context() as m:
+        m.setattr(cl, "invariant", lambda ct, key: None)
+        assert [du.enumerate_nobc.__wrapped__(ct) for ct in systems] == tables
+
+
 def test_littlewood_richardson_products():
     assert dict(cl._lr((2, 1), (2, 1))) == {
         (4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
@@ -180,6 +283,20 @@ SLOW_FACES = {("A", 6): 0, ("A", 7): 0, ("A", 8): 0, ("B", 6): 0, ("B", 7): 0,
 def test_face_multisets_match_todays_path_ranks_6_8(raised_caps, series, rank):
     _, _, very_even = compare_faces(CartanType(series, rank))
     assert very_even == SLOW_FACES[series, rank]
+
+
+# per system, the pairs that partitions leave open: those with a very even
+# saturation or Sommers dual
+SLOW_PAIRS_OPEN = {("A", 6): 0, ("A", 7): 0, ("A", 8): 0, ("B", 6): 0, ("B", 7): 0,
+                   ("B", 8): 0, ("C", 6): 0, ("C", 7): 0, ("C", 8): 0, ("D", 6): 16,
+                   ("D", 7): 0, ("D", 8): 32}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("series,rank", sorted(SLOW_PAIRS_OPEN))
+def test_pair_invariants_match_todays_path_ranks_6_8(raised_caps, series, rank):
+    _, left_open = compare_pairs(CartanType(series, rank))
+    assert left_open == SLOW_PAIRS_OPEN[series, rank]
 
 
 # D6's six very even dual orbits raise DualityError ("not realized by any

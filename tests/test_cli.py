@@ -573,6 +573,71 @@ def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
     assert CHARACTER_LAYER <= loaded and "orbitcalc._classical" not in loaded
 
 
+@pytest.mark.parametrize("series,rank,iso", [
+    ("A", 4, "adjoint"), ("B", 3, "adjoint"), ("C", 4, "simply_connected"),
+    ("D", 3, "adjoint")])
+def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, rank, iso):
+    """A classical unramified table with no very even type-D invariant
+    reads every invariant from partitions: pairs, classes and block keys
+    need the factor types (rootdata) and no character table."""
+    argv = ["unramified", "--type", series, "--rank", str(rank), "--isogeny", iso,
+            "--json", "--cache-dir", str(tmp_path)]
+    loaded = _loaded(argv)
+    assert {"orbitcalc.balacarter", "orbitcalc._classical"} <= loaded
+    assert not {"orbitcalc.chartab", "orbitcalc.weylrep"} & loaded, loaded
+
+
+@pytest.mark.parametrize("series,rank", [("D", 4), ("G", 2)])
+def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
+    """D4's very even invariants and every G2 pair take invariant_of; G2
+    never imports the partition path.  The table is the golden one."""
+    argv = ["unramified", "--type", series, "--rank", str(rank), "--json",
+            "--cache-dir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
+    assert {"orbitcalc.chartab", "orbitcalc.weylrep"} <= loaded
+    assert ("orbitcalc._classical" in loaded) == (series != "G")
+    with open(os.path.join(GOLDEN, "cli", f"unramified-{series}{rank}-adjoint.json")) as fh:
+        assert proc.stdout == fh.read()
+
+
+def test_serve_builds_the_store_key_once(tmp_path, capsys, monkeypatch):
+    """A miss and a hit each read the package sources once for the key."""
+    calls = []
+    checksum = cli.source_checksum
+    monkeypatch.setattr(cli, "source_checksum", lambda: calls.append(1) or checksum())
+    argv = ["unramified", "--type", "A", "--rank", "2", "--json", "--cache-dir", str(tmp_path)]
+    for expected in (1, 2):
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == expected
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+@pytest.mark.parametrize("rank", [10, 60])
+def test_local_wf_fails_fast_past_the_group_order_cap(tmp_path, capsys, monkeypatch, rank):
+    """W(A_rank) is past GROUP_ORDER_CAP: local-wf exits 1 with the cap's
+    message before building a root system.  Checked only at the ambient
+    context, the cap came after saturating each face, which enumerates
+    every orbit of the ambient type (at A60 for more than 15 s)."""
+    from orbitcalc import balacarter as bc
+
+    def refuse(ct):
+        raise AssertionError(f"built the root system of {ct}")
+
+    monkeypatch.setattr(bc, "build_root_system", refuse)
+    f = tmp_path / "data.json"
+    f.write_text('[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": 1}]}]')
+    rc, out, err = run(capsys, "local-wf", "--type", "A", "--rank", str(rank),
+                       "--data", str(f))
+    order = 1
+    for k in range(2, rank + 2):
+        order *= k
+    assert (rc, out) == (1, "")
+    assert err == f"error: group of order {order} exceeds cap 1000000\n"
+
+
 def test_unramified_miss_loads_no_fractions(tmp_path):
     """The library's arithmetic is integer: a run that computes an
     unramified table (face hulls included) imports neither fractions nor

@@ -11,8 +11,8 @@ from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
                               regular_orbit, zero_orbit)
-from orbitcalc.rootdata import (CartanType, build_root_system, reflection_closure,
-                                reflection_in_root)
+from orbitcalc.rootdata import (CartanType, build_factor, build_root_system,
+                                reflection_closure, reflection_in_root)
 
 from oracles import (class_counts, dim, factor_is_special, families,
                      induce_multiplicity, induce_multiplicity_by_pairs,
@@ -569,7 +569,7 @@ def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
                  bc._face_factors(ct, j), tuple(ctx._values.values()),
                  tuple(v for c in ctx.classifiers for v in c._cache.values())]
         for f in ctx.factors:
-            kept += [ch.build_factor(rs, f.basis), reflection_closure(f.cartan),
+            kept += [build_factor(rs, f.basis), reflection_closure(f.cartan),
                      wr._specials(f.kind, f.rank)]
             kept += [wr._factor_weighting(f.cartan, wdd) for wdd in bc._distinguished(f.series, f.rank)]
     for pair in bc.enumerate_pairs(ct):
