@@ -8,9 +8,10 @@ representations attached to dual-side orbits.
 Every submodule but cli is registered at import and executed on first
 use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
-loads none of the mathematics.  The private modules _storeless and
-_classical are not registered: their importers (cli; duality and
-balacarter) load each on first use.
+loads none of the mathematics.  The private modules _storeless,
+_classical and _labels are not registered: their importers (cli;
+duality and balacarter; wavefront and the character layer) load each on
+first use.
 """
 
 import importlib.util

@@ -1,7 +1,7 @@
 """The partition path: the invariant (saturation, Sommers dual) of an affine
-Bala-Carter pair of a group of type A, B, C or D, and whether some pair
-attains (d_BV(O^v), O^v) (arthur-wf), decided from partitions alone, with
-no root system and no character table.
+Bala-Carter pair, or of any orbit on a face (local-wf), of a group of type
+A, B, C or D, and whether some pair attains (d_BV(O^v), O^v) (arthur-wf),
+decided from partitions alone, with no root system and no character table.
 
 Faces as blocks.  Each node of the affine diagram (numbered as in
 rootdata's affine_simples) has a root in the coordinates e_0, e_1, ...;
@@ -33,17 +33,18 @@ multiplicity 1, is read as a W(D_n) label in type D and looked up in
 the Springer table of the dual series (Sommers, Lusztig's canonical
 quotient and generalized duality, J. Algebra 2001).
 
-A pair is keyed by its blocks' (kind, m) and partitions (face_pairs
-lists a face's keys; balacarter.block_key reads a pair's key off its
-factors).  invariant and attained answer None, and the path through the
-faces' Weyl groups (duality.invariant_of, through balacarter and weylrep)
-answers instead, where partitions do not decide:
+A face with its orbits is keyed by its blocks' (kind, m) and partitions
+(face_pairs lists a face's pairs' keys; balacarter.block_key reads any
+face's key off its factors).  invariant and attained answer None, and the
+path through the faces' Weyl groups (duality.invariant_of, through
+balacarter and weylrep) answers instead, where partitions do not decide:
   - in type D when the saturation or the Sommers dual (O^v or d_BV(O^v)
-    in attained) is very even: partitions give neither a degenerate
-    symbol's sign nor a very even orbit's mark;
+    in attained) is very even, or a block's character is a degenerate
+    symbol's: partitions give neither a degenerate symbol's sign nor a
+    very even orbit's mark;
   - when a candidate's least-b constituents are not a single character of
     multiplicity 1, or its label is off the Springer image.
-It is imported at first use by duality (achar_dual_one, pair_invariant)
+It is imported at first use by duality (achar_dual_one, face_invariant)
 and balacarter (block_key), never for G2, and is not one of the
 package's lazily loaded submodules (orbitcalc/__init__.py).
 """
@@ -250,18 +251,21 @@ def _times_a(x, y, bound):
 
 @lru_cache(maxsize=None)
 def _block_label(kind: str, m: int, p):
-    """The Springer label of d_LS of a block's orbit, and its b."""
+    """The Springer label of d_LS of a block's orbit, and its b.  B1 = C1 =
+    A1: the sign character of W(B_1) at the regular orbit, the trivial one
+    at the zero orbit.  A very even orbit is read with mark I, which shows
+    only in the label's sign (see sommers_dual)."""
     if kind == "A":
-        return (1,) * m, _n((1,) * m)
-    if m == 1:  # B1 = C1 = A1: the sign character of W(B_1)
-        return ((), (1,)), 1
-    lab = orbits.springer_rep_label(orbits.dual_ls(
-        orbits.NilpotentOrbit(CartanType(kind, m), partition=p)))
+        lab = pt.transpose(p)
+        return lab, _n(lab)
+    if m == 1:
+        return (((), (1,)), 1) if len(p) == 1 else (((1,), ()), 0)
+    very_even = kind == "D" and all(x % 2 == 0 for x in p)
+    lab = orbits.springer_rep_label(orbits.dual_ls(orbits.NilpotentOrbit(
+        CartanType(kind, m), partition=p, mark="I" if very_even else None)))
     if kind != "D":
         return lab, _b_bc(*lab)
-    (lam, mu), sign = lab
-    if sign:
-        raise _Declined  # a degenerate symbol's sign does not induce to W(B)
+    (lam, mu), _ = lab
     return lab, 2 * _n(lam) + 2 * _n(mu) + min(sum(lam), sum(mu))
 
 
@@ -287,7 +291,10 @@ def sommers_dual(ct: CartanType, key):
             if kind == "A":
                 block = dict(_to_bc(lab))
             elif kind == "D":
-                (lam, mu), _ = lab
+                (lam, mu), sign = lab
+                if sign and ct.series == "D":
+                    raise _Declined  # a degenerate symbol's sign is not read
+                # Ind from W(D_m) to W(B_m); {lam, lam}+- both give (lam, lam)
                 block = {(lam, mu): 1, (mu, lam): 1}
             else:
                 block = {lab: 1}

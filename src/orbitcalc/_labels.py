@@ -1,0 +1,232 @@
+"""The labels of Weyl-group characters, factor type by factor type, and
+the maps that read nothing but labels: the b-invariant, the tensor
+product with the sign character, Lusztig's families and their special
+members, and the orbit side of the Springer correspondence.
+
+A factor type is (kind, rank) as rootdata's EmbeddedFactor records it:
+kind 'A' (partitions of rank + 1), 'BC' (bipartitions (lam, mu) of rank),
+'D' (((lam, mu), sign), the pair sorted and sign 0 unless lam = mu, then
++1 or -1) or 'G' (six names).  A character of a product of factors is
+the tuple of its factors' labels.
+
+local-wf reads a face character's orbit O^s(E) here (orbit_s_factors),
+from the face's factors alone, with no character table and no group;
+the character layer (chartab, weylrep) reads its labels, b-invariants,
+families and Springer orbits from here too.  Every importer reaches this
+module through its module object, and arthur-wf and unramified never
+load it.  It is not one of the package's lazily loaded submodules
+(orbitcalc/__init__.py).  The tables are computed once per process and
+are read-only.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from types import MappingProxyType
+
+from . import partitions as pt
+from .cartantype import CartanType, CharError
+from .orbits import NilpotentOrbit, enumerate_orbits, springer_rep_label
+
+G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
+             "phi(2,1)", "phi(2,2)")
+G2_B_INVARIANT = {"phi(1,0)": 0, "phi(1,6)": 6, "phi(1,3)l": 3,
+                  "phi(1,3)s": 3, "phi(2,1)": 1, "phi(2,2)": 2}
+G2_TENSOR_SGN = {"phi(1,0)": "phi(1,6)", "phi(1,6)": "phi(1,0)",
+                 "phi(1,3)l": "phi(1,3)s", "phi(1,3)s": "phi(1,3)l",
+                 "phi(2,1)": "phi(2,1)", "phi(2,2)": "phi(2,2)"}
+# the character off the trivial-local-system image: G2's phi(1,3)l belongs
+# to the pair (G2(a1), sign of A(G2(a1)) = S3)
+G2_SPRINGER_EXTRA_ORBIT = {"phi(1,3)l": "G2(a1)"}
+
+
+def n_stat(p) -> int:
+    return sum(i * x for i, x in enumerate(p))
+
+
+def b_invariant(kind, label) -> int:
+    if kind == "A":
+        return n_stat(label)
+    if kind == "BC":
+        lam, mu = label
+        return 2 * n_stat(lam) + 2 * n_stat(mu) + sum(mu)
+    if kind == "D":
+        pair, sign = label
+        lam, mu = pair
+        if sign:
+            return 4 * n_stat(lam) + sum(lam)
+        return 2 * n_stat(lam) + 2 * n_stat(mu) + min(sum(lam), sum(mu))
+    if kind == "G":
+        return G2_B_INVARIANT[label]
+    raise CharError(kind)
+
+
+def factor_irrep_labels(kind, rank):
+    if kind == "A":
+        return tuple(pt.partitions_of(rank + 1))
+    if kind == "BC":
+        out = []
+        for k in range(rank + 1):
+            for lam in pt.partitions_of(k):
+                for mu in pt.partitions_of(rank - k):
+                    out.append((lam, mu))
+        return tuple(out)
+    if kind == "D":
+        out = []
+        for k in range(rank + 1):
+            for lam in pt.partitions_of(k):
+                for mu in pt.partitions_of(rank - k):
+                    if (lam, mu) > (mu, lam):
+                        continue
+                    if lam == mu:
+                        out.append(((lam, mu), 1))
+                        out.append(((lam, mu), -1))
+                    else:
+                        out.append(((lam, mu), 0))
+        return tuple(out)
+    if kind == "G":
+        return G2_IRREPS
+    raise CharError(kind)
+
+
+def tensor_sgn_label(kind, rank, lab):
+    """The label of E tensor sign, E of label lab."""
+    if kind == "A":
+        return pt.transpose(lab)
+    if kind == "BC":
+        lam, mu = lab
+        return (pt.transpose(mu), pt.transpose(lam))
+    if kind == "D":
+        (lam, mu), sign = lab
+        tl, tm = pt.transpose(lam), pt.transpose(mu)
+        if sign == 0:
+            return (tuple(sorted((tl, tm))), 0)
+        flip = 1 if (rank // 2) % 2 == 0 else -1
+        return ((tl, tm), sign * flip)
+    return G2_TENSOR_SGN[lab]
+
+
+# ---------------------------------------------------------------------
+# symbols, families, special representations
+# ---------------------------------------------------------------------
+
+def _inc_pad(p, size):
+    p = sorted(p)
+    if len(p) > size:
+        raise CharError(f"partition {p} too long for row of size {size}")
+    return [0] * (size - len(p)) + p
+
+
+def _bc_symbol(lam, mu, m):
+    top = [v + i for i, v in enumerate(_inc_pad(lam, m + 1))]
+    bot = [v + i for i, v in enumerate(_inc_pad(mu, m))]
+    return tuple(top), tuple(bot)
+
+
+def _d_symbol(lam, mu, m):
+    top = [v + i for i, v in enumerate(_inc_pad(lam, m))]
+    bot = [v + i for i, v in enumerate(_inc_pad(mu, m))]
+    return tuple(top), tuple(bot)
+
+
+def _interleaved(a, b):
+    """a_1 <= b_1 <= a_2 <= ... for rows of sizes len(b)+1 or equal size."""
+    for i in range(len(b)):
+        if not a[i] <= b[i]:
+            return False
+        if i + 1 < len(a) and not b[i] <= a[i + 1]:
+            return False
+    return True
+
+
+def _family_key(kind, rank, lab):
+    if kind == "A":
+        return ("A", lab)
+    if kind == "BC":
+        lam, mu = lab
+        top, bot = _bc_symbol(lam, mu, rank)
+        return ("BC", tuple(sorted(top + bot)))
+    if kind == "D":
+        (lam, mu), sign = lab
+        top, bot = _d_symbol(lam, mu, rank)
+        return ("D", tuple(sorted(top + bot)), sign)
+    fam = {"phi(1,0)": "triv", "phi(1,6)": "sgn"}.get(lab, "big")
+    return ("G", fam)
+
+
+def _is_special(kind, rank, lab) -> bool:
+    if kind == "A":
+        return True
+    if kind == "BC":
+        lam, mu = lab
+        top, bot = _bc_symbol(lam, mu, rank)
+        return _interleaved(top, bot)
+    if kind == "D":
+        (lam, mu), sign = lab
+        if sign:
+            return True
+        top, bot = _d_symbol(lam, mu, rank)
+        return _interleaved(top, bot) or _interleaved(bot, top)
+    return lab in ("phi(1,0)", "phi(2,1)", "phi(1,6)")
+
+
+@lru_cache(maxsize=None)
+def _specials(kind, rank):
+    """label -> the special label of its family, for one factor type."""
+    labels = factor_irrep_labels(kind, rank)
+    found = {}
+    for lab in labels:
+        if _is_special(kind, rank, lab):
+            found.setdefault(_family_key(kind, rank, lab), []).append(lab)
+    table = {}
+    for lab in labels:
+        specials = found.get(_family_key(kind, rank, lab), [])
+        if len(specials) != 1:
+            raise CharError(f"family of {lab} in {kind}{rank} has specials {specials}")
+        table[lab] = specials[0]
+    return MappingProxyType(table)
+
+
+def special_labels(factors, label):
+    """The special member of the family of the character of label `label`
+    of the product of the embedded factors `factors`: a family of a
+    product is a product of families, each with one special member."""
+    out = tuple(_specials(f.kind, f.rank).get(lab) for f, lab in zip(factors, label))
+    if len(label) != len(factors) or None in out:
+        raise CharError(f"{label} is not a character of the factors "
+                        f"{[(f.series, f.rank) for f in factors]}")
+    return out
+
+
+# ---------------------------------------------------------------------
+# Springer correspondence (orbit component)
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _springer_image(ct: CartanType):
+    return MappingProxyType({springer_rep_label(o): o for o in enumerate_orbits(ct)})
+
+
+def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
+    """Orbit of the Springer pair of a factor-level label.
+
+    On the image of the trivial-local-system map this inverts
+    springer_rep_label; off it only G2's phi(1,3)l (the sign character of
+    A(G2(a1)) = S3) is known, and a classical label raises CharError.
+    """
+    image = _springer_image(ct)
+    if lab in image:
+        return image[lab]
+    if ct.series == "G":
+        return NilpotentOrbit(ct, g2_label=G2_SPRINGER_EXTRA_ORBIT[lab])
+    raise CharError(f"{lab} is not the Springer label of an orbit of {ct} "
+                    f"with the trivial local system")
+
+
+def orbit_s_factors(factors, label):
+    """The E -> O^s(E) map, factor by factor: the Springer orbit of the
+    special member of the family of E tensor sign, for the character E of
+    label `label` of the product of the embedded factors `factors`."""
+    twisted = tuple(tensor_sgn_label(f.kind, f.rank, lab) for f, lab in zip(factors, label))
+    return tuple(springer_orbit_label(f.cartan_type(), lab)
+                 for f, lab in zip(factors, special_labels(factors, twisted)))

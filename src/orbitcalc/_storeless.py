@@ -5,7 +5,9 @@ cli imports this module only when one of them runs, so that the stored
 commands (unramified, arthur-wf, local-wf) never compile it.  It is not
 one of the package's lazily loaded submodules (orbitcalc/__init__.py).
 orbits_payload and dual_map_payload return what cli prints, in the form
-of a stored payload: the --json fields and the text rendering.
+of a stored payload: the --json fields and the text rendering.  Both
+count the orbits of the system from (series, rank) first, and refuse one
+with more than ORBIT_COUNT_CAP.
 """
 
 from __future__ import annotations
@@ -18,8 +20,49 @@ from . import wavefront as wf
 from . import weylrep
 from .cartantype import CartanType
 
+# orbits' closure covers take time quadratic in the number of orbits and
+# more: A16 (297 orbits) 1.7 s, B12 (420) 2.9 s, A18 (490) 3.6 s and A20
+# (792) 13 s on a 2-vCPU x86-64 VM; the goldens stop at rank 6
+ORBIT_COUNT_CAP = 500
+
+
+def _orbit_count(ct: CartanType) -> int:
+    """The number of nilpotent orbits of ct, counted without listing them:
+    the partitions of the family's size whose parts of the parity that
+    partitions._parity_ok restricts come in pairs, the very even ones of
+    type D (pairs of even parts, so partitions of a quarter of the size)
+    twice."""
+    if ct.series == "G":
+        return len(orbits.G2_LABELS)
+
+    def ways(total, step):
+        w = [1] + [0] * total
+        for k in range(1, total + 1):
+            s = step(k)
+            for t in range(s, total + 1):
+                w[t] += w[t - s]
+        return w[total]
+
+    n = pt.family_size(ct.series, ct.rank)
+    paired = {"B": 0, "D": 0, "C": 1}.get(ct.series)
+    count = ways(n, lambda k: 2 * k if k % 2 == paired else k)
+    if ct.series == "D" and n % 4 == 0:
+        count += ways(n // 4, lambda k: k)
+    return count
+
+
+def _check_orbit_count(*systems):
+    """Raise OrbitError past ORBIT_COUNT_CAP, read at call time, before
+    any orbit is listed."""
+    for ct in systems:
+        count = _orbit_count(ct)
+        if count > ORBIT_COUNT_CAP:
+            raise orbits.OrbitError(f"{ct} has {count} nilpotent orbits, "
+                                    f"which exceeds the cap {ORBIT_COUNT_CAP}")
+
 
 def orbits_payload(ct: CartanType):
+    _check_orbit_count(ct)
     rows = []
     for o in orbits.enumerate_orbits(ct):
         rows.append({"orbit": o.to_json(), "label": o.label(),
@@ -41,6 +84,7 @@ def orbits_payload(ct: CartanType):
 
 
 def dual_map_payload(ct: CartanType):
+    _check_orbit_count(ct, ct.dual)
     rows = []
     for o in orbits.enumerate_orbits(ct):
         rows.append({"orbit": o.label(), "special": orbits.is_special(o),

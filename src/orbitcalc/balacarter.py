@@ -48,9 +48,9 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
-# weylrep runs on first use (see __init__): pairs, classes and a
-# classical pair's invariant (block_key) never run it, nor the character
-# layer under it
+# weylrep runs on first use (see __init__): pairs, classes and the
+# partition path's key (block_key) never run it, nor the character layer
+# under it
 from . import weylrep as wr
 from .cartantype import ABCError, _check_abc_rank
 from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
@@ -176,33 +176,61 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def block_key(ct: CartanType, pair: ABCPair) -> tuple:
-    """The pair as the partition path (_classical) keys it, for types A-D:
-    the sorted ((kind, m), partition) of J's coordinate blocks.
+def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
+    """J with an orbit on each factor of its pseudo-Levi (in _face_factors'
+    order), as the partition path (_classical) keys it for types A-D: the
+    sorted ((kind, m), partition) of J's coordinate blocks.
 
-    A block with one distinguished orbit takes it: the A blocks and free
-    coordinates, B1 and C1 (an A1 factor on +-e_i or +-2e_i), C2 (a factor
-    normalized to B2), D2 (two A1 factors) and D3 (an A3 factor).  Any
-    other block (B_m and D_m for m >= 4, C_m for m >= 3) is one factor of
-    J's pseudo-Levi, of that type, and takes its distinguished orbit.
+    An A block takes its factor's partition, a free coordinate (1,).  A
+    B, C or D block reads the factors' weighted diagrams as the values of
+    a neutral element h at its nodes (_block_partition), so no factor's
+    frame enters: B1 and C1 come from an A1 factor, C2 from one normalized
+    to B2, D2 from two A1s, D3 from an A3, and a D4 block from a factor
+    whose frame differs from the coordinates by triality.
     """
     from . import _classical as cl
     affs = build_root_system(ct).affine_simples
-    node = {affs[i][0]: i for i in pair.J}
-    orbit_on = {frozenset(node[b] for b in f.basis): o
-                for f, o in zip(_face_factors(ct, pair.J),
-                                distinguished_factor_orbits(ct, pair))}
+    node = {affs[i][0]: i for i in j}
+    value, orbit_on = {}, {}
+    for f, o in zip(_face_factors(ct, j), factor_orbits):
+        nodes = tuple(node[b] for b in f.basis)
+        value.update(zip(nodes, weighted_dynkin(o).values))
+        orbit_on[frozenset(nodes)] = o
+    roots, _ = cl.node_roots(ct.series, ct.rank)
     key = []
-    for kind, m, nodes in cl.blocks(ct.series, ct.rank, pair.J):
-        choices = cl.distinguished(kind, m)
-        if len(choices) > 1:
+    for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
+        if kind != "A":
+            nodes = sorted(nodes)
+            p = _block_partition(kind, [roots[i] for i in nodes], [value[i] for i in nodes])
+        elif nodes:
             orbit = orbit_on.get(nodes)
-            if orbit is None or orbit.system.series != kind or orbit.system.rank != m:
-                raise ABCError(f"block {kind}{m} of J={sorted(pair.J)} is not "
-                               f"a factor of that type")
-            choices = (orbit.partition,)
-        key.append(((kind, m), choices[0]))
+            if orbit is None or orbit.system.series != "A":
+                raise ABCError(f"block A{m - 1} of J={sorted(j)} is not a factor")
+            p = orbit.partition
+        else:
+            p = (1,)
+        key.append(((kind, m), p))
     return tuple(sorted(key))
+
+
+def _block_partition(kind, roots, values) -> tuple:
+    """The Jordan type of h with the given values at a B, C or D block's
+    roots (in _classical.node_roots' coordinates, of which they are a
+    basis): one solve gives the x_c = e_c(h), the eigenvalues are the
+    +-x_c (and 0 in type B), and a part k takes k-1, k-3, ..., 1-k."""
+    coords = sorted({c for root in roots for c, _ in root})
+    x, d = solve(tuple(tuple(dict(root).get(c, 0) for c in coords) for root in roots),
+                 tuple(values))
+    if any(v % d for v in x):
+        raise ABCError(f"non-integral eigenvalues {x}/{d} on a {kind} block")
+    left = sorted([v // d for v in x] + [-v // d for v in x] + [0] * (kind == "B"))
+    parts = []
+    while left:
+        top = left[-1]
+        for e in range(top, -top - 1, -2):
+            left.remove(e)
+        parts.append(top + 1)
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------

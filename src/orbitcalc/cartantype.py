@@ -1,10 +1,9 @@
 """The name of a split reductive group: series, rank and isogeny; and the
-rank cap of the affine Bala-Carter enumeration.
+caps of the affine Bala-Carter enumeration and of the character layer.
 
 Kept apart from rootdata so that validating a system, as every command
-does first, loads none of the root-system code.  The cap lives here so
-that the pair enumeration (balacarter) and the partition path of
-arthur-wf (_classical) read one value at call time without loading the
+does first, loads none of the root-system code.  The caps live here so
+that every path reads one value at call time without loading the
 character layer.  It defines no public function: perfbench/tracer.py
 keeps self time only for the modules in its MODULES list and fails on a
 traced call from any other.
@@ -12,12 +11,15 @@ traced call from any other.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import namedtuple
 
 SERIES = ("A", "B", "C", "D", "G")
 
 ABC_RANK_CAP = 5
+
+GROUP_ORDER_CAP = 10 ** 6
 
 
 class RootDataError(ValueError):
@@ -28,10 +30,29 @@ class ABCError(ValueError):
     pass
 
 
+class CharError(ValueError):
+    pass
+
+
 def _check_abc_rank(ct):
     """Raise ABCError past ABC_RANK_CAP, read at call time."""
     if ct.rank > ABC_RANK_CAP:
         raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
+
+
+def _weyl_order(series, rank) -> int:
+    if series == "A":
+        return math.factorial(rank + 1)
+    if series == "G":
+        return 12
+    order = 2 ** rank * math.factorial(rank)  # W(B_n) = W(C_n)
+    return order // 2 if series == "D" else order
+
+
+def _check_group_order(order):
+    """Raise CharError past GROUP_ORDER_CAP, read at call time."""
+    if order > GROUP_ORDER_CAP:
+        raise CharError(f"group of order {order} exceeds cap {GROUP_ORDER_CAP}")
 
 
 class CartanType(namedtuple("CartanType", "series rank isogeny")):

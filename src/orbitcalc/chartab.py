@@ -26,7 +26,9 @@ a class as a product of reflections in roots read off the frame.
 
 The embedded factors themselves (their type, basis order, roots and
 frame) are rootdata's (build_factor), so that pairs and classes read
-them without loading this module.
+them without loading this module; the characters' labels and
+b-invariants are _labels' (factor_irrep_labels), so that local-wf reads
+them without it too.
 
 Each datum is computed once per process: the character values of each
 type, the rim-hook removals they recurse through and the class lists.
@@ -40,12 +42,9 @@ import math
 from functools import lru_cache
 
 from . import partitions as pt
+from .cartantype import CharError
 from .rootdata import (EmbeddedFactor, RootSystem, apply_root_coords,
                        reflection_in_root)
-
-
-class CharError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------
@@ -133,8 +132,6 @@ def d_char(pair, sign, alpha, beta, class_split) -> int:
     return val // 2
 
 
-G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
-             "phi(2,1)", "phi(2,2)")
 # G2 classes: identity 1, rotations r1/r2/r3 by 60/120/180 degrees,
 # reflections sl in a long root and ss in a short root.
 G2_CHAR = {
@@ -149,57 +146,6 @@ G2_CHAR = {
 # class sizes in W(G2): the reflections fall into two classes of three,
 # the rotations by 60 and 120 degrees into pairs
 G2_CLASS_SIZES = {"1": 1, "sl": 3, "ss": 3, "r1": 2, "r2": 2, "r3": 1}
-G2_B_INVARIANT = {"phi(1,0)": 0, "phi(1,6)": 6, "phi(1,3)l": 3,
-                  "phi(1,3)s": 3, "phi(2,1)": 1, "phi(2,2)": 2}
-
-
-def n_stat(p) -> int:
-    return sum(i * x for i, x in enumerate(p))
-
-
-def b_invariant(kind, label) -> int:
-    if kind == "A":
-        return n_stat(label)
-    if kind == "BC":
-        lam, mu = label
-        return 2 * n_stat(lam) + 2 * n_stat(mu) + sum(mu)
-    if kind == "D":
-        pair, sign = label
-        lam, mu = pair
-        if sign:
-            return 4 * n_stat(lam) + sum(lam)
-        return 2 * n_stat(lam) + 2 * n_stat(mu) + min(sum(lam), sum(mu))
-    if kind == "G":
-        return G2_B_INVARIANT[label]
-    raise CharError(kind)
-
-
-def factor_irrep_labels(kind, rank):
-    if kind == "A":
-        return tuple(pt.partitions_of(rank + 1))
-    if kind == "BC":
-        out = []
-        for k in range(rank + 1):
-            for lam in pt.partitions_of(k):
-                for mu in pt.partitions_of(rank - k):
-                    out.append((lam, mu))
-        return tuple(out)
-    if kind == "D":
-        out = []
-        for k in range(rank + 1):
-            for lam in pt.partitions_of(k):
-                for mu in pt.partitions_of(rank - k):
-                    if (lam, mu) > (mu, lam):
-                        continue
-                    if lam == mu:
-                        out.append(((lam, mu), 1))
-                        out.append(((lam, mu), -1))
-                    else:
-                        out.append(((lam, mu), 0))
-        return tuple(out)
-    if kind == "G":
-        return G2_IRREPS
-    raise CharError(kind)
 
 
 def _centralizer_order(parts, scale):

@@ -36,12 +36,11 @@ import zlib
 # any of them does
 from . import __version__
 from . import balacarter as bc
-from . import chartab
 from . import duality as du
 from . import orbits
 from . import partitions as pt
 from . import wavefront as wf
-from .cartantype import CartanType, RootDataError
+from .cartantype import CartanType, CharError, RootDataError
 
 SCHEMA_VERSION = 1
 
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # last, since naming these classes loads their modules
-    except (orbits.OrbitError, pt.PartitionError, chartab.CharError,
+    except (orbits.OrbitError, pt.PartitionError, CharError,
             du.DualityError, wf.WavefrontError, bc.ABCError,
             RootDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,12 @@ and two invariants compare in the A-order when the first components compare
 in closure order and the second components compare the other way.
 
 achar_dual_one checks that (d(O^vee), O^vee) is attained, and
-pair_invariant gives the invariant of one pair, as the unramified tables
-(enumerate_nobc) record each class.  For types A-D both read partitions
-(_classical, imported on first use); G2 and what partitions do not decide
-run invariant_of and sommers_dual, through the faces' Weyl groups
-(balacarter, weylrep), which stay the oracle.  local-wf's invariants
-(invariant_of on arbitrary face characters) always take that path.
+face_invariant gives the invariant of a face with an orbit on each
+factor: pair_invariant's, as the unramified tables (enumerate_nobc)
+record each class, and local-wf's, for each face character.  For types
+A-D both read partitions (_classical, imported on first use); G2 and
+what partitions do not decide run invariant_of and sommers_dual, through
+the faces' Weyl groups (balacarter, weylrep), which stay the oracle.
 """
 
 from __future__ import annotations
@@ -70,18 +70,22 @@ def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
         sommers_dual(ct, j, factor_orbits))
 
 
-def pair_invariant(ct: CartanType, pair: bc.ABCPair) -> UnramifiedClassInvariant:
-    """The invariant of an affine Bala-Carter pair.  For types A-D it is
-    read from partitions (_classical, imported here on first use, on the
-    pair's balacarter.block_key); G2, and the pairs that partitions do not
-    decide (a very even saturation or Sommers dual in type D), take
-    invariant_of, which stays the oracle."""
+def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
+    """The invariant of the lift of (J, O_J), O_J an orbit on each factor.
+    For types A-D it is read from partitions (_classical, imported here
+    on first use, on balacarter.block_key); G2, and what partitions leave
+    open, take invariant_of, which stays the oracle."""
     if ct.series != "G":
         from . import _classical
-        found = _classical.invariant(ct, bc.block_key(ct, pair))
+        found = _classical.invariant(ct, bc.block_key(ct, frozenset(j), tuple(factor_orbits)))
         if found is not None:
             return UnramifiedClassInvariant(*found)
-    return invariant_of(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
+    return invariant_of(ct, j, factor_orbits)
+
+
+def pair_invariant(ct: CartanType, pair: bc.ABCPair) -> UnramifiedClassInvariant:
+    """The invariant of an affine Bala-Carter pair."""
+    return face_invariant(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
 
 
 def leq_A(i1: UnramifiedClassInvariant, i2: UnramifiedClassInvariant) -> bool:

@@ -4,15 +4,18 @@ local_wf is the generic engine: it consumes externally supplied restriction
 data (for each face J of the alcove, the characters of W_J appearing in the
 restriction of the Iwahori-fixed space, with multiplicities), pushes each
 character to the special orbit of its twisted family, lifts through the
-face, and keeps the A-order maxima.
+face, and keeps the A-order maxima.  Labels and orbits come from the faces'
+factor types (_labels, imported on first use), lifts from
+duality.face_invariant, so that a classical local_wf runs no character
+table.
 
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
 invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
 Its check that some affine Bala-Carter pair attains the invariant
 (duality.achar_dual_one) reads partitions for types A-D, so that a
-classical arthur_wf runs no root system and no character table; G2,
-local_wf and cross_check_arthur go through the faces' Weyl groups.
+classical arthur_wf runs no root system and no character table; G2 and
+cross_check_arthur go through the faces' Weyl groups.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from collections import namedtuple
 # each runs on first use (see __init__): arthur_wf on a classical type
 # runs duality alone, and no root system or character table
 from . import balacarter as bc
+from . import cartantype
 from . import duality as du
-from . import weylrep as wr
 from .cartantype import CartanType
 from .orbits import NilpotentOrbit, closure_leq, maxima
 
@@ -60,7 +63,9 @@ def _result_from_invariants(invariants):
 
 
 def validate_restriction_data(ct: CartanType, data) -> dict:
-    """data: {frozenset(node numbers) -> [(label tuple, mult), ...]}."""
+    """data: {frozenset(node numbers) -> [(label tuple, mult), ...]}, a
+    label holding one label per factor of the face."""
+    from . import _labels
     out = {}
     for j, items in data.items():
         j = frozenset(j)
@@ -68,14 +73,13 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
             raise WavefrontError(f"J={sorted(j)} is given twice")
         if not bc.is_proper(ct, j):
             raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}")
-        ctx = bc.pair_context(ct, j)
-        valid_labels = {e.label for e in ctx.irreps()}
+        valid = [_labels.factor_irrep_labels(f.kind, f.rank) for f in bc._face_factors(ct, j)]
         checked = []
         for label, mult in items:
             label = tuple(label)
             if mult <= 0:
                 raise WavefrontError("multiplicities must be positive")
-            if label not in valid_labels:
+            if len(label) != len(valid) or not all(lab in labs for labs, lab in zip(valid, label)):
                 raise WavefrontError(
                     f"{label} is not a character of the face group of {sorted(j)}")
             checked.append((label, int(mult)))
@@ -84,18 +88,18 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
 
 
 def local_wf(ct: CartanType, data) -> WavefrontResult:
-    """Wavefront sets from restriction data, maximized over the faces.
-    Every invariant's Sommers dual builds the ambient context, so a group
+    """Wavefront sets from restriction data, maximized over the faces.  A
+    lift that partitions leave open builds the ambient group, so a group
     past GROUP_ORDER_CAP fails first, before any root system is built."""
-    wr.check_group_order(ct)
+    from . import _labels
+    cartantype._check_group_order(cartantype._weyl_order(ct.series, ct.rank))
     data = validate_restriction_data(ct, data)
     invariants = []
     for j, items in data.items():
-        ctx = bc.pair_context(ct, j)
+        factors = bc._face_factors(ct, j)
         for label, _mult in items:
-            e = ctx._irrep(label)
-            factor_orbits = wr.orbit_s_factors(ctx, e)
-            invariants.append(du.invariant_of(ct, j, factor_orbits))
+            factor_orbits = _labels.orbit_s_factors(factors, label)
+            invariants.append(du.face_invariant(ct, j, factor_orbits))
     if not invariants:
         raise WavefrontError("restriction data is empty")
     return _result_from_invariants(invariants)
@@ -127,25 +131,27 @@ def cross_check_arthur(ct: CartanType, dual_orbit: NilpotentOrbit) -> bool:
 
 # -- canned restriction patterns --------------------------------------
 
+def _pattern(ct: CartanType, pick) -> dict:
+    """One character of every face group, picked factor by factor by b."""
+    from . import _labels
+    out = {}
+    for j in bc.proper_subsets(ct):
+        label = tuple(pick(_labels.factor_irrep_labels(f.kind, f.rank),
+                           key=lambda lab: _labels.b_invariant(f.kind, lab))
+                      for f in bc._face_factors(ct, j))
+        out[j] = [(label, 1)]
+    return out
+
+
 def steinberg_pattern(ct: CartanType) -> dict:
     """The restriction data of the Steinberg representation: the sign
     character of every face group."""
-    out = {}
-    for j in bc.proper_subsets(ct):
-        ctx = bc.pair_context(ct, j)
-        sgn = max(ctx.irreps(), key=lambda e: e.b)
-        out[j] = [(sgn.label, 1)]
-    return out
+    return _pattern(ct, max)
 
 
 def trivial_pattern(ct: CartanType) -> dict:
     """The restriction data of the trivial representation."""
-    out = {}
-    for j in bc.proper_subsets(ct):
-        ctx = bc.pair_context(ct, j)
-        triv = next(e for e in ctx.irreps() if e.b == 0)
-        out[j] = [(triv.label, 1)]
-    return out
+    return _pattern(ct, min)
 
 
 # -- JSON forms --------------------------------------------------------

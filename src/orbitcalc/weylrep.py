@@ -1,9 +1,10 @@
 """Irreducible characters of Weyl groups and the maps built on them:
-b-invariants, Lusztig symbols and families, special representations, the
-orbit side of the Springer correspondence (the inverse of
-orbits.springer_rep_label), truncated (j-) induction, and
-the map sending a character E to the special orbit of the family of
-E tensor sign.
+special representations, truncated (j-) induction, the Springer orbit of
+an ambient character, saturation, and the map sending a character E to
+the special orbit of the family of E tensor sign.  What reads labels
+alone (the labels themselves, b-invariants, Lusztig symbols and
+families, the orbit side of the Springer correspondence) is _labels',
+which local-wf reads without this module.
 
 A WeylContext wraps a reflection subgroup of an ambient root system
 (given by a simple basis of roots) as a product of embedded factors; the
@@ -16,15 +17,14 @@ induction sum over these classes, and no group is enumerated.
 Each datum is computed once per process.  A context keeps its class
 representatives, its irreps and its character values, and builds its
 class labellers on first use; the fusion of a context's classes into the
-ambient ones, the family -> special table of each factor type, the orbit
-of each Springer character and the weighting solve of each factor orbit
-are cached by their arguments.  j_induce folds the fusion into the induced class function
-once per character, so each candidate costs one dot product.  Every
-cached value is immutable (an integer, a tuple, a frozenset, a namedtuple
-or a read-only mapping of those), so no caller can change what a later
-query is served.  GROUP_ORDER_CAP is checked whenever a context is built:
-contexts share their factors (rootdata.build_factor), never the check;
-check_group_order reads it for a whole system from (series, rank) alone.
+ambient ones and the weighting solve of each factor orbit are cached by
+their arguments.  j_induce folds the fusion into the induced class
+function once per character, so each candidate costs one dot product.
+Every cached value is immutable (an integer, a tuple, a frozenset, a
+namedtuple or a read-only mapping of those), so no caller can change what
+a later query is served.  cartantype.GROUP_ORDER_CAP is read whenever a
+context is built: contexts share their factors (rootdata.build_factor),
+never the check.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
+from . import _labels, cartantype
 from . import partitions as pt
-from .chartab import (CharError, FactorClassifier, b_invariant,
-                      factor_char_value, factor_classes, factor_irrep_labels)
+from .chartab import (CharError, FactorClassifier, factor_char_value,
+                      factor_classes)
 from .linalg import solve
-from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits,
-                     orbit_from_wdd, springer_rep_label, weighted_dynkin)
+from .orbits import (NilpotentOrbit, WeightedDynkinDiagram, orbit_from_wdd,
+                     weighted_dynkin)
 from .rootdata import (CartanType, EmbeddedFactor, build_factor,
                        build_root_system, dominant_conjugate,
                        split_basis_into_factors)
-
-GROUP_ORDER_CAP = 10 ** 6
 
 
 class JInductionTie(CharError):
@@ -104,7 +103,7 @@ class WeylContext:
         self.order = 1
         for f in self.factors:
             self.order *= _factor_order(f)
-        _check_order(self.order)
+        cartantype._check_group_order(self.order)
         self._classes = self._irreps = None
         self._values = {}  # (irrep label, class) -> character value
 
@@ -136,12 +135,12 @@ class WeylContext:
             labels = [()]
             for f in self.factors:
                 labels = [acc + (lab,) for acc in labels
-                          for lab in factor_irrep_labels(f.kind, f.rank)]
+                          for lab in _labels.factor_irrep_labels(f.kind, f.rank)]
             self._irreps = tuple(self._irrep(lab) for lab in labels)
         return self._irreps
 
     def _irrep(self, label):
-        b = sum(b_invariant(f.kind, lab) for f, lab in zip(self.factors, label))
+        b = sum(_labels.b_invariant(f.kind, lab) for f, lab in zip(self.factors, label))
         return WeylIrrep(self.factor_signature, tuple(label), b)
 
     def char_value(self, irrep: WeylIrrep, cls) -> int:
@@ -164,57 +163,12 @@ class WeylContext:
         return q
 
     def tensor_sgn(self, irrep: WeylIrrep) -> WeylIrrep:
-        out = []
-        for f, lab in zip(self.factors, irrep.label):
-            out.append(_tensor_sgn_label(f, lab))
-        return self._irrep(tuple(out))
-
-
-def _weyl_order(kind, k) -> int:
-    if kind == "A":
-        return math.factorial(k + 1)
-    if kind == "BC":
-        return (2 ** k) * math.factorial(k)
-    if kind == "D":
-        return (2 ** (k - 1)) * math.factorial(k)
-    return 12
+        return self._irrep(tuple(_labels.tensor_sgn_label(f.kind, f.rank, lab)
+                                 for f, lab in zip(self.factors, irrep.label)))
 
 
 def _factor_order(f: EmbeddedFactor) -> int:
-    return _weyl_order(f.kind, f.rank)
-
-
-def _check_order(order):
-    """GROUP_ORDER_CAP, read at call time."""
-    if order > GROUP_ORDER_CAP:
-        raise CharError(f"group of order {order} exceeds cap {GROUP_ORDER_CAP}")
-
-
-def check_group_order(ct: CartanType):
-    """Raise the cap's CharError if W of ct exceeds GROUP_ORDER_CAP, its
-    order read from (series, rank) alone, before any root system is built.
-    Every proper subgroup is smaller, so a command that builds the
-    ambient context anyway can fail fast with this."""
-    _check_order(_weyl_order({"B": "BC", "C": "BC"}.get(ct.series, ct.series), ct.rank))
-
-
-def _tensor_sgn_label(f: EmbeddedFactor, lab):
-    if f.kind == "A":
-        return pt.transpose(lab)
-    if f.kind == "BC":
-        lam, mu = lab
-        return (pt.transpose(mu), pt.transpose(lam))
-    if f.kind == "D":
-        (lam, mu), sign = lab
-        tl, tm = pt.transpose(lam), pt.transpose(mu)
-        if sign == 0:
-            return (tuple(sorted((tl, tm))), 0)
-        flip = 1 if (f.rank // 2) % 2 == 0 else -1
-        return ((tl, tm), sign * flip)
-    table = {"phi(1,0)": "phi(1,6)", "phi(1,6)": "phi(1,0)",
-             "phi(1,3)l": "phi(1,3)s", "phi(1,3)s": "phi(1,3)l",
-             "phi(2,1)": "phi(2,1)", "phi(2,2)": "phi(2,2)"}
-    return table[lab]
+    return cartantype._weyl_order(f.series, f.rank)
 
 
 # ---------------------------------------------------------------------
@@ -288,125 +242,9 @@ def j_induce(sub: WeylContext, e_sub: WeylIrrep) -> WeylIrrep:
         [h[0] for h in hits])
 
 
-# ---------------------------------------------------------------------
-# symbols, families, special representations
-# ---------------------------------------------------------------------
-
-def _inc_pad(p, size):
-    p = sorted(p)
-    if len(p) > size:
-        raise CharError(f"partition {p} too long for row of size {size}")
-    return [0] * (size - len(p)) + p
-
-
-def _bc_symbol(lam, mu, m):
-    top = [v + i for i, v in enumerate(_inc_pad(lam, m + 1))]
-    bot = [v + i for i, v in enumerate(_inc_pad(mu, m))]
-    return tuple(top), tuple(bot)
-
-
-def _d_symbol(lam, mu, m):
-    top = [v + i for i, v in enumerate(_inc_pad(lam, m))]
-    bot = [v + i for i, v in enumerate(_inc_pad(mu, m))]
-    return tuple(top), tuple(bot)
-
-
-def _interleaved(a, b):
-    """a_1 <= b_1 <= a_2 <= ... for rows of sizes len(b)+1 or equal size."""
-    for i in range(len(b)):
-        if not a[i] <= b[i]:
-            return False
-        if i + 1 < len(a) and not b[i] <= a[i + 1]:
-            return False
-    return True
-
-
-def _family_key(kind, rank, lab):
-    if kind == "A":
-        return ("A", lab)
-    if kind == "BC":
-        lam, mu = lab
-        top, bot = _bc_symbol(lam, mu, rank)
-        return ("BC", tuple(sorted(top + bot)))
-    if kind == "D":
-        (lam, mu), sign = lab
-        top, bot = _d_symbol(lam, mu, rank)
-        return ("D", tuple(sorted(top + bot)), sign)
-    fam = {"phi(1,0)": "triv", "phi(1,6)": "sgn"}.get(lab, "big")
-    return ("G", fam)
-
-
-def _is_special(kind, rank, lab) -> bool:
-    if kind == "A":
-        return True
-    if kind == "BC":
-        lam, mu = lab
-        top, bot = _bc_symbol(lam, mu, rank)
-        return _interleaved(top, bot)
-    if kind == "D":
-        (lam, mu), sign = lab
-        if sign:
-            return True
-        top, bot = _d_symbol(lam, mu, rank)
-        return _interleaved(top, bot) or _interleaved(bot, top)
-    return lab in ("phi(1,0)", "phi(2,1)", "phi(1,6)")
-
-
-@lru_cache(maxsize=None)
-def _specials(kind, rank):
-    """label -> the special label of its family, for one factor type."""
-    labels = factor_irrep_labels(kind, rank)
-    found = {}
-    for lab in labels:
-        if _is_special(kind, rank, lab):
-            found.setdefault(_family_key(kind, rank, lab), []).append(lab)
-    table = {}
-    for lab in labels:
-        specials = found.get(_family_key(kind, rank, lab), [])
-        if len(specials) != 1:
-            raise CharError(f"family of {lab} in {kind}{rank} has specials {specials}")
-        table[lab] = specials[0]
-    return MappingProxyType(table)
-
-
 def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
-    """The special representation in the family of irrep: a family of a
-    product is a product of families, each with one special member."""
-    out = tuple(_specials(f.kind, f.rank).get(lab)
-                for f, lab in zip(ctx.factors, irrep.label))
-    if len(irrep.label) != len(ctx.factors) or None in out:
-        raise CharError(f"{irrep} is not a character of this context")
-    return ctx._irrep(out)
-
-
-# ---------------------------------------------------------------------
-# Springer correspondence (orbit component)
-# ---------------------------------------------------------------------
-
-# the character off the trivial-local-system image: G2's phi(1,3)l belongs
-# to the pair (G2(a1), sign of A(G2(a1)) = S3)
-G2_SPRINGER_EXTRA_ORBIT = {"phi(1,3)l": "G2(a1)"}
-
-
-@lru_cache(maxsize=None)
-def _springer_image(ct: CartanType):
-    return MappingProxyType({springer_rep_label(o): o for o in enumerate_orbits(ct)})
-
-
-def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
-    """Orbit of the Springer pair of a factor-level label.
-
-    On the image of the trivial-local-system map this inverts
-    springer_rep_label; off it only G2's phi(1,3)l (the sign character of
-    A(G2(a1)) = S3) is known, and a classical label raises CharError.
-    """
-    image = _springer_image(ct)
-    if lab in image:
-        return image[lab]
-    if ct.series == "G":
-        return NilpotentOrbit(ct, g2_label=G2_SPRINGER_EXTRA_ORBIT[lab])
-    raise CharError(f"{lab} is not the Springer label of an orbit of {ct} "
-                    f"with the trivial local system")
+    """The special representation in the family of irrep."""
+    return ctx._irrep(_labels.special_labels(ctx.factors, irrep.label))
 
 
 # ---------------------------------------------------------------------
@@ -450,12 +288,7 @@ def _factor_weighting(cartan, wdd):
 
 def orbit_s_factors(ctx: WeylContext, irrep: WeylIrrep):
     """Per-factor special orbits attached to irrep (the E -> O^s(E) map)."""
-    twisted = ctx.tensor_sgn(irrep)
-    special = special_member(ctx, twisted)
-    out = []
-    for f, lab in zip(ctx.factors, special.label):
-        out.append(springer_orbit_label(f.cartan_type(), lab))
-    return tuple(out)
+    return _labels.orbit_s_factors(ctx.factors, irrep.label)
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +305,7 @@ def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,
     if [f.kind for f in tctx.factors] != [f.kind for f in ctx.factors] or \
             [f.rank for f in tctx.factors] != [f.rank for f in ctx.factors]:
         raise CharError("context/target Weyl groups do not match")
-    orbs = tuple(springer_orbit_label(f.cartan_type(), lab)
+    orbs = tuple(_labels.springer_orbit_label(f.cartan_type(), lab)
                  for f, lab in zip(tctx.factors, irrep.label))
     return ambient_orbit_from_factor_orbits(tctx.rs, tctx.factors, orbs)
 

@@ -28,15 +28,15 @@ from collections import namedtuple
 from functools import lru_cache
 
 from orbitcalc import balacarter as bc
-from orbitcalc.chartab import CharError
+from orbitcalc._labels import _family_key, _is_special, _springer_image
+from orbitcalc.cartantype import CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
 from orbitcalc.orbits import NilpotentOrbit
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_factor, build_root_system,
                                 reflection_in_root, split_basis_into_factors)
-from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep,
-                               _family_key, _fusion, _induced, _is_special,
-                               _multiplicity, _springer_image, ambient_context,
+from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep, _fusion,
+                               _induced, _multiplicity, ambient_context,
                                springer_orbit)
 
 

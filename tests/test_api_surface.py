@@ -122,6 +122,24 @@ def test_abc_pair_make_and_replace_validate():
     assert pair._replace(Jprime=frozenset()) == bc.ABCPair(frozenset({0, 1}), frozenset())
 
 
+def test_group_order_cap_lives_in_cartantype(monkeypatch):
+    """GROUP_ORDER_CAP and its check are cartantype's, so that checking it
+    loads no character table: the character layer reads the constant
+    there at call time and keeps no alias of it, and the check raises the
+    character layer's CharError."""
+    from orbitcalc import cartantype, chartab
+    from orbitcalc import weylrep as wr
+    assert cartantype.GROUP_ORDER_CAP == 10 ** 6
+    assert not {"GROUP_ORDER_CAP", "check_group_order"} & set(vars(wr))
+    assert chartab.CharError is cartantype.CharError
+    assert [cartantype._weyl_order(s, 4) for s in "ABCD"] == [120, 384, 384, 192]
+    assert cartantype._weyl_order("G", 2) == 12
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 383)
+    cartantype._check_group_order(cartantype._weyl_order("D", 4))
+    with pytest.raises(cartantype.CharError, match="^group of order 384 exceeds cap 383$"):
+        cartantype._check_group_order(cartantype._weyl_order("B", 4))
+
+
 # orbitcalc.__all__ before the package re-exported lazily
 PUBLIC_NAMES = [
     "ABCPair", "CartanType", "NilpotentOrbit",

@@ -1,6 +1,7 @@
 """The partition path (orbitcalc._classical) against the path through the
 faces' Weyl groups and j-induction, which it replaces for types A-D in
-arthur-wf and in the unramified tables, and which stays the oracle.
+arthur-wf, in the unramified tables and in local-wf, and which stays the
+oracle.
 
 A face's pairs are compared as a multiset of (saturation, Sommers dual),
 the saturation by its partition; a very even Sommers dual counts as
@@ -8,21 +9,30 @@ the saturation by its partition; a very even Sommers dual counts as
 pair's invariant, as the unramified tables read it (duality.pair_invariant
 on balacarter.block_key), is compared with invariant_of pair by pair.  The
 tests marked slow run the same comparisons at ranks 6-8 with the caps
-raised inside the test (pytest -m slow).
+raised inside the test (pytest -m slow).  So are the lifts of every
+character of every face group (duality.face_invariant, as local-wf reads
+them), up to rank 4 in tier-1 and at ranks 5 and 6 in the slow tier.
 """
 
 import warnings
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from orbitcalc import _classical as cl
+from orbitcalc import _labels
 from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
 from orbitcalc import duality as du
-from orbitcalc import weylrep as wr
 from orbitcalc.cartantype import CartanType
-from orbitcalc.orbits import NilpotentOrbit, dual_bv, enumerate_orbits
+from orbitcalc import partitions as pt
+from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls, enumerate_orbits,
+                              springer_rep_label)
+
+
+def pair_key(ct, pair):
+    return bc.block_key(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
 
 
 def todays_face(ct, j):
@@ -113,7 +123,7 @@ def compare_pairs(ct):
     for p in pairs:
         oracle = du.invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p))
         assert du.pair_invariant(ct, p) == oracle, (ct, p)
-        found = cl.invariant(ct, bc.block_key(ct, p))
+        found = cl.invariant(ct, pair_key(ct, p))
         if found is None:
             left_open += 1
         else:
@@ -126,9 +136,9 @@ def test_block_key_d2_is_two_a1_factors():
     distinguished orbit (3, 1) the key takes."""
     ct = CartanType("D", 4)
     pair = bc.ABCPair(frozenset({0, 1}), frozenset())
-    assert bc.block_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
+    assert pair_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
                                       (("D", 2), (3, 1)))
-    assert bc.block_key(ct, pair) in cl.face_pairs(ct, pair.J)
+    assert pair_key(ct, pair) in cl.face_pairs(ct, pair.J)
     assert compare_pairs(CartanType("D", 2)) == (9, 4)
 
 
@@ -136,7 +146,7 @@ def test_block_key_d3_is_an_a3_factor():
     ct = CartanType("D", 5)
     pair = bc.ABCPair(frozenset({0, 1, 2}), frozenset())
     assert [(f.series, f.rank) for f in bc._face_factors(ct, pair.J)] == [("A", 3)]
-    assert bc.block_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
+    assert pair_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
                                       (("D", 3), (5, 1)))
 
 
@@ -144,13 +154,13 @@ def test_block_key_b1_c1_and_c2_from_a1_and_b2_factors():
     """An A1 factor on e_2 is a B1 block, on 2e_0 a C1 block; C3's {a2, a3}
     is a factor normalized to B2 and a C2 block."""
     b3, c3 = CartanType("B", 3), CartanType("C", 3)
-    assert bc.block_key(b3, bc.ABCPair(frozenset({3}), frozenset())) == \
+    assert pair_key(b3, bc.ABCPair(frozenset({3}), frozenset())) == \
         ((("A", 1), (1,)), (("A", 1), (1,)), (("B", 1), (3,)))
-    assert bc.block_key(c3, bc.ABCPair(frozenset({0}), frozenset())) == \
+    assert pair_key(c3, bc.ABCPair(frozenset({0}), frozenset())) == \
         ((("A", 1), (1,)), (("A", 1), (1,)), (("C", 1), (2,)))
     j = frozenset({2, 3})
     assert [(f.series, f.rank) for f in bc._face_factors(c3, j)] == [("B", 2)]
-    assert bc.block_key(c3, bc.ABCPair(j, frozenset())) == \
+    assert pair_key(c3, bc.ABCPair(j, frozenset())) == \
         ((("A", 1), (1,)), (("C", 2), (4,)))
 
 
@@ -159,7 +169,7 @@ def test_block_key_reads_the_factor_orbit_where_a_block_has_several():
     give the face's two pairs two keys."""
     ct = CartanType("B", 4)
     j = frozenset({1, 2, 3, 4})
-    keys = {bc.block_key(ct, p) for p in bc.enumerate_pairs(ct) if p.J == j}
+    keys = {pair_key(ct, p) for p in bc.enumerate_pairs(ct) if p.J == j}
     assert keys == {((("B", 4), (9,)),), ((("B", 4), (5, 3, 1)),)}
     assert keys == set(cl.face_pairs(ct, j))
 
@@ -232,6 +242,87 @@ def test_face_multisets_match_todays_path_to_rank_5():
     assert very_even == {"D2": 4, "D4": 8}
 
 
+def compare_face_characters(ct):
+    """(characters, characters that partitions leave open) of ct, over
+    every character of every face group, after checking that
+    face_invariant gives invariant_of's answer on each and that partitions
+    give it wherever they give one."""
+    characters = left_open = 0
+    for j in bc.proper_subsets(ct):
+        factors = bc._face_factors(ct, j)
+        for label in product(*(_labels.factor_irrep_labels(f.kind, f.rank)
+                               for f in factors)):
+            orbs = _labels.orbit_s_factors(factors, label)
+            oracle = du.invariant_of(ct, j, orbs)
+            assert du.face_invariant(ct, j, orbs) == oracle, (ct, sorted(j), label)
+            found = cl.invariant(ct, bc.block_key(ct, j, orbs))
+            if found is None:
+                left_open += 1
+            else:
+                assert found == tuple(oracle), (ct, sorted(j), label)
+            characters += 1
+    return characters, left_open
+
+
+def test_face_characters_match_invariant_of_to_rank_4():
+    """All 2158 characters of the face groups of A-D at ranks 2-4 in both
+    isogenies, as local-wf lifts them.  Partitions leave open 76 in each
+    isogeny, all in type D: a very even saturation or Sommers dual, or a
+    block whose label is a degenerate symbol's."""
+    totals, left_open = Counter(), Counter()
+    for iso in ("adjoint", "simply_connected"):
+        for s in "ABCD":
+            for r in (2, 3, 4):
+                characters, n = compare_face_characters(CartanType(s, r, iso))
+                totals[iso] += characters
+                if n:
+                    left_open[f"{s}{r} {iso}"] = n
+    assert totals == {"adjoint": 1079, "simply_connected": 1079}
+    assert left_open == {"D2 adjoint": 12, "D3 adjoint": 4, "D4 adjoint": 60,
+                         "D2 simply_connected": 12, "D3 simply_connected": 4,
+                         "D4 simply_connected": 60}
+
+
+def test_block_label_reads_the_orbit_of_b1_c1_and_a_blocks():
+    """A B1 or C1 block is A1, whose W(A1) = W(B1) labels its characters
+    (2,) = ((1,), ()) and (1, 1) = ((), (1,)): the regular orbit takes the
+    sign character and the zero orbit the trivial one, as
+    springer_rep_label(dual_ls(.)) gives them on A1.  An A block with
+    partition p takes springer_rep_label(dual_ls(p)), p's transpose."""
+    a1 = CartanType("A", 1)
+    as_bc = {(2,): ((1,), ()), (1, 1): ((), (1,))}
+    for kind, regular, zero in [("B", (3,), (1, 1, 1)), ("C", (2,), (1, 1))]:
+        for p, on_a1 in [(regular, (2,)), (zero, (1, 1))]:
+            lab = as_bc[springer_rep_label(dual_ls(NilpotentOrbit(a1, partition=on_a1)))]
+            assert cl._block_label(kind, 1, p) == (lab, _labels.b_invariant("BC", lab))
+    assert cl._block_label("C", 1, (1, 1)) == (((1,), ()), 0)
+    for m in range(2, 7):
+        for p in pt.partitions_of(m):
+            lab = springer_rep_label(dual_ls(NilpotentOrbit(CartanType("A", m - 1), partition=p)))
+            assert cl._block_label("A", m, p) == (lab, _labels.b_invariant("A", lab)), p
+    assert cl._block_label("A", 4, (3, 1)) == ((2, 1, 1), 3)
+
+
+def test_block_key_reads_a_d4_block_off_its_coordinates():
+    """On the D4 face {a0, a1, a2, a3} of B4 and D4, the factor's frame
+    (a0 first) differs from the block's coordinates by triality: the
+    factor's (5,1,1,1) is the block's (4,4), its (4,4)-I the block's
+    (5,1,1,1) and its (3,1^5) the block's (2,2,2,2).  The orbits that
+    triality fixes key as themselves."""
+    d4 = CartanType("D", 4)
+    j = frozenset({0, 1, 2, 3})
+    for ct in (CartanType("B", 4), d4):
+        (factor,) = bc._face_factors(ct, j)
+        assert factor.basis[0] == bc.build_root_system(ct).affine_simples[0][0]
+        moved = {}
+        for o in enumerate_orbits(d4):
+            ((_, p),) = bc.block_key(ct, j, (o,))
+            if p != o.partition:
+                moved[o.label()] = p
+        assert moved == {"5,1,1,1": (4, 4), "4,4-I": (5, 1, 1, 1),
+                         "3,1,1,1,1,1": (2, 2, 2, 2), "2,2,2,2-I": (3, 1, 1, 1, 1, 1)}
+
+
 def test_achar_queries_match_todays_path(monkeypatch):
     """All 570 achar_dual_one queries on A1-A6, B1-B6, C1-C6 and D2-D6, in
     both isogenies: 328 answers and 242 rank-cap errors, the same on
@@ -268,7 +359,7 @@ def raised_caps(monkeypatch):
     rank cap leave enumerate_pairs' cache with it, so that a later test
     still meets the cap."""
     monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 8)
-    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 10 ** 8)
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 10 ** 8)
     yield
     bc.enumerate_pairs.cache_clear()
 
@@ -304,6 +395,19 @@ def test_pair_invariants_match_todays_path_ranks_6_8(raised_caps, series, rank):
 # disagree there, a fault of the path through the Weyl groups, to which
 # the partition path hands very even queries
 VERY_EVEN_D6_FAULTS = {6: 6, 7: 0}
+
+
+# per system at ranks 5 and 6, the face characters that partitions leave open
+SLOW_CHARACTERS_OPEN = {("A", 5): 0, ("B", 5): 0, ("C", 5): 0, ("D", 5): 92,
+                        ("A", 6): 0, ("B", 6): 0, ("C", 6): 0, ("D", 6): 364}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("series,rank", sorted(SLOW_CHARACTERS_OPEN))
+@pytest.mark.parametrize("iso", ["adjoint", "simply_connected"])
+def test_face_characters_match_invariant_of_ranks_5_6(raised_caps, series, rank, iso):
+    _, left_open = compare_face_characters(CartanType(series, rank, iso))
+    assert left_open == SLOW_CHARACTERS_OPEN[series, rank]
 
 
 @pytest.mark.slow

@@ -603,6 +603,74 @@ def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, seri
         assert proc.stdout == fh.read()
 
 
+def _local_wf_miss(tmp_path, series, rank, pattern):
+    """(stdout, modules run) of a fresh local-wf --json miss on the
+    Steinberg or trivial pattern of the adjoint system."""
+    from orbitcalc import wavefront as wfmod
+    make = {"steinberg": wfmod.steinberg_pattern, "trivial": wfmod.trivial_pattern}[pattern]
+    f = tmp_path / "data.json"
+    f.write_text(json.dumps(restriction_data_to_json(make(CartanType(series, rank)))))
+    argv = ["local-wf", "--type", series, "--rank", str(rank), "--data", str(f),
+            "--json", "--cache-dir", str(tmp_path / "store")]
+    proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(GOLDEN, "cli", f"local-wf-{series}{rank}-adjoint-{pattern}.json")) as fh:
+        assert proc.stdout == fh.read()
+    return set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
+
+
+@pytest.mark.parametrize("series,rank,pattern", [
+    ("C", 4, "steinberg"), ("A", 4, "trivial"), ("B", 3, "steinberg"), ("D", 3, "trivial")])
+def test_classical_local_wf_miss_runs_no_character_layer(tmp_path, series, rank, pattern):
+    """A classical local-wf miss reads its labels and orbits from the
+    faces' factor types (_labels) and its lifts from partitions: it runs
+    neither chartab nor weylrep, and prints the golden bytes."""
+    loaded = _local_wf_miss(tmp_path, series, rank, pattern)
+    assert {"orbitcalc._labels", "orbitcalc._classical", "orbitcalc.balacarter"} <= loaded
+    assert not {"orbitcalc.chartab", "orbitcalc.weylrep"} & loaded, loaded
+
+
+@pytest.mark.parametrize("series,rank", [("G", 2), ("D", 4)])
+def test_local_wf_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
+    """G2's lifts, and those that partitions leave open on D4's Steinberg
+    pattern, take invariant_of; G2 never imports the partition path.  The
+    output is the golden one."""
+    loaded = _local_wf_miss(tmp_path, series, rank, "steinberg")
+    assert {"orbitcalc._labels", "orbitcalc.chartab", "orbitcalc.weylrep"} <= loaded
+    assert ("orbitcalc._classical" in loaded) == (series != "G")
+
+
+@pytest.mark.parametrize("command", ["orbits", "dual-map"])
+def test_orbit_tables_fail_fast_past_the_orbit_count_cap(capsys, monkeypatch, command):
+    """A40 has 44583 nilpotent orbits: orbits and dual-map exit 1 with the
+    cap's message before listing any (orbits ran past 10 s, dual-map took
+    8 s).  A18, with 490, still answers."""
+    from orbitcalc import _storeless, orbits
+
+    def refuse(ct):
+        raise AssertionError(f"listed the orbits of {ct}")
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "enumerate_orbits", refuse)
+        rc, out, err = run(capsys, command, "--type", "A", "--rank", "40", "--json")
+    assert (rc, out) == (1, "")
+    assert err == "error: A40 has 44583 nilpotent orbits, which exceeds the cap 500\n"
+    assert _storeless._orbit_count(CartanType("A", 18)) == 490
+    monkeypatch.setattr(_storeless, "ORBIT_COUNT_CAP", 4)
+    rc, _, err = run(capsys, command, "--type", "A", "--rank", "3")
+    assert (rc, err) == (1, "error: A3 has 5 nilpotent orbits, which exceeds the cap 4\n")
+
+
+def test_orbit_count_is_the_number_of_orbits():
+    from orbitcalc import _storeless, orbits
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # B1 and C1 normalized to A1
+        systems = [CartanType(s, r) for s in "ABCD" for r in range(2 if s == "D" else 1, 11)]
+    for ct in systems + [CartanType("G", 2)]:
+        assert _storeless._orbit_count(ct) == len(orbits.enumerate_orbits(ct)), ct
+
+
 def test_serve_builds_the_store_key_once(tmp_path, capsys, monkeypatch):
     """A miss and a hit each read the package sources once for the key."""
     calls = []

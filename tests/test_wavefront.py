@@ -30,6 +30,19 @@ def test_trivial_pattern_gives_zero():
         assert res == wf.arthur_wf(ct, regular_orbit(ct.dual))
 
 
+def test_patterns_name_the_face_groups_sign_and_trivial_characters():
+    """The patterns, read from the faces' factor types, name the
+    characters of largest and of zero b among each face group's irreps,
+    as the character layer lists them."""
+    for ct in SMALL + [ADJ("D", 4), CartanType("B", 3, "simply_connected")]:
+        for pattern, pick in [(wf.steinberg_pattern, max), (wf.trivial_pattern, min)]:
+            data = pattern(ct)
+            assert list(data) == list(bc.proper_subsets(ct))
+            for j, items in data.items():
+                irrep = pick(bc.pair_context(ct, j).irreps(), key=lambda e: e.b)
+                assert items == [(irrep.label, 1)], (ct, sorted(j))
+
+
 def test_single_face_trivial_data():
     for ct in [ADJ("B", 2), ADJ("G", 2)]:
         data = {frozenset(): [((), 1)]}

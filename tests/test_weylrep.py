@@ -4,13 +4,15 @@ from types import MappingProxyType
 
 import pytest
 
+from orbitcalc import _labels
 from orbitcalc import balacarter as bc
+from orbitcalc import cartantype
 from orbitcalc import chartab as ch
 from orbitcalc import partitions as pt
 from orbitcalc import weylrep as wr
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls,
                               enumerate_orbits, orbit_dimension,
-                              regular_orbit, zero_orbit)
+                              regular_orbit, springer_rep_label, zero_orbit)
 from orbitcalc.rootdata import (CartanType, build_factor, build_root_system,
                                 reflection_closure, reflection_in_root)
 
@@ -308,8 +310,8 @@ def test_springer_b_is_fiber_dimension():
         ctx = ctx_of(ct)
         n_roots = len(build_root_system(ct).roots)
         for o in enumerate_orbits(ct):
-            lab = wr.springer_rep_label(o)
-            b = wr.b_invariant(ctx.factors[0].kind, lab) if len(ctx.factors) == 1 \
+            lab = springer_rep_label(o)
+            b = _labels.b_invariant(ctx.factors[0].kind, lab) if len(ctx.factors) == 1 \
                 else None
             if b is None:
                 continue
@@ -324,7 +326,7 @@ def test_springer_special_bijection():
         specials = [o for o in enumerate_orbits(ct) if dual_ls(dual_ls(o)) == o]
         images = set()
         for o in specials:
-            lab = wr.springer_rep_label(o)
+            lab = springer_rep_label(o)
             assert factor_is_special(ctx.factors[0], lab), (ct, o)
             images.add(lab)
         assert len(images) == len(specials)
@@ -348,14 +350,14 @@ OFF_IMAGE = [("B", ((2, 2), (1, 1))), ("B", ((2, 1, 1), (2,))),
 def test_springer_orbit_off_the_image_raises(series, lab):
     ct = CartanType(series, 6)
     assert lab in {e.label[0] for e in ctx_of(ct).irreps()}
-    assert lab not in wr._springer_image(ct)
+    assert lab not in _labels._springer_image(ct)
     with pytest.raises(ch.CharError, match="trivial local system"):
-        wr.springer_orbit_label(ct, lab)
+        _labels.springer_orbit_label(ct, lab)
 
 
 def test_springer_orbit_g2_nontrivial_system():
     ct = CartanType("G", 2)
-    assert wr.springer_orbit_label(ct, "phi(1,3)l") == NilpotentOrbit(ct, g2_label="G2(a1)")
+    assert _labels.springer_orbit_label(ct, "phi(1,3)l") == NilpotentOrbit(ct, g2_label="G2(a1)")
 
 
 def test_orbit_s_extremes():
@@ -533,7 +535,7 @@ def test_class_sums_match_element_sums(ct):
 def test_group_order_cap(monkeypatch):
     ct = CartanType("B", 3)
     rs = build_root_system(ct)
-    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 47)
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 47)
     with pytest.raises(ch.CharError, match="exceeds cap 47"):
         wr.WeylContext(ct, rs.simple_roots)
 
@@ -556,7 +558,7 @@ def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
     ct = CartanType("B", 4)
     rs = build_root_system(ct)
     amb = wr.ambient_context(ct)
-    kept = [amb.irreps(), amb.class_representatives(), wr._springer_image(ct)]
+    kept = [amb.irreps(), amb.class_representatives(), _labels._springer_image(ct)]
     for j in bc.proper_subsets(ct):
         ctx = bc.pair_context(ct, j)
         for e in ctx.irreps():
@@ -570,7 +572,7 @@ def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
                  tuple(v for c in ctx.classifiers for v in c._cache.values())]
         for f in ctx.factors:
             kept += [build_factor(rs, f.basis), reflection_closure(f.cartan),
-                     wr._specials(f.kind, f.rank)]
+                     _labels._specials(f.kind, f.rank)]
             kept += [wr._factor_weighting(f.cartan, wdd) for wdd in bc._distinguished(f.series, f.rank)]
     for pair in bc.enumerate_pairs(ct):
         kept += [bc._pair_data(ct, pair), bc.pair_saturation(ct, pair)]
@@ -579,7 +581,7 @@ def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
         assert _immutable(x), x
     assert any(isinstance(x, MappingProxyType) and any(k != v for k, v in x.items())
                for x in kept)  # a family -> special table that moves a label
-    monkeypatch.setattr(wr, "GROUP_ORDER_CAP", 47)
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 47)
     with pytest.raises(ch.CharError, match="exceeds cap 47"):
         wr.WeylContext(ct, rs.simple_roots)
     with pytest.raises(ch.CharError, match="exceeds cap 47"):
