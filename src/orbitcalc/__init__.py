@@ -9,9 +9,9 @@ Every submodule but cli is registered at import and executed on first
 use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
 loads none of the mathematics.  The private modules _storeless,
-_classical and _labels are not registered: their importers (cli;
-duality and balacarter; wavefront and the character layer) load each on
-first use.
+_classical, _unramified and _labels are not registered: their importers
+(cli; duality, balacarter and _unramified; duality; wavefront and the
+character layer) load each on first use.
 """
 
 import importlib.util
@@ -20,11 +20,11 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "balacarter": ("ABCPair", "classes", "enumerate_pairs", "equivalent",
-                   "face_hull", "pair_saturation", "saturation"),
+    "balacarter": ("classes", "enumerate_pairs", "equivalent", "face_hull",
+                   "pair_saturation", "saturation"),
     "cartantype": ("CartanType",),
-    "duality": ("UnramifiedClassInvariant", "achar_dual_one", "enumerate_nobc",
-                "invariant_of", "leq_A", "sommers_dual"),
+    "duality": ("ABCPair", "UnramifiedClassInvariant", "achar_dual_one",
+                "enumerate_nobc", "invariant_of", "leq_A", "sommers_dual"),
     "orbits": ("NilpotentOrbit", "WeightedDynkinDiagram", "closure_leq",
                "dual_bv", "dual_ls", "enumerate_orbits", "is_special",
                "orbit_dimension", "orbit_from_wdd", "regular_orbit",

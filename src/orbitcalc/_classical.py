@@ -35,18 +35,20 @@ quotient and generalized duality, J. Algebra 2001).
 
 A face with its orbits is keyed by its blocks' (kind, m) and partitions
 (face_pairs lists a face's pairs' keys; balacarter.block_key reads any
-face's key off its factors).  invariant and attained answer None, and the
-path through the faces' Weyl groups (duality.invariant_of, through
-balacarter and weylrep) answers instead, where partitions do not decide:
+face's key off its factors; _unramified builds whole unramified tables,
+pairs and classes too, on the blocks).  invariant and attained answer
+None, and the path through the faces' Weyl groups (duality.invariant_of,
+through balacarter and weylrep) answers instead, where partitions do not
+decide:
   - in type D when the saturation or the Sommers dual (O^v or d_BV(O^v)
     in attained) is very even, or a block's character is a degenerate
     symbol's: partitions give neither a degenerate symbol's sign nor a
     very even orbit's mark;
   - when a candidate's least-b constituents are not a single character of
     multiplicity 1, or its label is off the Springer image.
-It is imported at first use by duality (achar_dual_one, face_invariant)
-and balacarter (block_key), never for G2, and is not one of the
-package's lazily loaded submodules (orbitcalc/__init__.py).
+It is imported at first use by duality (achar_dual_one, face_invariant),
+balacarter (block_key) and _unramified, never for G2, and is not one of
+the package's lazily loaded submodules (orbitcalc/__init__.py).
 """
 
 from __future__ import annotations

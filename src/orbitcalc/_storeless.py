@@ -20,9 +20,10 @@ from . import wavefront as wf
 from . import weylrep
 from .cartantype import CartanType
 
-# orbits' closure covers take time quadratic in the number of orbits and
-# more: A16 (297 orbits) 1.7 s, B12 (420) 2.9 s, A18 (490) 3.6 s and A20
-# (792) 13 s on a 2-vCPU x86-64 VM; the goldens stop at rank 6
+# orbits' closure covers call closure_leq once per ordered pair of orbits:
+# `orbits --json` takes 0.8 s at A16 (297 orbits), 1.4 s at B12 (420) and
+# 1.8 s at A18 (490), and the covers alone 4.2 s at A20 (792), on a 2-vCPU
+# x86-64 VM; the goldens stop at rank 6
 ORBIT_COUNT_CAP = 500
 
 

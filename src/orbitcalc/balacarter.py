@@ -38,11 +38,16 @@ node by node; (ii) and then (iii) are checked on each complete one.
 Nodes are numbered as in rs.affine_simples: per component the affine
 node, then the finite simple roots (for a simple type 0 is the affine
 node and 1..n are alpha_1..alpha_n).
+
+The unramified tables of A, B, C and odd-rank D read their pairs and
+classes from coordinate blocks instead (_unramified, through duality);
+enumerate_pairs and classes serve G2, even-rank D, arthur-wf's fallback
+and the partition path's key (block_key), and stay that path's oracle.
+The pair type, ABCPair, lives in duality, so that both paths build it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -53,30 +58,11 @@ from types import MappingProxyType
 # under it
 from . import weylrep as wr
 from .cartantype import ABCError, _check_abc_rank
+from .duality import ABCPair
 from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
 from .rootdata import (CartanType, RootSystem, build_factor, build_root_system,
                        root_tuple_code, split_basis_into_factors)
-
-
-class ABCPair(namedtuple("ABCPair", "J Jprime")):
-    __slots__ = ()  # two frozensets of node numbers
-
-    def __new__(cls, J, Jprime):
-        if not Jprime <= J:
-            raise ABCError("J' must be a subset of J")
-        return super().__new__(cls, J, Jprime)
-
-    @classmethod
-    def _make(cls, iterable):  # validated, as CartanType._make
-        return cls(*iterable)
-
-    def sort_key(self):
-        return (len(self.J), tuple(sorted(self.J)), len(self.Jprime),
-                tuple(sorted(self.Jprime)))
-
-    def to_json(self):
-        return {"J": sorted(self.J), "Jprime": sorted(self.Jprime)}
 
 
 def is_proper(ct: CartanType, j: frozenset) -> bool:

@@ -35,12 +35,11 @@ import zlib
 # each runs on first use (see __init__); a stored answer is printed before
 # any of them does
 from . import __version__
-from . import balacarter as bc
 from . import duality as du
 from . import orbits
 from . import partitions as pt
 from . import wavefront as wf
-from .cartantype import CartanType, CharError, RootDataError
+from .cartantype import ABCError, CartanType, CharError, RootDataError
 
 SCHEMA_VERSION = 1
 
@@ -236,8 +235,7 @@ def _unramified_payload(ct: CartanType):
     for a, b in du.hasse_edges_A(ct):
         edges.append([[a.orbit.label(), a.dual_orbit.label()],
                       [b.orbit.label(), b.dual_orbit.label()]])
-    npairs = len(bc.enumerate_pairs(ct))
-    nclasses = len(bc.classes(ct))
+    npairs, nclasses = du.abc_counts(ct)
     lines = [f"unramified nilpotent orbit classes for {ct} ({ct.isogeny})",
              f"  affine Bala-Carter pairs: {npairs}, "
              f"classes: {nclasses}, invariants: {len(rows)}"]
@@ -390,7 +388,7 @@ def main(argv=None) -> int:
         return 1
     # last, since naming these classes loads their modules
     except (orbits.OrbitError, pt.PartitionError, CharError,
-            du.DualityError, wf.WavefrontError, bc.ABCError,
+            du.DualityError, wf.WavefrontError, ABCError,
             RootDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,15 @@ in closure order and the second components compare the other way.
 
 achar_dual_one checks that (d(O^vee), O^vee) is attained, and
 face_invariant gives the invariant of a face with an orbit on each
-factor: pair_invariant's, as the unramified tables (enumerate_nobc)
-record each class, and local-wf's, for each face character.  For types
-A-D both read partitions (_classical, imported on first use); G2 and
-what partitions do not decide run invariant_of and sommers_dual, through
-the faces' Weyl groups (balacarter, weylrep), which stay the oracle.
+factor: pair_invariant's and local-wf's, for each face character.  For
+types A-D both read partitions (_classical, imported on first use); G2
+and what partitions do not decide run invariant_of and sommers_dual,
+through the faces' Weyl groups (balacarter, weylrep), which stay the
+oracle.
+
+The unramified table of A, B, C and odd-rank D is built from
+coordinate blocks (_unramified); G2, even-rank D and a table that
+partitions leave open take balacarter's classes, which stay the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 # achar_dual_one never runs them, nor the character layer under them
 from . import balacarter as bc
 from . import weylrep as wr
-from .cartantype import CartanType
+from .cartantype import ABCError, CartanType
 from .orbits import (NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls,
                      springer_rep_label)
 
@@ -45,6 +49,28 @@ class UnramifiedClassInvariant(namedtuple("UnramifiedClassInvariant",
 
     def __str__(self):
         return f"({self.orbit.label()}, {self.dual_orbit.label()}^v)"
+
+
+class ABCPair(namedtuple("ABCPair", "J Jprime")):
+    """A face J and its nodes J' weighted 0 (balacarter), as frozensets;
+    here so that _unramified builds it without running balacarter."""
+    __slots__ = ()
+
+    def __new__(cls, J, Jprime):
+        if not Jprime <= J:
+            raise ABCError("J' must be a subset of J")
+        return super().__new__(cls, J, Jprime)
+
+    @classmethod
+    def _make(cls, iterable):  # validated, as CartanType._make
+        return cls(*iterable)
+
+    def sort_key(self):
+        return (len(self.J), tuple(sorted(self.J)), len(self.Jprime),
+                tuple(sorted(self.Jprime)))
+
+    def to_json(self):
+        return {"J": sorted(self.J), "Jprime": sorted(self.Jprime)}
 
 
 def sommers_dual(ct: CartanType, j, factor_orbits) -> NilpotentOrbit:
@@ -83,7 +109,7 @@ def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant
     return invariant_of(ct, j, factor_orbits)
 
 
-def pair_invariant(ct: CartanType, pair: bc.ABCPair) -> UnramifiedClassInvariant:
+def pair_invariant(ct: CartanType, pair: ABCPair) -> UnramifiedClassInvariant:
     """The invariant of an affine Bala-Carter pair."""
     return face_invariant(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
 
@@ -95,10 +121,22 @@ def leq_A(i1: UnramifiedClassInvariant, i2: UnramifiedClassInvariant) -> bool:
         closure_leq(i2.dual_orbit, i1.dual_orbit)
 
 
+def _block_table(ct: CartanType):
+    """_unramified.table(ct) for A, B, C and odd-rank D, else None; G2
+    and even-rank D never import _unramified."""
+    if ct.series in "ABC" or (ct.series == "D" and ct.rank % 2):
+        from . import _unramified
+        return _unramified.table(ct)
+    return None
+
+
 @lru_cache(maxsize=None)
 def enumerate_nobc(ct: CartanType) -> tuple:
     """Deduplicated invariants over all affine Bala-Carter classes, each with
     the number of classes realizing it: ((invariant, count, representative)...)."""
+    table = _block_table(ct)
+    if table is not None:
+        return table[0]
     rows = {}
     for cls in bc.classes(ct):
         rep = cls[0]
@@ -111,6 +149,14 @@ def enumerate_nobc(ct: CartanType) -> tuple:
     out = [(inv, cnt, rep) for inv, (cnt, rep) in rows.items()]
     out.sort(key=lambda row: row[2].sort_key())
     return tuple(out)
+
+
+def abc_counts(ct: CartanType) -> tuple:
+    """(pairs, classes) of ct, from the table enumerate_nobc reads."""
+    table = _block_table(ct)
+    if table is not None:
+        return table[1:]
+    return len(bc.enumerate_pairs(ct)), len(bc.classes(ct))
 
 
 def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClassInvariant:

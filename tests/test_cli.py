@@ -575,16 +575,17 @@ def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
 
 @pytest.mark.parametrize("series,rank,iso", [
     ("A", 4, "adjoint"), ("B", 3, "adjoint"), ("C", 4, "simply_connected"),
-    ("D", 3, "adjoint")])
+    ("D", 3, "adjoint"), ("A", 3, "simply_connected"), ("B", 4, "simply_connected")])
 def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, rank, iso):
-    """A classical unramified table with no very even type-D invariant
-    reads every invariant from partitions: pairs, classes and block keys
-    need the factor types (rootdata) and no character table."""
+    """A classical unramified table with no very even type-D invariant is
+    built from coordinate blocks: pairs, class keys and invariants from
+    partitions (_unramified, _classical), with no root system, no
+    Bala-Carter equivalence and no character table."""
     argv = ["unramified", "--type", series, "--rank", str(rank), "--isogeny", iso,
             "--json", "--cache-dir", str(tmp_path)]
     loaded = _loaded(argv)
-    assert {"orbitcalc.balacarter", "orbitcalc._classical"} <= loaded
-    assert not {"orbitcalc.chartab", "orbitcalc.weylrep"} & loaded, loaded
+    assert {"orbitcalc._unramified", "orbitcalc._classical"} <= loaded
+    assert not CHARACTER_LAYER & loaded, loaded
 
 
 @pytest.mark.parametrize("series,rank", [("D", 4), ("G", 2)])
