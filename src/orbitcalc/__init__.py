@@ -33,7 +33,7 @@ _EXPORTS = {
     "wavefront": ("WavefrontResult", "arthur_wf", "cross_check_arthur",
                   "local_wf", "steinberg_pattern", "trivial_pattern"),
     "weylrep": ("WeylContext", "WeylIrrep", "ambient_context", "j_induce",
-                "special_member", "springer_orbit", "subgroup_context"),
+                "springer_orbit", "subgroup_context"),
 }
 _SUBMODULES = ("balacarter", "chartab", "duality", "linalg", "orbits",
                "partitions", "rootdata", "wavefront", "weylrep")

@@ -4,10 +4,10 @@ A, B, C or D, and whether some pair attains (d_BV(O^v), O^v) (arthur-wf),
 decided from partitions alone, with no root system and no character table.
 
 Faces as blocks.  Each node of the affine diagram (numbered as in
-rootdata's affine_simples) has a root in the coordinates e_0, e_1, ...;
-the nodes of a face J whose roots share a coordinate form one block, on
-the coordinates its roots touch, and every coordinate no root touches is
-a block of its own.  A block on m coordinates is
+rootdata's affine_simples) has a root in the coordinates e_0, e_1, ...
+(orbits.node_roots); the nodes of a face J whose roots share a
+coordinate form one block, on the coordinates its roots touch, and
+every coordinate no root touches is a block of its own.  A block on m coordinates is
   B_m if one of its roots is +-e_i, C_m if one is +-2e_i,
   D_m if it has m nodes (so {a0, a1} is D2 and {a0, a1, a2} is D3),
   and otherwise A: a chain of m - 1 roots, whose Weyl group is S_m.
@@ -33,10 +33,13 @@ multiplicity 1, is read as a W(D_n) label in type D and looked up in
 the Springer table of the dual series (Sommers, Lusztig's canonical
 quotient and generalized duality, J. Algebra 2001).
 
-A face with its orbits is keyed by its blocks' (kind, m) and partitions
-(face_pairs lists a face's pairs' keys; balacarter.block_key reads any
-face's key off its factors; _unramified builds whole unramified tables,
-pairs and classes too, on the blocks).  invariant and attained answer
+A face with its orbits is keyed by its blocks' (kind, m) and partitions.
+pair_choices lists every pair with its key, for attained and for
+_unramified, which builds whole unramified tables, pairs and classes
+too, on the blocks.  balacarter.block_key reads any face's key off its
+factors: a B, C or D block's partition is looked up by the values of
+the dominant neutral element h at the block's nodes (block_orbits, the
+inverse of orbits.node_values).  invariant and attained answer
 None, and the path through the faces' Weyl groups (duality.invariant_of,
 through balacarter and weylrep) answers instead, where partitions do not
 decide:
@@ -56,6 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from . import cartantype
 from . import orbits
@@ -71,29 +75,9 @@ class _Declined(Exception):
 # faces as blocks
 # ---------------------------------------------------------------------
 
-def node_roots(series: str, rank: int):
-    """The affine nodes' roots, each a tuple of (coordinate, coefficient)
-    pairs, and the node components; nodes as in rootdata.affine_simples."""
-    n = rank
-    simple = [((i - 1, 1), (i, -1)) for i in range(1, n)]  # e_{i-1} - e_i
-    if series == "A":
-        roots = [((0, -1), (n, 1))] + [((i - 1, 1), (i, -1)) for i in range(1, n + 1)]
-    elif series == "B":
-        roots = [((0, -1), (1, -1))] + simple + [((n - 1, 1),)]
-    elif series == "C":
-        roots = [((0, -2),)] + simple + [((n - 1, 2),)]
-    elif n == 2:  # D2: two A1 components, each with its affine node
-        roots = [((0, -1), (1, 1)), ((0, 1), (1, -1)),
-                 ((0, -1), (1, -1)), ((0, 1), (1, 1))]
-        return tuple(roots), (frozenset({0, 1}), frozenset({2, 3}))
-    else:
-        roots = [((0, -1), (1, -1))] + simple + [((n - 2, 1), (n - 1, 1))]
-    return tuple(roots), (frozenset(range(len(roots))),)
-
-
 def faces(series: str, rank: int):
     """The faces: node sets proper within each component."""
-    roots, comps = node_roots(series, rank)
+    roots, comps = orbits.node_roots(series, rank)
     out = []
     for mask in range(1 << len(roots)):
         j = frozenset(i for i in range(len(roots)) if mask >> i & 1)
@@ -105,7 +89,7 @@ def faces(series: str, rank: int):
 def blocks(series: str, rank: int, j) -> tuple:
     """J's blocks, free coordinates included, as (kind, m, the nodes of J
     in the block)."""
-    roots, _ = node_roots(series, rank)
+    roots, _ = orbits.node_roots(series, rank)
     owner = list(range(rank + (series == "A")))  # union-find on the coordinates
 
     def find(c):
@@ -134,11 +118,6 @@ def blocks(series: str, rank: int, j) -> tuple:
     return tuple(out)
 
 
-def face_blocks(series: str, rank: int, j) -> tuple:
-    """The sorted (kind, m) of J's blocks, free coordinates included."""
-    return tuple(sorted((kind, m) for kind, m, _ in blocks(series, rank, j)))
-
-
 @lru_cache(maxsize=None)
 def distinguished(kind: str, m: int) -> tuple:
     """The partitions of the distinguished orbits of a block."""
@@ -149,12 +128,32 @@ def distinguished(kind: str, m: int) -> tuple:
                  if len(set(p)) == len(p) and all(x % 2 == parity for x in p))
 
 
-def face_pairs(ct: CartanType, j) -> tuple:
-    """One key per affine Bala-Carter pair on the face J: the sorted
-    (kind, m, partition) of its blocks."""
-    blocks = face_blocks(ct.series, ct.rank, j)
-    return tuple(tuple(sorted(zip(blocks, choice)))
-                 for choice in product(*(distinguished(*b) for b in blocks)))
+def pair_choices(series: str, rank: int):
+    """Each affine Bala-Carter pair, as (J, J's blocks, a distinguished
+    partition per block, the block key: the sorted ((kind, m), partition)
+    of the blocks)."""
+    for j in faces(series, rank):
+        face = blocks(series, rank, j)
+        for parts in product(*(distinguished(kind, m) for kind, m, _ in face)):
+            yield j, face, parts, tuple(sorted(((kind, m), p)
+                                               for (kind, m, _), p in zip(face, parts)))
+
+
+@lru_cache(maxsize=None)
+def block_orbits(series: str, rank: int, kind: str, m: int, nodes) -> MappingProxyType:
+    """The orbits of a B, C or D block, keyed by their values at the
+    block's nodes in sorted order (orbits.node_values, both marks of a
+    very even D orbit): node values -> partition, read-only.  Raises
+    ABCError if two orbits share their values."""
+    nodes, table = tuple(sorted(nodes)), {}
+    for p in pt.valid_partitions(kind, m):
+        very_even = kind == "D" and all(x % 2 == 0 for x in p)
+        for flip in (False, True) if very_even else (False,):
+            values = orbits.node_values(series, rank, nodes, p, flip)
+            if table.setdefault(values, p) != p:
+                raise cartantype.ABCError(f"orbits {table[values]} and {p} of a {kind}{m} "
+                                          f"block share the node values {values}")
+    return MappingProxyType(table)
 
 
 def saturation(ct: CartanType, key) -> tuple:
@@ -342,7 +341,7 @@ def _springer_table(ct: CartanType):
 @lru_cache(maxsize=None)
 def _pairs(ct: CartanType) -> frozenset:
     """The keys of all pairs of ct, without repeats."""
-    return frozenset(key for j in faces(ct.series, ct.rank) for key in face_pairs(ct, j))
+    return frozenset(key for *_, key in pair_choices(ct.series, ct.rank))
 
 
 def attained(ct: CartanType, dual_orbit, target):

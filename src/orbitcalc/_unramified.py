@@ -2,23 +2,20 @@
 pairs, their classes and their invariants of a group of type A, B or C, or
 of type D at odd rank, in either isogeny, with no root system.
 
-Pairs.  A face J (_classical.faces) splits into coordinate blocks
-(_classical.blocks), and a pair puts a distinguished orbit on each
-(_classical.distinguished).  J' is read off the orbit's neutral element
-h: none of an A block's nodes (its orbit is regular); on a B, C or D
-block, the orbit's eigenvalues x_c >= 0 go on the block's coordinates
-and are moved into the chamber where every node root is >= 0 by
-reflections in the node roots, and J' holds the nodes where the root's
-value at h is 0 (each value is then 0 or 2).  These are balacarter's
+Pairs.  A face J splits into coordinate blocks, and a pair puts a
+distinguished orbit on each (_classical.pair_choices).  J' is read off
+the orbit's neutral element h: none of an A block's nodes (its orbit is
+regular); on a B, C or D block, the nodes where the dominant h vanishes
+(orbits.node_values; each value is 0 or 2).  These are balacarter's
 pairs: its 0/2 diagram on a factor is the dominant h of the factor's
 orbit.
 
 Classes.  Two pairs are equivalent (balacarter.equivalent) exactly when
 their class keys agree.  The adjoint key is the pair's block key, the
-sorted (kind, m, partition) of its blocks (_classical.face_pairs).  The
-adjoint classes are the simply connected ones up to Omega = P^vee/Q^vee,
-so a simply connected key adds what Omega moves and no translation in
-the face's stabilizer absorbs:
+sorted (kind, m, partition) of its blocks.  The adjoint classes are the
+simply connected ones up to Omega = P^vee/Q^vee, so a simply connected
+key adds what Omega moves and no translation in the face's stabilizer
+absorbs:
   - A_n: t mod g, g the gcd of the block sizes (a free coordinate is a
     block of size 1), t = 0 when node 0 is not in J, else 1 + the number
     of nodes n, n-1, ... in J before the first one missing;
@@ -45,40 +42,12 @@ lazily loaded submodules (orbitcalc/__init__.py).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from . import _classical as cl
 from . import cartantype
 from .duality import ABCPair, UnramifiedClassInvariant
-from .orbits import h_vector
-
-
-def _zero_nodes(kind: str, m: int, nodes, roots, p) -> frozenset:
-    """The nodes of a B, C or D block on which the dominant h of its
-    orbit p vanishes; roots are _classical.node_roots'."""
-    rs = [roots[i] for i in sorted(nodes)]
-    coords = sorted({c for r in rs for c, _ in r})
-    x = dict(zip(coords, h_vector(p)[:m]))
-    moved = True
-    while moved:  # reflect in a node root negative at x until none is
-        moved = False
-        for r in rs:
-            v = sum(a * x[c] for c, a in r)
-            if v < 0:
-                k = 2 * v // sum(a * a for _, a in r)
-                for c, a in r:
-                    x[c] -= k * a
-                moved = True
-    zeros = set()
-    for i, r in zip(sorted(nodes), rs):
-        v = sum(a * x[c] for c, a in r)
-        if v not in (0, 2):
-            raise cartantype.ABCError(f"orbit {p} of a {kind}{m} block is not distinguished")
-        if not v:
-            zeros.add(i)
-    return frozenset(zeros)
+from .orbits import node_values
 
 
 def _class_key(ct, j, blocks, parts, key) -> tuple:
@@ -108,29 +77,23 @@ def _class_key(ct, j, blocks, parts, key) -> tuple:
 
 def pairs(ct):
     """Each pair of ct, with its block key and its class key."""
-    roots, _ = cl.node_roots(ct.series, ct.rank)
-    for j in cl.faces(ct.series, ct.rank):
-        blocks = cl.blocks(ct.series, ct.rank, j)
-        choices = []
-        for kind, m, nodes in blocks:
-            if kind == "A":
-                choices.append([((m,), frozenset())])
-            else:
-                choices.append([(p, _zero_nodes(kind, m, nodes, roots, p))
-                                for p in cl.distinguished(kind, m)])
-        for choice in product(*choices):
-            parts = [p for p, _ in choice]
-            key = tuple(sorted(((kind, m), p) for (kind, m, _), p in zip(blocks, parts)))
-            yield (ABCPair(j, frozenset().union(*(z for _, z in choice))), key,
-                   _class_key(ct, j, blocks, parts, key))
+    for j, blocks, parts, key in cl.pair_choices(ct.series, ct.rank):
+        zeros = set()
+        for (kind, m, nodes), p in zip(blocks, parts):
+            if kind != "A":
+                nodes = tuple(sorted(nodes))
+                values = node_values(ct.series, ct.rank, nodes, p)
+                if set(values) - {0, 2}:
+                    raise cartantype.ABCError(f"orbit {p} of a {kind}{m} block is not distinguished")
+                zeros.update(i for i, v in zip(nodes, values) if not v)
+        yield ABCPair(j, frozenset(zeros)), key, _class_key(ct, j, blocks, parts, key)
 
 
-@lru_cache(maxsize=None)
+@cartantype._capped_cache
 def table(ct):
     """(rows, pairs, classes) of the unramified table of ct, rows as
     duality.enumerate_nobc gives them; None when partitions leave some
-    pair's invariant open."""
-    cartantype._check_abc_rank(ct)
+    pair's invariant open.  The rank cap is checked before the cache."""
     invariants, rows, npairs = {}, {}, 0  # rows: invariant -> (class keys, least pair)
     for pair, key, cls in pairs(ct):
         inv = invariants.get(key)

@@ -25,8 +25,8 @@ some bijection sigma from J2's gradients onto J1's
       (J2's congruences): since alpha(w b) = (w^-1 alpha)(b), these are
       the values of J2's affine roots at w b1 for w^-1 = sigma on J2;
   (iii) is realised by W: some u in W has u(g) = sigma(g) for every g
-      (rootdata.conjugate_root_tuples; equivalent computes the code of
-      J2's gradients once per call).
+      (the codes of the two tuples agree, rootdata.root_tuple_code;
+      equivalent computes the code of J2's gradients once per call).
 Nothing is lost by asking the witness to map J2's gradients onto J1's.
 A witness u maps J2's pseudo-Levi roots onto J1's, and the element of
 J1's pseudo-Levi Weyl group that carries u(J2's gradients) back onto
@@ -57,7 +57,7 @@ from types import MappingProxyType
 # partition path's key (block_key) never run it, nor the character layer
 # under it
 from . import weylrep as wr
-from .cartantype import ABCError, _check_abc_rank
+from .cartantype import ABCError, _capped_cache
 from .duality import ABCPair
 from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
 from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
@@ -130,11 +130,10 @@ def _distinguished(series: str, rank: int) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-@lru_cache(maxsize=None)
+@_capped_cache  # cartantype.ABC_RANK_CAP, before the cache
 def enumerate_pairs(ct: CartanType) -> tuple:
     """All affine Bala-Carter pairs, no equivalence applied: per face J,
     one distinguished 0/2 diagram on each factor of its pseudo-Levi."""
-    _check_abc_rank(ct)  # cartantype.ABC_RANK_CAP
     affs = build_root_system(ct).affine_simples
     out = []
     for j in proper_subsets(ct):
@@ -169,10 +168,12 @@ def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
 
     An A block takes its factor's partition, a free coordinate (1,).  A
     B, C or D block reads the factors' weighted diagrams as the values of
-    a neutral element h at its nodes (_block_partition), so no factor's
-    frame enters: B1 and C1 come from an A1 factor, C2 from one normalized
-    to B2, D2 from two A1s, D3 from an A3, and a D4 block from a factor
-    whose frame differs from the coordinates by triality.
+    the dominant neutral element h at its nodes and looks them up among
+    the block's orbits (_classical.block_orbits, the inverse of
+    orbits.node_values), with no solve, so no factor's frame enters: B1
+    and C1 come from an A1 factor, C2 from one normalized to B2, D2 from
+    two A1s, D3 from an A3, and a D4 block from a factor whose frame
+    differs from the coordinates by triality.
     """
     from . import _classical as cl
     affs = build_root_system(ct).affine_simples
@@ -182,12 +183,13 @@ def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
         nodes = tuple(node[b] for b in f.basis)
         value.update(zip(nodes, weighted_dynkin(o).values))
         orbit_on[frozenset(nodes)] = o
-    roots, _ = cl.node_roots(ct.series, ct.rank)
     key = []
     for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
         if kind != "A":
-            nodes = sorted(nodes)
-            p = _block_partition(kind, [roots[i] for i in nodes], [value[i] for i in nodes])
+            values = tuple(value[i] for i in sorted(nodes))
+            p = cl.block_orbits(ct.series, ct.rank, kind, m, nodes).get(values)
+            if p is None:
+                raise ABCError(f"no orbit of a {kind}{m} block has node values {values}")
         elif nodes:
             orbit = orbit_on.get(nodes)
             if orbit is None or orbit.system.series != "A":
@@ -197,26 +199,6 @@ def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
             p = (1,)
         key.append(((kind, m), p))
     return tuple(sorted(key))
-
-
-def _block_partition(kind, roots, values) -> tuple:
-    """The Jordan type of h with the given values at a B, C or D block's
-    roots (in _classical.node_roots' coordinates, of which they are a
-    basis): one solve gives the x_c = e_c(h), the eigenvalues are the
-    +-x_c (and 0 in type B), and a part k takes k-1, k-3, ..., 1-k."""
-    coords = sorted({c for root in roots for c, _ in root})
-    x, d = solve(tuple(tuple(dict(root).get(c, 0) for c in coords) for root in roots),
-                 tuple(values))
-    if any(v % d for v in x):
-        raise ABCError(f"non-integral eigenvalues {x}/{d} on a {kind} block")
-    left = sorted([v // d for v in x] + [-v // d for v in x] + [0] * (kind == "B"))
-    parts = []
-    while left:
-        top = left[-1]
-        for e in range(top, -top - 1, -2):
-            left.remove(e)
-        parts.append(top + 1)
-    return tuple(parts)
 
 
 # ---------------------------------------------------------------------
@@ -348,7 +330,7 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def classes(ct: CartanType) -> tuple:
     """Equivalence classes of pairs; each class sorted, lex-least first.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
+from functools import lru_cache, wraps
 
 SERIES = ("A", "B", "C", "D", "G")
 
@@ -38,6 +39,21 @@ def _check_abc_rank(ct):
     """Raise ABCError past ABC_RANK_CAP, read at call time."""
     if ct.rank > ABC_RANK_CAP:
         raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
+
+
+def _capped_cache(fn):
+    """lru_cache(fn) behind the rank cap: _check_abc_rank runs at every
+    call, before the cache, so a table built under a higher cap is never
+    served past a lower one.  __wrapped__ is fn, the uncached body."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(ct):
+        _check_abc_rank(ct)
+        return cached(ct)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def _weyl_order(series, rank) -> int:

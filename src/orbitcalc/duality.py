@@ -24,13 +24,12 @@ partitions leave open take balacarter's classes, which stay the oracle.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 # balacarter and weylrep run on first use (see __init__): a classical
 # achar_dual_one never runs them, nor the character layer under them
 from . import balacarter as bc
 from . import weylrep as wr
-from .cartantype import ABCError, CartanType
+from .cartantype import ABCError, CartanType, _capped_cache
 from .orbits import (NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls,
                      springer_rep_label)
 
@@ -130,7 +129,7 @@ def _block_table(ct: CartanType):
     return None
 
 
-@lru_cache(maxsize=None)
+@_capped_cache  # cartantype.ABC_RANK_CAP, before the cache
 def enumerate_nobc(ct: CartanType) -> tuple:
     """Deduplicated invariants over all affine Bala-Carter classes, each with
     the number of classes realizing it: ((invariant, count, representative)...)."""

@@ -9,7 +9,11 @@ entries the test suite re-derives from independent oracles.
 
 The Springer labels are read off the orbit's symbol, so that the
 character layer (weylrep) and the partition path of arthur-wf
-(_classical) share one copy.  Only orbit_dimension reads a root system.
+(_classical) share one copy.  No function reads a root system: the
+neutral element h of an orbit is evaluated at node roots in coordinates
+(node_values on node_roots), which gives the weighted Dynkin diagram
+here, J' and the block keys in the partition path; the dimension is read
+off the partition.
 
 Type D very even orbits (all parts even) come in I/II pairs.  The mark is
 tied to the weighted Dynkin diagram: mark I is the diagram whose value at
@@ -22,7 +26,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import partitions as pt
-from . import rootdata  # runs on first use (see __init__)
 from .cartantype import CartanType
 
 G2_LABELS = ("0", "A1", "A1~", "G2(a1)", "G2")
@@ -176,29 +179,66 @@ def h_vector(p) -> tuple:
     return tuple(sorted(vals, reverse=True))
 
 
-def _wdd_values(ct: CartanType, orbit: NilpotentOrbit):
-    s, n = ct.series, ct.rank
-    p = orbit.partition
-    hv = h_vector(p)
-    if s == "A":
-        return tuple(hv[i] - hv[i + 1] for i in range(n))
-    top = list(hv[:n])
-    if s == "D" and orbit.very_even and orbit.mark == "I":
-        top[-1] = -top[-1]
-    if s == "B":
-        return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (top[-1],)
-    if s == "C":
-        return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (2 * top[-1],)
-    # D (rank >= 2)
-    vals = tuple(top[i] - top[i + 1] for i in range(n - 1))
-    return vals[:-1] + (top[n - 2] - top[n - 1], top[n - 2] + top[n - 1])
+def node_roots(series: str, rank: int):
+    """The affine nodes' roots in the coordinates e_0, e_1, ..., each a
+    tuple of (coordinate, coefficient) pairs, and the node components;
+    nodes numbered as RootSystem.affine_simples lists them, component by
+    component with the affine node first."""
+    n = rank
+    simple = [((i - 1, 1), (i, -1)) for i in range(1, n)]  # e_{i-1} - e_i
+    if series == "A":
+        roots = [((0, -1), (n, 1))] + [((i - 1, 1), (i, -1)) for i in range(1, n + 1)]
+    elif series == "B":
+        roots = [((0, -1), (1, -1))] + simple + [((n - 1, 1),)]
+    elif series == "C":
+        roots = [((0, -2),)] + simple + [((n - 1, 2),)]
+    elif n == 2:  # D2: two A1 components, each with its affine node
+        roots = [((0, -1), (1, 1)), ((0, 1), (1, -1)),
+                 ((0, -1), (1, -1)), ((0, 1), (1, 1))]
+        return tuple(roots), (frozenset({0, 1}), frozenset({2, 3}))
+    else:
+        roots = [((0, -1), (1, -1))] + simple + [((n - 2, 1), (n - 1, 1))]
+    return tuple(roots), (frozenset(range(len(roots))),)
+
+
+@lru_cache(maxsize=None)
+def node_values(series: str, rank: int, nodes: tuple, p, flip=False) -> tuple:
+    """The values at the roots of the given nodes (node_roots) of the
+    neutral element h of the orbit p, taken dominant for those roots: the
+    eigenvalues of p (h_vector), largest first, go on the coordinates the
+    roots touch, in order, the last one negated if flip (the other mark of
+    a very even D orbit), and are moved by reflections in the node roots
+    until no root is negative.  The nodes are the finite simple ones or
+    those of a B, C or D block: the Weyl group of an A block through a
+    signed coordinate, such as the chain -(e_0 + e_1), e_1 - e_2, does
+    not carry the placed eigenvalues to the orbit's h."""
+    roots = [node_roots(series, rank)[0][i] for i in nodes]
+    coords = sorted({c for r in roots for c, _ in r})
+    x = dict(zip(coords, h_vector(p)))
+    if flip:
+        x[coords[-1]] *= -1
+    moved = True
+    while moved:
+        moved = False
+        for r in roots:
+            v = sum(a * x[c] for c, a in r)
+            if v < 0:
+                k = 2 * v // sum(a * a for _, a in r)
+                for c, a in r:
+                    x[c] -= k * a
+                moved = True
+    return tuple(sum(a * x[c] for c, a in r) for r in roots)
 
 
 def weighted_dynkin(orbit: NilpotentOrbit) -> WeightedDynkinDiagram:
+    """h at the finite simple roots (node_values; mark I flips)."""
     ct = orbit.system
     if ct.series == "G":
         return WeightedDynkinDiagram(ct, G2_TABLE[orbit.g2_label]["wdd"])
-    return WeightedDynkinDiagram(ct, _wdd_values(ct, orbit))
+    _, comps = node_roots(ct.series, ct.rank)
+    simple = tuple(i for c in comps for i in sorted(c)[1:])
+    return WeightedDynkinDiagram(ct, node_values(ct.series, ct.rank, simple,
+                                                 orbit.partition, orbit.mark == "I"))
 
 
 @lru_cache(maxsize=None)
@@ -215,20 +255,20 @@ def orbit_from_wdd(wdd: WeightedDynkinDiagram) -> NilpotentOrbit:
 
 
 def orbit_dimension(orbit: NilpotentOrbit) -> int:
-    """dim O = |Phi| - #{alpha : alpha(h)=0} - #{alpha : alpha(h)=1}."""
+    """dim O from its partition p of N (Collingwood-McGovern, Nilpotent
+    Orbits in Semisimple Lie Algebras, 1993, Cor. 6.1.4), with s the sum
+    of the squares of the parts of p's transpose and k the number of odd
+    parts of p: N^2 - s in type A, (N(N-1) - s + k) / 2 in B and D, and
+    (N(N+1) - s - k) / 2 in C."""
     ct = orbit.system
     if ct.series == "G":
         return G2_TABLE[orbit.g2_label]["dim"]
-    rs = rootdata.build_root_system(ct)
-    h = weighted_dynkin(orbit).values
-    n0 = n1 = 0
-    for beta in rs.roots:
-        v = sum(c * x for c, x in zip(beta, h))
-        if v == 0:
-            n0 += 1
-        elif v == 1:
-            n1 += 1
-    return len(rs.roots) - n0 - n1
+    p = orbit.partition
+    n, s = sum(p), sum(x * x for x in pt.transpose(p))
+    if ct.series == "A":
+        return n * n - s
+    sign = -1 if ct.series == "C" else 1
+    return (n * (n - sign) - s + sign * sum(x % 2 for x in p)) // 2
 
 
 # ---------------------------------------------------------------------

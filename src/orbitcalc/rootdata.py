@@ -34,9 +34,9 @@ A Weyl element is the tuple w of root indices with w(rs.roots[i]) =
 rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
 tuple(range(len(rs.roots))).  apply_root_coords extends the action
 linearly to coefficient vectors.  The group itself is never enumerated:
-conjugate_root_tuples decides whether some element maps one tuple of
-roots onto another by comparing their codes (root_tuple_code), one
-dominance walk each (dominant_conjugate).
+some element maps one tuple of roots onto another exactly when their
+codes agree (root_tuple_code), one dominance walk each
+(dominant_conjugate).
 
 Embedded factors
 ----------------
@@ -487,9 +487,3 @@ def root_tuple_code(rs: RootSystem, t):
         cw = rs.coroot_coweight_coords(rs.roots[i])
         v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
     return dominant_conjugate(rs, v)
-
-
-def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
-    """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
-    a and b are tuples of root indices (see root_tuple_code)."""
-    return root_tuple_code(rs, a) == root_tuple_code(rs, b)

@@ -1,10 +1,10 @@
 """Irreducible characters of Weyl groups and the maps built on them:
-special representations, truncated (j-) induction, the Springer orbit of
-an ambient character, saturation, and the map sending a character E to
-the special orbit of the family of E tensor sign.  What reads labels
-alone (the labels themselves, b-invariants, Lusztig symbols and
-families, the orbit side of the Springer correspondence) is _labels',
-which local-wf reads without this module.
+truncated (j-) induction, the Springer orbit of an ambient character and
+saturation.  What reads labels alone (the labels themselves,
+b-invariants, Lusztig symbols, families and their specials, the orbit
+side of the Springer correspondence, the map sending a character E to
+the special orbit of the family of E tensor sign) is _labels', which
+local-wf reads without this module.
 
 A WeylContext wraps a reflection subgroup of an ambient root system
 (given by a simple basis of roots) as a product of embedded factors; the
@@ -162,10 +162,6 @@ class WeylContext:
             raise CharError(f"non-integral inner product {tot}/{self.order}")
         return q
 
-    def tensor_sgn(self, irrep: WeylIrrep) -> WeylIrrep:
-        return self._irrep(tuple(_labels.tensor_sgn_label(f.kind, f.rank, lab)
-                                 for f, lab in zip(self.factors, irrep.label)))
-
 
 def _factor_order(f: EmbeddedFactor) -> int:
     return cartantype._weyl_order(f.series, f.rank)
@@ -242,11 +238,6 @@ def j_induce(sub: WeylContext, e_sub: WeylIrrep) -> WeylIrrep:
         [h[0] for h in hits])
 
 
-def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
-    """The special representation in the family of irrep."""
-    return ctx._irrep(_labels.special_labels(ctx.factors, irrep.label))
-
-
 # ---------------------------------------------------------------------
 # transporting factor orbits into the ambient system
 # ---------------------------------------------------------------------
@@ -283,13 +274,8 @@ def _factor_weighting(cartan, wdd):
 
 
 # ---------------------------------------------------------------------
-# the orbit of E tensor sign's family special, factor by factor
+# Springer orbits
 # ---------------------------------------------------------------------
-
-def orbit_s_factors(ctx: WeylContext, irrep: WeylIrrep):
-    """Per-factor special orbits attached to irrep (the E -> O^s(E) map)."""
-    return _labels.orbit_s_factors(ctx.factors, irrep.label)
-
 
 @lru_cache(maxsize=None)
 def springer_orbit(ctx: WeylContext, irrep: WeylIrrep,

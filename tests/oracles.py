@@ -17,7 +17,14 @@ library against it or use it to build their inputs.
 - restriction_data_to_json, the inverse of
   wavefront.restriction_data_from_json;
 - enumerate_pairs_by_masks, the affine Bala-Carter pairs found by trying
-  every 0/2 weighting of every face against the distinguished count.
+  every 0/2 weighting of every face against the distinguished count;
+- conjugate_root_tuples, W-conjugacy of two tuples of roots by their
+  codes, and the context-level label maps tensor_sgn, special_member and
+  orbit_s_factors;
+- the neutral element h by the formulas it replaced: wdd_values, the
+  weighted Dynkin diagram series by series; orbit_dimension_by_roots,
+  the roots on which h is neither 0 nor 1; and block_partition, a B, C
+  or D block's partition from h's values at its nodes by one solve.
 
 A library change that needs one of these (an Omega route for the simply
 connected classes, say) imports it back from here.
@@ -28,13 +35,15 @@ from collections import namedtuple
 from functools import lru_cache
 
 from orbitcalc import balacarter as bc
+from orbitcalc import _labels
 from orbitcalc._labels import _family_key, _is_special, _springer_image
-from orbitcalc.cartantype import CharError
+from orbitcalc.cartantype import ABCError, CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
-from orbitcalc.orbits import NilpotentOrbit
+from orbitcalc.orbits import NilpotentOrbit, h_vector, weighted_dynkin
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_factor, build_root_system,
-                                reflection_in_root, split_basis_into_factors)
+                                reflection_in_root, root_tuple_code,
+                                split_basis_into_factors)
 from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep, _fusion,
                                _induced, _multiplicity, ambient_context,
                                springer_orbit)
@@ -233,6 +242,21 @@ def families(ctx: WeylContext):
     return tuple(out)
 
 
+def tensor_sgn(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
+    return ctx._irrep(tuple(_labels.tensor_sgn_label(f.kind, f.rank, lab)
+                            for f, lab in zip(ctx.factors, irrep.label)))
+
+
+def special_member(ctx: WeylContext, irrep: WeylIrrep) -> WeylIrrep:
+    """The special representation in the family of irrep."""
+    return ctx._irrep(_labels.special_labels(ctx.factors, irrep.label))
+
+
+def orbit_s_factors(ctx: WeylContext, irrep: WeylIrrep):
+    """Per-factor special orbits attached to irrep (the E -> O^s(E) map)."""
+    return _labels.orbit_s_factors(ctx.factors, irrep.label)
+
+
 def is_orbit_rep(ctx: WeylContext, irrep: WeylIrrep) -> bool:
     """True when the Springer pair of irrep carries the trivial local system."""
     return all(lab in _springer_image(f.cartan_type())
@@ -348,3 +372,67 @@ def enumerate_pairs_by_masks(ct: CartanType) -> tuple:
             if _distinguished_ok(factors, zero_roots):
                 out.append(bc.ABCPair(j, jp))
     return tuple(sorted(out, key=lambda p: p.sort_key()))
+
+
+def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
+    """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
+    a and b are tuples of root indices (see rootdata.root_tuple_code)."""
+    return root_tuple_code(rs, a) == root_tuple_code(rs, b)
+
+
+# ---------------------------------------------------------------------
+# the neutral element h, by the formulas that orbits.node_values replaced
+# ---------------------------------------------------------------------
+
+def wdd_values(ct: CartanType, orbit: NilpotentOrbit):
+    """The weighted Dynkin diagram of a classical orbit, from the top
+    coordinates of h_vector, series by series."""
+    s, n = ct.series, ct.rank
+    p = orbit.partition
+    hv = h_vector(p)
+    if s == "A":
+        return tuple(hv[i] - hv[i + 1] for i in range(n))
+    top = list(hv[:n])
+    if s == "D" and orbit.very_even and orbit.mark == "I":
+        top[-1] = -top[-1]
+    if s == "B":
+        return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (top[-1],)
+    if s == "C":
+        return tuple(top[i] - top[i + 1] for i in range(n - 1)) + (2 * top[-1],)
+    # D (rank >= 2)
+    vals = tuple(top[i] - top[i + 1] for i in range(n - 1))
+    return vals[:-1] + (top[n - 2] - top[n - 1], top[n - 2] + top[n - 1])
+
+
+def orbit_dimension_by_roots(orbit: NilpotentOrbit) -> int:
+    """dim O = |Phi| - #{alpha : alpha(h)=0} - #{alpha : alpha(h)=1}."""
+    rs = build_root_system(orbit.system)
+    h = weighted_dynkin(orbit).values
+    n0 = n1 = 0
+    for beta in rs.roots:
+        v = sum(c * x for c, x in zip(beta, h))
+        if v == 0:
+            n0 += 1
+        elif v == 1:
+            n1 += 1
+    return len(rs.roots) - n0 - n1
+
+
+def block_partition(kind, roots, values) -> tuple:
+    """The Jordan type of h with the given values at a B, C or D block's
+    roots (in orbits.node_roots' coordinates, of which they are a basis):
+    one solve gives the x_c = e_c(h), the eigenvalues are the +-x_c (and 0
+    in type B), and a part k takes k-1, k-3, ..., 1-k."""
+    coords = sorted({c for root in roots for c, _ in root})
+    x, d = solve(tuple(tuple(dict(root).get(c, 0) for c in coords) for root in roots),
+                 tuple(values))
+    if any(v % d for v in x):
+        raise ABCError(f"non-integral eigenvalues {x}/{d} on a {kind} block")
+    left = sorted([v // d for v in x] + [-v // d for v in x] + [0] * (kind == "B"))
+    parts = []
+    while left:
+        top = left[-1]
+        for e in range(top, -top - 1, -2):
+            left.remove(e)
+        parts.append(top + 1)
+    return tuple(parts)

@@ -21,7 +21,8 @@ from orbitcalc.orbits import (NilpotentOrbit, closure_leq, dual_bv,
                               enumerate_orbits, regular_orbit, zero_orbit)
 from orbitcalc.rootdata import CartanType
 
-from oracles import families, is_special_rep, orbit_springer_irrep
+from oracles import (families, is_special_rep, orbit_springer_irrep, special_member,
+                     tensor_sgn)
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
@@ -129,7 +130,7 @@ def test_criterion_4():
             # the Springer/symbol pipeline agrees as well
             ctx = wr.ambient_context(ct)
             e = orbit_springer_irrep(ctx, orbit)
-            special = wr.special_member(ctx, ctx.tensor_sgn(e))
+            special = special_member(ctx, tensor_sgn(ctx, e))
             assert wr.springer_orbit(ctx, special, target=ct.dual).partition \
                 == pt.transpose(p)
             # and the spherical wavefront formula returns the transpose

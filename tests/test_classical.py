@@ -16,12 +16,14 @@ them), up to rank 4 in tier-1 and at ranks 5 and 6 in the slow tier.
 
 import warnings
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from orbitcalc import _classical as cl
 from orbitcalc import _labels
+from orbitcalc import orbits
 from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
 from orbitcalc import duality as du
@@ -30,9 +32,29 @@ from orbitcalc import partitions as pt
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls, enumerate_orbits,
                               springer_rep_label)
 
+from oracles import block_partition
+
 
 def pair_key(ct, pair):
     return bc.block_key(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
+
+
+def face_blocks(series, rank, j):
+    """The sorted (kind, m) of J's blocks, free coordinates included."""
+    return tuple(sorted((kind, m) for kind, m, _ in cl.blocks(series, rank, j)))
+
+
+@lru_cache(maxsize=None)
+def keys_by_face(series, rank):
+    out = {}
+    for face, _, _, key in cl.pair_choices(series, rank):
+        out.setdefault(face, []).append(key)
+    return out
+
+
+def face_pairs(ct, j):
+    """The block keys of the pairs on the face J."""
+    return tuple(keys_by_face(ct.series, ct.rank)[j])
 
 
 def todays_face(ct, j):
@@ -47,7 +69,7 @@ def todays_face(ct, j):
 
 def partition_face(ct, j):
     out = Counter()
-    for key in cl.face_pairs(ct, j):
+    for key in face_pairs(ct, j):
         dual = cl.sommers_dual(ct, key)
         out[cl.saturation(ct, key), "very even" if dual is None else dual] += 1
     return out
@@ -94,24 +116,24 @@ def test_d2_face_is_a1_x_a1():
     two A1 factors; one pair either way, with the same invariants."""
     ct = CartanType("D", 4)
     j = frozenset({0, 1})
-    assert cl.face_blocks("D", 4, j) == (("A", 1), ("A", 1), ("D", 2))
+    assert face_blocks("D", 4, j) == (("A", 1), ("A", 1), ("D", 2))
     assert [(f.series, f.rank) for f in bc._face_factors(ct, j)] == [("A", 1), ("A", 1)]
-    assert cl.face_pairs(ct, j) == (((("A", 1), (1,)), (("A", 1), (1,)),
+    assert face_pairs(ct, j) == (((("A", 1), (1,)), (("A", 1), (1,)),
                                      (("D", 2), (3, 1))),)
     assert partition_face(ct, j) == todays_face(ct, j)
     # the same block in B_n, and D2 itself
-    assert cl.face_blocks("B", 3, j) == (("A", 1), ("D", 2))
-    assert cl.face_blocks("D", 2, frozenset({0, 2})) == (("D", 2),)
+    assert face_blocks("B", 3, j) == (("A", 1), ("D", 2))
+    assert face_blocks("D", 2, frozenset({0, 2})) == (("D", 2),)
 
 
 def test_d3_face_is_a3():
     """{a0, a1, a2} of D5 is one D3 block, where today's path sees A3."""
     ct = CartanType("D", 5)
     j = frozenset({0, 1, 2})
-    assert cl.face_blocks("D", 5, j) == (("A", 1), ("A", 1), ("D", 3))
+    assert face_blocks("D", 5, j) == (("A", 1), ("A", 1), ("D", 3))
     assert [(f.series, f.rank) for f in bc._face_factors(ct, j)] == [("A", 3)]
     assert partition_face(ct, j) == todays_face(ct, j)
-    assert cl.face_blocks("B", 4, j) == (("A", 1), ("D", 3))
+    assert face_blocks("B", 4, j) == (("A", 1), ("D", 3))
 
 
 def compare_pairs(ct):
@@ -138,7 +160,7 @@ def test_block_key_d2_is_two_a1_factors():
     pair = bc.ABCPair(frozenset({0, 1}), frozenset())
     assert pair_key(ct, pair) == ((("A", 1), (1,)), (("A", 1), (1,)),
                                       (("D", 2), (3, 1)))
-    assert pair_key(ct, pair) in cl.face_pairs(ct, pair.J)
+    assert pair_key(ct, pair) in face_pairs(ct, pair.J)
     assert compare_pairs(CartanType("D", 2)) == (9, 4)
 
 
@@ -171,7 +193,7 @@ def test_block_key_reads_the_factor_orbit_where_a_block_has_several():
     j = frozenset({1, 2, 3, 4})
     keys = {pair_key(ct, p) for p in bc.enumerate_pairs(ct) if p.J == j}
     assert keys == {((("B", 4), (9,)),), ((("B", 4), (5, 3, 1)),)}
-    assert keys == set(cl.face_pairs(ct, j))
+    assert keys == set(face_pairs(ct, j))
 
 
 def test_pair_invariants_match_todays_path_to_rank_5():
@@ -303,6 +325,41 @@ def test_block_label_reads_the_orbit_of_b1_c1_and_a_blocks():
             lab = springer_rep_label(dual_ls(NilpotentOrbit(CartanType("A", m - 1), partition=p)))
             assert cl._block_label("A", m, p) == (lab, _labels.b_invariant("A", lab)), p
     assert cl._block_label("A", 4, (3, 1)) == ((2, 1, 1), 3)
+
+
+def test_block_orbits_match_the_solve_oracle_to_rank_6():
+    """On every orbit of every B, C or D block of every face of B2-B6,
+    C2-C6 and D2-D6, both marks of a very even one included: block_orbits
+    reads the orbit back off its node values, and one solve of those
+    values for h's eigenvalues gives the same partition."""
+    checked = 0
+    for s in "BCD":
+        for r in range(2, 7):
+            roots, _ = orbits.node_roots(s, r)
+            for j in cl.faces(s, r):
+                for kind, m, nodes in cl.blocks(s, r, j):
+                    if kind == "A":
+                        continue
+                    table = cl.block_orbits(s, r, kind, m, nodes)
+                    ordered = tuple(sorted(nodes))
+                    for p in pt.valid_partitions(kind, m):
+                        very_even = kind == "D" and all(x % 2 == 0 for x in p)
+                        for flip in (False, True) if very_even else (False,):
+                            values = orbits.node_values(s, r, ordered, p, flip)
+                            assert table[values] == p, (s, r, sorted(j), p)
+                            assert block_partition(kind, [roots[i] for i in ordered],
+                                                   values) == p, (s, r, sorted(j), p)
+                            checked += 1
+                    assert len(set(table.values())) == len(pt.valid_partitions(kind, m))
+    assert checked == 2879
+
+
+def test_block_orbits_refuses_two_orbits_with_one_value(monkeypatch):
+    monkeypatch.setattr(orbits, "node_values", lambda *args: (0, 0, 0))
+    with pytest.raises(cartantype.ABCError,
+                       match=r"^orbits \(7,\) and \(5, 1, 1\) of a B3 block share "
+                             r"the node values \(0, 0, 0\)$"):
+        cl.block_orbits.__wrapped__("B", 3, "B", 3, frozenset({1, 2, 3}))
 
 
 def test_block_key_reads_a_d4_block_off_its_coordinates():

@@ -588,6 +588,15 @@ def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, ran
     assert not CHARACTER_LAYER & loaded, loaded
 
 
+def test_orbits_table_runs_no_root_system():
+    """orbits reads diagrams (node_values) and dimensions off partitions:
+    it runs none of the root-system, linear-algebra, Bala-Carter or
+    character modules."""
+    loaded = _loaded(["orbits", "--type", "B", "--rank", "3", "--json"])
+    assert "orbitcalc.orbits" in loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+
+
 @pytest.mark.parametrize("series,rank", [("D", 4), ("G", 2)])
 def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
     """D4's very even invariants and every G2 pair take invariant_of; G2

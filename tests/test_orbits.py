@@ -10,6 +10,8 @@ from orbitcalc.orbits import (NilpotentOrbit, OrbitError, WeightedDynkinDiagram,
                               zero_orbit)
 from orbitcalc.rootdata import CartanType
 
+from oracles import orbit_dimension_by_roots, wdd_values
+
 ALL_SMALL = [CartanType(s, r) for s, r in
              [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
               ("C", 3), ("D", 2), ("D", 3), ("D", 4), ("G", 2)]]
@@ -79,6 +81,22 @@ def test_wdd_injective():
     for ct in ALL_SMALL:
         orbs = enumerate_orbits(ct)
         assert len({weighted_dynkin(o).values for o in orbs}) == len(orbs)
+
+
+def test_diagrams_and_dimensions_match_the_oracles_to_rank_8():
+    """On every orbit of A1-A8, B2-B8, C2-C8 and D2-D8, both marks of a
+    very even one included, the diagram read off node_values is the
+    series formula's, and the dimension read off the partition is the
+    count of the roots on which h is neither 0 nor 1."""
+    checked = 0
+    for s in "ABCD":
+        for r in range(1 if s == "A" else 2, 9):
+            ct = CartanType(s, r)
+            for o in enumerate_orbits(ct):
+                assert weighted_dynkin(o).values == wdd_values(ct, o), o
+                assert orbit_dimension(o) == orbit_dimension_by_roots(o), o
+                checked += 1
+    assert checked == 756
 
 
 def test_orbit_from_wdd_rejects_garbage():

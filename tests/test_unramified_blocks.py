@@ -117,7 +117,6 @@ def test_simply_connected_keys_split_omega_orbits():
 def test_block_table_checks_the_rank_cap_first(monkeypatch):
     """The block path raises the enumeration cap's error, as balacarter's
     pairs do, before it lists a face."""
-    un.table.cache_clear()  # a table already built answers from the cache
     monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 3)
 
     def refuse(*args):
@@ -130,6 +129,21 @@ def test_block_table_checks_the_rank_cap_first(monkeypatch):
             du.enumerate_nobc.__wrapped__(ct)
         with pytest.raises(cartantype.ABCError):
             du.abc_counts(ct)
+
+
+def test_no_cache_serves_a_table_past_a_lowered_cap(monkeypatch):
+    """Each cached table checks the rank cap before its cache: B4's
+    tables, built under the cap of 5, are refused once it is 3."""
+    b4 = CartanType("B", 4)
+    cached = (un.table, bc.enumerate_pairs, bc.classes, du.enumerate_nobc)
+    for fn in cached:
+        assert fn(b4)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 3)
+    for fn in cached:
+        with pytest.raises(cartantype.ABCError,
+                           match=r"^rank 4 exceeds the enumeration cap 3$"):
+            fn(b4)
+        assert fn.cache_info().currsize
 
 
 # ---------------------------------------------------------------------

@@ -18,7 +18,8 @@ from orbitcalc.rootdata import (CartanType, build_factor, build_root_system,
 
 from oracles import (class_counts, dim, factor_is_special, families,
                      induce_multiplicity, induce_multiplicity_by_pairs,
-                     is_special_rep, j_induce_by_pairs, orbit_springer_irrep)
+                     is_special_rep, j_induce_by_pairs, orbit_s_factors,
+                     orbit_springer_irrep, special_member, tensor_sgn)
 
 CTS = [CartanType(s, r) for s, r in
        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -173,9 +174,9 @@ def test_tensor_sgn_involution_and_values():
         sgn = max(reps, key=lambda e: e.b)
         images = set()
         for e in reps:
-            t = ctx.tensor_sgn(e)
+            t = tensor_sgn(ctx, e)
             images.add(t)
-            assert ctx.tensor_sgn(t) == e
+            assert tensor_sgn(ctx, t) == e
             # value check: chi_t = chi_e * chi_sgn on every class
             for cls in class_counts(ctx):
                 assert ctx.char_value(t, cls) == \
@@ -367,9 +368,9 @@ def test_orbit_s_extremes():
         triv = next(e for e in reps if e.b == 0)
         sgn = max(reps, key=lambda e: e.b)
         sat_sgn = wr.ambient_orbit_from_factor_orbits(
-            ctx.rs, ctx.factors, wr.orbit_s_factors(ctx, sgn))
+            ctx.rs, ctx.factors, orbit_s_factors(ctx, sgn))
         sat_triv = wr.ambient_orbit_from_factor_orbits(
-            ctx.rs, ctx.factors, wr.orbit_s_factors(ctx, triv))
+            ctx.rs, ctx.factors, orbit_s_factors(ctx, triv))
         assert sat_sgn == regular_orbit(ct)
         assert sat_triv == zero_orbit(ct)
 
@@ -379,7 +380,7 @@ def test_g2_orbit_s_big_family():
     hits = {}
     for e in ctx.irreps():
         orb = wr.ambient_orbit_from_factor_orbits(ctx.rs, ctx.factors,
-                                                  wr.orbit_s_factors(ctx, e))
+                                                  orbit_s_factors(ctx, e))
         hits[e.label[0]] = orb.g2_label
     assert hits["phi(1,6)"] == "G2"
     assert hits["phi(1,0)"] == "0"
@@ -392,8 +393,8 @@ def dual_bv_pipeline(o_dual: NilpotentOrbit) -> NilpotentOrbit:
     src = o_dual.system
     ctx = ctx_of(CartanType(src.series, src.rank))
     e = orbit_springer_irrep(ctx, o_dual, source=src)
-    twisted = ctx.tensor_sgn(e)
-    special = wr.special_member(ctx, twisted)
+    twisted = tensor_sgn(ctx, e)
+    special = special_member(ctx, twisted)
     return wr.springer_orbit(ctx, special, target=src.dual)
 
 
@@ -566,7 +567,7 @@ def test_warm_caches_hold_immutable_values_and_keep_the_cap(monkeypatch):
                 kept.append(wr.springer_orbit(amb, wr.j_induce(ctx, e), target=ct.dual))
             except ch.CharError:  # a tie, or a label off the Springer image
                 pass
-            kept.append(wr.orbit_s_factors(ctx, e))
+            kept.append(orbit_s_factors(ctx, e))
         kept += [ctx.irreps(), ctx.class_representatives(), wr._fusion(ctx),
                  bc._face_factors(ct, j), tuple(ctx._values.values()),
                  tuple(v for c in ctx.classifiers for v in c._cache.values())]
