@@ -10,8 +10,8 @@ use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
 loads none of the mathematics.  The private modules _storeless,
 _classical, _unramified and _labels are not registered: their importers
-(cli; duality, balacarter and _unramified; duality; wavefront and the
-character layer) load each on first use.
+(cli; duality, _labels and _unramified; duality; wavefront, duality and
+weylrep) load each on first use.
 """
 
 import importlib.util

@@ -36,8 +36,9 @@ quotient and generalized duality, J. Algebra 2001).
 A face with its orbits is keyed by its blocks' (kind, m) and partitions.
 pair_choices lists every pair with its key, for attained and for
 _unramified, which builds whole unramified tables, pairs and classes
-too, on the blocks.  balacarter.block_key reads any face's key off its
-factors: a B, C or D block's partition is looked up by the values of
+too, on the blocks.  _labels.block_key reads any face's key off its
+factors (_labels.face_factors, from the same node roots): a B, C or D
+block's partition is looked up by the values of
 the dominant neutral element h at the block's nodes (block_orbits, the
 inverse of orbits.node_values).  invariant and attained answer
 None, and the path through the faces' Weyl groups (duality.invariant_of,
@@ -50,7 +51,7 @@ decide:
   - when a candidate's least-b constituents are not a single character of
     multiplicity 1, or its label is off the Springer image.
 It is imported at first use by duality (achar_dual_one, face_invariant),
-balacarter (block_key) and _unramified, never for G2, and is not one of
+_labels (block_key) and _unramified, never for G2, and is not one of
 the package's lazily loaded submodules (orbitcalc/__init__.py).
 """
 

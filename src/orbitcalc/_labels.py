@@ -12,11 +12,18 @@ the tuple of its factors' labels.
 local-wf reads a face character's orbit O^s(E) here (orbit_s_factors),
 from the face's factors alone, with no character table and no group;
 the character layer (chartab, weylrep) reads its labels, b-invariants,
-families and Springer orbits from here too.  Every importer reaches this
-module through its module object, and arthur-wf and unramified never
-load it.  It is not one of the package's lazily loaded submodules
-(orbitcalc/__init__.py).  The tables are computed once per process and
-are read-only.
+families and Springer orbits from here too.  For types A-D the factors
+themselves are read here, off the nodes' roots in coordinates
+(face_factors, as (kind, series, rank, nodes), the first three fields
+as EmbeddedFactor's, so that the label maps take either), and so is
+the partition path's key of a face with an orbit on each factor
+(block_key), with no root system.  Every importer reaches this module
+through its module object (wavefront, duality's face_invariant and
+weylrep), and arthur-wf and the block path's unramified never load it.
+It is not one of the package's lazily loaded submodules
+(orbitcalc/__init__.py), and it imports none of rootdata, linalg,
+balacarter or the character layer.  The tables are computed once per
+process and are read-only.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import partitions as pt
-from .cartantype import CartanType, CharError
-from .orbits import NilpotentOrbit, enumerate_orbits, springer_rep_label
+from .cartantype import ABCError, CartanType, CharError
+from .orbits import (NilpotentOrbit, enumerate_orbits, node_roots,
+                     springer_rep_label, weighted_dynkin)
 
 G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
              "phi(2,1)", "phi(2,2)")
@@ -189,12 +197,13 @@ def _specials(kind, rank):
 
 def special_labels(factors, label):
     """The special member of the family of the character of label `label`
-    of the product of the embedded factors `factors`: a family of a
+    of the product of the factors `factors`: a family of a
     product is a product of families, each with one special member."""
-    out = tuple(_specials(f.kind, f.rank).get(lab) for f, lab in zip(factors, label))
+    out = tuple(_specials(kind, rank).get(lab)
+                for (kind, _, rank, *_), lab in zip(factors, label))
     if len(label) != len(factors) or None in out:
         raise CharError(f"{label} is not a character of the factors "
-                        f"{[(f.series, f.rank) for f in factors]}")
+                        f"{[(series, rank) for _, series, rank, *_ in factors]}")
     return out
 
 
@@ -226,7 +235,125 @@ def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
 def orbit_s_factors(factors, label):
     """The E -> O^s(E) map, factor by factor: the Springer orbit of the
     special member of the family of E tensor sign, for the character E of
-    label `label` of the product of the embedded factors `factors`."""
-    twisted = tuple(tensor_sgn_label(f.kind, f.rank, lab) for f, lab in zip(factors, label))
-    return tuple(springer_orbit_label(f.cartan_type(), lab)
-                 for f, lab in zip(factors, special_labels(factors, twisted)))
+    label `label` of the product of the factors `factors`."""
+    twisted = tuple(tensor_sgn_label(kind, rank, lab)
+                    for (kind, _, rank, *_), lab in zip(factors, label))
+    return tuple(springer_orbit_label(CartanType(series, rank), lab)
+                 for (_, series, rank, *_), lab in zip(factors, special_labels(factors, twisted)))
+
+
+# ---------------------------------------------------------------------
+# the faces of types A-D, from the nodes' roots in coordinates
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def face_factors(series: str, rank: int, j: frozenset) -> tuple:
+    """The factors of the pseudo-Levi of the face J of a group of type
+    A-D, each as (kind, series, rank, J's nodes in the factor's frame
+    order), in the order and frames of balacarter._face_factors, read off
+    the nodes' roots in coordinates (orbits.node_roots) with no root
+    system: inner products give the links, and lengths tell B from C.
+    Raises ABCError unless J is a face: its nodes in range, and proper in
+    each component.
+
+    balacarter sorts J's roots by their coefficients in the simple roots:
+    the affine nodes first, component by component, then the simple
+    roots from alpha_n down to alpha_1.  A factor comes at its first
+    node in that order, and its frame starts at its first end: a B (B2
+    included) runs from long to short and a C from short to long; a D
+    runs along its chain to the fork and then to its two prongs, and a D4
+    takes its first tip as the chain.
+    """
+    roots, comps = node_roots(series, rank)
+    if not all(0 <= i < len(roots) for i in j) or any(c <= j for c in comps):
+        raise ABCError(f"J={sorted(j)} is not a face type of {series}{rank}")
+    vec = {i: dict(roots[i]) for i in j}
+
+    def dot(a, b):
+        return sum(x * vec[b].get(c, 0) for c, x in vec[a].items())
+
+    affine = {min(c) for c in comps}
+    order = sorted(j, key=lambda i: (0, i) if i in affine else (1, -i))
+    linked = {a: [b for b in order if b != a and dot(a, b)] for a in order}
+    out, seen = [], set()
+    for first in order:
+        if first not in seen:
+            comp, stack = set(), [first]
+            while stack:
+                a = stack.pop()
+                if a not in comp:
+                    comp.add(a)
+                    stack.extend(linked[a])
+            seen |= comp
+            out.append(_factor([a for a in order if a in comp], linked,
+                               {a: dot(a, a) for a in comp}))
+    return tuple(out)
+
+
+def _factor(comp, linked, length):
+    """(kind, series, rank, nodes in frame order) of one connected factor,
+    comp its nodes in balacarter's order and length their squared
+    lengths."""
+    k = len(comp)
+    ends = [a for a in comp if len(linked[a]) <= 1]
+
+    def chain(start, nodes):
+        path = [start]
+        while len(path) < len(nodes):
+            path.append(next(b for b in linked[path[-1]] if b in nodes and b not in path))
+        return path
+
+    long = max(length.values())
+    if min(length.values()) < long:  # doubly laced
+        path = chain(ends[0], comp)
+        # B has one short root and C one long root, B2 = C2 taken as B
+        series = "B" if sum(v == long for v in length.values()) == k - 1 else "C"
+        if (length[path[0]] == long) != (series == "B"):  # B long first, C long last
+            path.reverse()
+        return ("BC", series, k, tuple(path))
+    forks = [a for a in comp if len(linked[a]) == 3]
+    if not forks:
+        return ("A", "A", k, tuple(chain(ends[0], comp)))
+    fork = forks[0]
+    prongs = [a for a in linked[fork] if len(linked[a]) == 1][-2:]
+    rest = [a for a in comp if a != fork and a not in prongs]
+    start = next(a for a in rest if len(linked[a]) == 1)
+    return ("D", "D", k, tuple(chain(start, rest) + [fork] + prongs))
+
+
+@lru_cache(maxsize=None)
+def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
+    """J with an orbit on each factor of its pseudo-Levi (in face_factors'
+    order), as the partition path (_classical) keys it for types A-D: the
+    sorted ((kind, m), partition) of J's coordinate blocks.
+
+    An A block takes its factor's partition, a free coordinate (1,).  A
+    B, C or D block reads the factors' weighted diagrams as the values of
+    the dominant neutral element h at its nodes and looks them up among
+    the block's orbits (_classical.block_orbits, the inverse of
+    orbits.node_values), with no solve, so no factor's frame enters: B1
+    and C1 come from an A1 factor, C2 from one normalized to B2, D2 from
+    two A1s, D3 from an A3, and a D4 block from a factor whose frame
+    differs from the coordinates by triality.
+    """
+    from . import _classical as cl
+    value, orbit_on = {}, {}
+    for (*_, nodes), o in zip(face_factors(ct.series, ct.rank, j), factor_orbits):
+        value.update(zip(nodes, weighted_dynkin(o).values))
+        orbit_on[frozenset(nodes)] = o
+    key = []
+    for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
+        if kind != "A":
+            values = tuple(value[i] for i in sorted(nodes))
+            p = cl.block_orbits(ct.series, ct.rank, kind, m, nodes).get(values)
+            if p is None:
+                raise ABCError(f"no orbit of a {kind}{m} block has node values {values}")
+        elif nodes:
+            orbit = orbit_on.get(nodes)
+            if orbit is None or orbit.system.series != "A":
+                raise ABCError(f"block A{m - 1} of J={sorted(j)} is not a factor")
+            p = orbit.partition
+        else:
+            p = (1,)
+        key.append(((kind, m), p))
+    return tuple(sorted(key))

@@ -41,9 +41,12 @@ node and 1..n are alpha_1..alpha_n).
 
 The unramified tables of A, B, C and odd-rank D read their pairs and
 classes from coordinate blocks instead (_unramified, through duality);
-enumerate_pairs and classes serve G2, even-rank D, arthur-wf's fallback
-and the partition path's key (block_key), and stay that path's oracle.
-The pair type, ABCPair, lives in duality, so that both paths build it.
+enumerate_pairs and classes serve G2, even-rank D and arthur-wf's
+fallback, and stay that path's oracle.  The pair type, ABCPair, lives in
+duality, so that both paths build it.  A classical local-wf reads its
+faces' factors, and the partition path its key, off the nodes'
+coordinates (_labels.face_factors, _labels.block_key); _face_factors
+serves G2 and the pairs here, and is their oracle.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
-# weylrep runs on first use (see __init__): pairs, classes and the
-# partition path's key (block_key) never run it, nor the character layer
-# under it
+# weylrep runs on first use (see __init__): pairs and classes never run
+# it, nor the character layer under it
 from . import weylrep as wr
 from .cartantype import ABCError, _capped_cache
 from .duality import ABCPair
@@ -158,47 +160,6 @@ def distinguished_factor_orbits(ct: CartanType, pair: ABCPair) -> tuple:
                            f"on J={sorted(pair.J)}")
         out.append(orbit)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
-    """J with an orbit on each factor of its pseudo-Levi (in _face_factors'
-    order), as the partition path (_classical) keys it for types A-D: the
-    sorted ((kind, m), partition) of J's coordinate blocks.
-
-    An A block takes its factor's partition, a free coordinate (1,).  A
-    B, C or D block reads the factors' weighted diagrams as the values of
-    the dominant neutral element h at its nodes and looks them up among
-    the block's orbits (_classical.block_orbits, the inverse of
-    orbits.node_values), with no solve, so no factor's frame enters: B1
-    and C1 come from an A1 factor, C2 from one normalized to B2, D2 from
-    two A1s, D3 from an A3, and a D4 block from a factor whose frame
-    differs from the coordinates by triality.
-    """
-    from . import _classical as cl
-    affs = build_root_system(ct).affine_simples
-    node = {affs[i][0]: i for i in j}
-    value, orbit_on = {}, {}
-    for f, o in zip(_face_factors(ct, j), factor_orbits):
-        nodes = tuple(node[b] for b in f.basis)
-        value.update(zip(nodes, weighted_dynkin(o).values))
-        orbit_on[frozenset(nodes)] = o
-    key = []
-    for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
-        if kind != "A":
-            values = tuple(value[i] for i in sorted(nodes))
-            p = cl.block_orbits(ct.series, ct.rank, kind, m, nodes).get(values)
-            if p is None:
-                raise ABCError(f"no orbit of a {kind}{m} block has node values {values}")
-        elif nodes:
-            orbit = orbit_on.get(nodes)
-            if orbit is None or orbit.system.series != "A":
-                raise ABCError(f"block A{m - 1} of J={sorted(j)} is not a factor")
-            p = orbit.partition
-        else:
-            p = (1,)
-        key.append(((kind, m), p))
-    return tuple(sorted(key))
 
 
 # ---------------------------------------------------------------------

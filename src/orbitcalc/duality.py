@@ -26,7 +26,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 # balacarter and weylrep run on first use (see __init__): a classical
-# achar_dual_one never runs them, nor the character layer under them
+# achar_dual_one or face_invariant never runs them, nor the character
+# layer under them
 from . import balacarter as bc
 from . import weylrep as wr
 from .cartantype import ABCError, CartanType, _capped_cache
@@ -98,11 +99,13 @@ def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
 def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
     """The invariant of the lift of (J, O_J), O_J an orbit on each factor.
     For types A-D it is read from partitions (_classical, imported here
-    on first use, on balacarter.block_key); G2, and what partitions leave
-    open, take invariant_of, which stays the oracle."""
+    on first use) on the block key (_labels.block_key), which reads J's
+    factors off the nodes' coordinates, with no root system; G2, and
+    what partitions leave open, take invariant_of, which stays the
+    oracle."""
     if ct.series != "G":
-        from . import _classical
-        found = _classical.invariant(ct, bc.block_key(ct, frozenset(j), tuple(factor_orbits)))
+        from . import _classical, _labels
+        found = _classical.invariant(ct, _labels.block_key(ct, frozenset(j), tuple(factor_orbits)))
         if found is not None:
             return UnramifiedClassInvariant(*found)
     return invariant_of(ct, j, factor_orbits)

@@ -158,13 +158,27 @@ def regular_orbit(ct: CartanType) -> NilpotentOrbit:
 # ---------------------------------------------------------------------
 
 def closure_leq(o1: NilpotentOrbit, o2: NilpotentOrbit) -> bool:
+    """Closure order: dominance of the partitions, the two marks of a very
+    even partition incomparable; G2's chain.  NilpotentOrbit keeps the
+    partitions normalized, and a system's have one total, so their prefix
+    sums are compared as they stand (partitions.dominance_leq checks
+    both, and is the oracle).  The shorter length is enough: if o1's
+    partition is the shorter, its sum reaches the total at its last part,
+    where o2's does not yet; if o2's is, its sum is the total from then
+    on."""
     if o1.system != o2.system:
         raise OrbitError(f"cannot compare orbits across {o1.system} and {o2.system}")
     if o1.system.series == "G":
         return G2_LABELS.index(o1.g2_label) <= G2_LABELS.index(o2.g2_label)
     if o1.partition == o2.partition and (o1.mark or o2.mark):
         return o1.mark == o2.mark
-    return pt.dominance_leq(o1.partition, o2.partition)
+    s1 = s2 = 0
+    for a, b in zip(o1.partition, o2.partition):
+        s1 += a
+        s2 += b
+        if s1 > s2:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------

@@ -6,8 +6,9 @@ restriction of the Iwahori-fixed space, with multiplicities), pushes each
 character to the special orbit of its twisted family, lifts through the
 face, and keeps the A-order maxima.  Labels and orbits come from the faces'
 factor types (_labels, imported on first use), lifts from
-duality.face_invariant, so that a classical local_wf runs no character
-table.
+duality.face_invariant, and for types A-D the factors themselves from
+the nodes' coordinates (_labels.face_factors), so that a classical
+local_wf builds no root system and runs no character table.
 
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-# each runs on first use (see __init__): arthur_wf on a classical type
-# runs duality alone, and no root system or character table
+# each runs on first use (see __init__): arthur_wf and local_wf on a
+# classical type run no root system, balacarter or character table
 from . import balacarter as bc
 from . import cartantype
 from . import duality as du
-from .cartantype import CartanType
+from .cartantype import ABCError, CartanType
 from .orbits import NilpotentOrbit, closure_leq, maxima
 
 
@@ -62,6 +63,19 @@ def _result_from_invariants(invariants):
                            tuple(sorted(geom, key=key)))
 
 
+def _face_factors(ct: CartanType, j: frozenset) -> tuple:
+    """J's factors, (kind, series, rank, ...) each: for types A-D off the
+    nodes' coordinates (_labels.face_factors), with no root system; for
+    G2 balacarter's.  Raises WavefrontError unless J is a face."""
+    try:
+        if ct.series == "G":
+            return bc._face_factors(ct, j)
+        from . import _labels
+        return _labels.face_factors(ct.series, ct.rank, j)
+    except ABCError:
+        raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}") from None
+
+
 def validate_restriction_data(ct: CartanType, data) -> dict:
     """data: {frozenset(node numbers) -> [(label tuple, mult), ...]}, a
     label holding one label per factor of the face."""
@@ -71,9 +85,8 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
         j = frozenset(j)
         if j in out:
             raise WavefrontError(f"J={sorted(j)} is given twice")
-        if not bc.is_proper(ct, j):
-            raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}")
-        valid = [_labels.factor_irrep_labels(f.kind, f.rank) for f in bc._face_factors(ct, j)]
+        valid = [_labels.factor_irrep_labels(kind, rank)
+                 for kind, _, rank, *_ in _face_factors(ct, j)]
         checked = []
         for label, mult in items:
             label = tuple(label)
@@ -96,7 +109,7 @@ def local_wf(ct: CartanType, data) -> WavefrontResult:
     data = validate_restriction_data(ct, data)
     invariants = []
     for j, items in data.items():
-        factors = bc._face_factors(ct, j)
+        factors = _face_factors(ct, j)
         for label, _mult in items:
             factor_orbits = _labels.orbit_s_factors(factors, label)
             invariants.append(du.face_invariant(ct, j, factor_orbits))
@@ -136,9 +149,9 @@ def _pattern(ct: CartanType, pick) -> dict:
     from . import _labels
     out = {}
     for j in bc.proper_subsets(ct):
-        label = tuple(pick(_labels.factor_irrep_labels(f.kind, f.rank),
-                           key=lambda lab: _labels.b_invariant(f.kind, lab))
-                      for f in bc._face_factors(ct, j))
+        label = tuple(pick(_labels.factor_irrep_labels(kind, rank),
+                           key=lambda lab: _labels.b_invariant(kind, lab))
+                      for kind, _, rank, *_ in _face_factors(ct, j))
         out[j] = [(label, 1)]
     return out
 

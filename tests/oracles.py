@@ -24,7 +24,11 @@ library against it or use it to build their inputs.
 - the neutral element h by the formulas it replaced: wdd_values, the
   weighted Dynkin diagram series by series; orbit_dimension_by_roots,
   the roots on which h is neither 0 nor 1; and block_partition, a B, C
-  or D block's partition from h's values at its nodes by one solve.
+  or D block's partition from h's values at its nodes by one solve;
+- block_key_by_roots, the partition path's block key with the face's
+  factors and their frames read off the root system, as balacarter
+  read it before _labels.face_factors read them off the nodes'
+  coordinates.
 
 A library change that needs one of these (an Omega route for the simply
 connected classes, say) imports it back from here.
@@ -35,6 +39,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from orbitcalc import balacarter as bc
+from orbitcalc import _classical as cl
 from orbitcalc import _labels
 from orbitcalc._labels import _family_key, _is_special, _springer_image
 from orbitcalc.cartantype import ABCError, CharError
@@ -436,3 +441,37 @@ def block_partition(kind, roots, values) -> tuple:
             left.remove(e)
         parts.append(top + 1)
     return tuple(parts)
+
+
+# ---------------------------------------------------------------------
+# the block key through a root system, as balacarter read it
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def block_key_by_roots(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
+    """_labels.block_key with J's factors and their frames read off the
+    root system (balacarter._face_factors): each factor's nodes are its
+    basis roots' nodes in rs.affine_simples."""
+    affs = build_root_system(ct).affine_simples
+    node = {affs[i][0]: i for i in j}
+    value, orbit_on = {}, {}
+    for f, o in zip(bc._face_factors(ct, j), factor_orbits):
+        nodes = tuple(node[b] for b in f.basis)
+        value.update(zip(nodes, weighted_dynkin(o).values))
+        orbit_on[frozenset(nodes)] = o
+    key = []
+    for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
+        if kind != "A":
+            values = tuple(value[i] for i in sorted(nodes))
+            p = cl.block_orbits(ct.series, ct.rank, kind, m, nodes).get(values)
+            if p is None:
+                raise ABCError(f"no orbit of a {kind}{m} block has node values {values}")
+        elif nodes:
+            orbit = orbit_on.get(nodes)
+            if orbit is None or orbit.system.series != "A":
+                raise ABCError(f"block A{m - 1} of J={sorted(j)} is not a factor")
+            p = orbit.partition
+        else:
+            p = (1,)
+        key.append(((kind, m), p))
+    return tuple(sorted(key))

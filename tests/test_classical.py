@@ -7,11 +7,17 @@ A face's pairs are compared as a multiset of (saturation, Sommers dual),
 the saturation by its partition; a very even Sommers dual counts as
 "very even" on both sides, since partitions do not give its mark.  A
 pair's invariant, as the unramified tables read it (duality.pair_invariant
-on balacarter.block_key), is compared with invariant_of pair by pair.  The
+on _labels.block_key), is compared with invariant_of pair by pair.  The
 tests marked slow run the same comparisons at ranks 6-8 with the caps
 raised inside the test (pytest -m slow).  So are the lifts of every
 character of every face group (duality.face_invariant, as local-wf reads
 them), up to rank 4 in tier-1 and at ranks 5 and 6 in the slow tier.
+The faces' factors, as local-wf and the key read them off the nodes'
+coordinates (_labels.face_factors), are compared with balacarter's,
+read off the root system, on every face up to rank 5 in tier-1 and at
+ranks 6-8 in the slow tier; the key with the key read through the root
+system (oracles.block_key_by_roots) on every face and tuple of factor
+orbits up to rank 5.
 """
 
 import warnings
@@ -32,11 +38,11 @@ from orbitcalc import partitions as pt
 from orbitcalc.orbits import (NilpotentOrbit, dual_bv, dual_ls, enumerate_orbits,
                               springer_rep_label)
 
-from oracles import block_partition
+from oracles import block_key_by_roots, block_partition
 
 
 def pair_key(ct, pair):
-    return bc.block_key(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
+    return _labels.block_key(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
 
 
 def face_blocks(series, rank, j):
@@ -279,7 +285,7 @@ def compare_face_characters(ct):
             orbs = _labels.orbit_s_factors(factors, label)
             oracle = du.invariant_of(ct, j, orbs)
             assert du.face_invariant(ct, j, orbs) == oracle, (ct, sorted(j), label)
-            found = cl.invariant(ct, bc.block_key(ct, j, orbs))
+            found = cl.invariant(ct, _labels.block_key(ct, j, orbs))
             if found is None:
                 left_open += 1
             else:
@@ -371,15 +377,80 @@ def test_block_key_reads_a_d4_block_off_its_coordinates():
     d4 = CartanType("D", 4)
     j = frozenset({0, 1, 2, 3})
     for ct in (CartanType("B", 4), d4):
-        (factor,) = bc._face_factors(ct, j)
-        assert factor.basis[0] == bc.build_root_system(ct).affine_simples[0][0]
+        assert _labels.face_factors(ct.series, ct.rank, j) == (("D", "D", 4, (0, 2, 3, 1)),)
         moved = {}
         for o in enumerate_orbits(d4):
-            ((_, p),) = bc.block_key(ct, j, (o,))
+            ((_, p),) = _labels.block_key(ct, j, (o,))
             if p != o.partition:
                 moved[o.label()] = p
         assert moved == {"5,1,1,1": (4, 4), "4,4-I": (5, 1, 1, 1),
                          "3,1,1,1,1,1": (2, 2, 2, 2), "2,2,2,2-I": (3, 1, 1, 1, 1, 1)}
+
+
+def face_factors_by_roots(ct, j):
+    """balacarter._face_factors in the form of _labels.face_factors: each
+    factor's nodes are its basis roots' nodes, in its frame's order."""
+    affs = bc.build_root_system(ct).affine_simples
+    node = {affs[i][0]: i for i in j}
+    return tuple((f.kind, f.series, f.rank, tuple(node[b] for b in f.basis))
+                 for f in bc._face_factors(ct, j))
+
+
+def compare_face_factors(ranks):
+    """The number of faces of A-D at the given ranks in both isogenies,
+    after checking that _labels.face_factors reads every face's factors,
+    in balacarter's order and frames, off the nodes' coordinates."""
+    faces = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # B1 and C1 normalized to A1
+        systems = [CartanType(s, r, iso) for iso in ("adjoint", "simply_connected")
+                   for s in "ABCD" for r in ranks if r >= (2 if s == "D" else 1)]
+    for ct in systems:
+        for j in bc.proper_subsets(ct):
+            assert _labels.face_factors(ct.series, ct.rank, j) == \
+                face_factors_by_roots(ct, j), (ct, sorted(j))
+            faces += 1
+    return faces
+
+
+def test_face_factors_match_the_root_system_to_rank_5():
+    """Every face of A1-A5, B1-B5, C1-C5 and D2-D5 in both isogenies (B1
+    and C1 are A1).  Among them: D2's two components, each an A1 with its
+    affine node; D4's triality-framed faces, whose frame takes the first
+    of the fork's three tips as the chain; B2 = C2 long root first, C3's
+    {a2, a3} included; and single nodes, long or short, as A1."""
+    ff = _labels.face_factors
+    assert ff("D", 2, frozenset({0, 2})) == (("A", "A", 1, (0,)), ("A", "A", 1, (2,)))
+    assert ff("D", 2, frozenset({1, 3})) == (("A", "A", 1, (3,)), ("A", "A", 1, (1,)))
+    assert ff("D", 4, frozenset({1, 2, 3, 4})) == (("D", "D", 4, (4, 2, 3, 1)),)
+    assert ff("D", 4, frozenset({0, 2, 3, 4})) == (("D", "D", 4, (0, 2, 4, 3)),)
+    assert ff("C", 3, frozenset({2, 3})) == (("BC", "B", 2, (3, 2)),)
+    assert ff("C", 2, frozenset({0, 1})) == (("BC", "B", 2, (0, 1)),)
+    assert ff("B", 2, frozenset({1, 2})) == (("BC", "B", 2, (1, 2)),)
+    assert ff("C", 3, frozenset({0, 1, 2})) == (("BC", "C", 3, (2, 1, 0)),)
+    assert ff("B", 3, frozenset({3})) == (("A", "A", 1, (3,)),)
+    assert ff("C", 3, frozenset({0})) == (("A", "A", 1, (0,)),)
+    assert compare_face_factors(range(1, 6)) == 2 * 475
+
+
+def test_block_key_matches_the_root_system_oracle_to_rank_5():
+    """On every face of A1-A5, B2-B5, C2-C5 and D2-D5 in both isogenies
+    and every tuple of orbits on its factors, the key read through
+    face_factors is the one read through the root system
+    (block_key_by_roots)."""
+    tuples = Counter()
+    for iso in ("adjoint", "simply_connected"):
+        for s in "ABCD":
+            for r in range(1 if s == "A" else 2, 6):
+                ct = CartanType(s, r, iso)
+                for j in bc.proper_subsets(ct):
+                    factors = _labels.face_factors(s, r, j)
+                    for orbs in product(*(enumerate_orbits(CartanType(series, rank))
+                                          for _, series, rank, _ in factors)):
+                        assert _labels.block_key(ct, j, orbs) == \
+                            block_key_by_roots(ct, j, orbs), (ct, sorted(j), orbs)
+                        tuples[iso] += 1
+    assert tuples == {"adjoint": 2913, "simply_connected": 2913}
 
 
 def test_achar_queries_match_todays_path(monkeypatch):
@@ -426,6 +497,11 @@ def raised_caps(monkeypatch):
 SLOW_FACES = {("A", 6): 0, ("A", 7): 0, ("A", 8): 0, ("B", 6): 0, ("B", 7): 0,
               ("B", 8): 0, ("C", 6): 0, ("C", 7): 0, ("C", 8): 0, ("D", 6): 16,
               ("D", 7): 0, ("D", 8): 32}
+
+
+@pytest.mark.slow
+def test_face_factors_match_the_root_system_ranks_6_8():
+    assert compare_face_factors(range(6, 9)) == 7144
 
 
 @pytest.mark.slow

@@ -613,32 +613,65 @@ def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, seri
         assert proc.stdout == fh.read()
 
 
-def _local_wf_miss(tmp_path, series, rank, pattern):
+def _local_wf_run(tmp_path, ct, data):
     """(stdout, modules run) of a fresh local-wf --json miss on the
-    Steinberg or trivial pattern of the adjoint system."""
-    from orbitcalc import wavefront as wfmod
-    make = {"steinberg": wfmod.steinberg_pattern, "trivial": wfmod.trivial_pattern}[pattern]
+    restriction data."""
     f = tmp_path / "data.json"
-    f.write_text(json.dumps(restriction_data_to_json(make(CartanType(series, rank)))))
-    argv = ["local-wf", "--type", series, "--rank", str(rank), "--data", str(f),
-            "--json", "--cache-dir", str(tmp_path / "store")]
+    f.write_text(json.dumps(restriction_data_to_json(data)))
+    argv = ["local-wf", "--type", ct.series, "--rank", str(ct.rank), "--isogeny", ct.isogeny,
+            "--data", str(f), "--json", "--cache-dir", str(tmp_path / "store")]
     proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(GOLDEN, "cli", f"local-wf-{series}{rank}-adjoint-{pattern}.json")) as fh:
-        assert proc.stdout == fh.read()
-    return set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
+    return proc.stdout, set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
 
 
-@pytest.mark.parametrize("series,rank,pattern", [
-    ("C", 4, "steinberg"), ("A", 4, "trivial"), ("B", 3, "steinberg"), ("D", 3, "trivial")])
-def test_classical_local_wf_miss_runs_no_character_layer(tmp_path, series, rank, pattern):
-    """A classical local-wf miss reads its labels and orbits from the
-    faces' factor types (_labels) and its lifts from partitions: it runs
-    neither chartab nor weylrep, and prints the golden bytes."""
-    loaded = _local_wf_miss(tmp_path, series, rank, pattern)
-    assert {"orbitcalc._labels", "orbitcalc._classical", "orbitcalc.balacarter"} <= loaded
-    assert not {"orbitcalc.chartab", "orbitcalc.weylrep"} & loaded, loaded
+def _local_wf_miss(tmp_path, series, rank, pattern, iso="adjoint"):
+    """The modules run by a fresh local-wf --json miss on the Steinberg or
+    trivial pattern, after checking that it prints the golden bytes."""
+    from orbitcalc import wavefront as wfmod
+    make = {"steinberg": wfmod.steinberg_pattern, "trivial": wfmod.trivial_pattern}[pattern]
+    ct = CartanType(series, rank, iso)
+    out, loaded = _local_wf_run(tmp_path, ct, make(ct))
+    with open(os.path.join(GOLDEN, "cli", f"local-wf-{series}{rank}-{iso}-{pattern}.json")) as fh:
+        assert out == fh.read()
+    return loaded
+
+
+CLASSICAL_LOCAL_WF = [("C", 4, "adjoint", "steinberg"), ("A", 4, "adjoint", "trivial"),
+                      ("B", 3, "adjoint", "steinberg"), ("D", 3, "adjoint", "trivial"),
+                      ("B", 4, "simply_connected", "steinberg"),
+                      ("D", 3, "simply_connected", "steinberg")]
+
+
+@pytest.mark.parametrize("series,rank,iso,pattern", CLASSICAL_LOCAL_WF, ids=[
+    f"{s}-{r}-{p}" if iso == "adjoint" else f"{s}-{r}-{iso}-{p}"
+    for s, r, iso, p in CLASSICAL_LOCAL_WF])
+def test_classical_local_wf_miss_runs_no_character_layer(tmp_path, series, rank, iso, pattern):
+    """A classical local-wf miss reads its faces' factors off the nodes'
+    coordinates and its labels and orbits off the factor types (_labels),
+    and its lifts from partitions: it runs none of the root-system,
+    linear-algebra, Bala-Carter or character modules, and prints the
+    golden bytes."""
+    loaded = _local_wf_miss(tmp_path, series, rank, pattern, iso)
+    assert {"orbitcalc._labels", "orbitcalc._classical"} <= loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+
+
+@pytest.mark.parametrize("series,iso", [("C", "adjoint"), ("B", "simply_connected")])
+def test_rank_5_local_wf_face_runs_no_character_layer(tmp_path, series, iso):
+    """One face of rank 5, {a0, a1, a2, a4, a5} with its Steinberg
+    character: the same as in process, with no root system."""
+    from orbitcalc import wavefront as wfmod
+    ct = CartanType(series, 5, iso)
+    j = frozenset({0, 1, 2, 4, 5})
+    data = {j: wfmod.steinberg_pattern(ct)[j]}
+    out, loaded = _local_wf_run(tmp_path, ct, data)
+    result = json.loads(out)
+    assert {k: result[k] for k in ("canonical", "geometric")} == \
+        wfmod.local_wf(ct, data).to_json()
+    assert {"orbitcalc._labels", "orbitcalc._classical"} <= loaded
+    assert not CHARACTER_LAYER & loaded, loaded
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("D", 4)])

@@ -63,6 +63,24 @@ def test_closure_order():
         closure_leq(a1, i)
 
 
+def test_closure_leq_is_dominance_to_rank_8():
+    """On every ordered pair of orbits of A1-A8, B2-B8, C2-C8 and D2-D8,
+    closure_leq, which compares the stored partitions' prefix sums, is
+    partitions.dominance_leq, which normalizes and checks both, with the
+    two marks of a very even partition incomparable."""
+    pairs = 0
+    for s in "ABCD":
+        for r in range(1 if s == "A" else 2, 9):
+            orbs = enumerate_orbits(CartanType(s, r))
+            for a in orbs:
+                for b in orbs:
+                    same = a.partition == b.partition and a.very_even
+                    want = a.mark == b.mark if same else pt.dominance_leq(a.partition, b.partition)
+                    assert closure_leq(a, b) == want, (a, b)
+                    pairs += 1
+    assert pairs == 39562
+
+
 @pytest.mark.parametrize("ct", ALL_SMALL, ids=str)
 def test_wdd_extremes_and_roundtrip(ct):
     assert weighted_dynkin(zero_orbit(ct)).values == (0,) * ct.rank

@@ -18,6 +18,7 @@ from collections import defaultdict
 import pytest
 
 from orbitcalc import _classical as cl
+from orbitcalc import _labels
 from orbitcalc import _unramified as un
 from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
@@ -43,7 +44,7 @@ def key_classes(ct) -> set:
     assert len(pairs) == len(set(pairs)) and set(pairs) == set(bc.enumerate_pairs(ct)), ct
     groups = defaultdict(set)
     for p, key, cls in found:
-        assert key == bc.block_key(ct, p.J, bc.distinguished_factor_orbits(ct, p)), (ct, p)
+        assert key == _labels.block_key(ct, p.J, bc.distinguished_factor_orbits(ct, p)), (ct, p)
         groups[cls].add(p)
     return {frozenset(g) for g in groups.values()}
 

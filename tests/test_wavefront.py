@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from orbitcalc import _classical as cl
 from orbitcalc import balacarter as bc
 from orbitcalc import cli
 from orbitcalc import wavefront as wf
@@ -111,7 +112,10 @@ def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tm
                                                              capsys):
     """Each J is checked on its own (nodes in range, proper in every
     component): listing all 2^(n+1) subsets made a bad file fail only
-    after seconds at rank 12 and beyond."""
+    after seconds at rank 12 and beyond.  Neither balacarter's list of
+    faces nor the coordinate blocks' (_classical.faces) is read, and B3
+    and D2 read their factors off the nodes' coordinates, with no call
+    into balacarter."""
     faces = set(bc.proper_subsets(ct))
     total = build_root_system(ct).node_count()
     nodes = range(-1, total + 1)
@@ -120,10 +124,14 @@ def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tm
     trivial = {j: next(e for e in bc.pair_context(ct, j).irreps() if e.b == 0).label
                for j in faces}
 
-    def no_listing(ct):
-        raise AssertionError("proper_subsets called")
+    def no_listing(*args):
+        raise AssertionError("a list of faces or balacarter's factors read")
 
     monkeypatch.setattr(bc, "proper_subsets", no_listing)
+    monkeypatch.setattr(cl, "faces", no_listing)
+    if ct.series != "G":
+        for name in ("is_proper", "_face_factors"):
+            monkeypatch.setattr(bc, name, no_listing)
     for j in candidates:
         if j in faces:
             assert wf.validate_restriction_data(ct, {j: [(trivial[j], 1)]})
