@@ -40,16 +40,12 @@ too, on the blocks.  _labels.block_key reads any face's key off its
 factors (_labels.face_factors, from the same node roots): a B, C or D
 block's partition is looked up by the values of
 the dominant neutral element h at the block's nodes (block_orbits, the
-inverse of orbits.node_values).  invariant and attained answer
-None, and the path through the faces' Weyl groups (duality.invariant_of,
-through balacarter and weylrep) answers instead, where partitions do not
-decide:
-  - in type D when the saturation or the Sommers dual (O^v or d_BV(O^v)
-    in attained) is very even, or a block's character is a degenerate
-    symbol's: partitions give neither a degenerate symbol's sign nor a
-    very even orbit's mark;
-  - when a candidate's least-b constituents are not a single character of
-    multiplicity 1, or its label is off the Springer image.
+inverse of orbits.node_values).  Partitions give no very even orbit's
+mark, so invariant answers None exactly for a very even saturation, and
+attained exactly for a very even O^v or d_BV(O^v) (type D at even rank);
+the path through the faces' Weyl groups (duality.invariant_of, through
+balacarter and weylrep) answers instead.  A degenerate block label's
+sign never decides anything else (sommers_dual).
 It is imported at first use by duality (achar_dual_one, face_invariant),
 _labels (block_key) and _unramified, never for G2, and is not one of
 the package's lazily loaded submodules (orbitcalc/__init__.py).
@@ -66,10 +62,6 @@ from . import cartantype
 from . import orbits
 from . import partitions as pt
 from .cartantype import CartanType
-
-
-class _Declined(Exception):
-    """Partitions do not decide this query."""
 
 
 # ---------------------------------------------------------------------
@@ -204,12 +196,8 @@ def _lr(lam, mu) -> tuple:
     return tuple(out.items())
 
 
-def _n(p) -> int:
-    return sum(i * x for i, x in enumerate(p))
-
-
 def _b_bc(lam, mu) -> int:
-    return 2 * _n(lam) + 2 * _n(mu) + sum(mu)
+    return 2 * pt.n_stat(lam) + 2 * pt.n_stat(mu) + sum(mu)
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +234,7 @@ def _times_a(x, y, bound):
     for a, m1 in x.items():
         for b, m2 in y.items():
             for nu, p in _lr(a, b):
-                if _n(nu) <= bound:
+                if pt.n_stat(nu) <= bound:
                     out[nu] += m1 * m2 * p
     return out
 
@@ -259,7 +247,7 @@ def _block_label(kind: str, m: int, p):
     only in the label's sign (see sommers_dual)."""
     if kind == "A":
         lab = pt.transpose(p)
-        return lab, _n(lab)
+        return lab, pt.n_stat(lab)
     if m == 1:
         return (((), (1,)), 1) if len(p) == 1 else (((1,), ()), 0)
     very_even = kind == "D" and all(x % 2 == 0 for x in p)
@@ -268,14 +256,21 @@ def _block_label(kind: str, m: int, p):
     if kind != "D":
         return lab, _b_bc(*lab)
     (lam, mu), _ = lab
-    return lab, 2 * _n(lam) + 2 * _n(mu) + min(sum(lam), sum(mu))
+    return lab, 2 * pt.n_stat(lam) + 2 * pt.n_stat(mu) + min(sum(lam), sum(mu))
 
 
 @lru_cache(maxsize=None)
 def sommers_dual(ct: CartanType, key):
     """The Sommers dual of a pair, from its key: an orbit of ct.dual, or
-    None for a very even one (its mark is not read).  Raises _Declined
-    where partitions do not decide."""
+    None for a very even one (its mark is not read).  A degenerate block
+    label {lam, lam}+- is read without its sign: a sign change on one of
+    the block's coordinates normalizes the face group, swaps the block's
+    two characters and fixes every non-degenerate character of W(D_n)
+    (Geck-Pfeiffer 2000, ch. 5), so the sign can only decide a degenerate
+    answer, which is a very even orbit.  Raises CharError if the least b
+    is not taken by a single constituent of multiplicity 1 or the
+    constituent is off the Springer image; neither happens for any pair
+    of A-D up to rank 10 or any face character up to rank 8."""
     b = 0
     if ct.series == "A":
         induced = Counter({(): 1})
@@ -283,8 +278,8 @@ def sommers_dual(ct: CartanType, key):
             lab, lb = _block_label(kind, m, p)
             b += lb
             induced = _times_a(induced, {lab: 1}, b)
-        hits = {lab: c for lab, c in induced.items() if _n(lab) == b}
-        low = any(_n(lab) < b for lab in induced)
+        hits = {lab: c for lab, c in induced.items() if pt.n_stat(lab) == b}
+        low = any(pt.n_stat(lab) < b for lab in induced)
     else:
         induced = Counter({((), ()): 1})
         for (kind, m), p in key:
@@ -293,10 +288,8 @@ def sommers_dual(ct: CartanType, key):
             if kind == "A":
                 block = dict(_to_bc(lab))
             elif kind == "D":
-                (lam, mu), sign = lab
-                if sign and ct.series == "D":
-                    raise _Declined  # a degenerate symbol's sign is not read
                 # Ind from W(D_m) to W(B_m); {lam, lam}+- both give (lam, lam)
+                (lam, mu), _ = lab
                 block = {(lam, mu): 1, (mu, lam): 1}
             else:
                 block = {lab: 1}
@@ -306,37 +299,35 @@ def sommers_dual(ct: CartanType, key):
         if ct.series == "D":  # (lam, mu) and (mu, lam) restrict to one character
             hits = {tuple(sorted(lab)): c for lab, c in hits.items()}
     if low or len(hits) != 1 or set(hits.values()) != {1}:
-        raise _Declined
+        raise cartantype.CharError(f"the induced character of {key} in {ct} has no single "
+                                   f"least-b constituent: {dict(hits)}")
     (lab,) = hits
     if ct.series == "D":
         if lab[0] == lab[1]:
             return None  # a degenerate symbol: a very even orbit, mark unread
         lab = (lab, 0)
-    orbit = _springer_table(ct.dual).get(lab)
+    orbit = orbits._springer_image(ct.dual).get(lab)
     if orbit is None:
-        raise _Declined
+        raise cartantype.CharError(f"{lab} is not the Springer label of an orbit of {ct.dual} "
+                                   f"with the trivial local system")
     return orbit
 
 
 def invariant(ct: CartanType, key):
     """The (saturation, Sommers dual) of a pair, as orbits, from its key;
-    None where partitions do not decide: in type D when either is very
-    even (partitions give no mark), and wherever sommers_dual declines."""
+    None exactly when the saturation is very even (type D at even rank),
+    whose mark partitions do not give.  Raises CharError where
+    sommers_dual does, and if the Sommers dual is very even while the
+    saturation is not (again no pair up to rank 10 or face character up
+    to rank 8)."""
     sat = saturation(ct, key)
     if ct.series == "D" and all(x % 2 == 0 for x in sat):
         return None
-    try:
-        dual = sommers_dual(ct, key)
-    except _Declined:
-        return None
+    dual = sommers_dual(ct, key)
     if dual is None:
-        return None
+        raise cartantype.CharError(f"the Sommers dual of {key} in {ct} is very even, "
+                                   f"its saturation {sat} is not")
     return orbits.NilpotentOrbit(ct, partition=sat), dual
-
-
-@lru_cache(maxsize=None)
-def _springer_table(ct: CartanType):
-    return {orbits.springer_rep_label(o): o for o in orbits.enumerate_orbits(ct)}
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +338,8 @@ def _pairs(ct: CartanType) -> frozenset:
 
 def attained(ct: CartanType, dual_orbit, target):
     """Whether some pair saturates to target with Sommers dual dual_orbit;
-    None where partitions do not decide.  Every pair that saturates to
+    None exactly when dual_orbit or target is very even, whose mark
+    partitions do not give.  Every pair that saturates to
     target is examined, so the answer is the one that today's path gives
     whenever this one gives any."""
     cartantype._check_abc_rank(ct)
@@ -356,10 +348,7 @@ def attained(ct: CartanType, dual_orbit, target):
     if target.system != ct:
         return False
     found = False
-    try:
-        for key in _pairs(ct):
-            if saturation(ct, key) == target.partition:
-                found = sommers_dual(ct, key) == dual_orbit or found
-    except _Declined:
-        return None
+    for key in _pairs(ct):
+        if saturation(ct, key) == target.partition:
+            found = sommers_dual(ct, key) == dual_orbit or found
     return found

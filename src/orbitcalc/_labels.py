@@ -33,8 +33,8 @@ from types import MappingProxyType
 
 from . import partitions as pt
 from .cartantype import ABCError, CartanType, CharError
-from .orbits import (NilpotentOrbit, enumerate_orbits, node_roots,
-                     springer_rep_label, weighted_dynkin)
+from .orbits import (NilpotentOrbit, _springer_image, node_roots,
+                     weighted_dynkin)
 
 G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
              "phi(2,1)", "phi(2,2)")
@@ -48,22 +48,18 @@ G2_TENSOR_SGN = {"phi(1,0)": "phi(1,6)", "phi(1,6)": "phi(1,0)",
 G2_SPRINGER_EXTRA_ORBIT = {"phi(1,3)l": "G2(a1)"}
 
 
-def n_stat(p) -> int:
-    return sum(i * x for i, x in enumerate(p))
-
-
 def b_invariant(kind, label) -> int:
     if kind == "A":
-        return n_stat(label)
+        return pt.n_stat(label)
     if kind == "BC":
         lam, mu = label
-        return 2 * n_stat(lam) + 2 * n_stat(mu) + sum(mu)
+        return 2 * pt.n_stat(lam) + 2 * pt.n_stat(mu) + sum(mu)
     if kind == "D":
         pair, sign = label
         lam, mu = pair
         if sign:
-            return 4 * n_stat(lam) + sum(lam)
-        return 2 * n_stat(lam) + 2 * n_stat(mu) + min(sum(lam), sum(mu))
+            return 4 * pt.n_stat(lam) + sum(lam)
+        return 2 * pt.n_stat(lam) + 2 * pt.n_stat(mu) + min(sum(lam), sum(mu))
     if kind == "G":
         return G2_B_INVARIANT[label]
     raise CharError(kind)
@@ -210,11 +206,6 @@ def special_labels(factors, label):
 # ---------------------------------------------------------------------
 # Springer correspondence (orbit component)
 # ---------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _springer_image(ct: CartanType):
-    return MappingProxyType({springer_rep_label(o): o for o in enumerate_orbits(ct)})
-
 
 def springer_orbit_label(ct: CartanType, lab) -> NilpotentOrbit:
     """Orbit of the Springer pair of a factor-level label.

@@ -27,13 +27,16 @@ absorbs:
     exactly one of the forks {0, 1} and {n-1, n} and every A block has
     even size, which one.
 At even rank a type-D block key is too coarse (very even marks) and
-partitions leave some invariants open, so those tables keep balacarter's
-classes.  Tier-1 compares the pairs with balacarter.enumerate_pairs and
-the keys' partition with balacarter.classes on every system up to rank
-5, and the slow tier at ranks 6-8.
+partitions leave the invariants with a very even saturation open, so
+those tables keep balacarter's classes.  Tier-1 compares the pairs with
+balacarter.enumerate_pairs and the keys' partition with
+balacarter.classes on every system up to rank 5, and the slow tier at
+ranks 6-8.
 
 Invariants.  A pair's invariant is _classical.invariant of its block
-key; a table where partitions leave one open is not built here.
+key, which no saturation here leaves open: a very even one needs even
+rank.  The rows are grouped as duality.enumerate_nobc groups its own
+(duality._rows).
 
 duality imports this module on first use, for the systems above only,
 and cli reaches it through duality; it is not one of the package's
@@ -46,7 +49,7 @@ from math import gcd
 
 from . import _classical as cl
 from . import cartantype
-from .duality import ABCPair, UnramifiedClassInvariant
+from .duality import ABCPair, UnramifiedClassInvariant, _rows
 from .orbits import node_values
 
 
@@ -92,21 +95,18 @@ def pairs(ct):
 @cartantype._capped_cache
 def table(ct):
     """(rows, pairs, classes) of the unramified table of ct, rows as
-    duality.enumerate_nobc gives them; None when partitions leave some
-    pair's invariant open.  The rank cap is checked before the cache."""
-    invariants, rows, npairs = {}, {}, 0  # rows: invariant -> (class keys, least pair)
+    duality.enumerate_nobc gives them.  The rank cap is checked before
+    the cache.  Raises ABCError if partitions leave a pair's invariant
+    open, which they do only at a very even saturation, never at odd
+    rank."""
+    invariants, entries = {}, []  # entries: (invariant, class key, pair) per pair
     for pair, key, cls in pairs(ct):
         inv = invariants.get(key)
         if inv is None:
             found = cl.invariant(ct, key)
             if found is None:
-                return None
+                raise cartantype.ABCError(f"partitions leave the invariant of {key} in {ct} open")
             inv = invariants[key] = UnramifiedClassInvariant(*found)
-        npairs += 1
-        keys, least = rows.setdefault(inv, (set(), pair))
-        keys.add(cls)
-        if pair.sort_key() < least.sort_key():
-            rows[inv] = keys, pair
-    out = sorted(((inv, len(keys), rep) for inv, (keys, rep) in rows.items()),
-                 key=lambda row: row[2].sort_key())
-    return tuple(out), npairs, sum(len(keys) for keys, _ in rows.values())
+        entries.append((inv, cls, pair))
+    rows = _rows(entries)
+    return rows, len(entries), sum(count for _, count, _ in rows)

@@ -12,13 +12,13 @@ achar_dual_one checks that (d(O^vee), O^vee) is attained, and
 face_invariant gives the invariant of a face with an orbit on each
 factor: pair_invariant's and local-wf's, for each face character.  For
 types A-D both read partitions (_classical, imported on first use); G2
-and what partitions do not decide run invariant_of and sommers_dual,
-through the faces' Weyl groups (balacarter, weylrep), which stay the
-oracle.
+and the very even marks that partitions do not give (type D at even
+rank) run invariant_of and sommers_dual, through the faces' Weyl groups
+(balacarter, weylrep), which stay the oracle.
 
 The unramified table of A, B, C and odd-rank D is built from
-coordinate blocks (_unramified); G2, even-rank D and a table that
-partitions leave open take balacarter's classes, which stay the oracle.
+coordinate blocks (_unramified); G2 and even-rank D take balacarter's
+classes, which stay the oracle.  Both group their rows in _rows.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def sommers_dual(ct: CartanType, j, factor_orbits) -> NilpotentOrbit:
     attached special representation, j-induce, and read the Springer orbit
     on the dual side.
 
-    Raises weylrep.JInductionTie when a degenerate type-D special
-    representation has no unique minimal-b constituent; the tie carries
-    both candidates.
+    Raises weylrep.JInductionTie, carrying the candidates, if the
+    induced character has no unique minimal-b constituent; the tests
+    meet none on the pairs and face characters they compare.
     """
     ctx = bc.pair_context(ct, frozenset(j))
     if len(factor_orbits) != len(ctx.factors):
@@ -100,9 +100,9 @@ def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant
     """The invariant of the lift of (J, O_J), O_J an orbit on each factor.
     For types A-D it is read from partitions (_classical, imported here
     on first use) on the block key (_labels.block_key), which reads J's
-    factors off the nodes' coordinates, with no root system; G2, and
-    what partitions leave open, take invariant_of, which stays the
-    oracle."""
+    factors off the nodes' coordinates, with no root system; G2, and a
+    very even saturation (type D at even rank), whose mark partitions do
+    not give, take invariant_of, which stays the oracle."""
     if ct.series != "G":
         from . import _classical, _labels
         found = _classical.invariant(ct, _labels.block_key(ct, frozenset(j), tuple(factor_orbits)))
@@ -139,18 +139,22 @@ def enumerate_nobc(ct: CartanType) -> tuple:
     table = _block_table(ct)
     if table is not None:
         return table[0]
-    rows = {}
-    for cls in bc.classes(ct):
-        rep = cls[0]
-        inv = pair_invariant(ct, rep)
-        if inv in rows:
-            cnt, first_rep = rows[inv]
-            rows[inv] = (cnt + 1, min(first_rep, rep, key=lambda p: p.sort_key()))
-        else:
-            rows[inv] = (1, rep)
-    out = [(inv, cnt, rep) for inv, (cnt, rep) in rows.items()]
-    out.sort(key=lambda row: row[2].sort_key())
-    return tuple(out)
+    return _rows((pair_invariant(ct, cls[0]), i, cls[0]) for i, cls in enumerate(bc.classes(ct)))
+
+
+def _rows(entries) -> tuple:
+    """The rows of an unramified table from (invariant, class, pair)
+    entries, one per pair or one per class: ((invariant, number of
+    classes, least pair), ...), sorted by the least pair.  Private:
+    perfbench's tracer wraps duality's public functions."""
+    rows = {}  # invariant -> (classes, least pair)
+    for inv, cls, pair in entries:
+        classes, least = rows.setdefault(inv, (set(), pair))
+        classes.add(cls)
+        if pair.sort_key() < least.sort_key():
+            rows[inv] = classes, pair
+    return tuple(sorted(((inv, len(classes), rep) for inv, (classes, rep) in rows.items()),
+                        key=lambda row: row[2].sort_key()))
 
 
 def abc_counts(ct: CartanType) -> tuple:
@@ -170,9 +174,9 @@ def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClas
     Sommers dual is computed only for pairs saturating to d(O^vee).
 
     For types A-D the check reads partitions (_classical, imported here
-    on first use); G2, and the queries that partitions do not decide (a
-    very even O^vee or d(O^vee) in type D), take the path through the
-    faces' Weyl groups and j-induction, up to the first hit.
+    on first use); G2, and the queries whose marks partitions do not give
+    (a very even O^vee or d(O^vee), type D at even rank), take the path
+    through the faces' Weyl groups and j-induction, up to the first hit.
     """
     if dual_orbit.system.series != ct.dual.series or \
             dual_orbit.system.rank != ct.rank:

@@ -9,11 +9,12 @@ entries the test suite re-derives from independent oracles.
 
 The Springer labels are read off the orbit's symbol, so that the
 character layer (weylrep) and the partition path of arthur-wf
-(_classical) share one copy.  No function reads a root system: the
-neutral element h of an orbit is evaluated at node roots in coordinates
-(node_values on node_roots), which gives the weighted Dynkin diagram
-here, J' and the block keys in the partition path; the dimension is read
-off the partition.
+(_classical) share one copy; the partition path and the label layer
+(_labels) share one read-only inverse (_springer_image).  No function
+reads a root system: the neutral element h of an orbit is evaluated at
+node roots in coordinates (node_values on node_roots), which gives the
+weighted Dynkin diagram here, J' and the block keys in the partition
+path; the dimension is read off the partition.
 
 Type D very even orbits (all parts even) come in I/II pairs.  The mark is
 tied to the weighted Dynkin diagram: mark I is the diagram whose value at
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import partitions as pt
 from .cartantype import CartanType
@@ -258,6 +260,13 @@ def weighted_dynkin(orbit: NilpotentOrbit) -> WeightedDynkinDiagram:
 @lru_cache(maxsize=None)
 def _wdd_table(ct: CartanType):
     return {weighted_dynkin(o).values: o for o in enumerate_orbits(ct)}
+
+
+@lru_cache(maxsize=None)
+def _springer_image(ct: CartanType):
+    """springer_rep_label's inverse on the orbits of ct, read-only: the
+    partition path (_classical) and the label layer (_labels) read it."""
+    return MappingProxyType({springer_rep_label(o): o for o in enumerate_orbits(ct)})
 
 
 def orbit_from_wdd(wdd: WeightedDynkinDiagram) -> NilpotentOrbit:

@@ -35,6 +35,11 @@ def transpose(p) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
 
 
+def n_stat(p) -> int:
+    """n(p) = sum (i - 1) p_i, the b-invariant of the character p of S_|p|."""
+    return sum(i * x for i, x in enumerate(p))
+
+
 def valid(p, series: str, rank: int) -> bool:
     """Parity rule of the family: B/D need even parts with even multiplicity,
     C needs odd parts with even multiplicity, A anything."""

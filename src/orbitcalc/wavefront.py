@@ -8,15 +8,18 @@ face, and keeps the A-order maxima.  Labels and orbits come from the faces'
 factor types (_labels, imported on first use), lifts from
 duality.face_invariant, and for types A-D the factors themselves from
 the nodes' coordinates (_labels.face_factors), so that a classical
-local_wf builds no root system and runs no character table.
+local_wf builds no root system and runs no character table unless a
+lift's saturation is very even (type D at even rank), whose mark
+partitions do not give.
 
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
 invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
 Its check that some affine Bala-Carter pair attains the invariant
 (duality.achar_dual_one) reads partitions for types A-D, so that a
-classical arthur_wf runs no root system and no character table; G2 and
-cross_check_arthur go through the faces' Weyl groups.
+classical arthur_wf runs no root system and no character table, but
+for a very even O^vee or d(O^vee); G2 and cross_check_arthur go through
+the faces' Weyl groups.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
 
 def local_wf(ct: CartanType, data) -> WavefrontResult:
     """Wavefront sets from restriction data, maximized over the faces.  A
-    lift that partitions leave open builds the ambient group, so a group
+    lift with a very even saturation builds the ambient group, so a group
     past GROUP_ORDER_CAP fails first, before any root system is built."""
     from . import _labels
     cartantype._check_group_order(cartantype._weyl_order(ct.series, ct.rank))

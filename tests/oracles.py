@@ -41,10 +41,10 @@ from functools import lru_cache
 from orbitcalc import balacarter as bc
 from orbitcalc import _classical as cl
 from orbitcalc import _labels
-from orbitcalc._labels import _family_key, _is_special, _springer_image
+from orbitcalc._labels import _family_key, _is_special
 from orbitcalc.cartantype import ABCError, CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
-from orbitcalc.orbits import NilpotentOrbit, h_vector, weighted_dynkin
+from orbitcalc.orbits import NilpotentOrbit, _springer_image, h_vector, weighted_dynkin
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_factor, build_root_system,
                                 reflection_in_root, root_tuple_code,

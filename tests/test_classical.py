@@ -296,9 +296,8 @@ def compare_face_characters(ct):
 
 def test_face_characters_match_invariant_of_to_rank_4():
     """All 2158 characters of the face groups of A-D at ranks 2-4 in both
-    isogenies, as local-wf lifts them.  Partitions leave open 76 in each
-    isogeny, all in type D: a very even saturation or Sommers dual, or a
-    block whose label is a degenerate symbol's."""
+    isogenies, as local-wf lifts them.  Partitions leave open 52 in each
+    isogeny, those with a very even saturation, all in D2 and D4."""
     totals, left_open = Counter(), Counter()
     for iso in ("adjoint", "simply_connected"):
         for s in "ABCD":
@@ -308,9 +307,27 @@ def test_face_characters_match_invariant_of_to_rank_4():
                 if n:
                     left_open[f"{s}{r} {iso}"] = n
     assert totals == {"adjoint": 1079, "simply_connected": 1079}
-    assert left_open == {"D2 adjoint": 12, "D3 adjoint": 4, "D4 adjoint": 60,
-                         "D2 simply_connected": 12, "D3 simply_connected": 4,
-                         "D4 simply_connected": 60}
+    assert left_open == {"D2 adjoint": 12, "D4 adjoint": 40,
+                         "D2 simply_connected": 12, "D4 simply_connected": 40}
+
+
+def test_undecided_answers_raise_char_error(monkeypatch):
+    """sommers_dual raises CharError for a least-b constituent off the
+    Springer image or not single, and invariant for a very even Sommers
+    dual of a saturation that is not very even; no pair or face
+    character of A-D meets either, so the test makes them."""
+    b3 = CartanType("B", 3)
+    key = min(cl._pairs(b3))
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_springer_image", lambda ct: {})
+        with pytest.raises(cartantype.CharError, match="not the Springer label"):
+            cl.sommers_dual.__wrapped__(b3, key)
+        m.setattr(cl, "_times_bc", lambda x, y, bound: {((1,), (1, 1)): 2})
+        with pytest.raises(cartantype.CharError, match="no single least-b constituent"):
+            cl.sommers_dual.__wrapped__(b3, key)
+    monkeypatch.setattr(cl, "sommers_dual", lambda ct, key: None)
+    with pytest.raises(cartantype.CharError, match="is very even, its saturation"):
+        cl.invariant(b3, key)
 
 
 def test_block_label_reads_the_orbit_of_b1_c1_and_a_blocks():
@@ -532,9 +549,10 @@ def test_pair_invariants_match_todays_path_ranks_6_8(raised_caps, series, rank):
 VERY_EVEN_D6_FAULTS = {6: 6, 7: 0}
 
 
-# per system at ranks 5 and 6, the face characters that partitions leave open
-SLOW_CHARACTERS_OPEN = {("A", 5): 0, ("B", 5): 0, ("C", 5): 0, ("D", 5): 92,
-                        ("A", 6): 0, ("B", 6): 0, ("C", 6): 0, ("D", 6): 364}
+# per system at ranks 5 and 6, the face characters that partitions leave
+# open: those with a very even saturation
+SLOW_CHARACTERS_OPEN = {("A", 5): 0, ("B", 5): 0, ("C", 5): 0, ("D", 5): 0,
+                        ("A", 6): 0, ("B", 6): 0, ("C", 6): 0, ("D", 6): 116}
 
 
 @pytest.mark.slow

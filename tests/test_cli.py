@@ -674,6 +674,42 @@ def test_rank_5_local_wf_face_runs_no_character_layer(tmp_path, series, iso):
     assert not CHARACTER_LAYER & loaded, loaded
 
 
+# D3's faces {a0, a1} and {a2, a3} are each a D2 block on two A1 factors
+# (and a free coordinate): these characters put the degenerate label
+# {(1), (1)}+- on the D2 block
+D3_DEGENERATE = {frozenset({0, 1}): [((2,), (1, 1)), ((1, 1), (2,))],
+                 frozenset({2, 3}): [((2,), (1, 1)), ((1, 1), (2,))]}
+
+
+@pytest.mark.parametrize("iso", ["adjoint", "simply_connected"])
+@pytest.mark.parametrize("series,rank", [("D", 5), ("D", 3)])
+def test_odd_rank_d_local_wf_runs_no_character_layer(tmp_path, monkeypatch, series, rank, iso):
+    """Odd-rank D with degenerate block labels: all 20 characters of D5's
+    face {a0, a1, a2, a4, a5} (A3 x A1 x A1, a D3 and a D2 block), and
+    the four D3 characters above.  The lifts are read from partitions,
+    with no root system, and the output is the one that invariant_of
+    gives on every lift."""
+    from itertools import product
+    from orbitcalc import _labels
+    from orbitcalc import duality as du
+    from orbitcalc import wavefront as wfmod
+    ct = CartanType(series, rank, iso)
+    data = {j: [(label, 1) for label in labels] for j, labels in D3_DEGENERATE.items()}
+    if rank == 5:
+        j = frozenset({0, 1, 2, 4, 5})
+        data = {j: [(label, 1) for label in product(*(
+            _labels.factor_irrep_labels(kind, r) for kind, _, r, _ in _labels.face_factors("D", 5, j)))]}
+        assert len(data[j]) == 20
+    out, loaded = _local_wf_run(tmp_path, ct, data)
+    result = json.loads(out)
+    with monkeypatch.context() as m:
+        m.setattr(du, "face_invariant", du.invariant_of)
+        expected = wfmod.local_wf(ct, data).to_json()
+    assert {k: result[k] for k in ("canonical", "geometric")} == expected
+    assert {"orbitcalc._labels", "orbitcalc._classical"} <= loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+
+
 @pytest.mark.parametrize("series,rank", [("G", 2), ("D", 4)])
 def test_local_wf_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
     """G2's lifts, and those that partitions leave open on D4's Steinberg

@@ -132,6 +132,16 @@ def test_block_table_checks_the_rank_cap_first(monkeypatch):
             du.abc_counts(ct)
 
 
+def test_block_table_refuses_an_open_invariant(monkeypatch):
+    """Partitions leave an invariant open only at a very even saturation,
+    which needs even rank; were one open, the table raises a named error
+    instead of building rows."""
+    monkeypatch.setattr(cl, "invariant", lambda ct, key: None)
+    with pytest.raises(cartantype.ABCError,
+                       match=r"^partitions leave the invariant of .* in B3 open$"):
+        un.table.__wrapped__(CartanType("B", 3))
+
+
 def test_no_cache_serves_a_table_past_a_lowered_cap(monkeypatch):
     """Each cached table checks the rank cap before its cache: B4's
     tables, built under the cap of 5, are refused once it is 3."""
