@@ -33,19 +33,20 @@ multiplicity 1, is read as a W(D_n) label in type D and looked up in
 the Springer table of the dual series (Sommers, Lusztig's canonical
 quotient and generalized duality, J. Algebra 2001).
 
-A face with its orbits is keyed by its blocks' (kind, m) and partitions.
-pair_choices lists every pair with its key, for attained and for
-_unramified, which builds whole unramified tables, pairs and classes
-too, on the blocks.  _labels.block_key reads any face's key off its
-factors (_labels.face_factors, from the same node roots): a B, C or D
-block's partition is looked up by the values of
-the dominant neutral element h at the block's nodes (block_orbits, the
-inverse of orbits.node_values).  Partitions give no very even orbit's
-mark, so invariant answers None exactly for a very even saturation, and
-attained exactly for a very even O^v or d_BV(O^v) (type D at even rank);
-the path through the faces' Weyl groups (duality.invariant_of, through
-balacarter and weylrep) answers instead.  A degenerate block label's
-sign never decides anything else (sommers_dual).
+A face with its orbits is keyed by its blocks' (kind, m) and partitions,
+and by the mark of a very even saturation (type D at even rank), read
+off the neutral element h placed on the blocks' signed coordinates
+(key).  The Sommers dual's mark, when it is very even too, is the
+saturation's under the dualities' rule (sommers_dual), so partitions
+answer every query of A-D, marks included.  pair_choices lists every
+pair with its key, for attained and for _unramified, which builds whole
+unramified tables, pairs and classes too, on the blocks.
+_labels.block_key reads any face's key off its factors
+(_labels.face_factors, from the same node roots): a B, C or D block's
+partition is looked up by the values of the dominant neutral element h
+at the block's nodes (block_orbits, the inverse of orbits.node_values).
+The path through the faces' Weyl groups (duality.invariant_of, through
+balacarter and weylrep) is G2's and the oracle.
 It is imported at first use by duality (achar_dual_one, face_invariant),
 _labels (block_key) and _unramified, never for G2, and is not one of
 the package's lazily loaded submodules (orbitcalc/__init__.py).
@@ -55,7 +56,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
+from math import prod
 from types import MappingProxyType
 
 from . import cartantype
@@ -69,14 +71,15 @@ from .cartantype import CartanType
 # ---------------------------------------------------------------------
 
 def faces(series: str, rank: int):
-    """The faces: node sets proper within each component."""
+    """The faces: node sets proper within each component, by size and
+    then by nodes, as balacarter.proper_subsets lists them."""
     roots, comps = orbits.node_roots(series, rank)
     out = []
     for mask in range(1 << len(roots)):
         j = frozenset(i for i in range(len(roots)) if mask >> i & 1)
         if all(j & c != c for c in comps):
             out.append(j)
-    return out
+    return sorted(out, key=lambda j: (len(j), sorted(j)))
 
 
 def blocks(series: str, rank: int, j) -> tuple:
@@ -123,13 +126,49 @@ def distinguished(kind: str, m: int) -> tuple:
 
 def pair_choices(series: str, rank: int):
     """Each affine Bala-Carter pair, as (J, J's blocks, a distinguished
-    partition per block, the block key: the sorted ((kind, m), partition)
-    of the blocks)."""
+    partition per block, its key)."""
     for j in faces(series, rank):
         face = blocks(series, rank, j)
         for parts in product(*(distinguished(kind, m) for kind, m, _ in face)):
-            yield j, face, parts, tuple(sorted(((kind, m), p)
-                                               for (kind, m, _), p in zip(face, parts)))
+            yield j, face, parts, key(series, rank, face, parts)
+
+
+def key(series: str, rank: int, face, parts, flips=None) -> tuple:
+    """The key of a face with a partition on each of its blocks: the
+    sorted ((kind, m), partition) of the blocks, then, when the saturation
+    is very even (type D, every part even), its mark.
+
+    The mark is read off the neutral element h, placed block by block on
+    the coordinates the nodes' roots touch, with their signs: the
+    saturation is mark I exactly when the product of h's coordinates is
+    negative (orbits.weighted_dynkin negates one of the dominant h's for
+    mark I), a product that W(D_n) keeps, since no coordinate is 0.  A D
+    block's h is node_values' placement, whose first m eigenvalues are
+    positive, with the last one negated if the block's flip (one per
+    block, all False if None) is set; an A block's m eigenvalues, m/2 of
+    them negative, sit on the signed coordinates f_i of its chain, whose
+    roots are +-(f_i - f_i+1)."""
+    out = tuple(sorted(((kind, m), p) for (kind, m, _), p in zip(face, parts)))
+    if series != "D" or any(x % 2 for p in parts for x in p):
+        return out
+    sign = 1
+    for (kind, m, nodes), flip in zip(face, flips or repeat(False)):
+        sign *= (-1 if flip else 1) if kind == "D" else (-1) ** (m // 2) * _frame_sign(rank, nodes)
+    return out + ("I" if sign < 0 else "II",)
+
+
+def _frame_sign(rank: int, nodes) -> int:
+    """The product of the signs s_c of an A block's chain coordinates
+    f = s_c e_c: its root a e_c + b e_d is +-(f_c - f_d), so s_c s_d = -ab."""
+    roots = [orbits.node_roots("D", rank)[0][i] for i in nodes]
+    sign = {roots[0][0][0]: 1}
+    for _ in roots:
+        for (c, a), (d, b) in roots:
+            if c in sign:
+                sign[d] = -a * b * sign[c]
+            elif d in sign:
+                sign[c] = -a * b * sign[d]
+    return prod(sign.values())
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +188,22 @@ def block_orbits(series: str, rank: int, kind: str, m: int, nodes) -> MappingPro
     return MappingProxyType(table)
 
 
-def saturation(ct: CartanType, key) -> tuple:
-    """The partition of the saturation of a pair, from its key."""
+def _split(key) -> tuple:
+    """A key's blocks and its saturation's mark (None unless very even)."""
+    return (key[:-1], key[-1]) if isinstance(key[-1], str) else (key, None)
+
+
+@lru_cache(maxsize=None)
+def saturation(ct: CartanType, key) -> orbits.NilpotentOrbit:
+    """The saturation of a pair, or of a face with an orbit on each
+    factor, from its key."""
+    blocks, mark = _split(key)
     parts = []
-    for (kind, m), p in key:
+    for (kind, m), p in blocks:
         parts.extend(p * 2 if kind == "A" and ct.series != "A" else p)
-    if ct.series == "B" and all(kind != "B" for (kind, _), _ in key):
+    if ct.series == "B" and all(kind != "B" for (kind, _), _ in blocks):
         parts.append(1)
-    return pt.normalize(parts)
+    return orbits.NilpotentOrbit(ct, partition=parts, mark=mark)
 
 
 # ---------------------------------------------------------------------
@@ -261,20 +308,24 @@ def _block_label(kind: str, m: int, p):
 
 @lru_cache(maxsize=None)
 def sommers_dual(ct: CartanType, key):
-    """The Sommers dual of a pair, from its key: an orbit of ct.dual, or
-    None for a very even one (its mark is not read).  A degenerate block
-    label {lam, lam}+- is read without its sign: a sign change on one of
-    the block's coordinates normalizes the face group, swaps the block's
-    two characters and fixes every non-degenerate character of W(D_n)
+    """The Sommers dual of a pair, or of a face with an orbit on each
+    factor, from its key: an orbit of ct.dual.  A degenerate block label
+    {lam, lam}+- is read without its sign: a sign change on one of the
+    block's coordinates normalizes the face group, swaps the block's two
+    characters and fixes every non-degenerate character of W(D_n)
     (Geck-Pfeiffer 2000, ch. 5), so the sign can only decide a degenerate
-    answer, which is a very even orbit.  Raises CharError if the least b
-    is not taken by a single constituent of multiplicity 1 or the
-    constituent is off the Springer image; neither happens for any pair
-    of A-D up to rank 10 or any face character up to rank 8."""
+    answer, a very even orbit.  Its mark is the saturation's, flipped
+    unless rank % 4 == 0, the rule of the dualities
+    (orbits._mark_of_dual).  Raises CharError if the least b is not taken
+    by a single constituent of multiplicity 1, if the constituent is off
+    the Springer image, or if it is very even and the saturation is not;
+    none of these happens for any pair of A-D up to rank 10 or any face
+    character up to rank 8."""
+    blocks, mark = _split(key)
     b = 0
     if ct.series == "A":
         induced = Counter({(): 1})
-        for (kind, m), p in key:
+        for (kind, m), p in blocks:
             lab, lb = _block_label(kind, m, p)
             b += lb
             induced = _times_a(induced, {lab: 1}, b)
@@ -282,7 +333,7 @@ def sommers_dual(ct: CartanType, key):
         low = any(pt.n_stat(lab) < b for lab in induced)
     else:
         induced = Counter({((), ()): 1})
-        for (kind, m), p in key:
+        for (kind, m), p in blocks:
             lab, lb = _block_label(kind, m, p)
             b += lb
             if kind == "A":
@@ -303,31 +354,24 @@ def sommers_dual(ct: CartanType, key):
                                    f"least-b constituent: {dict(hits)}")
     (lab,) = hits
     if ct.series == "D":
-        if lab[0] == lab[1]:
-            return None  # a degenerate symbol: a very even orbit, mark unread
-        lab = (lab, 0)
+        lab = (lab, int(lab[0] == lab[1]))  # a degenerate symbol: either sign
     orbit = orbits._springer_image(ct.dual).get(lab)
     if orbit is None:
         raise cartantype.CharError(f"{lab} is not the Springer label of an orbit of {ct.dual} "
                                    f"with the trivial local system")
-    return orbit
-
-
-def invariant(ct: CartanType, key):
-    """The (saturation, Sommers dual) of a pair, as orbits, from its key;
-    None exactly when the saturation is very even (type D at even rank),
-    whose mark partitions do not give.  Raises CharError where
-    sommers_dual does, and if the Sommers dual is very even while the
-    saturation is not (again no pair up to rank 10 or face character up
-    to rank 8)."""
-    sat = saturation(ct, key)
-    if ct.series == "D" and all(x % 2 == 0 for x in sat):
-        return None
-    dual = sommers_dual(ct, key)
-    if dual is None:
+    if not orbit.very_even:
+        return orbit
+    if mark is None:
         raise cartantype.CharError(f"the Sommers dual of {key} in {ct} is very even, "
-                                   f"its saturation {sat} is not")
-    return orbits.NilpotentOrbit(ct, partition=sat), dual
+                                   f"its saturation is not")
+    return orbit._replace(mark=orbits._mark_of_dual(ct.dual, mark, orbit.partition))
+
+
+def invariant(ct: CartanType, key) -> tuple:
+    """The (saturation, Sommers dual) of a pair, or of a face with an
+    orbit on each factor, as orbits, from its key.  Raises CharError where
+    sommers_dual does."""
+    return saturation(ct, key), sommers_dual(ct, key)
 
 
 @lru_cache(maxsize=None)
@@ -336,19 +380,13 @@ def _pairs(ct: CartanType) -> frozenset:
     return frozenset(key for *_, key in pair_choices(ct.series, ct.rank))
 
 
-def attained(ct: CartanType, dual_orbit, target):
-    """Whether some pair saturates to target with Sommers dual dual_orbit;
-    None exactly when dual_orbit or target is very even, whose mark
-    partitions do not give.  Every pair that saturates to
-    target is examined, so the answer is the one that today's path gives
-    whenever this one gives any."""
+def attained(ct: CartanType, dual_orbit, target) -> bool:
+    """Whether some pair saturates to target with Sommers dual
+    dual_orbit.  Every pair that saturates to target is examined, so a
+    fault of sommers_dual on any of them raises."""
     cartantype._check_abc_rank(ct)
-    if ct.series == "D" and (dual_orbit.very_even or target.very_even):
-        return None
-    if target.system != ct:
-        return False
     found = False
     for key in _pairs(ct):
-        if saturation(ct, key) == target.partition:
+        if saturation(ct, key) == target:
             found = sommers_dual(ct, key) == dual_orbit or found
     return found

@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from . import partitions as pt
 from .cartantype import ABCError, CartanType, CharError
-from .orbits import (NilpotentOrbit, _springer_image, node_roots,
+from .orbits import (NilpotentOrbit, _springer_image, node_roots, node_values,
                      weighted_dynkin)
 
 G2_IRREPS = ("phi(1,0)", "phi(1,6)", "phi(1,3)l", "phi(1,3)s",
@@ -315,8 +315,9 @@ def _factor(comp, linked, length):
 @lru_cache(maxsize=None)
 def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
     """J with an orbit on each factor of its pseudo-Levi (in face_factors'
-    order), as the partition path (_classical) keys it for types A-D: the
-    sorted ((kind, m), partition) of J's coordinate blocks.
+    order), as the partition path (_classical.key) keys it for types A-D:
+    the sorted ((kind, m), partition) of J's coordinate blocks, and the
+    mark of a very even saturation.
 
     An A block takes its factor's partition, a free coordinate (1,).  A
     B, C or D block reads the factors' weighted diagrams as the values of
@@ -325,20 +326,26 @@ def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
     orbits.node_values), with no solve, so no factor's frame enters: B1
     and C1 come from an A1 factor, C2 from one normalized to B2, D2 from
     two A1s, D3 from an A3, and a D4 block from a factor whose frame
-    differs from the coordinates by triality.
+    differs from the coordinates by triality.  A very even D block orbit
+    is flipped when its values are node_values' with the last eigenvalue
+    negated, which the mark reads.
     """
     from . import _classical as cl
     value, orbit_on = {}, {}
     for (*_, nodes), o in zip(face_factors(ct.series, ct.rank, j), factor_orbits):
         value.update(zip(nodes, weighted_dynkin(o).values))
         orbit_on[frozenset(nodes)] = o
-    key = []
-    for kind, m, nodes in cl.blocks(ct.series, ct.rank, j):
+    face = cl.blocks(ct.series, ct.rank, j)
+    parts, flips = [], []
+    for kind, m, nodes in face:
+        flip = False
         if kind != "A":
-            values = tuple(value[i] for i in sorted(nodes))
+            nodes = tuple(sorted(nodes))
+            values = tuple(value[i] for i in nodes)
             p = cl.block_orbits(ct.series, ct.rank, kind, m, nodes).get(values)
             if p is None:
                 raise ABCError(f"no orbit of a {kind}{m} block has node values {values}")
+            flip = kind == "D" and node_values(ct.series, ct.rank, nodes, p, True) == values
         elif nodes:
             orbit = orbit_on.get(nodes)
             if orbit is None or orbit.system.series != "A":
@@ -346,5 +353,6 @@ def block_key(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
             p = orbit.partition
         else:
             p = (1,)
-        key.append(((kind, m), p))
-    return tuple(sorted(key))
+        parts.append(p)
+        flips.append(flip)
+    return cl.key(ct.series, ct.rank, face, parts, flips)

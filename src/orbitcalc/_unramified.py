@@ -1,6 +1,6 @@
 """The unramified table from coordinate blocks: the affine Bala-Carter
-pairs, their classes and their invariants of a group of type A, B or C, or
-of type D at odd rank, in either isogeny, with no root system.
+pairs, their classes and their invariants of a group of type A, B, C or
+D, in either isogeny, with no root system.
 
 Pairs.  A face J splits into coordinate blocks, and a pair puts a
 distinguished orbit on each (_classical.pair_choices).  J' is read off
@@ -12,7 +12,8 @@ orbit.
 
 Classes.  Two pairs are equivalent (balacarter.equivalent) exactly when
 their class keys agree.  The adjoint key is the pair's block key, the
-sorted (kind, m, partition) of its blocks.  The adjoint classes are the
+sorted (kind, m, partition) of its blocks, with the mark of a very even
+saturation (_classical.key).  The adjoint classes are the
 simply connected ones up to Omega = P^vee/Q^vee, so a simply connected
 key adds what Omega moves and no translation in the face's stabilizer
 absorbs:
@@ -22,24 +23,22 @@ absorbs:
   - B_n: whether node 0 is in J, when J holds exactly one of nodes 0 and
     1 and every A block has even size;
   - C_n: per block, whether it holds node 0 and whether node n;
-  - D_n, n odd: per D block, whether it holds both nodes 0 and 1 and
+  - D_n, n >= 3: per D block, whether it holds both nodes 0 and 1 and
     whether both nodes n-1 and n; and, when J holds exactly one node of
-    exactly one of the forks {0, 1} and {n-1, n} and every A block has
-    even size, which one.
-At even rank a type-D block key is too coarse (very even marks) and
-partitions leave the invariants with a very even saturation open, so
-those tables keep balacarter's classes.  Tier-1 compares the pairs with
-balacarter.enumerate_pairs and the keys' partition with
-balacarter.classes on every system up to rank 5, and the slow tier at
-ranks 6-8.
+    a fork ({0, 1} or {n-1, n}; at odd rank, of exactly one of them) and
+    every A block has even size, which node of the first such fork J
+    holds;
+  - D_2 = SL_2 x SL_2: J itself, each of its 9 pairs its own class.
+Tier-1 compares the pairs with balacarter.enumerate_pairs and the keys'
+partition with balacarter.classes on every system up to rank 5, and the
+slow tier at ranks 6-8.
 
 Invariants.  A pair's invariant is _classical.invariant of its block
-key, which no saturation here leaves open: a very even one needs even
-rank.  The rows are grouped as duality.enumerate_nobc groups its own
+key.  The rows are grouped as duality.enumerate_nobc groups its own
 (duality._rows).
 
-duality imports this module on first use, for the systems above only,
-and cli reaches it through duality; it is not one of the package's
+duality imports this module on first use, for types A-D only, and cli
+reaches it through duality; it is not one of the package's
 lazily loaded submodules (orbitcalc/__init__.py).
 """
 
@@ -72,10 +71,13 @@ def _class_key(ct, j, blocks, parts, key) -> tuple:
     even = all(m % 2 == 0 for kind, m, _ in blocks if kind == "A")
     if ct.series == "B":
         return key + ((0 in j,) if (0 in j) != (1 in j) and even else ())
+    if n == 2:
+        return tuple(sorted(j))
     ends = tuple(sorted((m, p, {0, 1} <= nodes, {n - 1, n} <= nodes)
                         for (kind, m, nodes), p in zip(blocks, parts) if kind == "D"))
     half = [a for a, b in ((0, 1), (n - 1, n)) if (a in j) != (b in j)]
-    return key + ends + (((half[0], half[0] in j),) if len(half) == 1 and even else ())
+    fork = half and even and (len(half) == 1 or n % 2 == 0)
+    return key + ends + (((half[0], half[0] in j),) if fork else ())
 
 
 def pairs(ct):
@@ -96,17 +98,12 @@ def pairs(ct):
 def table(ct):
     """(rows, pairs, classes) of the unramified table of ct, rows as
     duality.enumerate_nobc gives them.  The rank cap is checked before
-    the cache.  Raises ABCError if partitions leave a pair's invariant
-    open, which they do only at a very even saturation, never at odd
-    rank."""
+    the cache."""
     invariants, entries = {}, []  # entries: (invariant, class key, pair) per pair
     for pair, key, cls in pairs(ct):
         inv = invariants.get(key)
         if inv is None:
-            found = cl.invariant(ct, key)
-            if found is None:
-                raise cartantype.ABCError(f"partitions leave the invariant of {key} in {ct} open")
-            inv = invariants[key] = UnramifiedClassInvariant(*found)
+            inv = invariants[key] = UnramifiedClassInvariant(*cl.invariant(ct, key))
         entries.append((inv, cls, pair))
     rows = _rows(entries)
     return rows, len(entries), sum(count for _, count, _ in rows)

@@ -39,14 +39,15 @@ Nodes are numbered as in rs.affine_simples: per component the affine
 node, then the finite simple roots (for a simple type 0 is the affine
 node and 1..n are alpha_1..alpha_n).
 
-The unramified tables of A, B, C and odd-rank D read their pairs and
-classes from coordinate blocks instead (_unramified, through duality);
-enumerate_pairs and classes serve G2, even-rank D and arthur-wf's
-fallback, and stay that path's oracle.  The pair type, ABCPair, lives in
-duality, so that both paths build it.  A classical local-wf reads its
-faces' factors, and the partition path its key, off the nodes'
-coordinates (_labels.face_factors, _labels.block_key); _face_factors
-serves G2 and the pairs here, and is their oracle.
+The unramified tables of types A-D read their pairs and classes from
+coordinate blocks instead (_unramified, through duality);
+enumerate_pairs and classes serve G2 and stay that path's oracle.  The
+pair type, ABCPair, lives in duality, so that both paths build it.  A
+classical local-wf reads its faces' factors, and the partition path its
+key, off the nodes' coordinates (_labels.face_factors,
+_labels.block_key), and the restriction patterns list their faces there
+too (_classical.faces); _face_factors and proper_subsets serve G2 and
+the pairs here, and are their oracle.
 """
 
 from __future__ import annotations

@@ -41,15 +41,16 @@ def _check_abc_rank(ct):
         raise ABCError(f"rank {ct.rank} exceeds the enumeration cap {ABC_RANK_CAP}")
 
 
-def _capped_cache(fn):
-    """lru_cache(fn) behind the rank cap: _check_abc_rank runs at every
-    call, before the cache, so a table built under a higher cap is never
-    served past a lower one.  __wrapped__ is fn, the uncached body."""
+def _capped_cache(fn, check=_check_abc_rank):
+    """lru_cache(fn) behind a cap: check(ct), the rank cap's unless given,
+    runs at every call, before the cache, so a value built under a higher
+    cap is never served past a lower one.  __wrapped__ is fn, the
+    uncached body."""
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def call(ct):
-        _check_abc_rank(ct)
+        check(ct)
         return cached(ct)
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
@@ -69,6 +70,11 @@ def _check_group_order(order):
     """Raise CharError past GROUP_ORDER_CAP, read at call time."""
     if order > GROUP_ORDER_CAP:
         raise CharError(f"group of order {order} exceeds cap {GROUP_ORDER_CAP}")
+
+
+def _check_weyl_order(ct):
+    """Raise CharError when ct's Weyl group is past GROUP_ORDER_CAP."""
+    _check_group_order(_weyl_order(ct.series, ct.rank))
 
 
 class CartanType(namedtuple("CartanType", "series rank isogeny")):

@@ -10,15 +10,14 @@ in closure order and the second components compare the other way.
 
 achar_dual_one checks that (d(O^vee), O^vee) is attained, and
 face_invariant gives the invariant of a face with an orbit on each
-factor: pair_invariant's and local-wf's, for each face character.  For
-types A-D both read partitions (_classical, imported on first use); G2
-and the very even marks that partitions do not give (type D at even
-rank) run invariant_of and sommers_dual, through the faces' Weyl groups
-(balacarter, weylrep), which stay the oracle.
+factor, local-wf's lift of each face character.  For types A-D both
+read partitions (_classical, imported on first use), very even marks
+included; G2 runs invariant_of and sommers_dual, through the faces'
+Weyl groups (balacarter, weylrep), which stay the oracle.
 
-The unramified table of A, B, C and odd-rank D is built from
-coordinate blocks (_unramified); G2 and even-rank D take balacarter's
-classes, which stay the oracle.  Both group their rows in _rows.
+The unramified table of types A-D is built from coordinate blocks
+(_unramified); G2 takes balacarter's classes, which stay the oracle.
+Both group their rows in _rows.
 """
 
 from __future__ import annotations
@@ -100,20 +99,13 @@ def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant
     """The invariant of the lift of (J, O_J), O_J an orbit on each factor.
     For types A-D it is read from partitions (_classical, imported here
     on first use) on the block key (_labels.block_key), which reads J's
-    factors off the nodes' coordinates, with no root system; G2, and a
-    very even saturation (type D at even rank), whose mark partitions do
-    not give, take invariant_of, which stays the oracle."""
-    if ct.series != "G":
-        from . import _classical, _labels
-        found = _classical.invariant(ct, _labels.block_key(ct, frozenset(j), tuple(factor_orbits)))
-        if found is not None:
-            return UnramifiedClassInvariant(*found)
-    return invariant_of(ct, j, factor_orbits)
-
-
-def pair_invariant(ct: CartanType, pair: ABCPair) -> UnramifiedClassInvariant:
-    """The invariant of an affine Bala-Carter pair."""
-    return face_invariant(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
+    factors off the nodes' coordinates, with no root system; G2 takes
+    invariant_of, which stays the oracle."""
+    if ct.series == "G":
+        return invariant_of(ct, j, factor_orbits)
+    from . import _classical, _labels
+    return UnramifiedClassInvariant(*_classical.invariant(
+        ct, _labels.block_key(ct, frozenset(j), tuple(factor_orbits))))
 
 
 def leq_A(i1: UnramifiedClassInvariant, i2: UnramifiedClassInvariant) -> bool:
@@ -124,9 +116,9 @@ def leq_A(i1: UnramifiedClassInvariant, i2: UnramifiedClassInvariant) -> bool:
 
 
 def _block_table(ct: CartanType):
-    """_unramified.table(ct) for A, B, C and odd-rank D, else None; G2
-    and even-rank D never import _unramified."""
-    if ct.series in "ABC" or (ct.series == "D" and ct.rank % 2):
+    """_unramified.table(ct) for types A-D, else None: G2 never imports
+    _unramified."""
+    if ct.series != "G":
         from . import _unramified
         return _unramified.table(ct)
     return None
@@ -139,7 +131,8 @@ def enumerate_nobc(ct: CartanType) -> tuple:
     table = _block_table(ct)
     if table is not None:
         return table[0]
-    return _rows((pair_invariant(ct, cls[0]), i, cls[0]) for i, cls in enumerate(bc.classes(ct)))
+    return _rows((invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p)), i, p)
+                 for i, (p, *_) in enumerate(bc.classes(ct)))
 
 
 def _rows(entries) -> tuple:
@@ -174,22 +167,20 @@ def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClas
     Sommers dual is computed only for pairs saturating to d(O^vee).
 
     For types A-D the check reads partitions (_classical, imported here
-    on first use); G2, and the queries whose marks partitions do not give
-    (a very even O^vee or d(O^vee), type D at even rank), take the path
-    through the faces' Weyl groups and j-induction, up to the first hit.
+    on first use); G2 takes the path through the faces' Weyl groups and
+    j-induction, up to the first hit.
     """
     if dual_orbit.system.series != ct.dual.series or \
             dual_orbit.system.rank != ct.rank:
         raise DualityError(f"{dual_orbit} is not an orbit of the dual of {ct}")
     inv = UnramifiedClassInvariant(dual_bv(dual_orbit), dual_orbit)
-    attained = None
-    if ct.series != "G":
-        from . import _classical
-        attained = _classical.attained(ct, dual_orbit, inv.orbit)
-    if attained is None:
+    if ct.series == "G":
         attained = any(
             sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
             for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == inv.orbit)
+    else:
+        from . import _classical
+        attained = _classical.attained(ct, dual_orbit, inv.orbit)
     if not attained:
         raise DualityError(f"invariant {inv} not realized by any class")
     return inv

@@ -391,14 +391,18 @@ def springer_rep_label(orbit: NilpotentOrbit):
         if len(evens) != len(odds) + 1:
             raise OrbitError(f"bad type-C symbol for {orbit}")
         return (_unshift(evens), _unshift(odds))
-    # D; the sign/mark alignment is pinned by the Bala-Carter rows: the
-    # '+' character (positive block-cycle split classes) pairs with mark II
+    # D.  A very even orbit is even, so it is Richardson for its
+    # Jacobson-Morozov parabolic, and its Springer character is
+    # j_{W_L}^W(sgn), L the nodes where its weighted diagram is 0
+    # (Lusztig-Spaltenstein, Induced unipotent classes, J. London Math.
+    # Soc. 1979).  That puts the '+' character (positive block-cycle split
+    # classes) with mark II when rank % 4 == 0, with mark I when rank % 4 == 2
     if len(odds) != len(evens):
         raise OrbitError(f"bad type-D symbol for {orbit}")
     pair = tuple(sorted((_unshift(odds), _unshift(evens))))
     sign = 0
     if pair[0] == pair[1]:
-        sign = -1 if orbit.mark == "I" else 1
+        sign = (-1 if orbit.mark == "I" else 1) * (-1 if ct.rank % 4 == 2 else 1)
     return (pair, sign)
 
 

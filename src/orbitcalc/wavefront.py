@@ -8,26 +8,24 @@ face, and keeps the A-order maxima.  Labels and orbits come from the faces'
 factor types (_labels, imported on first use), lifts from
 duality.face_invariant, and for types A-D the factors themselves from
 the nodes' coordinates (_labels.face_factors), so that a classical
-local_wf builds no root system and runs no character table unless a
-lift's saturation is very even (type D at even rank), whose mark
-partitions do not give.
+local_wf builds no root system and runs no character table.
 
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
 invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
 Its check that some affine Bala-Carter pair attains the invariant
-(duality.achar_dual_one) reads partitions for types A-D, so that a
-classical arthur_wf runs no root system and no character table, but
-for a very even O^vee or d(O^vee); G2 and cross_check_arthur go through
-the faces' Weyl groups.
+(duality.achar_dual_one) reads partitions for types A-D, very even
+marks included, so that a classical arthur_wf runs no root system and
+no character table; G2 goes through the faces' Weyl groups.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-# each runs on first use (see __init__): arthur_wf and local_wf on a
-# classical type run no root system, balacarter or character table
+# each runs on first use (see __init__): arthur_wf, local_wf and the
+# patterns on a classical type run no root system, balacarter or
+# character table
 from . import balacarter as bc
 from . import cartantype
 from . import duality as du
@@ -105,10 +103,12 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
 
 def local_wf(ct: CartanType, data) -> WavefrontResult:
     """Wavefront sets from restriction data, maximized over the faces.  A
-    lift with a very even saturation builds the ambient group, so a group
-    past GROUP_ORDER_CAP fails first, before any root system is built."""
+    system whose Weyl group is past GROUP_ORDER_CAP fails first, before
+    any root system is built.  No classical lift builds a group, so the
+    check is only local-wf's documented bound until the caps are
+    split."""
     from . import _labels
-    cartantype._check_group_order(cartantype._weyl_order(ct.series, ct.rank))
+    cartantype._check_weyl_order(ct)
     data = validate_restriction_data(ct, data)
     invariants = []
     for j, items in data.items():
@@ -148,10 +148,17 @@ def cross_check_arthur(ct: CartanType, dual_orbit: NilpotentOrbit) -> bool:
 # -- canned restriction patterns --------------------------------------
 
 def _pattern(ct: CartanType, pick) -> dict:
-    """One character of every face group, picked factor by factor by b."""
+    """One character of every face group, picked factor by factor by b.
+    The faces of A-D are listed off the nodes' coordinates
+    (_classical.faces)."""
     from . import _labels
+    if ct.series == "G":
+        faces = bc.proper_subsets(ct)
+    else:
+        from . import _classical
+        faces = _classical.faces(ct.series, ct.rank)
     out = {}
-    for j in bc.proper_subsets(ct):
+    for j in faces:
         label = tuple(pick(_labels.factor_irrep_labels(kind, rank),
                            key=lambda lab: _labels.b_invariant(kind, lab))
                       for kind, _, rank, *_ in _face_factors(ct, j))

@@ -23,15 +23,16 @@ function once per character, so each candidate costs one dot product.
 Every cached value is immutable (an integer, a tuple, a frozenset, a
 namedtuple or a read-only mapping of those), so no caller can change what
 a later query is served.  cartantype.GROUP_ORDER_CAP is read whenever a
-context is built: contexts share their factors (rootdata.build_factor),
-never the check.
+context is built, and ambient_context reads it at every call, before
+its cache: contexts share their factors (rootdata.build_factor), never
+the check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
 from . import _labels, cartantype
@@ -171,8 +172,10 @@ def _factor_order(f: EmbeddedFactor) -> int:
 # context construction and caching
 # ---------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@partial(cartantype._capped_cache, check=cartantype._check_weyl_order)
 def ambient_context(ct: CartanType) -> WeylContext:
+    """The context of ct's whole Weyl group.  GROUP_ORDER_CAP is checked
+    at every call, before the cache."""
     rs = build_root_system(ct)
     # keep the declared simple-root order whenever it is a standard model:
     # everywhere except D3 (an A3 whose declared order is not a path) and

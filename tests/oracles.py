@@ -28,7 +28,9 @@ library against it or use it to build their inputs.
 - block_key_by_roots, the partition path's block key with the face's
   factors and their frames read off the root system, as balacarter
   read it before _labels.face_factors read them off the nodes'
-  coordinates.
+  coordinates, and the mark of a very even saturation by a solve;
+- pair_invariant, a pair's invariant through face_invariant, as
+  duality gave it before enumerate_nobc's G2 branch took it over.
 
 A library change that needs one of these (an Omega route for the simply
 connected classes, say) imports it back from here.
@@ -41,6 +43,7 @@ from functools import lru_cache
 from orbitcalc import balacarter as bc
 from orbitcalc import _classical as cl
 from orbitcalc import _labels
+from orbitcalc import duality as du
 from orbitcalc._labels import _family_key, _is_special
 from orbitcalc.cartantype import ABCError, CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
@@ -451,7 +454,8 @@ def block_partition(kind, roots, values) -> tuple:
 def block_key_by_roots(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
     """_labels.block_key with J's factors and their frames read off the
     root system (balacarter._face_factors): each factor's nodes are its
-    basis roots' nodes in rs.affine_simples."""
+    basis roots' nodes in rs.affine_simples; a very even saturation's mark
+    is balacarter.saturation's."""
     affs = build_root_system(ct).affine_simples
     node = {affs[i][0]: i for i in j}
     value, orbit_on = {}, {}
@@ -474,4 +478,11 @@ def block_key_by_roots(ct: CartanType, j: frozenset, factor_orbits) -> tuple:
         else:
             p = (1,)
         key.append(((kind, m), p))
-    return tuple(sorted(key))
+    mark = bc.saturation(ct, j, factor_orbits).mark  # by one solve (weylrep)
+    return tuple(sorted(key)) + ((mark,) if mark else ())
+
+
+def pair_invariant(ct: CartanType, pair) -> tuple:
+    """The invariant of an affine Bala-Carter pair: face_invariant on its
+    distinguished factor orbits, as duality.pair_invariant gave it."""
+    return du.face_invariant(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))

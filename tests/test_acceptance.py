@@ -21,8 +21,8 @@ from orbitcalc.orbits import (NilpotentOrbit, closure_leq, dual_bv,
                               enumerate_orbits, regular_orbit, zero_orbit)
 from orbitcalc.rootdata import CartanType
 
-from oracles import (families, is_special_rep, orbit_springer_irrep, special_member,
-                     tensor_sgn)
+from oracles import (families, is_special_rep, orbit_springer_irrep, pair_invariant,
+                     special_member, tensor_sgn)
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
@@ -95,7 +95,7 @@ def test_criterion_3():
         for pair in bc.enumerate_pairs(ct):
             if any(_is_affine_node(ct, d) for d in pair.J):
                 continue
-            inv = du.pair_invariant(ct, pair)
+            inv = pair_invariant(ct, pair)
             orbit = bc.pair_saturation(ct, pair)
             assert inv.orbit == orbit, (ct, pair)
             assert inv.dual_orbit == _bv_of(ct, orbit), (ct, pair)

@@ -13,7 +13,7 @@ from orbitcalc.orbits import OrbitError, regular_orbit, zero_orbit
 from orbitcalc.partitions import PartitionError
 from orbitcalc.weylrep import ambient_orbit_from_factor_orbits
 
-from oracles import orbit_s_factors
+from oracles import orbit_s_factors, pair_invariant
 
 
 def test_invariant_constant_on_classes():
@@ -21,7 +21,7 @@ def test_invariant_constant_on_classes():
     for ct in [CartanType("A", 2, "adjoint"), CartanType("B", 2, "adjoint"),
                CartanType("G", 2), CartanType("D", 2, "adjoint")]:
         for cls in bc.classes(ct):
-            invs = {du.pair_invariant(ct, p) for p in cls}
+            invs = {pair_invariant(ct, p) for p in cls}
             sats = {pair_saturation(ct, p) for p in cls}
             assert len(invs) == 1, (ct, cls)
             assert len(sats) == 1, (ct, cls)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
-from orbitcalc import duality as du
 from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
 from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
@@ -20,7 +19,7 @@ from orbitcalc.rootdata import CartanType, build_root_system, subsystem_roots
 from orbitcalc.weylrep import ambient_context
 
 from oracles import (alcove_symmetries, conjugate_root_tuples, coset_reps,
-                     enumerate_pairs_by_masks, weyl_group)
+                     enumerate_pairs_by_masks, pair_invariant, weyl_group)
 
 SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
 ISOGENIES = ("adjoint", "simply_connected")
@@ -340,7 +339,7 @@ def test_non_distinguished_jprime_raises():
     """(2,0,0) on B3 is no distinguished diagram, so the pair names no orbit."""
     ct = CartanType("B", 3, "adjoint")
     pair = bc.ABCPair(J(1, 2, 3), J(2, 3))
-    for f in (bc.distinguished_factor_orbits, bc.pair_saturation, du.pair_invariant):
+    for f in (bc.distinguished_factor_orbits, bc.pair_saturation, pair_invariant):
         with pytest.raises(bc.ABCError, match="not distinguished"):
             f(ct, pair)
 

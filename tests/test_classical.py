@@ -4,12 +4,11 @@ arthur-wf, in the unramified tables and in local-wf, and which stays the
 oracle.
 
 A face's pairs are compared as a multiset of (saturation, Sommers dual),
-the saturation by its partition; a very even Sommers dual counts as
-"very even" on both sides, since partitions do not give its mark.  A
-pair's invariant, as the unramified tables read it (duality.pair_invariant
-on _labels.block_key), is compared with invariant_of pair by pair.  The
-tests marked slow run the same comparisons at ranks 6-8 with the caps
-raised inside the test (pytest -m slow).  So are the lifts of every
+very even marks included.  A pair's invariant, as the unramified tables
+read it (_classical.invariant on _labels.block_key), is compared with
+invariant_of pair by pair.  The tests marked slow run the same
+comparisons at ranks 6-8 with the caps raised inside the test (pytest
+-m slow).  So are the lifts of every
 character of every face group (duality.face_invariant, as local-wf reads
 them), up to rank 4 in tier-1 and at ranks 5 and 6 in the slow tier.
 The faces' factors, as local-wf and the key read them off the nodes'
@@ -64,21 +63,12 @@ def face_pairs(ct, j):
 
 
 def todays_face(ct, j):
-    out = Counter()
-    for p in bc.enumerate_pairs(ct):
-        if p.J == j:
-            dual = du.sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p))
-            out[bc.pair_saturation(ct, p).partition,
-                "very even" if dual.very_even else dual] += 1
-    return out
+    return Counter(tuple(du.invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p)))
+                   for p in bc.enumerate_pairs(ct) if p.J == j)
 
 
 def partition_face(ct, j):
-    out = Counter()
-    for key in face_pairs(ct, j):
-        dual = cl.sommers_dual(ct, key)
-        out[cl.saturation(ct, key), "very even" if dual is None else dual] += 1
-    return out
+    return Counter(cl.invariant(ct, key) for key in face_pairs(ct, j))
 
 
 def compare_faces(ct):
@@ -91,7 +81,7 @@ def compare_faces(ct):
         rows = partition_face(ct, j)
         assert rows == todays_face(ct, j), (ct, sorted(j))
         pairs += sum(rows.values())
-        very_even += sum(n for (_, dual), n in rows.items() if dual == "very even")
+        very_even += sum(n for (_, dual), n in rows.items() if dual.very_even)
     return len(faces), pairs, very_even
 
 
@@ -102,14 +92,21 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def attained_by_pairs(ct, dual_orbit, target):
+    """achar_dual_one's check through the faces' Weyl groups, which G2
+    takes: some pair saturates to target with Sommers dual dual_orbit."""
+    return any(du.sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
+               for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == target)
+
+
 def compare_queries(monkeypatch, systems):
-    """The number of achar_dual_one queries on every dual orbit of the
-    systems, after checking that both paths give the same answer or the
-    same error."""
+    """(queries, errors) of achar_dual_one on every dual orbit of the
+    systems, after checking that the partition path and the path through
+    the faces' Weyl groups give the same answer or the same error."""
     queries = [(ct, o) for ct in systems for o in enumerate_orbits(ct.dual)]
     partition_path = [outcome(lambda: du.achar_dual_one(ct, o)) for ct, o in queries]
     with monkeypatch.context() as m:
-        m.setattr(cl, "attained", lambda *args: None)
+        m.setattr(cl, "attained", attained_by_pairs)
         todays_path = [outcome(lambda: du.achar_dual_one(ct, o)) for ct, o in queries]
     for query, new, old in zip(queries, partition_path, todays_path):
         assert new == old, query
@@ -143,20 +140,16 @@ def test_d3_face_is_a3():
 
 
 def compare_pairs(ct):
-    """(pairs, pairs that partitions leave open) of ct, after checking that
-    every pair's invariant is invariant_of's, and that every pair that
-    partitions decide is read from partitions."""
+    """(pairs, pairs with a very even saturation) of ct, after checking
+    that partitions give every pair's invariant as invariant_of does,
+    marks included."""
     pairs = bc.enumerate_pairs(ct)
-    left_open = 0
+    very_even = 0
     for p in pairs:
         oracle = du.invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p))
-        assert du.pair_invariant(ct, p) == oracle, (ct, p)
-        found = cl.invariant(ct, pair_key(ct, p))
-        if found is None:
-            left_open += 1
-        else:
-            assert found == tuple(oracle), (ct, p)
-    return len(pairs), left_open
+        assert cl.invariant(ct, pair_key(ct, p)) == tuple(oracle), (ct, p)
+        very_even += oracle.orbit.very_even
+    return len(pairs), very_even
 
 
 def test_block_key_d2_is_two_a1_factors():
@@ -168,6 +161,22 @@ def test_block_key_d2_is_two_a1_factors():
                                       (("D", 2), (3, 1)))
     assert pair_key(ct, pair) in face_pairs(ct, pair.J)
     assert compare_pairs(CartanType("D", 2)) == (9, 4)
+
+
+def test_key_carries_a_very_even_saturations_mark():
+    """D4's faces {a1, a3} and {a1, a4} are two A1 blocks each, on e_0, e_1
+    and e_2, e_3, and both pairs saturate to (2,2,2,2).  h placed with the
+    roots' signs is (1, -1, 1, -1) on e_0 - e_1 and e_2 - e_3, a positive
+    product, mark II; and (1, -1, 1, 1) on e_0 - e_1 and e_2 + e_3, whose
+    frame is e_2, -e_3, a negative product, mark I."""
+    ct = CartanType("D", 4)
+    blocks = ((("A", 2), (2,)), (("A", 2), (2,)))
+    for j, mark in [({1, 3}, "II"), ({1, 4}, "I")]:
+        pair = bc.ABCPair(frozenset(j), frozenset())
+        assert pair_key(ct, pair) == blocks + (mark,)
+        assert cl.saturation(ct, pair_key(ct, pair)) == bc.pair_saturation(ct, pair) == \
+            NilpotentOrbit(ct, partition=(2, 2, 2, 2), mark=mark)
+    assert cl.saturation(ct, blocks[:1] + ((("D", 2), (3, 1)),)).mark is None
 
 
 def test_block_key_d3_is_an_a3_factor():
@@ -203,28 +212,27 @@ def test_block_key_reads_the_factor_orbit_where_a_block_has_several():
 
 
 def test_pair_invariants_match_todays_path_to_rank_5():
-    """All 1024 pairs of A1-A5, B2-B5, C2-C5 and D2-D5 in both isogenies.
-    Partitions leave open the 24 pairs whose saturation or Sommers dual is
-    very even: 4 of D2 and 8 of D4 in each isogeny."""
-    totals, left_open = Counter(), Counter()
+    """All 1024 pairs of A1-A5, B2-B5, C2-C5 and D2-D5 in both isogenies,
+    marks included.  24 of them have a very even saturation: 4 of D2 and
+    8 of D4 in each isogeny."""
+    totals, very_even = Counter(), Counter()
     for iso in ("adjoint", "simply_connected"):
         for s in "ABCD":
             for r in range(1 if s == "A" else 2, 6):
                 pairs, n = compare_pairs(CartanType(s, r, iso))
                 totals[iso] += pairs
                 if n:
-                    left_open[f"{s}{r} {iso}"] = n
+                    very_even[f"{s}{r} {iso}"] = n
     assert totals == {"adjoint": 512, "simply_connected": 512}
-    assert left_open == {"D2 adjoint": 4, "D4 adjoint": 8,
+    assert very_even == {"D2 adjoint": 4, "D4 adjoint": 8,
                          "D2 simply_connected": 4, "D4 simply_connected": 8}
 
 
-def test_unramified_tables_fall_back_on_32_of_293_classes(monkeypatch):
+def test_unramified_tables_run_invariant_of_for_g2_only(monkeypatch):
     """On the unramified tables of A-D at ranks 2-4 and G2, in both
-    isogenies, invariant_of runs for 32 of the 293 classes: the 14 of G2
-    and the 18 very even ones of D2 and D4.  With every class on
-    invariant_of (the coordinate-block tables switched off too, since
-    they read _classical alone) the tables are the same."""
+    isogenies, invariant_of runs for 14 of the 293 classes, those of G2.
+    With every class on invariant_of (the coordinate-block tables
+    switched off) the tables are the same."""
     systems = [CartanType(s, r, iso) for iso in ("adjoint", "simply_connected")
                for s, r in [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]]
     calls = Counter()
@@ -238,9 +246,8 @@ def test_unramified_tables_fall_back_on_32_of_293_classes(monkeypatch):
         m.setattr(du, "invariant_of", counted)
         tables = [du.enumerate_nobc.__wrapped__(ct) for ct in systems]
     assert sum(len(bc.classes(ct)) for ct in systems) == 293
-    assert calls == {"G": 14, "D": 18}
+    assert calls == {"G": 14}
     with monkeypatch.context() as m:
-        m.setattr(cl, "invariant", lambda ct, key: None)
         m.setattr(du, "_block_table", lambda ct: None)
         assert [du.enumerate_nobc.__wrapped__(ct) for ct in systems] == tables
 
@@ -256,9 +263,8 @@ def test_littlewood_richardson_products():
 
 
 def test_face_multisets_match_todays_path_to_rank_5():
-    """All 466 faces of adjoint A2-A5, B2-B5, C2-C5 and D2-D5.  The only
-    pairs whose Sommers dual partitions leave open are the 12 very even
-    ones of D2 and D4."""
+    """All 466 faces of adjoint A2-A5, B2-B5, C2-C5 and D2-D5, marks
+    included.  12 pairs have a very even Sommers dual, all in D2 and D4."""
     totals = Counter()
     very_even = {}
     for s in "ABCD":
@@ -273,11 +279,11 @@ def test_face_multisets_match_todays_path_to_rank_5():
 
 
 def compare_face_characters(ct):
-    """(characters, characters that partitions leave open) of ct, over
+    """(characters, characters with a very even saturation) of ct, over
     every character of every face group, after checking that
-    face_invariant gives invariant_of's answer on each and that partitions
-    give it wherever they give one."""
-    characters = left_open = 0
+    face_invariant, which reads partitions, gives invariant_of's answer
+    on each, marks included."""
+    characters = very_even = 0
     for j in bc.proper_subsets(ct):
         factors = bc._face_factors(ct, j)
         for label in product(*(_labels.factor_irrep_labels(f.kind, f.rank)
@@ -285,37 +291,33 @@ def compare_face_characters(ct):
             orbs = _labels.orbit_s_factors(factors, label)
             oracle = du.invariant_of(ct, j, orbs)
             assert du.face_invariant(ct, j, orbs) == oracle, (ct, sorted(j), label)
-            found = cl.invariant(ct, _labels.block_key(ct, j, orbs))
-            if found is None:
-                left_open += 1
-            else:
-                assert found == tuple(oracle), (ct, sorted(j), label)
+            very_even += oracle.orbit.very_even
             characters += 1
-    return characters, left_open
+    return characters, very_even
 
 
 def test_face_characters_match_invariant_of_to_rank_4():
     """All 2158 characters of the face groups of A-D at ranks 2-4 in both
-    isogenies, as local-wf lifts them.  Partitions leave open 52 in each
-    isogeny, those with a very even saturation, all in D2 and D4."""
-    totals, left_open = Counter(), Counter()
+    isogenies, as local-wf lifts them.  52 in each isogeny have a very
+    even saturation, all in D2 and D4."""
+    totals, very_even = Counter(), Counter()
     for iso in ("adjoint", "simply_connected"):
         for s in "ABCD":
             for r in (2, 3, 4):
                 characters, n = compare_face_characters(CartanType(s, r, iso))
                 totals[iso] += characters
                 if n:
-                    left_open[f"{s}{r} {iso}"] = n
+                    very_even[f"{s}{r} {iso}"] = n
     assert totals == {"adjoint": 1079, "simply_connected": 1079}
-    assert left_open == {"D2 adjoint": 12, "D4 adjoint": 40,
+    assert very_even == {"D2 adjoint": 12, "D4 adjoint": 40,
                          "D2 simply_connected": 12, "D4 simply_connected": 40}
 
 
 def test_undecided_answers_raise_char_error(monkeypatch):
     """sommers_dual raises CharError for a least-b constituent off the
-    Springer image or not single, and invariant for a very even Sommers
-    dual of a saturation that is not very even; no pair or face
-    character of A-D meets either, so the test makes them."""
+    Springer image or not single, and for a very even Sommers dual of a
+    saturation that is not very even; no pair or face character of A-D
+    meets any of them, so the test makes them."""
     b3 = CartanType("B", 3)
     key = min(cl._pairs(b3))
     with monkeypatch.context() as m:
@@ -325,9 +327,10 @@ def test_undecided_answers_raise_char_error(monkeypatch):
         m.setattr(cl, "_times_bc", lambda x, y, bound: {((1,), (1, 1)): 2})
         with pytest.raises(cartantype.CharError, match="no single least-b constituent"):
             cl.sommers_dual.__wrapped__(b3, key)
-    monkeypatch.setattr(cl, "sommers_dual", lambda ct, key: None)
-    with pytest.raises(cartantype.CharError, match="is very even, its saturation"):
-        cl.invariant(b3, key)
+    # D2's (3,1) block, given the degenerate label {(1), (1)}+
+    monkeypatch.setattr(cl, "_block_label", lambda kind, m, p: ((((1,), (1,)), 1), 1))
+    with pytest.raises(cartantype.CharError, match="is very even, its saturation is not$"):
+        cl.sommers_dual.__wrapped__(CartanType("D", 2), ((("D", 2), (3, 1)),))
 
 
 def test_block_label_reads_the_orbit_of_b1_c1_and_a_blocks():
@@ -390,18 +393,24 @@ def test_block_key_reads_a_d4_block_off_its_coordinates():
     (a0 first) differs from the block's coordinates by triality: the
     factor's (5,1,1,1) is the block's (4,4), its (4,4)-I the block's
     (5,1,1,1) and its (3,1^5) the block's (2,2,2,2).  The orbits that
-    triality fixes key as themselves."""
+    triality fixes key as themselves.  In D4 a very even saturation
+    carries its mark, which triality moves too: the factor's mark II is
+    the coordinates' mark I."""
     d4 = CartanType("D", 4)
     j = frozenset({0, 1, 2, 3})
     for ct in (CartanType("B", 4), d4):
         assert _labels.face_factors(ct.series, ct.rank, j) == (("D", "D", 4, (0, 2, 3, 1)),)
-        moved = {}
+        moved, marks = {}, {}
         for o in enumerate_orbits(d4):
-            ((_, p),) = _labels.block_key(ct, j, (o,))
+            (_, p), *mark = _labels.block_key(ct, j, (o,))
             if p != o.partition:
                 moved[o.label()] = p
+            if mark:
+                marks[o.label()] = mark[0]
         assert moved == {"5,1,1,1": (4, 4), "4,4-I": (5, 1, 1, 1),
                          "3,1,1,1,1,1": (2, 2, 2, 2), "2,2,2,2-I": (3, 1, 1, 1, 1, 1)}
+        assert marks == ({} if ct.series == "B" else {
+            "5,1,1,1": "II", "4,4-II": "I", "3,1,1,1,1,1": "II", "2,2,2,2-II": "I"})
 
 
 def face_factors_by_roots(ct, j):
@@ -483,16 +492,19 @@ def test_achar_queries_match_todays_path(monkeypatch):
 
 def test_one_rank_cap_for_both_paths(monkeypatch):
     """Both paths read cartantype.ABC_RANK_CAP at call time and raise the
-    same error: B4 through partitions, a very even D4 query through the
-    faces' Weyl groups."""
-    b4, d4 = CartanType("B", 4), CartanType("D", 4)
-    very_even = NilpotentOrbit(d4, partition=(2, 2, 2, 2), mark="I")
-    assert cl.attained(d4, very_even, dual_bv(very_even)) is None
+    same error: B4 and a very even D4 query through partitions, G2
+    through the faces' Weyl groups."""
+    b4, d4, g2 = CartanType("B", 4), CartanType("D", 4), CartanType("G", 2)
+    very_even = NilpotentOrbit(d4.dual, partition=(2, 2, 2, 2), mark="I")
+    assert cl.attained(d4, very_even, dual_bv(very_even))
     monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 3)
     for ct, orbit in [(b4, enumerate_orbits(b4.dual)[3]), (d4, very_even)]:
         with pytest.raises(cartantype.ABCError,
                            match=r"^rank 4 exceeds the enumeration cap 3$"):
             du.achar_dual_one(ct, orbit)
+    monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 1)
+    with pytest.raises(cartantype.ABCError, match=r"^rank 2 exceeds the enumeration cap 1$"):
+        du.achar_dual_one(g2, enumerate_orbits(g2)[1])
     assert bc.ABCError is cartantype.ABCError
 
 
@@ -528,39 +540,36 @@ def test_face_multisets_match_todays_path_ranks_6_8(raised_caps, series, rank):
     assert very_even == SLOW_FACES[series, rank]
 
 
-# per system, the pairs that partitions leave open: those with a very even
-# saturation or Sommers dual
-SLOW_PAIRS_OPEN = {("A", 6): 0, ("A", 7): 0, ("A", 8): 0, ("B", 6): 0, ("B", 7): 0,
+# per system, the pairs with a very even saturation
+SLOW_PAIRS_VERY_EVEN = {("A", 6): 0, ("A", 7): 0, ("A", 8): 0, ("B", 6): 0, ("B", 7): 0,
                    ("B", 8): 0, ("C", 6): 0, ("C", 7): 0, ("C", 8): 0, ("D", 6): 16,
                    ("D", 7): 0, ("D", 8): 32}
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("series,rank", sorted(SLOW_PAIRS_OPEN))
+@pytest.mark.parametrize("series,rank", sorted(SLOW_PAIRS_VERY_EVEN))
 def test_pair_invariants_match_todays_path_ranks_6_8(raised_caps, series, rank):
-    _, left_open = compare_pairs(CartanType(series, rank))
-    assert left_open == SLOW_PAIRS_OPEN[series, rank]
+    _, very_even = compare_pairs(CartanType(series, rank))
+    assert very_even == SLOW_PAIRS_VERY_EVEN[series, rank]
 
 
-# D6's six very even dual orbits raise DualityError ("not realized by any
-# class") on both paths: d_BV's mark and the marks that the faces attain
-# disagree there, a fault of the path through the Weyl groups, to which
-# the partition path hands very even queries
-VERY_EVEN_D6_FAULTS = {6: 6, 7: 0}
+# per rank, the queries that raise DualityError ("not realized by any
+# class") on both paths
+VERY_EVEN_D6_FAULTS = {6: 0, 7: 0}
 
 
-# per system at ranks 5 and 6, the face characters that partitions leave
-# open: those with a very even saturation
-SLOW_CHARACTERS_OPEN = {("A", 5): 0, ("B", 5): 0, ("C", 5): 0, ("D", 5): 0,
+# per system at ranks 5 and 6, the face characters with a very even
+# saturation
+SLOW_CHARACTERS_VERY_EVEN = {("A", 5): 0, ("B", 5): 0, ("C", 5): 0, ("D", 5): 0,
                         ("A", 6): 0, ("B", 6): 0, ("C", 6): 0, ("D", 6): 116}
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("series,rank", sorted(SLOW_CHARACTERS_OPEN))
+@pytest.mark.parametrize("series,rank", sorted(SLOW_CHARACTERS_VERY_EVEN))
 @pytest.mark.parametrize("iso", ["adjoint", "simply_connected"])
 def test_face_characters_match_invariant_of_ranks_5_6(raised_caps, series, rank, iso):
-    _, left_open = compare_face_characters(CartanType(series, rank, iso))
-    assert left_open == SLOW_CHARACTERS_OPEN[series, rank]
+    _, very_even = compare_face_characters(CartanType(series, rank, iso))
+    assert very_even == SLOW_CHARACTERS_VERY_EVEN[series, rank]
 
 
 @pytest.mark.slow

@@ -555,11 +555,12 @@ def _loaded(argv):
 
 @pytest.mark.parametrize("series,rank,dual", [
     ("A", 3, "2,1,1"), ("B", 4, "3,3,1,1"), ("C", 4, "5,1,1,1,1"),
-    ("D", 3, "3,1,1,1"), ("D", 4, "3,3,1,1")])
+    ("D", 3, "3,1,1,1"), ("D", 4, "3,3,1,1"), ("D", 4, "2,2,2,2-I")])
 def test_classical_arthur_miss_runs_no_character_layer(tmp_path, series, rank, dual):
-    """A classical arthur-wf miss is answered from partitions: it runs
-    none of the root-system, linear-algebra, Bala-Carter or character
-    modules.  G2 still runs them."""
+    """A classical arthur-wf miss is answered from partitions, a very even
+    dual orbit's marks included: it runs none of the root-system,
+    linear-algebra, Bala-Carter or character modules.  G2 still runs
+    them."""
     argv = ["arthur-wf", "--type", series, "--rank", str(rank), "--dual-orbit", dual,
             "--json", "--cache-dir", str(tmp_path)]
     loaded = _loaded(argv)
@@ -575,11 +576,13 @@ def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
 
 @pytest.mark.parametrize("series,rank,iso", [
     ("A", 4, "adjoint"), ("B", 3, "adjoint"), ("C", 4, "simply_connected"),
-    ("D", 3, "adjoint"), ("A", 3, "simply_connected"), ("B", 4, "simply_connected")])
+    ("D", 3, "adjoint"), ("A", 3, "simply_connected"), ("B", 4, "simply_connected"),
+    ("D", 2, "adjoint"), ("D", 2, "simply_connected"), ("D", 4, "adjoint"),
+    ("D", 4, "simply_connected")])
 def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, rank, iso):
-    """A classical unramified table with no very even type-D invariant is
-    built from coordinate blocks: pairs, class keys and invariants from
-    partitions (_unramified, _classical), with no root system, no
+    """A classical unramified table is built from coordinate blocks:
+    pairs, class keys and invariants from partitions (_unramified,
+    _classical), very even marks included, with no root system, no
     Bala-Carter equivalence and no character table."""
     argv = ["unramified", "--type", series, "--rank", str(rank), "--isogeny", iso,
             "--json", "--cache-dir", str(tmp_path)]
@@ -597,10 +600,10 @@ def test_orbits_table_runs_no_root_system():
     assert not CHARACTER_LAYER & loaded, loaded
 
 
-@pytest.mark.parametrize("series,rank", [("D", 4), ("G", 2)])
+@pytest.mark.parametrize("series,rank", [("G", 2)])
 def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
-    """D4's very even invariants and every G2 pair take invariant_of; G2
-    never imports the partition path.  The table is the golden one."""
+    """Every G2 pair takes invariant_of, and G2 never imports the
+    partition path.  The table is the golden one."""
     argv = ["unramified", "--type", series, "--rank", str(rank), "--json",
             "--cache-dir", str(tmp_path)]
     proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
@@ -641,7 +644,7 @@ def _local_wf_miss(tmp_path, series, rank, pattern, iso="adjoint"):
 CLASSICAL_LOCAL_WF = [("C", 4, "adjoint", "steinberg"), ("A", 4, "adjoint", "trivial"),
                       ("B", 3, "adjoint", "steinberg"), ("D", 3, "adjoint", "trivial"),
                       ("B", 4, "simply_connected", "steinberg"),
-                      ("D", 3, "simply_connected", "steinberg")]
+                      ("D", 3, "simply_connected", "steinberg"), ("D", 4, "adjoint", "steinberg")]
 
 
 @pytest.mark.parametrize("series,rank,iso,pattern", CLASSICAL_LOCAL_WF, ids=[
@@ -710,11 +713,10 @@ def test_odd_rank_d_local_wf_runs_no_character_layer(tmp_path, monkeypatch, seri
     assert not CHARACTER_LAYER & loaded, loaded
 
 
-@pytest.mark.parametrize("series,rank", [("G", 2), ("D", 4)])
+@pytest.mark.parametrize("series,rank", [("G", 2)])
 def test_local_wf_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
-    """G2's lifts, and those that partitions leave open on D4's Steinberg
-    pattern, take invariant_of; G2 never imports the partition path.  The
-    output is the golden one."""
+    """G2's lifts take invariant_of, and G2 never imports the partition
+    path.  The output is the golden one."""
     loaded = _local_wf_miss(tmp_path, series, rank, "steinberg")
     assert {"orbitcalc._labels", "orbitcalc.chartab", "orbitcalc.weylrep"} <= loaded
     assert ("orbitcalc._classical" in loaded) == (series != "G")

@@ -1,6 +1,5 @@
 """The unramified table from coordinate blocks (orbitcalc._unramified)
-against the path that it replaces for A, B, C and odd-rank D, which stays
-the oracle: balacarter's pairs (enumerate_pairs) and classes (the
+against the path that it replaces for types A-D, which stays the oracle: balacarter's pairs (enumerate_pairs) and classes (the
 equivalence through the faces' diagrams), and the table that duality
 builds from them (enumerate_nobc with _block_table switched off).
 
@@ -8,8 +7,8 @@ On every system the block path serves, its pairs are balacarter's, its
 class keys partition them as balacarter.classes does, and its rows, its
 counts and its Hasse edges are today's.  Tier-1 checks every A-D system
 up to rank 5 in both isogenies; the slow tier (pytest -m slow) adjoint
-A-D at ranks 6-8 and simply connected A-D at ranks 6-7, with the caps
-raised inside the test.
+A-D at ranks 6-8 and simply connected A-D at ranks 6-7 (D6 and D7), with
+the caps raised inside the test.
 """
 
 import warnings
@@ -68,30 +67,33 @@ def compare_table(ct, monkeypatch):
 
 
 def test_block_tables_match_todays_path_to_rank_5(monkeypatch):
-    """Every A-D system up to rank 5 in both isogenies but D2 and D4; the
-    tables of A1-A5 hold 76 classes, B2-B5 162, C2-C5 187, D3 and D5 66."""
+    """Every A-D system up to rank 5 in both isogenies; the tables of A1-A5
+    hold 76 classes, B2-B5 162, C2-C5 187, D2-D5 120: 4 and 9 in D2, 13
+    and 28 in D4 (adjoint and simply connected)."""
     totals = defaultdict(int)
     for ct in systems(range(1, 6)):
-        if not (ct.series == "D" and ct.rank % 2 == 0):
-            totals[ct.series] += compare_table(ct, monkeypatch)
-    assert totals == {"A": 76, "B": 162, "C": 187, "D": 66}
-
-
-def test_even_rank_d_keeps_todays_path():
-    """D2 and D4 fall back in both isogenies: the block path is not asked
-    (a very even orbit's mark shows in neither the block key nor the
-    partitions), and its keys would merge classes there."""
-    declined = [str(ct) + " " + ct.isogeny for ct in systems(range(1, 6))
-                if du._block_table(ct) is None]
-    assert declined == ["D2 adjoint", "D4 adjoint", "D2 simply_connected",
-                        "D4 simply_connected"]
-    merged = {}
-    for ct in systems((2, 4), series="D"):
-        merged[str(ct) + " " + ct.isogeny] = (len(key_classes(ct)), len(bc.classes(ct)))
-        assert any(cl.invariant(ct, key) is None for _, key, _ in un.pairs(ct))
-    assert merged == {"D2 adjoint": (3, 4), "D4 adjoint": (11, 13),
-                      "D2 simply_connected": (7, 9), "D4 simply_connected": (22, 28)}
+        totals[ct.series] += compare_table(ct, monkeypatch)
+    assert totals == {"A": 76, "B": 162, "C": 187, "D": 120}
     assert du._block_table(CartanType("G", 2)) is None
+
+
+def markless_keys(ct) -> int:
+    """The number of adjoint class keys of ct with the saturation's mark
+    left out: the block keys alone."""
+    return len({cl._split(key)[0] for _, key, _ in un.pairs(ct)})
+
+
+def test_even_rank_d_block_keys_need_the_mark():
+    """At even rank a type-D block key alone merges classes whose very even
+    saturations differ in their marks: D2's 4 adjoint classes have 3 block
+    keys and D4's 13 have 11.  The class key adds the mark; D2's simply
+    connected key is J (SL2 x SL2, each of its 9 pairs its own class)."""
+    merged = {n: (markless_keys(CartanType("D", n)), len(bc.classes(CartanType("D", n))))
+              for n in (2, 4)}
+    assert merged == {2: (3, 4), 4: (11, 13)}
+    d2 = CartanType("D", 2, "simply_connected")
+    assert sorted(cls for _, _, cls in un.pairs(d2)) == sorted(
+        tuple(sorted(p.J)) for p in bc.enumerate_pairs(d2))
 
 
 def test_simply_connected_keys_split_omega_orbits():
@@ -132,16 +134,6 @@ def test_block_table_checks_the_rank_cap_first(monkeypatch):
             du.abc_counts(ct)
 
 
-def test_block_table_refuses_an_open_invariant(monkeypatch):
-    """Partitions leave an invariant open only at a very even saturation,
-    which needs even rank; were one open, the table raises a named error
-    instead of building rows."""
-    monkeypatch.setattr(cl, "invariant", lambda ct, key: None)
-    with pytest.raises(cartantype.ABCError,
-                       match=r"^partitions leave the invariant of .* in B3 open$"):
-        un.table.__wrapped__(CartanType("B", 3))
-
-
 def test_no_cache_serves_a_table_past_a_lowered_cap(monkeypatch):
     """Each cached table checks the rank cap before its cache: B4's
     tables, built under the cap of 5, are refused once it is 3."""
@@ -163,9 +155,11 @@ def test_no_cache_serves_a_table_past_a_lowered_cap(monkeypatch):
 
 @pytest.fixture
 def raised_caps(monkeypatch):
-    """The rank cap raised for one test; what was enumerated past it
-    leaves the caches with it, so that a later test still meets the cap."""
+    """The rank cap raised for one test, and the group-order cap for the
+    oracle's invariant_of; what was enumerated past the rank cap leaves
+    the caches with it, so that a later test still meets the cap."""
     monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 8)
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 10 ** 8)
     yield
     for cached in (bc.enumerate_pairs, bc.classes, un.table):
         cached.cache_clear()
@@ -175,11 +169,11 @@ def raised_caps(monkeypatch):
 SLOW_TABLES = {("A", 6, "adjoint"): 15, ("A", 7, "adjoint"): 22, ("A", 8, "adjoint"): 30,
                ("B", 6, "adjoint"): 70, ("B", 7, "adjoint"): 120, ("B", 8, "adjoint"): 205,
                ("C", 6, "adjoint"): 66, ("C", 7, "adjoint"): 112, ("C", 8, "adjoint"): 190,
-               ("D", 7, "adjoint"): 55,
+               ("D", 6, "adjoint"): 37, ("D", 7, "adjoint"): 55, ("D", 8, "adjoint"): 101,
                ("A", 6, "simply_connected"): 21, ("A", 7, "simply_connected"): 35,
                ("B", 6, "simply_connected"): 80, ("B", 7, "simply_connected"): 131,
                ("C", 6, "simply_connected"): 112, ("C", 7, "simply_connected"): 197,
-               ("D", 7, "simply_connected"): 105}
+               ("D", 6, "simply_connected"): 77, ("D", 7, "simply_connected"): 105}
 
 
 @pytest.mark.slow
@@ -191,9 +185,8 @@ def test_block_tables_match_todays_path_ranks_6_8(raised_caps, monkeypatch, seri
 
 @pytest.mark.slow
 @pytest.mark.parametrize("rank", [6, 8])
-def test_even_rank_d_keys_merge_classes_ranks_6_8(raised_caps, rank):
-    """Adjoint D6 and D8 keep today's path: their block keys give 34 and
-    96 classes where balacarter finds 37 and 101."""
+def test_even_rank_d_block_keys_need_the_mark_ranks_6_8(raised_caps, rank):
+    """Adjoint D6's and D8's block keys alone give 34 and 96 classes where
+    balacarter finds 37 and 101."""
     ct = CartanType("D", rank)
-    assert du._block_table(ct) is None
-    assert (len(key_classes(ct)), len(bc.classes(ct))) == {6: (34, 37), 8: (96, 101)}[rank]
+    assert (markless_keys(ct), len(bc.classes(ct))) == {6: (34, 37), 8: (96, 101)}[rank]

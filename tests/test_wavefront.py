@@ -44,6 +44,26 @@ def test_patterns_name_the_face_groups_sign_and_trivial_characters():
                 assert items == [(irrep.label, 1)], (ct, sorted(j))
 
 
+def test_patterns_list_the_faces_as_balacarter_does_to_rank_5():
+    """The patterns list the faces of A-D off the nodes' coordinates
+    (_classical.faces): on every system up to rank 5 in both isogenies,
+    and G2, they equal, faces in the same order, the patterns listed by
+    balacarter.proper_subsets with balacarter's factors."""
+    import warnings
+    from orbitcalc import _labels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # B1 and C1 normalized to A1
+        systems = [CartanType(s, r, iso) for iso in ("adjoint", "simply_connected")
+                   for s in "ABCD" for r in range(2 if s == "D" else 1, 6)]
+    for ct in systems + [ADJ("G", 2)]:
+        for pattern, pick in [(wf.steinberg_pattern, max), (wf.trivial_pattern, min)]:
+            expected = {j: [(tuple(pick(_labels.factor_irrep_labels(f.kind, f.rank),
+                                        key=lambda lab: _labels.b_invariant(f.kind, lab))
+                                   for f in bc._face_factors(ct, j)), 1)]
+                        for j in bc.proper_subsets(ct)}
+            assert list(pattern(ct).items()) == list(expected.items()), ct
+
+
 def test_single_face_trivial_data():
     for ct in [ADJ("B", 2), ADJ("G", 2)]:
         data = {frozenset(): [((), 1)]}

@@ -388,28 +388,36 @@ def richardson_label(ct, orbit):
 
 
 # very even orbits of D_n whose Springer label disagrees with the
-# Richardson oracle: all of them exactly at rank 2 mod 4, where
-# orbits.springer_rep_label's sign for a mark is the opposite
-RICHARDSON_FAULTS = {2: 2, 4: 0, 6: 6, 8: 0}
+# Richardson oracle
+RICHARDSON_FAULTS = {2: 0, 4: 0, 6: 0, 8: 0}
 
 
 def test_very_even_springer_labels_against_richardson(monkeypatch):
     """Every very even orbit of D2, D4, D6 and D8 (2, 4, 6 and 10 of
     them): its Springer label against the Richardson oracle.  D8's
-    ambient context is built with GROUP_ORDER_CAP raised, and leaves the
-    cache after the test."""
+    ambient context is built with GROUP_ORDER_CAP raised; once the cap is
+    back, ambient_context refuses it before its cache."""
     monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 10 ** 7)
     very_even, faults = {}, {}
-    try:
-        for n in RICHARDSON_FAULTS:
-            ct = CartanType("D", n)
-            orbs = [o for o in enumerate_orbits(ct) if o.very_even]
-            very_even[n] = len(orbs)
-            faults[n] = sum(richardson_label(ct, o) != springer_rep_label(o) for o in orbs)
-    finally:
-        wr.ambient_context.cache_clear()
+    for n in RICHARDSON_FAULTS:
+        ct = CartanType("D", n)
+        orbs = [o for o in enumerate_orbits(ct) if o.very_even]
+        very_even[n] = len(orbs)
+        faults[n] = sum(richardson_label(ct, o) != springer_rep_label(o) for o in orbs)
     assert very_even == {2: 2, 4: 4, 6: 6, 8: 10}
     assert faults == RICHARDSON_FAULTS
+
+
+def test_ambient_context_checks_the_cap_before_its_cache(monkeypatch):
+    """A context built under a higher GROUP_ORDER_CAP is not served past a
+    lower one: B4's (order 384) is refused once the cap is 383, though it
+    stays cached."""
+    b4 = CartanType("B", 4)
+    assert wr.ambient_context(b4).order == 384
+    monkeypatch.setattr(cartantype, "GROUP_ORDER_CAP", 383)
+    with pytest.raises(ch.CharError, match="^group of order 384 exceeds cap 383$"):
+        wr.ambient_context(b4)
+    assert wr.ambient_context.cache_info().currsize
 
 
 def test_orbit_s_extremes():
