@@ -9,9 +9,9 @@ Every submodule but cli is registered at import and executed on first
 use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
 loads none of the mathematics.  The private modules _storeless,
-_classical, _unramified and _labels are not registered: their importers
-(cli; duality, _labels and _unramified; duality; wavefront, duality and
-weylrep) load each on first use.
+_classical, _unramified, _labels and _g2 are not registered: their
+importers (cli; duality, _labels and _unramified; duality; wavefront,
+duality and weylrep; duality and wavefront) load each on first use.
 """
 
 import importlib.util
@@ -20,11 +20,9 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "balacarter": ("classes", "enumerate_pairs", "equivalent", "face_hull",
-                   "pair_saturation", "saturation"),
     "cartantype": ("CartanType",),
     "duality": ("ABCPair", "UnramifiedClassInvariant", "achar_dual_one",
-                "enumerate_nobc", "invariant_of", "leq_A", "sommers_dual"),
+                "enumerate_nobc", "leq_A"),
     "orbits": ("NilpotentOrbit", "WeightedDynkinDiagram", "closure_leq",
                "dual_bv", "dual_ls", "enumerate_orbits", "is_special",
                "orbit_dimension", "orbit_from_wdd", "regular_orbit",
@@ -35,8 +33,8 @@ _EXPORTS = {
     "weylrep": ("WeylContext", "WeylIrrep", "ambient_context", "j_induce",
                 "springer_orbit", "subgroup_context"),
 }
-_SUBMODULES = ("balacarter", "chartab", "duality", "linalg", "orbits",
-               "partitions", "rootdata", "wavefront", "weylrep")
+_SUBMODULES = ("chartab", "duality", "linalg", "orbits", "partitions",
+               "rootdata", "wavefront", "weylrep")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_ORIGIN, *_SUBMODULES])

@@ -45,8 +45,8 @@ _labels.block_key reads any face's key off its factors
 (_labels.face_factors, from the same node roots): a B, C or D block's
 partition is looked up by the values of the dominant neutral element h
 at the block's nodes (block_orbits, the inverse of orbits.node_values).
-The path through the faces' Weyl groups (duality.invariant_of, through
-balacarter and weylrep) is G2's and the oracle.
+The path through the faces' Weyl groups and j-induction (weylrep),
+in the test suite, is its oracle.
 It is imported at first use by duality (achar_dual_one, face_invariant),
 _labels (block_key) and _unramified, never for G2, and is not one of
 the package's lazily loaded submodules (orbitcalc/__init__.py).
@@ -72,7 +72,7 @@ from .cartantype import CartanType
 
 def faces(series: str, rank: int):
     """The faces: node sets proper within each component, by size and
-    then by nodes, as balacarter.proper_subsets lists them."""
+    then by nodes, as the test suite's root-system oracle lists them."""
     roots, comps = orbits.node_roots(series, rank)
     out = []
     for mask in range(1 << len(roots)):

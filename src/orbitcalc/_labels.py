@@ -21,8 +21,8 @@ the partition path's key of a face with an orbit on each factor
 through its module object (wavefront, duality's face_invariant and
 weylrep), and arthur-wf and the block path's unramified never load it.
 It is not one of the package's lazily loaded submodules
-(orbitcalc/__init__.py), and it imports none of rootdata, linalg,
-balacarter or the character layer.  The tables are computed once per
+(orbitcalc/__init__.py), and it imports none of rootdata, linalg or
+the character layer.  The tables are computed once per
 process and are read-only.
 """
 
@@ -241,13 +241,13 @@ def orbit_s_factors(factors, label):
 def face_factors(series: str, rank: int, j: frozenset) -> tuple:
     """The factors of the pseudo-Levi of the face J of a group of type
     A-D, each as (kind, series, rank, J's nodes in the factor's frame
-    order), in the order and frames of balacarter._face_factors, read off
-    the nodes' roots in coordinates (orbits.node_roots) with no root
-    system: inner products give the links, and lengths tell B from C.
-    Raises ABCError unless J is a face: its nodes in range, and proper in
+    order), in the order and frames of the test suite's root-system
+    oracle, read off the nodes' roots in coordinates (orbits.node_roots)
+    with no root system: inner products give the links, and lengths tell
+    B from C.  Raises ABCError unless J is a face: its nodes in range, and proper in
     each component.
 
-    balacarter sorts J's roots by their coefficients in the simple roots:
+    The oracle sorts J's roots by their coefficients in the simple roots:
     the affine nodes first, component by component, then the simple
     roots from alpha_n down to alpha_1.  A factor comes at its first
     node in that order, and its frame starts at its first end: a B (B2
@@ -283,7 +283,7 @@ def face_factors(series: str, rank: int, j: frozenset) -> tuple:
 
 def _factor(comp, linked, length):
     """(kind, series, rank, nodes in frame order) of one connected factor,
-    comp its nodes in balacarter's order and length their squared
+    comp its nodes in face_factors' order and length their squared
     lengths."""
     k = len(comp)
     ends = [a for a in comp if len(linked[a]) <= 1]

@@ -12,7 +12,6 @@ with more than ORBIT_COUNT_CAP.
 
 from __future__ import annotations
 
-from . import balacarter as bc
 from . import duality as du
 from . import orbits
 from . import partitions as pt
@@ -132,8 +131,7 @@ def selftest():
 
     def g2_suite():
         ct = CartanType("G", 2)
-        require(len(bc.enumerate_pairs(ct)) == 8, "8 pairs")
-        require(len(bc.classes(ct)) == 7, "7 classes")
+        require(du.abc_counts(ct) == (8, 7), "8 pairs, 7 classes")
         rows = du.enumerate_nobc(ct)
         require(len(rows) == 7, "7 invariants")
         duals = {r[0].dual_orbit.g2_label for r in rows
@@ -167,14 +165,16 @@ def selftest():
                         f"d_LS at {o}")
 
     def lifting_suite():
-        for ct in [CartanType("B", 3), CartanType("G", 2)]:
-            delta = frozenset(range(1, ct.rank + 1))
-            pair = bc.ABCPair(delta, frozenset())
-            orbs = bc.distinguished_factor_orbits(ct, pair)
-            require(bc.saturation(ct, delta, orbs) == orbits.regular_orbit(ct),
-                    f"regular saturation in {ct}")
-            require(bc.saturation(ct, frozenset(), ()) == orbits.zero_orbit(ct),
-                    f"zero saturation in {ct}")
+        from . import _classical as cl
+        from . import _g2
+        b3 = CartanType("B", 3)
+        for name, j, orbit in [("regular", {1, 2, 3}, orbits.regular_orbit(b3)),
+                               ("zero", set(), orbits.zero_orbit(b3))]:
+            face = cl.blocks("B", 3, j)
+            key = cl.key("B", 3, face, [max(cl.distinguished(kind, m)) for kind, m, _ in face])
+            require(cl.saturation(b3, key) == orbit, f"{name} saturation in {b3}")
+        require(_g2.INVARIANTS[(1, 2), ("G2",)][0] == "G2", "regular saturation in G2")
+        require(_g2.INVARIANTS[(), ()][0] == "0", "zero saturation in G2")
 
     print("selftest:")
     check("partition collapse vs oracle", partitions_suite)

@@ -6,12 +6,12 @@ Pairs.  A face J splits into coordinate blocks, and a pair puts a
 distinguished orbit on each (_classical.pair_choices).  J' is read off
 the orbit's neutral element h: none of an A block's nodes (its orbit is
 regular); on a B, C or D block, the nodes where the dominant h vanishes
-(orbits.node_values; each value is 0 or 2).  These are balacarter's
-pairs: its 0/2 diagram on a factor is the dominant h of the factor's
-orbit.
+(orbits.node_values; each value is 0 or 2).  These are the pairs of
+Sommers' generalized Bala-Carter theorem (IMRN 1998): the 0/2 diagram
+on a factor is the dominant h of the factor's orbit.
 
-Classes.  Two pairs are equivalent (balacarter.equivalent) exactly when
-their class keys agree.  The adjoint key is the pair's block key, the
+Classes.  Two pairs are equivalent under the extended affine Weyl group
+exactly when their class keys agree.  The adjoint key is the pair's block key, the
 sorted (kind, m, partition) of its blocks, with the mark of a very even
 saturation (_classical.key).  The adjoint classes are the
 simply connected ones up to Omega = P^vee/Q^vee, so a simply connected
@@ -29,13 +29,14 @@ absorbs:
     every A block has even size, which node of the first such fork J
     holds;
   - D_2 = SL_2 x SL_2: J itself, each of its 9 pairs its own class.
-Tier-1 compares the pairs with balacarter.enumerate_pairs and the keys'
-partition with balacarter.classes on every system up to rank 5, and the
-slow tier at ranks 6-8.
+Tier-1 compares the pairs and the keys' partition with the test
+suite's oracle, which lists the pairs off the root system and decides
+the equivalence through the faces' diagrams, on every system up to
+rank 5, and the slow tier at ranks 6-8.
 
 Invariants.  A pair's invariant is _classical.invariant of its block
-key.  The rows are grouped as duality.enumerate_nobc groups its own
-(duality._rows).
+key.  A row holds one invariant, the number of classes with it and the
+least of their pairs (_rows).
 
 duality imports this module on first use, for types A-D only, and cli
 reaches it through duality; it is not one of the package's
@@ -48,7 +49,7 @@ from math import gcd
 
 from . import _classical as cl
 from . import cartantype
-from .duality import ABCPair, UnramifiedClassInvariant, _rows
+from .duality import ABCPair, UnramifiedClassInvariant
 from .orbits import node_values
 
 
@@ -92,6 +93,21 @@ def pairs(ct):
                     raise cartantype.ABCError(f"orbit {p} of a {kind}{m} block is not distinguished")
                 zeros.update(i for i, v in zip(nodes, values) if not v)
         yield ABCPair(j, frozenset(zeros)), key, _class_key(ct, j, blocks, parts, key)
+
+
+def _rows(entries) -> tuple:
+    """The rows of an unramified table from (invariant, class, pair)
+    entries, one per pair or one per class: ((invariant, number of
+    classes, least pair), ...), sorted by the least pair.  Private:
+    perfbench's tracer wraps public functions."""
+    rows = {}  # invariant -> (classes, least pair)
+    for inv, cls, pair in entries:
+        classes, least = rows.setdefault(inv, (set(), pair))
+        classes.add(cls)
+        if pair.sort_key() < least.sort_key():
+            rows[inv] = classes, pair
+    return tuple(sorted(((inv, len(classes), rep) for inv, (classes, rep) in rows.items()),
+                        key=lambda row: row[2].sort_key()))
 
 
 @cartantype._capped_cache

@@ -12,26 +12,22 @@ achar_dual_one checks that (d(O^vee), O^vee) is attained, and
 face_invariant gives the invariant of a face with an orbit on each
 factor, local-wf's lift of each face character.  For types A-D both
 read partitions (_classical, imported on first use), very even marks
-included; G2 runs invariant_of and sommers_dual, through the faces'
-Weyl groups (balacarter, weylrep), which stay the oracle.
+included.
 
 The unramified table of types A-D is built from coordinate blocks
-(_unramified); G2 takes balacarter's classes, which stay the oracle.
-Both group their rows in _rows.
+(_unramified).  G2's answers, its table, its faces' invariants and so
+what it attains, are read from the frozen table _g2.  Neither path
+builds a root system or a Weyl group; the path through the faces'
+Weyl groups (the pairs and classes off the root system, the Sommers
+dual by j-induction) is the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-# balacarter and weylrep run on first use (see __init__): a classical
-# achar_dual_one or face_invariant never runs them, nor the character
-# layer under them
-from . import balacarter as bc
-from . import weylrep as wr
-from .cartantype import ABCError, CartanType, _capped_cache
-from .orbits import (NilpotentOrbit, closure_leq, covers, dual_bv, dual_ls,
-                     springer_rep_label)
+from .cartantype import ABCError, CartanType, _check_abc_rank
+from .orbits import NilpotentOrbit, closure_leq, covers, dual_bv
 
 
 class DualityError(ValueError):
@@ -51,8 +47,9 @@ class UnramifiedClassInvariant(namedtuple("UnramifiedClassInvariant",
 
 
 class ABCPair(namedtuple("ABCPair", "J Jprime")):
-    """A face J and its nodes J' weighted 0 (balacarter), as frozensets;
-    here so that _unramified builds it without running balacarter."""
+    """A face J and its nodes J' weighted 0, as frozensets: the nodes
+    where the dominant neutral element of the orbit on J's factors
+    vanishes.  Both table paths, _unramified and G2's, build it."""
     __slots__ = ()
 
     def __new__(cls, J, Jprime):
@@ -72,37 +69,28 @@ class ABCPair(namedtuple("ABCPair", "J Jprime")):
         return {"J": sorted(self.J), "Jprime": sorted(self.Jprime)}
 
 
-def sommers_dual(ct: CartanType, j, factor_orbits) -> NilpotentOrbit:
-    """d_S of the lift of (J, O_J): dualize inside the pseudo-Levi, take the
-    attached special representation, j-induce, and read the Springer orbit
-    on the dual side.
-
-    Raises weylrep.JInductionTie, carrying the candidates, if the
-    induced character has no unique minimal-b constituent; the tests
-    meet none on the pairs and face characters they compare.
-    """
-    ctx = bc.pair_context(ct, frozenset(j))
-    if len(factor_orbits) != len(ctx.factors):
-        raise DualityError("factor orbits do not match the pseudo-Levi")
-    e = ctx._irrep(tuple(springer_rep_label(dual_ls(orb)) for orb in factor_orbits))
-    jim = wr.j_induce(ctx, e)
-    return wr.springer_orbit(wr.ambient_context(ct), jim, target=ct.dual)
-
-
-def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
-    return UnramifiedClassInvariant(
-        bc.saturation(ct, frozenset(j), factor_orbits),
-        sommers_dual(ct, j, factor_orbits))
+def _g2_invariant(ct: CartanType, labels) -> UnramifiedClassInvariant:
+    """The invariant named by G2's (saturation, Sommers dual) labels."""
+    orbit, dual_orbit = labels
+    return UnramifiedClassInvariant(NilpotentOrbit(ct, g2_label=orbit),
+                                    NilpotentOrbit(ct.dual, g2_label=dual_orbit))
 
 
 def face_invariant(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
     """The invariant of the lift of (J, O_J), O_J an orbit on each factor.
     For types A-D it is read from partitions (_classical, imported here
     on first use) on the block key (_labels.block_key), which reads J's
-    factors off the nodes' coordinates, with no root system; G2 takes
-    invariant_of, which stays the oracle."""
+    factors off the nodes' coordinates, with no root system; G2's is
+    read from its frozen table (_g2)."""
     if ct.series == "G":
-        return invariant_of(ct, j, factor_orbits)
+        from . import _g2
+        face = tuple(sorted(j))
+        if face not in _g2.FACES:
+            raise ABCError(f"J={list(face)} is not a face type of {ct}")
+        labels = _g2.INVARIANTS.get((face, tuple(o.label() for o in factor_orbits)))
+        if labels is None:
+            raise DualityError("factor orbits do not match the pseudo-Levi")
+        return _g2_invariant(ct, labels)
     from . import _classical, _labels
     return UnramifiedClassInvariant(*_classical.invariant(
         ct, _labels.block_key(ct, frozenset(j), tuple(factor_orbits))))
@@ -115,47 +103,32 @@ def leq_A(i1: UnramifiedClassInvariant, i2: UnramifiedClassInvariant) -> bool:
         closure_leq(i2.dual_orbit, i1.dual_orbit)
 
 
-def _block_table(ct: CartanType):
-    """_unramified.table(ct) for types A-D, else None: G2 never imports
-    _unramified."""
-    if ct.series != "G":
-        from . import _unramified
-        return _unramified.table(ct)
-    return None
+def _table(ct: CartanType) -> tuple:
+    """(rows, pairs, classes) of the unramified table of ct: G2's frozen
+    one (_g2), else the one built from coordinate blocks (_unramified).
+    Each is imported here on first use, so G2 never imports _unramified,
+    and each checks the rank cap first, at call time (_unramified.table
+    before its cache)."""
+    if ct.series == "G":
+        from . import _g2
+        _check_abc_rank(ct)
+        rows = tuple((_g2_invariant(ct, labels), count, ABCPair(frozenset(j), frozenset(jp)))
+                     for labels, count, (j, jp) in _g2.ROWS)
+        return (rows, *_g2.COUNTS)
+    from . import _unramified
+    return _unramified.table(ct)
 
 
-@_capped_cache  # cartantype.ABC_RANK_CAP, before the cache
 def enumerate_nobc(ct: CartanType) -> tuple:
     """Deduplicated invariants over all affine Bala-Carter classes, each with
-    the number of classes realizing it: ((invariant, count, representative)...)."""
-    table = _block_table(ct)
-    if table is not None:
-        return table[0]
-    return _rows((invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p)), i, p)
-                 for i, (p, *_) in enumerate(bc.classes(ct)))
-
-
-def _rows(entries) -> tuple:
-    """The rows of an unramified table from (invariant, class, pair)
-    entries, one per pair or one per class: ((invariant, number of
-    classes, least pair), ...), sorted by the least pair.  Private:
-    perfbench's tracer wraps duality's public functions."""
-    rows = {}  # invariant -> (classes, least pair)
-    for inv, cls, pair in entries:
-        classes, least = rows.setdefault(inv, (set(), pair))
-        classes.add(cls)
-        if pair.sort_key() < least.sort_key():
-            rows[inv] = classes, pair
-    return tuple(sorted(((inv, len(classes), rep) for inv, (classes, rep) in rows.items()),
-                        key=lambda row: row[2].sort_key()))
+    the number of classes realizing it: ((invariant, count, representative)...),
+    sorted by the representative, the least pair."""
+    return _table(ct)[0]
 
 
 def abc_counts(ct: CartanType) -> tuple:
     """(pairs, classes) of ct, from the table enumerate_nobc reads."""
-    table = _block_table(ct)
-    if table is not None:
-        return table[1:]
-    return len(bc.enumerate_pairs(ct)), len(bc.classes(ct))
+    return _table(ct)[1:]
 
 
 def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClassInvariant:
@@ -167,17 +140,14 @@ def achar_dual_one(ct: CartanType, dual_orbit: NilpotentOrbit) -> UnramifiedClas
     Sommers dual is computed only for pairs saturating to d(O^vee).
 
     For types A-D the check reads partitions (_classical, imported here
-    on first use); G2 takes the path through the faces' Weyl groups and
-    j-induction, up to the first hit.
+    on first use); G2's reads the rows of its frozen table (_g2).
     """
     if dual_orbit.system.series != ct.dual.series or \
             dual_orbit.system.rank != ct.rank:
         raise DualityError(f"{dual_orbit} is not an orbit of the dual of {ct}")
     inv = UnramifiedClassInvariant(dual_bv(dual_orbit), dual_orbit)
     if ct.series == "G":
-        attained = any(
-            sommers_dual(ct, p.J, bc.distinguished_factor_orbits(ct, p)) == dual_orbit
-            for p in bc.enumerate_pairs(ct) if bc.pair_saturation(ct, p) == inv.orbit)
+        attained = any(row[0] == inv for row in enumerate_nobc(ct))
     else:
         from . import _classical
         attained = _classical.attained(ct, dual_orbit, inv.orbit)

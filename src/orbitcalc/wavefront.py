@@ -6,27 +6,24 @@ restriction of the Iwahori-fixed space, with multiplicities), pushes each
 character to the special orbit of its twisted family, lifts through the
 face, and keeps the A-order maxima.  Labels and orbits come from the faces'
 factor types (_labels, imported on first use), lifts from
-duality.face_invariant, and for types A-D the factors themselves from
-the nodes' coordinates (_labels.face_factors), so that a classical
-local_wf builds no root system and runs no character table.
+duality.face_invariant, and the factors themselves, for types A-D from
+the nodes' coordinates (_labels.face_factors) and for G2 from its
+frozen table (_g2), so that local_wf builds no root system and runs no
+character table.
 
 arthur_wf evaluates the closed form for spherical representations attached
 to a dual-side orbit: the canonical unramified wavefront set is the single
 invariant (d(O^vee), O^vee) and the geometric wavefront set is d(O^vee).
 Its check that some affine Bala-Carter pair attains the invariant
 (duality.achar_dual_one) reads partitions for types A-D, very even
-marks included, so that a classical arthur_wf runs no root system and
-no character table; G2 goes through the faces' Weyl groups.
+marks included, and G2's frozen table, so that arthur_wf runs no root
+system and no character table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-# each runs on first use (see __init__): arthur_wf, local_wf and the
-# patterns on a classical type run no root system, balacarter or
-# character table
-from . import balacarter as bc
 from . import cartantype
 from . import duality as du
 from .cartantype import ABCError, CartanType
@@ -65,16 +62,23 @@ def _result_from_invariants(invariants):
 
 
 def _face_factors(ct: CartanType, j: frozenset) -> tuple:
-    """J's factors, (kind, series, rank, ...) each: for types A-D off the
-    nodes' coordinates (_labels.face_factors), with no root system; for
-    G2 balacarter's.  Raises WavefrontError unless J is a face."""
-    try:
-        if ct.series == "G":
-            return bc._face_factors(ct, j)
+    """J's factors, (kind, series, rank, nodes) each: for types A-D off
+    the nodes' coordinates (_labels.face_factors), with no root system;
+    for G2 from its frozen table (_g2).  Raises WavefrontError unless J
+    is a face."""
+    factors = None
+    if ct.series == "G":
+        from . import _g2
+        factors = _g2.FACES.get(tuple(sorted(j)))
+    else:
         from . import _labels
-        return _labels.face_factors(ct.series, ct.rank, j)
-    except ABCError:
-        raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}") from None
+        try:
+            factors = _labels.face_factors(ct.series, ct.rank, j)
+        except ABCError:
+            pass
+    if factors is None:
+        raise WavefrontError(f"J={sorted(j)} is not a face type of {ct}")
+    return factors
 
 
 def validate_restriction_data(ct: CartanType, data) -> dict:
@@ -103,10 +107,9 @@ def validate_restriction_data(ct: CartanType, data) -> dict:
 
 def local_wf(ct: CartanType, data) -> WavefrontResult:
     """Wavefront sets from restriction data, maximized over the faces.  A
-    system whose Weyl group is past GROUP_ORDER_CAP fails first, before
-    any root system is built.  No classical lift builds a group, so the
-    check is only local-wf's documented bound until the caps are
-    split."""
+    system whose Weyl group is past GROUP_ORDER_CAP fails first.  No
+    lift builds a root system or a group, so the check is only
+    local-wf's documented bound until the caps are split."""
     from . import _labels
     cartantype._check_weyl_order(ct)
     data = validate_restriction_data(ct, data)
@@ -150,10 +153,11 @@ def cross_check_arthur(ct: CartanType, dual_orbit: NilpotentOrbit) -> bool:
 def _pattern(ct: CartanType, pick) -> dict:
     """One character of every face group, picked factor by factor by b.
     The faces of A-D are listed off the nodes' coordinates
-    (_classical.faces)."""
+    (_classical.faces), G2's read from its frozen table (_g2)."""
     from . import _labels
     if ct.series == "G":
-        faces = bc.proper_subsets(ct)
+        from . import _g2
+        faces = map(frozenset, _g2.FACES)
     else:
         from . import _classical
         faces = _classical.faces(ct.series, ct.rank)

@@ -39,15 +39,15 @@ Nodes are numbered as in rs.affine_simples: per component the affine
 node, then the finite simple roots (for a simple type 0 is the affine
 node and 1..n are alpha_1..alpha_n).
 
-The unramified tables of types A-D read their pairs and classes from
-coordinate blocks instead (_unramified, through duality);
-enumerate_pairs and classes serve G2 and stay that path's oracle.  The
-pair type, ABCPair, lives in duality, so that both paths build it.  A
-classical local-wf reads its faces' factors, and the partition path its
-key, off the nodes' coordinates (_labels.face_factors,
-_labels.block_key), and the restriction patterns list their faces there
-too (_classical.faces); _face_factors and proper_subsets serve G2 and
-the pairs here, and are their oracle.
+This is the test suite's oracle, not a path of the library.  The
+unramified tables of types A-D read their pairs and classes from
+coordinate blocks (orbitcalc._unramified), and G2 reads them from a
+frozen table (orbitcalc._g2) that tests/test_g2_data.py checks against
+enumerate_pairs and classes.  The pair type, ABCPair, lives in
+orbitcalc.duality.  local-wf reads its faces' factors, and the
+partition path its key, off the nodes' coordinates
+(_labels.face_factors, _labels.block_key), or G2's from orbitcalc._g2;
+_face_factors and proper_subsets are their oracle.
 """
 
 from __future__ import annotations
@@ -57,15 +57,15 @@ from itertools import product
 from math import lcm
 from types import MappingProxyType
 
-# weylrep runs on first use (see __init__): pairs and classes never run
-# it, nor the character layer under it
-from . import weylrep as wr
-from .cartantype import ABCError, _capped_cache
-from .duality import ABCPair
-from .linalg import hermite_row_basis, identity, mat_vec, solve, transpose
-from .orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
-from .rootdata import (CartanType, RootSystem, build_factor, build_root_system,
-                       root_tuple_code, split_basis_into_factors)
+# weylrep runs on first use (see orbitcalc/__init__.py): pairs and
+# classes never run it, nor the character layer under it
+from orbitcalc import weylrep as wr
+from orbitcalc.cartantype import ABCError, _capped_cache
+from orbitcalc.duality import ABCPair
+from orbitcalc.linalg import hermite_row_basis, identity, mat_vec, solve, transpose
+from orbitcalc.orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
+from orbitcalc.rootdata import (CartanType, RootSystem, build_factor, build_root_system,
+                                root_tuple_code, split_basis_into_factors)
 
 
 def is_proper(ct: CartanType, j: frozenset) -> bool:

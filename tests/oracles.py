@@ -30,7 +30,17 @@ library against it or use it to build their inputs.
   read it before _labels.face_factors read them off the nodes'
   coordinates, and the mark of a very even saturation by a solve;
 - pair_invariant, a pair's invariant through face_invariant, as
-  duality gave it before enumerate_nobc's G2 branch took it over.
+  duality gave it before enumerate_nobc's G2 branch took it over;
+- sommers_dual and invariant_of, the Sommers dual by j-induction from
+  the face's Weyl group (balacarter.pair_context) and the invariant
+  (saturation, Sommers dual) of a face with an orbit on each factor, as
+  duality computed them before the partition path (_classical) and
+  G2's frozen table (_g2) replaced them; and table_by_classes, the
+  unramified table built from balacarter's classes with invariant_of,
+  as enumerate_nobc built G2's.
+
+The affine Bala-Carter pairs, hulls and classes themselves are the
+oracle module balacarter, beside this one.
 
 A library change that needs one of these (an Omega route for the simply
 connected classes, say) imports it back from here.
@@ -40,14 +50,18 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from orbitcalc import balacarter as bc
+import balacarter as bc
 from orbitcalc import _classical as cl
 from orbitcalc import _labels
 from orbitcalc import duality as du
+from orbitcalc import weylrep as wr
+from orbitcalc._unramified import _rows
 from orbitcalc._labels import _family_key, _is_special
 from orbitcalc.cartantype import ABCError, CharError
 from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
-from orbitcalc.orbits import NilpotentOrbit, _springer_image, h_vector, weighted_dynkin
+from orbitcalc.duality import DualityError, UnramifiedClassInvariant
+from orbitcalc.orbits import (NilpotentOrbit, _springer_image, dual_ls, h_vector,
+                              springer_rep_label, weighted_dynkin)
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_factor, build_root_system,
                                 reflection_in_root, root_tuple_code,
@@ -486,3 +500,40 @@ def pair_invariant(ct: CartanType, pair) -> tuple:
     """The invariant of an affine Bala-Carter pair: face_invariant on its
     distinguished factor orbits, as duality.pair_invariant gave it."""
     return du.face_invariant(ct, pair.J, bc.distinguished_factor_orbits(ct, pair))
+
+
+# ---------------------------------------------------------------------
+# the Sommers dual through the faces' Weyl groups
+# ---------------------------------------------------------------------
+
+def sommers_dual(ct: CartanType, j, factor_orbits) -> NilpotentOrbit:
+    """d_S of the lift of (J, O_J): dualize inside the pseudo-Levi, take the
+    attached special representation, j-induce, and read the Springer orbit
+    on the dual side.
+
+    Raises weylrep.JInductionTie, carrying the candidates, if the
+    induced character has no unique minimal-b constituent; the tests
+    meet none on the pairs and face characters they compare.
+    """
+    ctx = bc.pair_context(ct, frozenset(j))
+    if len(factor_orbits) != len(ctx.factors):
+        raise DualityError("factor orbits do not match the pseudo-Levi")
+    e = ctx._irrep(tuple(springer_rep_label(dual_ls(orb)) for orb in factor_orbits))
+    jim = wr.j_induce(ctx, e)
+    return wr.springer_orbit(wr.ambient_context(ct), jim, target=ct.dual)
+
+
+def invariant_of(ct: CartanType, j, factor_orbits) -> UnramifiedClassInvariant:
+    return UnramifiedClassInvariant(
+        bc.saturation(ct, frozenset(j), factor_orbits),
+        sommers_dual(ct, j, factor_orbits))
+
+
+def table_by_classes(ct: CartanType) -> tuple:
+    """(rows, pairs, classes) of the unramified table of ct, as
+    duality.enumerate_nobc and abc_counts give it: each of balacarter's
+    classes recorded by invariant_of on its first member."""
+    classes = bc.classes(ct)
+    rows = _rows((invariant_of(ct, p.J, bc.distinguished_factor_orbits(ct, p)), i, p)
+                 for i, (p, *_) in enumerate(classes))
+    return rows, len(bc.enumerate_pairs(ct)), len(classes)

