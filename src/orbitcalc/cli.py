@@ -4,6 +4,17 @@ Subcommands: orbits, dual-map, unramified, arthur-wf, local-wf, selftest.
 Human-readable tables by default, stable JSON with --json (schema-versioned,
 byte-identical across runs).
 
+One table, COMMANDS, holds the grammar: each subcommand's handler, help
+and options.  _read_line reads a line in canonical form and builds the
+namespace argparse would: the subcommand's name, then only its exact long
+options, none twice and every required one given, each valued one followed
+by one value that does not begin with "-" and passes its type and choices.
+Any other line (help, abbreviations, --opt=value, repeats, unknown tokens,
+values beginning with "-") goes to the argparse parser that
+orbitcalc/_usage.py builds from the same table, the only source of help,
+usage text and usage errors.  So a table command imports neither argparse
+nor the gettext and locale modules that argparse loads.
+
 unramified, arthur-wf and local-wf keep their results in one on-disk store
 (--cache-dir or ORBITCALC_CACHE).  An entry's key holds the command, the
 normalised system, the exact inputs (the --dual-orbit text, the bytes of
@@ -13,9 +24,11 @@ read.  An entry holds its key and both renderings (JSON and text); one that
 is not whole, or that answers another query, is ignored with a warning and
 recomputed.  The mathematical modules run only when first used (see
 orbitcalc/__init__.py), so a stored answer is printed before any of them
-does.  The bodies of orbits, dual-map and selftest live in
-orbitcalc/_storeless.py, which only those three import, so that no other
-command compiles them.
+does.  What a miss computes is built in orbitcalc/_stored.py, and the
+bodies of orbits, dual-map and selftest live in orbitcalc/_storeless.py;
+cli imports each only when it runs, so that a store hit compiles neither.
+This module keeps what a hit runs: the line reader, the store, dispatch
+and main's error mapping.
 
 Exit codes: 0 success, 1 computational error, 2 usage error (also for
 arguments and data files that cannot be parsed).
@@ -23,13 +36,13 @@ arguments and data files that cannot be parsed).
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import io
 import json
 import os
 import sys
+import types
 import zlib
 
 # each runs on first use (see __init__); a stored answer is printed before
@@ -159,7 +172,7 @@ def cache_load(args, kind, ct, inputs=None, entry=None):
         if not isinstance(data["text"], str):
             raise ValueError('"text" is not a string')
         return data
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
         return None
 
@@ -221,53 +234,24 @@ def cmd_dual_map(args):
     return _write(args, dual_map_payload(_cartan_type(args)))
 
 
-def _unramified_payload(ct: CartanType):
-    rows = []
-    for inv, count, rep in du.enumerate_nobc(ct):
-        row = {"representative": rep.to_json(), "members": count,
-               "orbit": inv.orbit.to_json(), "dual_orbit": inv.dual_orbit.to_json(),
-               "orbit_label": inv.orbit.label(),
-               "dual_orbit_label": inv.dual_orbit.label()}
-        if ct.series == "G":
-            row["class_name"] = du.g2_class_name(inv)
-        rows.append(row)
-    edges = []
-    for a, b in du.hasse_edges_A(ct):
-        edges.append([[a.orbit.label(), a.dual_orbit.label()],
-                      [b.orbit.label(), b.dual_orbit.label()]])
-    npairs, nclasses = du.abc_counts(ct)
-    lines = [f"unramified nilpotent orbit classes for {ct} ({ct.isogeny})",
-             f"  affine Bala-Carter pairs: {npairs}, "
-             f"classes: {nclasses}, invariants: {len(rows)}"]
-    for r in rows:
-        rep = r["representative"]
-        pair = f"J={{{','.join('a%d' % i for i in rep['J'])}}}" \
-               f" J'={{{','.join('a%d' % i for i in rep['Jprime'])}}}"
-        name = f" class={r['class_name']}" if "class_name" in r else ""
-        lines.append(f"  ({r['orbit_label']}, {r['dual_orbit_label']}^v)"
-                     f"  x{r['members']}  {pair}{name}")
-    return {"command": "unramified", "series": ct.series, "rank": ct.rank,
-            "isogeny": ct.isogeny, "abc_pairs": npairs, "classes": nclasses,
-            "rows": rows, "hasse_A": edges, "text": "\n".join(lines) + "\n"}
-
-
 def cmd_unramified(args):
     ct = _cartan_type(args)
-    return _serve(args, "unramified", ct, None, lambda: _unramified_payload(ct))
+
+    def compute():
+        from . import _stored
+        return _stored.unramified_payload(ct)
+
+    return _serve(args, "unramified", ct, None, compute)
 
 
 def cmd_arthur_wf(args):
     ct = _cartan_type(args)
 
     def compute():
+        from . import _stored
         dual = parse_orbit(CartanType(ct.dual.series, ct.rank, ct.dual.isogeny),
                            args.dual_orbit)
-        res = wf.arthur_wf(ct, dual)
-        return {"command": "arthur-wf", "series": ct.series, "rank": ct.rank,
-                "isogeny": ct.isogeny, "dual_orbit": dual.to_json(),
-                **res.to_json(),
-                "text": f"spherical representation of {ct} with dual-side "
-                        f"parameter {dual.label()}:\n  {res}\n"}
+        return _stored.arthur_wf_payload(ct, dual)
 
     return _serve(args, "arthur-wf", ct, args.dual_orbit, compute)
 
@@ -278,16 +262,13 @@ def cmd_local_wf(args):
         raw = fh.read()
 
     def compute():
+        from . import _stored
         try:
-            # decoded as open() in text mode would
-            text = io.TextIOWrapper(io.BytesIO(raw)).read()
-            data = wf.restriction_data_from_json(json.loads(text))
-        except (ValueError, TypeError, KeyError) as exc:
+            data = _stored.restriction_data(raw)
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise UsageError(f"{args.data} is not restriction data "
                              f"({type(exc).__name__}: {exc})") from None
-        res = wf.local_wf(ct, data)
-        return {"command": "local-wf", "series": ct.series, "rank": ct.rank,
-                "isogeny": ct.isogeny, **res.to_json(), "text": f"{res}\n"}
+        return _stored.local_wf_payload(ct, data)
 
     return _serve(args, "local-wf", ct, raw.decode("latin-1"), compute)
 
@@ -299,62 +280,73 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments on its first parse, so
-    that a process builds only the arguments of the command it runs (each
-    add_argument makes a help formatter, which asks for the terminal size)."""
+# The grammar of every subcommand, read by _read_line and by the argparse
+# parser that _usage builds from it: name -> (handler, help, options), each
+# option a long flag and its add_argument keywords.
+_COMMON = (
+    ("--type", {"required": True, "choices": list("ABCDG"),
+                "help": "series of the root system"}),
+    ("--rank", {"required": True, "type": int}),
+    ("--isogeny", {"default": "adjoint",
+                   "choices": ["adjoint", "simply_connected"]}),
+    ("--json", {"action": "store_true", "help": "emit schema-stable JSON"}),
+    ("--cache-dir", {"default": None,
+                     "help": "table cache directory (or $ORBITCALC_CACHE)"}),
+)
 
-    def __init__(self, *, add_arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._add_arguments = add_arguments
+COMMANDS = {
+    "orbits": (cmd_orbits, "enumerate nilpotent orbits", _COMMON),
+    "dual-map": (cmd_dual_map, "duality maps orbit by orbit", _COMMON),
+    "unramified": (cmd_unramified,
+                   "affine Bala-Carter classes and their invariants", _COMMON),
+    "arthur-wf": (cmd_arthur_wf, "wavefront sets of a spherical representation",
+                  (*_COMMON, ("--dual-orbit", {
+                      "required": True,
+                      "help": 'orbit of the dual group: "2,1" or "G2(a1)"'}))),
+    "local-wf": (cmd_local_wf, "wavefront sets from a restriction-data file",
+                 (*_COMMON, ("--data", {"required": True,
+                                        "help": "JSON restriction data"}))),
+    "selftest": (cmd_selftest, "run the built-in property suites", ()),
+}
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
-            self._add_arguments = None
-        return super().parse_known_args(args, namespace)
 
-
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="orbitcalc",
-        description="nilpotent-orbit combinatorics: orbits, duality maps, "
-                    "unramified classes and wavefront sets")
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=_Subcommand)
-
-    def common(p, *required):
-        """The options of every table command, then `required`, each a
-        (flag, help) pair."""
-        p.add_argument("--type", required=True, choices=list("ABCDG"),
-                       help="series of the root system")
-        p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--isogeny", default="adjoint",
-                       choices=["adjoint", "simply_connected"])
-        p.add_argument("--json", action="store_true",
-                       help="emit schema-stable JSON")
-        p.add_argument("--cache-dir", default=None,
-                       help="table cache directory (or $ORBITCALC_CACHE)")
-        for flag, text in required:
-            p.add_argument(flag, required=True, help=text)
-
-    for name, func, text, add_arguments in (
-            ("orbits", cmd_orbits, "enumerate nilpotent orbits", common),
-            ("dual-map", cmd_dual_map, "duality maps orbit by orbit", common),
-            ("unramified", cmd_unramified,
-             "affine Bala-Carter classes and their invariants", common),
-            ("arthur-wf", cmd_arthur_wf,
-             "wavefront sets of a spherical representation",
-             lambda p: common(p, ("--dual-orbit", 'orbit of the dual group: '
-                                                  '"2,1" or "G2(a1)"'))),
-            ("local-wf", cmd_local_wf,
-             "wavefront sets from a restriction-data file",
-             lambda p: common(p, ("--data", "JSON restriction data"))),
-            ("selftest", cmd_selftest, "run the built-in property suites",
-             lambda p: None)):
-        sub.add_parser(name, help=text, add_arguments=add_arguments) \
-            .set_defaults(func=func)
-    return ap
+def _read_line(argv):
+    """The namespace that argparse builds for a line in canonical form, or
+    None for any other line.  Canonical: a subcommand's name, then only its
+    exact long options, none twice and every required one given; a valued
+    option is followed by one value that does not begin with "-", passes
+    its type (int() for --rank) and is one of its choices."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    keywords = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kw = keywords.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-"
+        if value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    names = {"command": argv[0]}
+    for flag, kw in options:
+        if flag not in given and kw.get("required"):
+            return None
+        default = False if kw.get("action") == "store_true" else kw.get("default")
+        names[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return types.SimpleNamespace(**names, func=func)
 
 
 # whether this process's main has registered gc.freeze to run at exit
@@ -376,8 +368,10 @@ def main(argv=None) -> int:
     if not _freeze_registered:
         atexit.register(gc.freeze)
         _freeze_registered = True
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _read_line(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        from . import _usage
+        args = _usage.build_parser(COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

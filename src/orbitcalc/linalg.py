@@ -11,10 +11,6 @@ denominator.
 from __future__ import annotations
 
 
-def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

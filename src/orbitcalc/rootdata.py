@@ -34,9 +34,7 @@ A Weyl element is the tuple w of root indices with w(rs.roots[i]) =
 rs.roots[w[i]]: "w after v" is tuple(w[i] for i in v) and the identity is
 tuple(range(len(rs.roots))).  apply_root_coords extends the action
 linearly to coefficient vectors.  The group itself is never enumerated:
-some element maps one tuple of roots onto another exactly when their
-codes agree (root_tuple_code), one dominance walk each
-(dominant_conjugate).
+dominant_conjugate walks a coweight to the dominant chamber.
 
 Embedded factors
 ----------------
@@ -469,21 +467,3 @@ def dominant_conjugate(rs: RootSystem, v):
                 moved = True
                 break
     return v
-
-
-def root_tuple_code(rs: RootSystem, t):
-    """The W-invariant code of a tuple t of root indices: the dominant
-    conjugate of v = sum_k 7^k roots[t_k]^vee.
-
-    Any two roots pair to at most 3 in absolute value (Bourbaki, Lie
-    Groups and Lie Algebras, ch. VI, par. 1.3), so every coweight
-    coordinate of a coroot lies in [-3, 3] and the base-7 digits of v are
-    unique: w v equals the undominated code of b exactly when w maps each
-    t_k to b_k (so also only when t and b have the same length, no coroot
-    being zero).  Two tuples are W-conjugate when their codes agree.
-    """
-    v = (0,) * rs.rank
-    for k, i in enumerate(t):
-        cw = rs.coroot_coweight_coords(rs.roots[i])
-        v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
-    return dominant_conjugate(rs, v)

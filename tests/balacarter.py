@@ -25,7 +25,7 @@ some bijection sigma from J2's gradients onto J1's
       (J2's congruences): since alpha(w b) = (w^-1 alpha)(b), these are
       the values of J2's affine roots at w b1 for w^-1 = sigma on J2;
   (iii) is realised by W: some u in W has u(g) = sigma(g) for every g
-      (the codes of the two tuples agree, rootdata.root_tuple_code;
+      (the codes of the two tuples agree, oracles.root_tuple_code;
       equivalent computes the code of J2's gradients once per call).
 Nothing is lost by asking the witness to map J2's gradients onto J1's.
 A witness u maps J2's pseudo-Levi roots onto J1's, and the element of
@@ -62,10 +62,13 @@ from types import MappingProxyType
 from orbitcalc import weylrep as wr
 from orbitcalc.cartantype import ABCError, _capped_cache
 from orbitcalc.duality import ABCPair
-from orbitcalc.linalg import hermite_row_basis, identity, mat_vec, solve, transpose
+from orbitcalc.linalg import hermite_row_basis, identity, solve, transpose
 from orbitcalc.orbits import NilpotentOrbit, enumerate_orbits, weighted_dynkin
 from orbitcalc.rootdata import (CartanType, RootSystem, build_factor, build_root_system,
-                                root_tuple_code, split_basis_into_factors)
+                                split_basis_into_factors)
+
+# oracles imports this module too: its helpers are looked up at call time
+import oracles
 
 
 def is_proper(ct: CartanType, j: frozenset) -> bool:
@@ -206,7 +209,7 @@ def face_hull(ct: CartanType, j: frozenset) -> tuple:
     offs = tuple(affs[i][1] for i in jl)
     congruences = ()
     if j:
-        h = hermite_row_basis(transpose(tuple(mat_vec(rs.cochar_basis, g)
+        h = hermite_row_basis(transpose(tuple(oracles.mat_vec(rs.cochar_basis, g)
                                               for g in gradients)))
         if len(h) != len(grads):
             raise ABCError(f"dependent gradients for J={sorted(j)}")
@@ -286,8 +289,8 @@ def equivalent(ct: CartanType, p1: ABCPair, p2: ABCPair) -> bool:
         if any(sum(a * b for a, b in zip(row, y)) % m for row, m in congruences):
             continue
         if code2 is None:
-            code2 = root_tuple_code(rs, grads2)
-        if root_tuple_code(rs, image) == code2:
+            code2 = oracles.root_tuple_code(rs, grads2)
+        if oracles.root_tuple_code(rs, image) == code2:
             return True
     return False
 

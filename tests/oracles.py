@@ -18,6 +18,8 @@ library against it or use it to build their inputs.
   wavefront.restriction_data_from_json;
 - enumerate_pairs_by_masks, the affine Bala-Carter pairs found by trying
   every 0/2 weighting of every face against the distinguished count;
+- mat_vec, and root_tuple_code, the W-invariant code of a tuple of
+  roots, which balacarter's hulls and equivalence read;
 - conjugate_root_tuples, W-conjugacy of two tuples of roots by their
   codes, and the context-level label maps tensor_sgn, special_member and
   orbit_s_factors;
@@ -58,17 +60,43 @@ from orbitcalc import weylrep as wr
 from orbitcalc._unramified import _rows
 from orbitcalc._labels import _family_key, _is_special
 from orbitcalc.cartantype import ABCError, CharError
-from orbitcalc.linalg import hermite_row_basis, mat_vec, solve, transpose
+from orbitcalc.linalg import hermite_row_basis, solve, transpose
 from orbitcalc.duality import DualityError, UnramifiedClassInvariant
 from orbitcalc.orbits import (NilpotentOrbit, _springer_image, dual_ls, h_vector,
                               springer_rep_label, weighted_dynkin)
 from orbitcalc.rootdata import (CartanType, RootDataError, RootSystem,
                                 build_factor, build_root_system,
-                                reflection_in_root, root_tuple_code,
+                                dominant_conjugate, reflection_in_root,
                                 split_basis_into_factors)
 from orbitcalc.weylrep import (JInductionTie, WeylContext, WeylIrrep, _fusion,
                                _induced, _multiplicity, ambient_context,
                                springer_orbit)
+
+
+# ---------------------------------------------------------------------
+# helpers of balacarter's hulls and equivalence
+# ---------------------------------------------------------------------
+
+def mat_vec(a, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
+def root_tuple_code(rs: RootSystem, t):
+    """The W-invariant code of a tuple t of root indices: the dominant
+    conjugate of v = sum_k 7^k roots[t_k]^vee.
+
+    Any two roots pair to at most 3 in absolute value (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, par. 1.3), so every coweight
+    coordinate of a coroot lies in [-3, 3] and the base-7 digits of v are
+    unique: w v equals the undominated code of b exactly when w maps each
+    t_k to b_k (so also only when t and b have the same length, no coroot
+    being zero).  Two tuples are W-conjugate when their codes agree.
+    """
+    v = (0,) * rs.rank
+    for k, i in enumerate(t):
+        cw = rs.coroot_coweight_coords(rs.roots[i])
+        v = tuple(x + 7 ** k * c for x, c in zip(v, cw))
+    return dominant_conjugate(rs, v)
 
 
 # ---------------------------------------------------------------------
@@ -398,7 +426,7 @@ def enumerate_pairs_by_masks(ct: CartanType) -> tuple:
 
 def conjugate_root_tuples(rs: RootSystem, a, b) -> bool:
     """Is there a w in W with w(roots[a_k]) = roots[b_k] for every k?
-    a and b are tuples of root indices (see rootdata.root_tuple_code)."""
+    a and b are tuples of root indices (see root_tuple_code)."""
     return root_tuple_code(rs, a) == root_tuple_code(rs, b)
 
 

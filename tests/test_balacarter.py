@@ -11,7 +11,7 @@ from orbitcalc import cartantype
 from orbitcalc import rootdata as rd
 from orbitcalc import weylrep as wr
 from orbitcalc.linalg import (hermite_row_basis, identity, integer_kernel,
-                              mat_vec, solve, transpose)
+                              solve, transpose)
 from orbitcalc.orbits import (NilpotentOrbit, closure_leq, enumerate_orbits,
                               regular_orbit, weighted_dynkin, zero_orbit)
 from orbitcalc.rootdata import CartanType, build_root_system, subsystem_roots
@@ -19,7 +19,8 @@ from orbitcalc.weylrep import ambient_context
 
 import balacarter as bc
 from oracles import (alcove_symmetries, conjugate_root_tuples, coset_reps,
-                     enumerate_pairs_by_masks, pair_invariant, weyl_group)
+                     enumerate_pairs_by_masks, mat_vec, pair_invariant,
+                     weyl_group)
 
 SMALL = [("A", 1)] + [(s, r) for s in "ABCD" for r in (2, 3, 4)] + [("G", 2)]
 ISOGENIES = ("adjoint", "simply_connected")

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from orbitcalc import cli
+from orbitcalc import _stored, cli
 from orbitcalc.rootdata import CartanType
 
 from oracles import invariant_of, restriction_data_to_json
@@ -103,10 +103,11 @@ def test_cache_corrupt_recovers(tmp_path, capsys):
         "--cache-dir", str(other))
     a1_table = next(other.iterdir()).read_text()
     text_not_str = json.dumps({**json.loads(path.read_text()), "text": 5})
-    # not JSON, not an object, no table, the table of another system, and a
-    # text rendering that is not a string
-    for text in ("{ not json", "[]", json.dumps({"schema": cli.SCHEMA_VERSION}),
-                 a1_table, text_not_str):
+    # not JSON, JSON nested past the recursion limit, not an object, no
+    # table, the table of another system, and a text rendering that is not
+    # a string
+    for text in ("{ not json", "[" * 200000, "[]",
+                 json.dumps({"schema": cli.SCHEMA_VERSION}), a1_table, text_not_str):
         path.write_text(text)
         rc2, out2, err = run(capsys, *args)
         assert rc2 == 0, text
@@ -182,7 +183,7 @@ def test_cache_write_failing_partway_leaves_no_partial_file(tmp_path, capsys,
 
     args = types.SimpleNamespace(cache_dir=str(tmp_path))
     ct = CartanType("A", 1)
-    first = {"schema": cli.SCHEMA_VERSION, **cli._unramified_payload(ct)}
+    first = {"schema": cli.SCHEMA_VERSION, **_stored.unramified_payload(ct)}
     store_failing(first)
     assert list(tmp_path.iterdir()) == []
     assert cli.cache_load(args, "unramified", ct) is None
@@ -194,7 +195,7 @@ def test_cache_write_failing_partway_leaves_no_partial_file(tmp_path, capsys,
 
 
 def test_payload_keys_are_what_unramified_writes():
-    payload = cli._unramified_payload(CartanType("A", 1))
+    payload = _stored.unramified_payload(CartanType("A", 1))
     assert set(payload) == cli.PAYLOAD_KEYS["unramified"]
 
 
@@ -210,6 +211,7 @@ def test_payload_keys_are_what_unramified_writes():
     (["arthur-wf", "--dual-orbit", ""], None, 2),
     (["arthur-wf", "--dual-orbit", "1 2"], None, 2),
     (["local-wf"], "{ not json", 2),
+    (["local-wf"], "[" * 200000, 2),
     (["local-wf"], '{"J": [0]}', 2),
     (["local-wf"], '[{"J": [0]}]', 2),
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [2, 1], "mult": "x"}]}]', 2),
@@ -230,7 +232,7 @@ def test_payload_keys_are_what_unramified_writes():
     (["local-wf"], '[{"J": [0], "irreps": [{"label": [7], "mult": 1}]}]', 1),
 ], ids=["orbit", "orbit-empty-field", "orbit-leading-comma",
         "orbit-trailing-comma", "orbit-sign", "orbit-fullwidth", "orbit-underscore",
-        "orbit-empty", "orbit-inner-space", "not-json", "not-a-list", "no-irreps", "mult",
+        "orbit-empty", "orbit-inner-space", "not-json", "nested-too-deep", "not-a-list", "no-irreps", "mult",
         "mult-float", "mult-bool", "J-string", "J-float", "J-repeated",
         "J-repeated-node", "label-null", "label-object", "label-float", "label-bool", "wrong-total", "unknown-face", "unknown-character"])
 def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
@@ -242,6 +244,16 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     assert rc == code
     assert err.startswith("usage error: " if code == 2 else "error: ")
     assert out == ""
+
+
+def test_unreadable_data_file_exit_1(tmp_path, capsys):
+    """A --data file that cannot be opened is main's OSError: exit 1 with
+    the system's message, and nothing on stdout."""
+    missing = tmp_path / "missing.json"
+    rc, out, err = run(capsys, "local-wf", "--type", "A", "--rank", "2",
+                       "--data", str(missing))
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 with open(os.path.join(GOLDEN, "usage.json")) as fh:
@@ -476,7 +488,7 @@ print(json.dumps(seen))
 def test_store_concurrent_writers_and_reader(tmp_path):
     """Two processes rewrite one entry while a third reads it: every read
     is a whole entry or a miss, never an error or a mixture."""
-    payload = cli._unramified_payload(CartanType("A", 1))
+    payload = _stored.unramified_payload(CartanType("A", 1))
     files = []
     for i, rows in enumerate((payload["rows"], payload["rows"] * 200)):
         files.append(tmp_path / f"payload{i}.json")
