@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 from . import duality as du
+from . import orbits
 from . import wavefront as wf
-from .cartantype import CartanType
+from .cartantype import CartanType, CharError
 
 
 def unramified_payload(ct: CartanType):
@@ -56,6 +58,24 @@ def arthur_wf_payload(ct: CartanType, dual):
             **res.to_json(),
             "text": f"spherical representation of {ct} with dual-side "
                     f"parameter {dual.label()}:\n  {res}\n"}
+
+
+def store_arthur_wf_family(ct: CartanType, entry_of, store):
+    """Store the arthur-wf payload of every dual orbit of ct at
+    entry_of(label), its (key, path) under the canonical label, with
+    store(payload, entry), which says whether it wrote.  Skips a label
+    whose entry exists and a dual orbit whose payload raises (its query
+    still raises); the first failed write ends the loop."""
+    for dual in orbits.enumerate_orbits(ct.dual):
+        entry = entry_of(dual.label())
+        if os.path.exists(entry[1]):
+            continue
+        try:
+            payload = arthur_wf_payload(ct, dual)
+        except (du.DualityError, CharError, wf.WavefrontError):
+            continue
+        if not store(payload, entry):
+            return
 
 
 def restriction_data(raw: bytes):

@@ -22,7 +22,9 @@ the --data file), SCHEMA_VERSION, the package version and a CRC-32 of the
 package's own sources, so that entries written by other code are never
 read.  An entry holds its key and both renderings (JSON and text); one that
 is not whole, or that answers another query, is ignored with a warning and
-recomputed.  The mathematical modules run only when first used (see
+recomputed.  An arthur-wf miss that is stored also stores the entry of
+every other dual orbit of its system, under the orbit's canonical label.
+The mathematical modules run only when first used (see
 orbitcalc/__init__.py), so a stored answer is printed before any of them
 does.  What a miss computes is built in orbitcalc/_stored.py, and the
 bodies of orbits, dual-map and selftest live in orbitcalc/_storeless.py;
@@ -132,13 +134,14 @@ def _cache_path(cdir, kind, ct, key):
     return os.path.join(cdir, name)
 
 
-def _store_entry(args, kind, ct, inputs):
+def _store_entry(args, kind, ct, inputs, key=None):
     """The (key, path) of the store entry of `kind` for ct and inputs, or
-    None without a store."""
+    None without a store.  Given the key of another entry of kind and ct,
+    only its inputs change."""
     cdir = _cache_dir(args)
     if not cdir:
         return None
-    key = _store_key(kind, ct, inputs)
+    key = {**key, "inputs": inputs} if key else _store_key(kind, ct, inputs)
     return key, _cache_path(cdir, kind, ct, key)
 
 
@@ -178,9 +181,11 @@ def cache_load(args, kind, ct, inputs=None, entry=None):
 
 
 def cache_store(args, kind, ct, payload, inputs=None, entry=None):
+    """Store payload as the entry of `kind` for ct and inputs (or at
+    entry); returns whether it was written."""
     entry = entry or _store_entry(args, kind, ct, inputs)
     if entry is None:
-        return
+        return False
     key, path = entry
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -190,23 +195,28 @@ def cache_store(args, kind, ct, payload, inputs=None, entry=None):
         with open(tmp, "w") as fh:
             fh.write(_dump_json({**payload, "key": key}))
         os.replace(tmp, path)
+        return True
     except OSError as exc:
         print(f"warning: cache not writable ({exc}); continuing in memory",
               file=sys.stderr)
+        return False
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _serve(args, kind, ct, inputs, compute):
+def _serve(args, kind, ct, inputs, compute, fill=None):
     """Print the payload of `kind` for ct and inputs, from the store or
     from compute() (and then stored).  The entry's key and path are built
-    once: the key's source_checksum reads every source file."""
+    once: the key's source_checksum reads every source file.  Once a miss
+    is stored, fill(key), when given, may store more entries under keys
+    built from this one."""
     entry = _store_entry(args, kind, ct, inputs)
     payload = cache_load(args, kind, ct, inputs, entry)
     if payload is None:
         payload = compute()
-        cache_store(args, kind, ct, payload, inputs, entry)
+        if cache_store(args, kind, ct, payload, inputs, entry) and fill:
+            fill(entry[0])
     return _write(args, payload)
 
 
@@ -253,7 +263,14 @@ def cmd_arthur_wf(args):
                            args.dual_orbit)
         return _stored.arthur_wf_payload(ct, dual)
 
-    return _serve(args, "arthur-wf", ct, args.dual_orbit, compute)
+    def fill(key):
+        from . import _stored
+        _stored.store_arthur_wf_family(
+            ct, lambda label: _store_entry(args, "arthur-wf", ct, label, key),
+            lambda payload, entry: cache_store(args, "arthur-wf", ct, payload,
+                                               entry=entry))
+
+    return _serve(args, "arthur-wf", ct, args.dual_orbit, compute, fill)
 
 
 def cmd_local_wf(args):

@@ -3,7 +3,6 @@ import gc
 import json
 import os
 import shutil
-import stat
 import subprocess
 import sys
 import types
@@ -11,7 +10,8 @@ import warnings
 
 import pytest
 
-from orbitcalc import _stored, cli
+from orbitcalc import _stored, cli, orbits
+from orbitcalc.cartantype import ABC_RANK_CAP
 from orbitcalc.rootdata import CartanType
 
 from oracles import invariant_of, restriction_data_to_json
@@ -139,18 +139,52 @@ def test_cache_version_bump_invalidates(tmp_path, capsys):
     assert bumped not in old
 
 
-def test_cache_readonly_dir_warns(tmp_path, capsys):
-    ro = tmp_path / "ro"
-    ro.mkdir()
-    os.chmod(ro, stat.S_IRUSR | stat.S_IXUSR)
-    try:
-        rc, out, err = run(capsys, "unramified", "--type", "A", "--rank", "1",
-                           "--json", "--cache-dir", str(ro))
-        assert rc == 0
-        assert json.loads(out)["rows"]
-        assert "cache not writable" in err or os.access(ro, os.W_OK)
-    finally:
-        os.chmod(ro, stat.S_IRWXU)
+def test_cache_readonly_dir_warns(tmp_path, capsys, monkeypatch):
+    """A store that refuses every write (os.replace fails, as it would in a
+    read-only directory, also for root) gives each stored command's answer,
+    exit 0, one warning line and no file; arthur-wf tries none of its other
+    dual orbits."""
+    store = tmp_path / "ro"
+    real_replace, calls = os.replace, []
+
+    def refuse(src, dst):
+        calls.append(dst)
+        raise PermissionError(errno.EACCES, "Permission denied", dst)
+
+    for kind in ("unramified", "arthur-wf", "local-wf"):
+        argv, _, _ = _query(tmp_path, kind)
+        rc, out, err = run(capsys, *argv)
+        monkeypatch.setattr(os, "replace", refuse)
+        rc2, out2, err2 = run(capsys, *argv, "--cache-dir", str(store))
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert (rc2, out2) == (rc, out) == (0, out), kind
+        assert len(err2.splitlines()) == 1 and "cache not writable" in err2, kind
+        assert len(calls) == 1 and list(store.iterdir()) == [], kind
+        calls.clear()
+
+
+def test_arthur_wf_extra_entries_stop_at_the_first_failed_write(tmp_path, capsys,
+                                                                monkeypatch):
+    """A store that takes the served entry and then refuses a write gives
+    one warning line and keeps the served entry only."""
+    store = tmp_path / "store"
+    argv, ct, inputs = _query(tmp_path, "arthur-wf")
+    rc, out, _ = run(capsys, *argv)
+    real_replace, calls = os.replace, []
+
+    def once(src, dst):
+        calls.append(dst)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device", dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", once)
+    rc2, out2, err2 = run(capsys, *argv, "--cache-dir", str(store))
+    assert (rc2, out2) == (rc, out)
+    assert len(err2.splitlines()) == 1 and "cache not writable" in err2
+    assert len(calls) == 2
+    assert [p.name for p in store.iterdir()] == [
+        os.path.basename(_entry_path(store, "arthur-wf", ct, inputs))]
 
 
 def test_cache_write_failing_partway_leaves_no_partial_file(tmp_path, capsys,
@@ -370,12 +404,13 @@ def test_store_hit_prints_what_a_miss_prints(tmp_path, capsys, kind):
     plain = {mode: run(capsys, *argv, *mode) for mode in (("--json",), ())}
     assert all(rc == 0 and out and err == "" for rc, out, err in plain.values())
     # a miss, a hit in the same rendering, a hit in the other: one entry
-    # serves both
+    # serves both (an arthur-wf miss stores all 4 dual orbits of B2, the
+    # orbits of C2)
     for first, second in [(("--json",), ()), ((), ("--json",))]:
         store = tmp_path / f"store{len(first)}"
         for mode in (first, first, second):
             assert run(capsys, *argv, *mode, "--cache-dir", str(store)) == plain[mode]
-        assert len(list(store.iterdir())) == 1
+        assert len(list(store.iterdir())) == (4 if kind == "arthur-wf" else 1)
 
 
 @pytest.mark.parametrize("kind", STORED)
@@ -431,7 +466,76 @@ def test_store_entry_of_other_code_is_a_miss(tmp_path, capsys, monkeypatch, bump
         monkeypatch.setattr(cli, "source_checksum", lambda: checksum() ^ 1)
     assert cli.cache_load(ns, "arthur-wf", ct, inputs) is None
     assert run(capsys, *argv) == (rc, out, "")
-    assert len(list(tmp_path.iterdir())) == 2
+    # each code's miss stores the 4 dual orbits of B2
+    assert len(list(tmp_path.iterdir())) == 8
+
+
+ADJOINT = [CartanType(s, r) for s in "ABCD"
+           for r in range(1 if s == "A" else 2, ABC_RANK_CAP + 1)] + [CartanType("G", 2)]
+
+
+@pytest.mark.parametrize("ct", ADJOINT, ids=str)
+def test_arthur_wf_miss_stores_every_dual_orbit(tmp_path, capsys, ct):
+    """One arthur-wf miss stores an entry for every dual orbit of the
+    system under its canonical label: each is the file a direct miss of
+    that label writes into an empty store, and a hit on it prints what a
+    run without a store prints, in both renderings."""
+    labels = [o.label() for o in orbits.enumerate_orbits(ct.dual)]
+    base = ["arthur-wf", "--type", ct.series, "--rank", str(ct.rank)]
+    store = tmp_path / "family"
+    served = labels[len(labels) // 2]
+    assert run(capsys, *base, "--dual-orbit", served, "--cache-dir", str(store))[0] == 0
+    names = {label: os.path.basename(_entry_path(store, "arthur-wf", ct, label))
+             for label in labels}
+    entries = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert sorted(entries) == sorted(names.values())
+    ns = types.SimpleNamespace(cache_dir=str(store))
+    for i, label in enumerate(labels):
+        argv = [*base, "--dual-orbit", label]
+        direct = tmp_path / f"direct{i}"
+        assert run(capsys, *argv, "--cache-dir", str(direct))[0] == 0
+        assert (direct / names[label]).read_bytes() == entries[names[label]], label
+        assert cli.cache_load(ns, "arthur-wf", ct, label) is not None
+        for mode in (("--json",), ()):
+            plain = run(capsys, *argv, *mode)
+            assert plain[0] == 0 and plain[2] == ""
+            assert run(capsys, *argv, *mode, "--cache-dir", str(store)) == plain
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == entries
+
+
+def test_arthur_wf_non_canonical_spelling_keeps_its_entry(tmp_path, capsys):
+    """A query spelled "2, 2" is stored under that text, as before; the
+    entries its miss adds are the canonical labels, "2,2" among them."""
+    ct = CartanType("B", 2)
+    argv = ["arthur-wf", "--type", "B", "--rank", "2", "--json", "--dual-orbit"]
+    rc, out, err = run(capsys, *argv, "2, 2", "--cache-dir", str(tmp_path))
+    assert (rc, err) == (0, "") and out == run(capsys, *argv, "2,2")[1]
+    labels = ["2, 2"] + [o.label() for o in orbits.enumerate_orbits(ct.dual)]
+    assert labels[1:] == ["4", "2,2", "2,1,1", "1,1,1,1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        os.path.basename(_entry_path(tmp_path, "arthur-wf", ct, label))
+        for label in labels)
+    ns = types.SimpleNamespace(cache_dir=str(tmp_path))
+    assert all(cli.cache_load(ns, "arthur-wf", ct, label) is not None
+               for label in labels)
+
+
+def test_arthur_wf_extra_entries_skip_what_is_stored(tmp_path, capsys, monkeypatch):
+    """An entry that exists is not rewritten, so a second miss of the same
+    system writes only its own entry; without a store nothing extra is
+    computed."""
+    store = tmp_path / "store"
+    argv = ["arthur-wf", "--type", "B", "--rank", "2", "--dual-orbit"]
+    run(capsys, *argv, "2,2", "--cache-dir", str(store))
+    built = []
+    real = _stored.arthur_wf_payload
+    monkeypatch.setattr(_stored, "arthur_wf_payload",
+                        lambda ct, dual: built.append(dual.label()) or real(ct, dual))
+    assert run(capsys, *argv, "2, 2", "--cache-dir", str(store))[0] == 0
+    assert built == ["2,2"] and len(list(store.iterdir())) == 5
+    built.clear()
+    assert run(capsys, *argv, "4")[0] == 0
+    assert built == ["4"]
 
 
 def test_source_checksum_covers_every_source_file(tmp_path, monkeypatch):
@@ -857,7 +961,8 @@ def test_no_process_imports_dataclasses(tmp_path):
     # two unramified outputs, the second from the store, then two others
     outs = proc.stdout.splitlines()
     assert len(outs) == 4 and outs[0] == outs[1]
-    assert len(list(store.iterdir())) == 2
+    # B3 unramified, and the 8 dual orbits of B3 from the arthur-wf miss
+    assert len(list(store.iterdir())) == 9
 
 
 _STORELESS = """
@@ -962,4 +1067,5 @@ def test_no_file_left_to_the_collector(tmp_path, capsys, monkeypatch):
                 assert run(capsys, *argv, "--cache-dir", store)[0] == 0
         gc.collect()
     assert unraisable == []
-    assert len(os.listdir(store)) == len(STORED)
+    # one entry each, but the 4 of arthur-wf's dual orbits of B2
+    assert len(os.listdir(store)) == 6
