@@ -8,11 +8,12 @@ representations attached to dual-side orbits.
 Every submodule but cli is registered at import and executed on first
 use (importlib.util.LazyLoader), and the names below are re-exported
 through a module __getattr__ (PEP 562), so that `import orbitcalc.cli`
-loads none of the mathematics.  The private modules _storeless, _stored,
-_usage, _classical, _unramified, _labels and _g2 are not registered: their
-importers (cli for the first three; duality, _labels and _unramified;
-duality; wavefront, duality and weylrep; duality and wavefront) load each
-on first use.
+executes no submodule, cartantype included: a store hit runs this module
+and cli alone.  The private modules _storeless, _stored, _usage,
+_classical, _unramified, _labels and _g2 are not registered: their
+importers (cli; cli and _storeless; cli; duality, _labels and
+_unramified; duality; wavefront, duality and weylrep; duality and
+wavefront) load each on first use, _stored on a store miss only.
 """
 
 import importlib.util

@@ -52,8 +52,6 @@ _labels (block_key) and _unramified, never for G2, and is not one of
 the package's lazily loaded submodules (orbitcalc/__init__.py).
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache
 from itertools import product, repeat
@@ -194,7 +192,7 @@ def _split(key) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def saturation(ct: CartanType, key) -> orbits.NilpotentOrbit:
+def saturation(ct: CartanType, key) -> "orbits.NilpotentOrbit":
     """The saturation of a pair, or of a face with an orbit on each
     factor, from its key."""
     blocks, mark = _split(key)

@@ -26,8 +26,6 @@ the character layer.  The tables are computed once per
 process and are read-only.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from types import MappingProxyType
 

@@ -3,15 +3,16 @@ and selftest.
 
 cli imports this module only when one of them runs, so that the stored
 commands (unramified, arthur-wf, local-wf) never compile it.  It is not
-one of the package's lazily loaded submodules (orbitcalc/__init__.py).
+one of the package's lazily loaded submodules (orbitcalc/__init__.py),
+and it does not import cli, which `python -m orbitcalc.cli` runs as
+__main__; it reads a line's system through _stored.cartan_type.
 orbits_payload and dual_map_payload return what cli prints, in the form
 of a stored payload: the --json fields and the text rendering.  Both
 count the orbits of the system from (series, rank) first, and refuse one
 with more than ORBIT_COUNT_CAP.
 """
 
-from __future__ import annotations
-
+from . import _stored
 from . import duality as du
 from . import orbits
 from . import partitions as pt
@@ -61,7 +62,8 @@ def _check_orbit_count(*systems):
                                     f"which exceeds the cap {ORBIT_COUNT_CAP}")
 
 
-def orbits_payload(ct: CartanType):
+def orbits_payload(args):
+    ct = _stored.cartan_type(args)
     _check_orbit_count(ct)
     rows = []
     for o in orbits.enumerate_orbits(ct):
@@ -83,7 +85,8 @@ def orbits_payload(ct: CartanType):
             "text": "\n".join(lines) + "\n"}
 
 
-def dual_map_payload(ct: CartanType):
+def dual_map_payload(args):
+    ct = _stored.cartan_type(args)
     _check_orbit_count(ct, ct.dual)
     rows = []
     for o in orbits.enumerate_orbits(ct):

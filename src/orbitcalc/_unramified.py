@@ -43,8 +43,6 @@ reaches it through duality; it is not one of the package's
 lazily loaded submodules (orbitcalc/__init__.py).
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from . import _classical as cl

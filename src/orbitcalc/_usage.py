@@ -9,8 +9,6 @@ build_parser is handed the table and this module never imports cli, which
 `python -m orbitcalc.cli` runs as __main__.
 """
 
-from __future__ import annotations
-
 import argparse
 
 

@@ -1,15 +1,14 @@
-"""The name of a split reductive group: series, rank and isogeny; and the
-caps of the affine Bala-Carter enumeration and of the character layer.
+"""The name of a split reductive group: series, rank and isogeny; the
+caps of the affine Bala-Carter enumeration and of the character layer;
+and UsageError, the command line's error for input that cannot be parsed.
 
 Kept apart from rootdata so that validating a system, as every command
-does first, loads none of the root-system code.  The caps live here so
-that every path reads one value at call time without loading the
-character layer.  It defines no public function: perfbench/tracer.py
-keeps self time only for the modules in its MODULES list and fails on a
-traced call from any other.
+but a store hit does first, loads none of the root-system code.  The
+caps live here so that every path reads one value at call time without
+loading the character layer.  It defines no public function:
+perfbench/tracer.py keeps self time only for the modules in its MODULES
+list and fails on a traced call from any other.
 """
-
-from __future__ import annotations
 
 import math
 import warnings
@@ -21,6 +20,10 @@ SERIES = ("A", "B", "C", "D", "G")
 ABC_RANK_CAP = 5
 
 GROUP_ORDER_CAP = 10 ** 6
+
+
+class UsageError(ValueError):
+    """An argument or a data file that cannot be parsed: exit code 2."""
 
 
 class RootDataError(ValueError):

@@ -36,8 +36,6 @@ The cached values are integers and tuples, so no caller can change what
 a later one is served.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -22,21 +22,26 @@ the --data file), SCHEMA_VERSION, the package version and a CRC-32 of the
 package's own sources, so that entries written by other code are never
 read.  An entry holds its key and both renderings (JSON and text); one that
 is not whole, or that answers another query, is ignored with a warning and
-recomputed.  An arthur-wf miss that is stored also stores the entry of
-every other dual orbit of its system, under the orbit's canonical label.
-The mathematical modules run only when first used (see
-orbitcalc/__init__.py), so a stored answer is printed before any of them
-does.  What a miss computes is built in orbitcalc/_stored.py, and the
-bodies of orbits, dual-map and selftest live in orbitcalc/_storeless.py;
-cli imports each only when it runs, so that a store hit compiles neither.
-This module keeps what a hit runs: the line reader, the store, dispatch
-and main's error mapping.
+recomputed.
+
+This module is the store's front.  It builds a query's key from the line
+as given (series, rank and isogeny as typed) and prints the entry stored
+under it without validating the system: an entry is only ever written
+under a validated, normalised system, and cache_load compares the whole
+key.  So a store hit executes orbitcalc/__init__.py and this module and
+nothing else, not even cartantype.  Only a miss (no store, no entry, or a
+--data file that cannot be read) imports orbitcalc/_stored.py, which
+validates the system, looks once more under the normalised key or the
+orbit's canonical label, then computes, stores and fills with the key
+built here.  The bodies of orbits, dual-map and selftest live in
+orbitcalc/_storeless.py.  Neither imports cli, which `python -m
+orbitcalc.cli` runs as __main__: cli hands _stored the module itself.
+The mathematical modules appear here only as the lazily loaded module
+objects (see orbitcalc/__init__.py) whose error classes main maps.
 
 Exit codes: 0 success, 1 computational error, 2 usage error (also for
 arguments and data files that cannot be parsed).
 """
-
-from __future__ import annotations
 
 import atexit
 import gc
@@ -47,43 +52,15 @@ import sys
 import types
 import zlib
 
-# each runs on first use (see __init__); a stored answer is printed before
-# any of them does
-from . import __version__
+# each runs on first use (see __init__): main names their error classes
+# only when an error reaches it
+from . import __version__, cartantype
 from . import duality as du
 from . import orbits
 from . import partitions as pt
 from . import wavefront as wf
-from .cartantype import ABCError, CartanType, CharError, RootDataError
 
 SCHEMA_VERSION = 1
-
-
-class UsageError(ValueError):
-    pass
-
-
-def _cartan_type(args) -> CartanType:
-    try:
-        return CartanType(args.type, args.rank, args.isogeny)
-    except RootDataError as exc:
-        raise UsageError(str(exc))
-
-
-def parse_orbit(ct: CartanType, text: str) -> orbits.NilpotentOrbit:
-    if ct.series == "G":
-        return orbits.NilpotentOrbit(ct, g2_label=text)
-    mark = None
-    if text.endswith(("-I", "-II")):
-        text, mark = text.rsplit("-", 1)
-    try:
-        partition = pt.parse_partition(text)
-    except pt.PartitionError:
-        raise
-    except ValueError:
-        raise UsageError(f"cannot parse the orbit {text!r}; "
-                         f"expected parts such as 2,1") from None
-    return orbits.NilpotentOrbit(ct, partition=partition, mark=mark)
 
 
 def _dump_json(payload) -> str:
@@ -121,36 +98,41 @@ def source_checksum() -> int:
     return crc
 
 
-def _store_key(kind, ct, inputs):
-    return {"command": kind, "system": [ct.series, ct.rank, ct.isogeny],
-            "inputs": inputs, "schema": SCHEMA_VERSION, "version": __version__,
+def _store_key(kind, system, inputs):
+    return {"command": kind, "system": list(system), "inputs": inputs,
+            "schema": SCHEMA_VERSION, "version": __version__,
             "source": source_checksum()}
 
 
-def _cache_path(cdir, kind, ct, key):
+def _cache_path(cdir, kind, system, key):
+    series, rank, isogeny = system
     digest = zlib.crc32(json.dumps(key, sort_keys=True).encode())
-    name = (f"{kind}-{ct.series}{ct.rank}-{ct.isogeny}-v{SCHEMA_VERSION}"
+    name = (f"{kind}-{series}{rank}-{isogeny}-v{SCHEMA_VERSION}"
             f"-{digest:08x}.json")
     return os.path.join(cdir, name)
 
 
-def _store_entry(args, kind, ct, inputs, key=None):
-    """The (key, path) of the store entry of `kind` for ct and inputs, or
-    None without a store.  Given the key of another entry of kind and ct,
-    only its inputs change."""
+def _store_entry(args, kind, system, inputs, key=None):
+    """The (key, path) of the store entry of `kind` for system, a
+    (series, rank, isogeny) such as a CartanType, and inputs, or None
+    without a store.  Given the key of another entry of kind, only the
+    system and inputs change: the sources are read once."""
     cdir = _cache_dir(args)
     if not cdir:
         return None
-    key = {**key, "inputs": inputs} if key else _store_key(kind, ct, inputs)
-    return key, _cache_path(cdir, kind, ct, key)
+    if key:
+        key = {**key, "system": list(system), "inputs": inputs}
+    else:
+        key = _store_key(kind, system, inputs)
+    return key, _cache_path(cdir, kind, system, key)
 
 
-def cache_load(args, kind, ct, inputs=None, entry=None):
-    """The stored payload of `kind` for ct and inputs (with its "schema"),
-    or None.  inputs is what the key records beside the system: the
-    --dual-orbit text or the --data file's bytes read as latin-1.  entry
-    is their _store_entry, when the caller has built it."""
-    entry = entry or _store_entry(args, kind, ct, inputs)
+def cache_load(args, kind, system, inputs=None, entry=None):
+    """The stored payload of `kind` for system and inputs (with its
+    "schema"), or None.  inputs is what the key records beside the system:
+    the --dual-orbit text or the --data file's bytes read as latin-1.
+    entry is their _store_entry, when the caller has built it."""
+    entry = entry or _store_entry(args, kind, system, inputs)
     if entry is None:
         return None
     key, path = entry
@@ -180,10 +162,10 @@ def cache_load(args, kind, ct, inputs=None, entry=None):
         return None
 
 
-def cache_store(args, kind, ct, payload, inputs=None, entry=None):
-    """Store payload as the entry of `kind` for ct and inputs (or at
+def cache_store(args, kind, system, payload, inputs=None, entry=None):
+    """Store payload as the entry of `kind` for system and inputs (or at
     entry); returns whether it was written."""
-    entry = entry or _store_entry(args, kind, ct, inputs)
+    entry = entry or _store_entry(args, kind, system, inputs)
     if entry is None:
         return False
     key, path = entry
@@ -205,19 +187,21 @@ def cache_store(args, kind, ct, payload, inputs=None, entry=None):
             os.remove(tmp)
 
 
-def _serve(args, kind, ct, inputs, compute, fill=None):
-    """Print the payload of `kind` for ct and inputs, from the store or
-    from compute() (and then stored).  The entry's key and path are built
-    once: the key's source_checksum reads every source file.  Once a miss
-    is stored, fill(key), when given, may store more entries under keys
-    built from this one."""
-    entry = _store_entry(args, kind, ct, inputs)
-    payload = cache_load(args, kind, ct, inputs, entry)
+def _serve(args, kind, inputs):
+    """Print the payload of `kind` for the line's system and inputs from
+    the store, or hand the query to _stored with the entry built here (the
+    key's source_checksum reads every source file)."""
+    system = (args.type, args.rank, args.isogeny)
+    entry = _store_entry(args, kind, system, inputs)
+    payload = cache_load(args, kind, system, inputs, entry)
     if payload is None:
-        payload = compute()
-        if cache_store(args, kind, ct, payload, inputs, entry) and fill:
-            fill(entry[0])
+        return _miss(args, kind, inputs, entry)
     return _write(args, payload)
+
+
+def _miss(args, kind, inputs, entry):
+    from . import _stored
+    return _stored.serve(sys.modules[__name__], args, kind, inputs, entry)
 
 
 def _write(args, payload):
@@ -235,64 +219,37 @@ def _write(args, payload):
 # ---------------------------------------------------------------------
 
 def cmd_orbits(args):
-    from ._storeless import orbits_payload
-    return _write(args, orbits_payload(_cartan_type(args)))
+    from . import _storeless
+    return _write(args, _storeless.orbits_payload(args))
 
 
 def cmd_dual_map(args):
-    from ._storeless import dual_map_payload
-    return _write(args, dual_map_payload(_cartan_type(args)))
+    from . import _storeless
+    return _write(args, _storeless.dual_map_payload(args))
 
 
 def cmd_unramified(args):
-    ct = _cartan_type(args)
-
-    def compute():
-        from . import _stored
-        return _stored.unramified_payload(ct)
-
-    return _serve(args, "unramified", ct, None, compute)
+    return _serve(args, "unramified", None)
 
 
 def cmd_arthur_wf(args):
-    ct = _cartan_type(args)
-
-    def compute():
-        from . import _stored
-        dual = parse_orbit(CartanType(ct.dual.series, ct.rank, ct.dual.isogeny),
-                           args.dual_orbit)
-        return _stored.arthur_wf_payload(ct, dual)
-
-    def fill(key):
-        from . import _stored
-        _stored.store_arthur_wf_family(
-            ct, lambda label: _store_entry(args, "arthur-wf", ct, label, key),
-            lambda payload, entry: cache_store(args, "arthur-wf", ct, payload,
-                                               entry=entry))
-
-    return _serve(args, "arthur-wf", ct, args.dual_orbit, compute, fill)
+    return _serve(args, "arthur-wf", args.dual_orbit)
 
 
 def cmd_local_wf(args):
-    ct = _cartan_type(args)
-    with open(args.data, "rb") as fh:
-        raw = fh.read()
-
-    def compute():
-        from . import _stored
-        try:
-            data = _stored.restriction_data(raw)
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            raise UsageError(f"{args.data} is not restriction data "
-                             f"({type(exc).__name__}: {exc})") from None
-        return _stored.local_wf_payload(ct, data)
-
-    return _serve(args, "local-wf", ct, raw.decode("latin-1"), compute)
+    try:
+        with open(args.data, "rb") as fh:
+            inputs = fh.read().decode("latin-1")
+    except OSError:
+        # a miss: _stored reads the file again once the system is checked,
+        # so that a usage error still comes first
+        return _miss(args, "local-wf", None, None)
+    return _serve(args, "local-wf", inputs)
 
 
 def cmd_selftest(args):
-    from ._storeless import selftest
-    return selftest()
+    from . import _storeless
+    return _storeless.selftest()
 
 
 # ---------------------------------------------------------------------
@@ -391,16 +348,16 @@ def main(argv=None) -> int:
         args = _usage.build_parser(COMMANDS).parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # last, since naming these classes loads their modules
-    except (orbits.OrbitError, pt.PartitionError, CharError,
-            du.DualityError, wf.WavefrontError, ABCError,
-            RootDataError) as exc:
+    except cartantype.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (orbits.OrbitError, pt.PartitionError, cartantype.CharError,
+            du.DualityError, wf.WavefrontError, cartantype.ABCError,
+            cartantype.RootDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

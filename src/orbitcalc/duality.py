@@ -22,8 +22,6 @@ Weyl groups (the pairs and classes off the root system, the Sommers
 dual by j-induction) is the test suite's oracle.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cartantype import ABCError, CartanType, _check_abc_rank

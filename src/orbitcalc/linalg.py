@@ -8,8 +8,6 @@ solves are read off it, a rational solution as integers over a
 denominator.
 """
 
-from __future__ import annotations
-
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

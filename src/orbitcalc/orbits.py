@@ -21,8 +21,6 @@ tied to the weighted Dynkin diagram: mark I is the diagram whose value at
 the fork node alpha_{n-1} is >= the value at alpha_n.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType

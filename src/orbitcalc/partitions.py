@@ -5,8 +5,6 @@ the size conventions of the classical series: A(n) partitions n+1,
 B(n) partitions 2n+1, C(n) and D(n) partition 2n.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 

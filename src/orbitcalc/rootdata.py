@@ -52,8 +52,6 @@ All of it is integer: root lengths, coroots (a non-integral coroot
 raises RootDataError) and the reflections of coweight coordinates.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 

@@ -20,8 +20,6 @@ marks included, and G2's frozen table, so that arthur_wf runs no root
 system and no character table.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import cartantype

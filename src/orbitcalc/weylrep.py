@@ -28,8 +28,6 @@ its cache: contexts share their factors (rootdata.build_factor), never
 the check.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial

@@ -290,6 +290,26 @@ def test_unreadable_data_file_exit_1(tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
+@pytest.mark.parametrize("rank, code, message", [
+    ("0", 2, "usage error: rank must be positive\n"),
+    ("2", 1, "error: [Errno 2] No such file or directory: {missing!r}\n")],
+    ids=["invalid-system", "valid-system"])
+def test_unreadable_data_file_after_the_system_check(tmp_path, rank, code, message):
+    """A --data file that cannot be opened is a miss at cli's front; the
+    system is checked before the file is opened again, so an invalid one
+    is still a usage error (exit 2), and a valid one main's OSError (exit
+    1), with a store or without, in a fresh `python -m orbitcalc.cli`."""
+    missing = str(tmp_path / "missing.json")
+    argv = ["local-wf", "--type", "A", "--rank", rank, "--data", missing]
+    for store in ([], ["--cache-dir", str(tmp_path / "store")]):
+        proc = subprocess.run([sys.executable, "-m", "orbitcalc.cli", *argv, *store],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, "", message.format(missing=missing)), store
+    assert not os.path.exists(tmp_path / "store")
+
+
 with open(os.path.join(GOLDEN, "usage.json")) as fh:
     USAGE = json.load(fh)
 
@@ -522,9 +542,11 @@ def test_arthur_wf_non_canonical_spelling_keeps_its_entry(tmp_path, capsys):
 
 def test_arthur_wf_extra_entries_skip_what_is_stored(tmp_path, capsys, monkeypatch):
     """An entry that exists is not rewritten, so a second miss of the same
-    system writes only its own entry; without a store nothing extra is
-    computed."""
+    system writes only its own entry; text such as "2, 2" is read from the
+    entry of its canonical label, with no payload built; without a store
+    nothing extra is computed."""
     store = tmp_path / "store"
+    ct = CartanType("B", 2)
     argv = ["arthur-wf", "--type", "B", "--rank", "2", "--dual-orbit"]
     run(capsys, *argv, "2,2", "--cache-dir", str(store))
     built = []
@@ -532,10 +554,36 @@ def test_arthur_wf_extra_entries_skip_what_is_stored(tmp_path, capsys, monkeypat
     monkeypatch.setattr(_stored, "arthur_wf_payload",
                         lambda ct, dual: built.append(dual.label()) or real(ct, dual))
     assert run(capsys, *argv, "2, 2", "--cache-dir", str(store))[0] == 0
-    assert built == ["2,2"] and len(list(store.iterdir())) == 5
+    assert built == [] and len(list(store.iterdir())) == 5
+    os.remove(_entry_path(store, "arthur-wf", ct, "4"))
+    assert run(capsys, *argv, "4", "--cache-dir", str(store))[0] == 0
+    assert built == ["4"] and len(list(store.iterdir())) == 5
     built.clear()
     assert run(capsys, *argv, "4")[0] == 0
     assert built == ["4"]
+
+
+def test_arthur_wf_non_canonical_text_reads_its_labels_entry(tmp_path, capsys,
+                                                             monkeypatch):
+    """After a miss has stored the dual orbits of B2, "2, 2" misses at cli's
+    front and is answered from the entry of its label "2,2": no payload is
+    built, both renderings print the bytes of a run without a store, and
+    the entry is stored under the typed text as well."""
+    store = tmp_path / "store"
+    argv = ["arthur-wf", "--type", "B", "--rank", "2", "--dual-orbit"]
+    assert run(capsys, *argv, "4", "--cache-dir", str(store))[0] == 0
+    plain = {mode: run(capsys, *argv, "2, 2", *mode) for mode in (("--json",), ())}
+    assert all(rc == 0 and out and err == "" for rc, out, err in plain.values())
+
+    def refuse(ct, dual):
+        raise AssertionError(f"built the payload of {dual.label()}")
+
+    monkeypatch.setattr(_stored, "arthur_wf_payload", refuse)
+    for mode in (("--json",), ()):
+        assert run(capsys, *argv, "2, 2", *mode, "--cache-dir", str(store)) == plain[mode]
+    assert len(list(store.iterdir())) == 5
+    ns = types.SimpleNamespace(cache_dir=str(store))
+    assert cli.cache_load(ns, "arthur-wf", CartanType("B", 2), "2, 2") is not None
 
 
 def test_source_checksum_covers_every_source_file(tmp_path, monkeypatch):
@@ -656,6 +704,38 @@ def test_store_hit_loads_no_mathematics(tmp_path, kind):
     assert runs[0][0][0] == 0
     if kind == "unramified":
         assert "C1 normalized to A1" in runs[1][0][2]
+
+
+_EXECUTED = """
+import json, sys, types
+from orbitcalc import cli
+rc = cli.main(sys.argv[1:])
+executed = sorted(name for name, m in sys.modules.items()
+                  if name.partition(".")[0] == "orbitcalc" and type(m) is types.ModuleType)
+present = [name for name in ("orbitcalc._stored", "__future__") if name in sys.modules]
+print("loaded: " + json.dumps([executed, present]), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("kind", STORED)
+def test_store_hit_executes_only_cli(tmp_path, kind):
+    """A canonical B2 hit executes orbitcalc/__init__.py and cli and no
+    other module of the package, cartantype included; _stored is never
+    imported, and no module imports __future__.  The miss before it
+    validated through cartantype and printed the same bytes."""
+    argv, _, _ = _query(tmp_path, kind)
+    argv += ["--json", "--cache-dir", str(tmp_path / "store")]
+    runs = []
+    for _ in ("miss", "hit"):
+        proc = subprocess.run([sys.executable, "-S", "-c", _EXECUTED, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        err, _, report = proc.stderr.rpartition("loaded: ")
+        runs.append(((proc.returncode, proc.stdout, err), json.loads(report)))
+    assert runs[0][0] == runs[1][0] and runs[0][0][0] == 0
+    assert {"orbitcalc.cartantype", "orbitcalc._stored"} <= set(runs[0][1][0])
+    assert runs[1][1] == [["orbitcalc", "orbitcalc.cli"], []]
 
 
 CHARACTER_LAYER = {f"orbitcalc.{m}" for m in ("chartab", "weylrep", "rootdata", "linalg")}
@@ -882,15 +962,25 @@ def test_orbit_count_is_the_number_of_orbits():
 
 
 def test_serve_builds_the_store_key_once(tmp_path, capsys, monkeypatch):
-    """A miss and a hit each read the package sources once for the key."""
+    """A miss and a hit each read the package sources once for the key,
+    also where the miss looks again: C1 under A1's key, and "2, 2" under
+    its label's (after the "2,2" miss has stored the dual orbits of B2)."""
     calls = []
     checksum = cli.source_checksum
     monkeypatch.setattr(cli, "source_checksum", lambda: calls.append(1) or checksum())
-    argv = ["unramified", "--type", "A", "--rank", "2", "--json", "--cache-dir", str(tmp_path)]
-    for expected in (1, 2):
-        assert run(capsys, *argv)[0] == 0
-        assert len(calls) == expected
-    assert len(list(tmp_path.iterdir())) == 1
+    arthur = ["arthur-wf", "--type", "B", "--rank", "2", "--dual-orbit"]
+    queries = [["unramified", "--type", "A", "--rank", "2"],
+               ["unramified", "--type", "C", "--rank", "1"],
+               [*arthur, "2,2"], [*arthur, "2, 2"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # C1 normalized to A1
+        for argv in queries:
+            for _ in ("miss", "hit"):
+                calls.clear()
+                assert run(capsys, *argv, "--json", "--cache-dir", str(tmp_path))[0] == 0
+                assert len(calls) == 1, argv
+    # A2, A1, the 4 dual orbits of B2 and "2, 2"
+    assert len(list(tmp_path.iterdir())) == 7
 
 
 @pytest.mark.parametrize("rank", [10, 60])
