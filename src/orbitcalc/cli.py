@@ -33,7 +33,10 @@ nothing else, not even cartantype.  Only a miss (no store, no entry, or a
 --data file that cannot be read) imports orbitcalc/_stored.py, which
 validates the system, looks once more under the normalised key or the
 orbit's canonical label, then computes, stores and fills with the key
-built here.  The bodies of orbits, dual-map and selftest live in
+built here: an arthur-wf miss also stores the system's other dual orbits,
+an unramified miss the system's table in the other isogeny, each far
+cheaper in the process that has compiled the library than as a miss of
+its own.  The bodies of orbits, dual-map and selftest live in
 orbitcalc/_storeless.py.  Neither imports cli, which `python -m
 orbitcalc.cli` runs as __main__: cli hands _stored the module itself.
 The mathematical modules appear here only as the lazily loaded module
@@ -254,13 +257,25 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------
 
+def _rank(text):
+    """int() of a rank in ASCII digits, with an optional "-" first (so
+    that --rank -3 stays the system check's usage error).  int() alone
+    also takes "3 ", "+3", "1_0" and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+_rank.__name__ = "int"  # argparse names the type: invalid int value: 'x'
+
 # The grammar of every subcommand, read by _read_line and by the argparse
 # parser that _usage builds from it: name -> (handler, help, options), each
 # option a long flag and its add_argument keywords.
 _COMMON = (
     ("--type", {"required": True, "choices": list("ABCDG"),
                 "help": "series of the root system"}),
-    ("--rank", {"required": True, "type": int}),
+    ("--rank", {"required": True, "type": _rank}),
     ("--isogeny", {"default": "adjoint",
                    "choices": ["adjoint", "simply_connected"]}),
     ("--json", {"action": "store_true", "help": "emit schema-stable JSON"}),
@@ -289,7 +304,7 @@ def _read_line(argv):
     None for any other line.  Canonical: a subcommand's name, then only its
     exact long options, none twice and every required one given; a valued
     option is followed by one value that does not begin with "-", passes
-    its type (int() for --rank) and is one of its choices."""
+    its type (ASCII digits for --rank) and is one of its choices."""
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, options = COMMANDS[argv[0]]

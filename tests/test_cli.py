@@ -87,21 +87,29 @@ def test_cache_roundtrip_byte_identical(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     rc1, out1, _ = run(capsys, *args)
     files = list(tmp_path.iterdir())
-    assert rc1 == 0 and len(files) == 1
+    # B2 adjoint and, stored by the same miss, B2 simply connected
+    assert rc1 == 0 and len(files) == 2
     rc2, out2, _ = run(capsys, *args)
     assert rc2 == 0
     assert out1 == out2
+
+
+def _served(store, system):
+    """The adjoint unramified entry of system (such as "A2") in store, which
+    also holds the simply connected one that the same miss stored."""
+    path, = store.glob(f"unramified-{system}-adjoint-*")
+    return path
 
 
 def test_cache_corrupt_recovers(tmp_path, capsys):
     args = ["unramified", "--type", "A", "--rank", "2", "--json",
             "--cache-dir", str(tmp_path)]
     rc1, out1, _ = run(capsys, *args)
-    path = next(tmp_path.iterdir())
+    path = _served(tmp_path, "A2")
     other = tmp_path / "other"
     run(capsys, "unramified", "--type", "A", "--rank", "1", "--json",
         "--cache-dir", str(other))
-    a1_table = next(other.iterdir()).read_text()
+    a1_table = _served(other, "A1").read_text()
     text_not_str = json.dumps({**json.loads(path.read_text()), "text": 5})
     # not JSON, JSON nested past the recursion limit, not an object, no
     # table, the table of another system, and a text rendering that is not
@@ -120,7 +128,7 @@ def test_cache_text_not_a_string_recomputed(tmp_path, capsys):
     warns and prints what a miss prints."""
     args = ["unramified", "--type", "A", "--rank", "2", "--cache-dir", str(tmp_path)]
     rc1, out1, _ = run(capsys, *args)
-    path = next(tmp_path.iterdir())
+    path = _served(tmp_path, "A2")
     path.write_text(json.dumps({**json.loads(path.read_text()), "text": 5}))
     rc2, out2, err = run(capsys, *args)
     assert rc1 == rc2 == 0
@@ -425,12 +433,12 @@ def test_store_hit_prints_what_a_miss_prints(tmp_path, capsys, kind):
     assert all(rc == 0 and out and err == "" for rc, out, err in plain.values())
     # a miss, a hit in the same rendering, a hit in the other: one entry
     # serves both (an arthur-wf miss stores all 4 dual orbits of B2, the
-    # orbits of C2)
+    # orbits of C2, and an unramified miss both isogenies of B2)
     for first, second in [(("--json",), ()), ((), ("--json",))]:
         store = tmp_path / f"store{len(first)}"
         for mode in (first, first, second):
             assert run(capsys, *argv, *mode, "--cache-dir", str(store)) == plain[mode]
-        assert len(list(store.iterdir())) == (4 if kind == "arthur-wf" else 1)
+        assert len(list(store.iterdir())) == {"arthur-wf": 4, "unramified": 2}.get(kind, 1)
 
 
 @pytest.mark.parametrize("kind", STORED)
@@ -584,6 +592,101 @@ def test_arthur_wf_non_canonical_text_reads_its_labels_entry(tmp_path, capsys,
     assert len(list(store.iterdir())) == 5
     ns = types.SimpleNamespace(cache_dir=str(store))
     assert cli.cache_load(ns, "arthur-wf", CartanType("B", 2), "2, 2") is not None
+
+
+OTHER_ISOGENY = {"adjoint": "simply_connected", "simply_connected": "adjoint"}
+# (series, rank, isogeny) as typed: every system up to the cap in both
+# isogenies, and B1 and C1, which are stored under A1
+UNRAMIFIED = [(ct.series, ct.rank, isogeny) for ct in ADJOINT
+              for isogeny in OTHER_ISOGENY] + [
+    (series, 1, isogeny) for series in "BC" for isogeny in OTHER_ISOGENY]
+
+
+@pytest.mark.parametrize("series, rank, isogeny", UNRAMIFIED, ids=str)
+def test_unramified_miss_stores_the_other_isogeny(tmp_path, capsys, monkeypatch,
+                                                 series, rank, isogeny):
+    """An unramified miss also stores its system's table in the other
+    isogeny: the file a direct miss of that isogeny writes into an empty
+    store, on which a hit prints what a run without a store prints, in
+    both renderings, with no payload built (B1 and C1 miss at cli's front
+    and are read under A1's key)."""
+    base = ["unramified", "--type", series, "--rank", str(rank), "--isogeny"]
+    store, direct = tmp_path / "store", tmp_path / "direct"
+    other = OTHER_ISOGENY[isogeny]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # B1 and C1 normalized to A1
+        ct = CartanType(series, rank, isogeny)
+        assert run(capsys, *base, isogeny, "--cache-dir", str(store))[0] == 0
+        assert run(capsys, *base, other, "--cache-dir", str(direct))[0] == 0
+        plain = {mode: run(capsys, *base, other, *mode) for mode in (("--json",), ())}
+        names = {i: os.path.basename(_entry_path(store, "unramified",
+                                                 ct._replace(isogeny=i), None))
+                 for i in (isogeny, other)}
+        entries = {p.name: p.read_bytes() for p in store.iterdir()}
+        assert sorted(entries) == sorted(names.values())
+        # the direct miss stored the served isogeny as its own extra entry
+        assert {p.name: p.read_bytes() for p in direct.iterdir()} == entries
+
+        def refuse(ct):
+            raise AssertionError(f"built the table of {ct} {ct.isogeny}")
+
+        monkeypatch.setattr(_stored, "unramified_payload", refuse)
+        for mode, (rc, out, err) in plain.items():
+            assert rc == 0 and out and err == ""
+            assert run(capsys, *base, other, *mode, "--cache-dir", str(store)) == (
+                rc, out, err)
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == entries
+
+
+def test_unramified_other_isogeny_skips_what_is_stored(tmp_path, capsys, monkeypatch):
+    """An entry of the other isogeny that exists keeps its bytes and mtime,
+    and its payload is not built; without a store only the served payload
+    is built."""
+    store = tmp_path / "store"
+    argv = ["unramified", "--type", "C", "--rank", "3", "--isogeny"]
+    assert run(capsys, *argv, "simply_connected", "--cache-dir", str(store))[0] == 0
+    path = _entry_path(store, "unramified", CartanType("C", 3), None)
+    os.remove(path)
+    extra, = store.iterdir()
+    before = extra.read_bytes()
+    os.utime(extra, ns=(10 ** 9, 10 ** 9))
+    built = []
+    real = _stored.unramified_payload
+    monkeypatch.setattr(_stored, "unramified_payload",
+                        lambda ct: built.append(ct.isogeny) or real(ct))
+    assert run(capsys, *argv, "adjoint", "--cache-dir", str(store))[0] == 0
+    assert built == ["adjoint"] and os.path.exists(path)
+    assert extra.read_bytes() == before and extra.stat().st_mtime_ns == 10 ** 9
+    assert len(list(store.iterdir())) == 2
+    built.clear()
+    assert run(capsys, *argv, "adjoint")[0] == 0
+    assert built == ["adjoint"]
+
+
+@pytest.mark.parametrize("refused", [1, 2])
+def test_unramified_other_isogeny_on_a_failing_store(tmp_path, capsys, monkeypatch,
+                                                    refused):
+    """A store that refuses the served write (refused=1) is not asked for
+    the other isogeny's; one that refuses only that one (refused=2) keeps
+    the served entry.  Either way: one warning line and exit 0."""
+    store = tmp_path / "store"
+    argv = ["unramified", "--type", "B", "--rank", "3"]
+    rc, out, _ = run(capsys, *argv)
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == refused:
+            raise OSError(errno.ENOSPC, "No space left on device", dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    rc2, out2, err2 = run(capsys, *argv, "--cache-dir", str(store))
+    assert (rc2, out2) == (rc, out) == (0, out)
+    assert len(err2.splitlines()) == 1 and "cache not writable" in err2
+    assert len(calls) == refused
+    served = os.path.basename(_entry_path(store, "unramified", CartanType("B", 3), None))
+    assert [p.name for p in store.iterdir()] == ([] if refused == 1 else [served])
 
 
 def test_source_checksum_covers_every_source_file(tmp_path, monkeypatch):
@@ -979,8 +1082,8 @@ def test_serve_builds_the_store_key_once(tmp_path, capsys, monkeypatch):
                 calls.clear()
                 assert run(capsys, *argv, "--json", "--cache-dir", str(tmp_path))[0] == 0
                 assert len(calls) == 1, argv
-    # A2, A1, the 4 dual orbits of B2 and "2, 2"
-    assert len(list(tmp_path.iterdir())) == 7
+    # A2 and A1 in both isogenies, the 4 dual orbits of B2 and "2, 2"
+    assert len(list(tmp_path.iterdir())) == 9
 
 
 @pytest.mark.parametrize("rank", [10, 60])
@@ -1051,8 +1154,9 @@ def test_no_process_imports_dataclasses(tmp_path):
     # two unramified outputs, the second from the store, then two others
     outs = proc.stdout.splitlines()
     assert len(outs) == 4 and outs[0] == outs[1]
-    # B3 unramified, and the 8 dual orbits of B3 from the arthur-wf miss
-    assert len(list(store.iterdir())) == 9
+    # B3 unramified in both isogenies, and the 8 dual orbits of B3 from the
+    # arthur-wf miss
+    assert len(list(store.iterdir())) == 10
 
 
 _STORELESS = """
@@ -1107,7 +1211,8 @@ def test_objects_frozen_at_exit(tmp_path):
         assert proc.returncode == code, proc.stderr
         last = proc.stderr.splitlines()[-1].split()
         assert last[0] == "frozen" and int(last[1]) > 0, proc.stderr
-        assert len(list(store.iterdir())) == 1
+        # A1 in both isogenies
+        assert len(list(store.iterdir())) == 2
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1157,5 +1262,6 @@ def test_no_file_left_to_the_collector(tmp_path, capsys, monkeypatch):
                 assert run(capsys, *argv, "--cache-dir", store)[0] == 0
         gc.collect()
     assert unraisable == []
-    # one entry each, but the 4 of arthur-wf's dual orbits of B2
-    assert len(os.listdir(store)) == 6
+    # one entry for local-wf, both isogenies of B2 for unramified and the 4
+    # of arthur-wf's dual orbits of B2
+    assert len(os.listdir(store)) == 7
